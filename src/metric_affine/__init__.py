@@ -14,14 +14,13 @@ Everything is exact: finite fields use small-int tables, the rationals use
 
 from .fields import GF2, GF3, GF4, GF5, GF7, QQ, Field, field_make
 from .linalg import (Mat, Singular, annihilator, kernel_basis, mat_invert,
-                     outer, pairing, rank, rref, span_contains,
-                     transpose_map, unit_vector, vec)
+                     outer, pairing, rank, rref, span_contains, unit_vector,
+                     vec)
 from .quadform import (NotReflectable, QForm, all_vectors, enumerate_forms,
                        form_from_text, form_to_text, is_isometry,
-                       is_nondegenerate, poly_str, polar, polar_inverse,
-                       polar_map, qf_equal, qf_eval, qf_proportional,
-                       qf_pullback, qf_rank, qf_scale, radical_basis,
-                       reflection)
+                       is_nondegenerate, poly_str, polar, qf_eval,
+                       qf_proportional, qf_pullback, qf_rank, qf_scale,
+                       radical_basis, reflection)
 from .groups import (BudgetExceeded, DEFAULT_BUDGET, GroupSet,
                      HARD_BUDGET_CEILING, closure, congruence_orbit,
                      enumerate_gl, group_budget, group_equal, is_subgroup,
@@ -35,7 +34,7 @@ from .transvect import (DeltaMap, DirectionCase, KIND_DILATATION,
 from .homog import (AffineMap, DegeneratePolarForm, HomogModel, NotDroppable,
                     RoundtripReport, affine_reflection, drop, dual_matrix,
                     dual_matrix_preimage, homog_model, lift,
-                    motion_group_beta, motion_group_dual, point_matrix,
+                    motion_group_dual, point_matrix,
                     reflection_correspondence, roundtrip_checks)
 from .classify import (DyadReport, MODE_MOTION, MODE_WEAK, MainPropReport,
                        ProjectiveReport, QuadricReport, TableReport,

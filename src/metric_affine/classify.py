@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (GroupSet, enumerate_gl, form_values_np, group_equal,
-                     is_subgroup, vectors_np, weak_orthogonal_group,
-                     orthogonal_group)
+from .groups import (GroupSet, enumerate_gl, form_values_np, group_budget,
+                     group_equal, is_subgroup, memo, vectors_np,
+                     weak_orthogonal_group, orthogonal_group)
 from .homog import (DegeneratePolarForm, NotDroppable, drop, lift,
                     motion_group_dual)
 from .linalg import Mat, annihilator, kernel_basis, unit_vector, vec
@@ -29,25 +29,6 @@ from .quadform import (QForm, enumerate_forms, is_nondegenerate, poly_str,
 MODE_MOTION = "motion"       # full motion group on the left
 MODE_WEAK = "weak"           # weak motion group on the left
 MODES = (MODE_MOTION, MODE_WEAK)
-
-_AO_CACHE = {}
-
-
-def _form_key(Q):
-    return (Q.field.name, Q.n, Q.upper_coeffs())
-
-
-def motion_dual_cached(Q, weak, budget=None):
-    key = (_form_key(Q), bool(weak))
-    got = _AO_CACHE.get(key)
-    if got is None:
-        got = _AO_CACHE[key] = motion_group_dual(Q, weak, budget)
-    return got
-
-
-def weak_orth_cached(Qt, budget=None):
-    # weak_orthogonal_group memoizes internally; kept as a named hook
-    return weak_orthogonal_group(Qt, budget)
 
 
 @dataclass(frozen=True)
@@ -62,9 +43,9 @@ class DyadReport:
 def dyad_report(Q, Qt, budget=None):
     """Evaluate both defining equations for the pair, plus the lift scalar."""
     assert Qt.n == Q.n + 1 and Qt.field is Q.field
-    ow = weak_orth_cached(Qt, budget)
-    sat_m = group_equal(motion_dual_cached(Q, False, budget), ow)
-    sat_w = group_equal(motion_dual_cached(Q, True, budget), ow)
+    ow = weak_orthogonal_group(Qt, budget)
+    sat_m = group_equal(motion_group_dual(Q, False, budget), ow)
+    sat_w = group_equal(motion_group_dual(Q, True, budget), ow)
     c = None
     if is_nondegenerate(Q):
         c = qf_proportional(lift(Q), Qt)
@@ -126,10 +107,11 @@ def solve_for_qtilde(Q, mode, budget=None):
     """
     assert mode in MODES, mode
     fld, n = Q.field, Q.n
-    target = motion_dual_cached(Q, mode == MODE_WEAK, budget)
+    budget = group_budget() if budget is None else budget  # read env once
+    target = motion_group_dual(Q, mode == MODE_WEAK, budget)
     sols = []
     for Qt in enumerate_forms(fld, n + 1):
-        ow = weak_orth_cached(Qt, budget)
+        ow = weak_orthogonal_group(Qt, budget)
         if ow.order == target.order and group_equal(ow, target):
             sols.append(Qt)
     if not _exceptional_size(fld, n):
@@ -279,7 +261,7 @@ def reproduce_table(dim, fld, budget=None):
     # group pairs into complete-bipartite blocks via the shared right group
     by_group = {}
     for Q, Qt, _rep in pairs:
-        key = weak_orth_cached(Qt, budget).elems
+        key = weak_orthogonal_group(Qt, budget).elems
         entry = by_group.setdefault(key, (set(), set()))
         entry[0].add(Q)
         entry[1].add(Qt)
@@ -337,7 +319,7 @@ def reproduce_table(dim, fld, budget=None):
     shared_groups_ok = True
     for lefts, rights in computed_blocks:
         o_groups = {orthogonal_group(Q, budget).elems for Q in lefts}
-        w_groups = {weak_orth_cached(Qt, budget).elems for Qt in rights}
+        w_groups = {weak_orthogonal_group(Qt, budget).elems for Qt in rights}
         if len(o_groups) != 1 or len(w_groups) != 1:
             shared_groups_ok = False
             mismatch.append("block does not share its groups")
@@ -346,8 +328,8 @@ def reproduce_table(dim, fld, budget=None):
     weak_proper_ok = True
     expected_proper = {QForm.from_upper(fld, dim, u) for u in fx.weak_proper}
     for Q in lefts_all:
-        ao = motion_dual_cached(Q, False, budget)
-        aow = motion_dual_cached(Q, True, budget)
+        ao = motion_group_dual(Q, False, budget)
+        aow = motion_group_dual(Q, True, budget)
         assert is_subgroup(aow, ao)
         proper = ao.order > aow.order
         if proper != (Q in expected_proper):
@@ -444,26 +426,18 @@ def projective_rep(fld, entries):
 
 def projective_reduce(gs):
     """The induced collineation set: each matrix rescaled so its first
-    non-zero entry (row-major) is 1, duplicates merged."""
-    fld = gs.field
-    out = []
-    for A in gs.mats():
-        flat = [x for row in A.rows for x in row]
-        scaled = projective_rep(fld, flat)
-        n = gs.n
-        out.append(Mat(fld, [scaled[i * n:(i + 1) * n] for i in range(n)],
-                       (n, n)))
-    return GroupSet.from_mats(fld, gs.n, out)
+    non-zero entry (row-major) is 1, duplicates merged.  Memoised."""
+    fld, n = gs.field, gs.n
 
-
-_PROJ_CACHE = {}
-
-
-def _proj_cached(gs):
-    got = _PROJ_CACHE.get((gs.field.name, gs.n, gs.elems))
-    if got is None:
-        got = _PROJ_CACHE[(gs.field.name, gs.n, gs.elems)] = projective_reduce(gs)
-    return got
+    def build():
+        out = []
+        for A in gs.mats():
+            flat = [x for row in A.rows for x in row]
+            scaled = projective_rep(fld, flat)
+            out.append(Mat(fld, [scaled[i * n:(i + 1) * n] for i in range(n)],
+                           (n, n)))
+        return GroupSet.from_mats(fld, n, out)
+    return memo(("projective_reduce", fld.name, n, gs.elems), build)
 
 
 @dataclass(frozen=True)
@@ -489,14 +463,14 @@ def verify_projective_theorem(fld, n, budget=None):
     witness = False
     checked = 0
     for Q in enumerate_forms(fld, n):
-        ao = motion_dual_cached(Q, False, budget)
-        aow = motion_dual_cached(Q, True, budget)
-        p_ao = _proj_cached(ao)
-        p_aow = _proj_cached(aow)
+        ao = motion_group_dual(Q, False, budget)
+        aow = motion_group_dual(Q, True, budget)
+        p_ao = projective_reduce(ao)
+        p_aow = projective_reduce(aow)
         for Qt in enumerate_forms(fld, n + 1):
             checked += 1
-            ow = weak_orth_cached(Qt, budget)
-            p_ow = _proj_cached(ow)
+            ow = weak_orthogonal_group(Qt, budget)
+            p_ow = projective_reduce(ow)
             if not (group_equal(p_ow, p_ao) or group_equal(p_ow, p_aow)):
                 continue
             linear_same = group_equal(ao, ow)
@@ -528,13 +502,10 @@ def _projective_canon_np(fld, rows):
     if not len(rows):
         return rows
     first = nz.argmax(axis=1)
-    inv = np.array([0] + [fld.inv(c) for c in range(1, fld.order)],
-                   dtype=np.int64)
+    inv = memo(("_projective_canon_np", fld.name), lambda: np.array(
+        [0] + [fld.inv(c) for c in range(1, fld.order)], dtype=np.int64))
     lead = rows[np.arange(len(rows)), first]
     return (rows * inv[lead][:, np.newaxis]) % fld.order
-
-
-_PENCIL_CACHE = {}
 
 
 def _tangent_pencil(fld, n, bx):
@@ -545,41 +516,47 @@ def _tangent_pencil(fld, n, bx):
     infinity, annihilator, projective span — is memoized on bx; across a
     sweep the same few functionals recur for thousands of forms.
     """
-    key = (fld.name, n, bx)
-    got = _PENCIL_CACHE.get(key)
-    if got is not None:
-        return got
-    row = vec(fld, bx).T
-    tangent = kernel_basis(row)              # n-1 directions in V
-    assert len(tangent) == n - 1
-    at_infinity = [vec(fld, (fld.zero,) + tuple(y.entries()))
-                   for y in tangent]         # inside F x V
-    pencil = annihilator(fld, n + 1, at_infinity)
-    assert len(pencil) == 2
-    span = np.array([p.entries() for p in pencil], dtype=np.int64)
-    q = fld.order
-    combos = np.array([(c0, c1) for c0 in range(q) for c1 in range(q)],
-                      dtype=np.int64)
-    canon = _projective_canon_np(fld, (combos @ span) % q)
-    got = frozenset(map(tuple, canon.tolist()))
-    _PENCIL_CACHE[key] = got
-    return got
+    def build():
+        row = vec(fld, bx).T
+        tangent = kernel_basis(row)              # n-1 directions in V
+        assert len(tangent) == n - 1
+        at_infinity = [vec(fld, (fld.zero,) + tuple(y.entries()))
+                       for y in tangent]         # inside F x V
+        pencil = annihilator(fld, n + 1, at_infinity)
+        assert len(pencil) == 2
+        span = np.array([p.entries() for p in pencil], dtype=np.int64)
+        q = fld.order
+        combos = np.array([(c0, c1) for c0 in range(q) for c1 in range(q)],
+                          dtype=np.int64)
+        canon = _projective_canon_np(fld, (combos @ span) % q)
+        return frozenset(map(tuple, canon.tolist()))
+    return memo(("_tangent_pencil", fld.name, n, bx), build)
+
+
+def _projective_reps(fld, n):
+    """The vector table as tuples, and a mask of the vectors that are their
+    own projective representative (the zero vector is not)."""
+    def build():
+        vecs = [tuple(v) for v in vectors_np(fld, n).tolist()]
+        mask = np.array([any(v) and projective_rep(fld, v) == v
+                         for v in vecs], dtype=bool)
+        return vecs, mask
+    return memo(("_projective_reps", fld.name, n), build)
 
 
 def quadric_points(Q):
-    """Canonical projective representatives of the null set of Q."""
+    """Canonical projective representatives of the null set of Q.
+
+    Q(cx) = c^2 Q(x), so the null set is a cone and holds the representative
+    of each of its lines: the points are the null vectors that are already
+    representatives.
+    """
     fld, n = Q.field, Q.n
     if n == 0:
         return set()
+    vecs, is_rep = _projective_reps(fld, n)
     vals = form_values_np(Q)        # one entry per vector, index-aligned
-    vecs = vectors_np(fld, n)
-    null = np.flatnonzero(vals == 0)
-    null = null[null != 0]          # drop the zero vector
-    if fld.order == fld.char:
-        canon = _projective_canon_np(fld, vecs[null])
-        return set(map(tuple, canon.tolist()))
-    return {projective_rep(fld, tuple(int(c) for c in vecs[i]))
-            for i in null}
+    return {vecs[i] for i in np.flatnonzero((vals == 0) & is_rep).tolist()}
 
 
 @dataclass(frozen=True)
@@ -612,20 +589,21 @@ def quadric_duality_check(Q):
         return QuadricReport(fld.name, n, "char-2-excluded", 0, 0, 0, ())
     if n < 2:
         return QuadricReport(fld.name, n, "dim-too-small", 0, 0, 0, ())
-    if not is_nondegenerate(Q):
+    try:
+        up = lift(Q)
+    except DegeneratePolarForm:
         return QuadricReport(fld.name, n, "degenerate-polar", 0, 0, 0, ())
     base = quadric_points(Q)
     if not base:
         return QuadricReport(fld.name, n, "empty-quadric", 0, 0, 0, ())
 
-    up = lift(Q)
     lifted = quadric_points(up)
     vertex = projective_rep(fld, unit_vector(fld, n + 1, 0).entries())
 
-    B = polar(Q)
+    B = polar(Q).rows       # symmetric, so row i of B pairs with x to (Bx)_i
     rhs = set()
     for x in base:
-        rhs |= _tangent_pencil(fld, n, tuple((B * vec(fld, x)).entries()))
+        rhs |= _tangent_pencil(fld, n, tuple(fld.dot(b, x) for b in B))
 
     details = []
     for a in sorted(rhs):

@@ -14,9 +14,10 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .classify import (MODE_MOTION, MODE_WEAK, quadric_duality_check,
-                       render_table_lines, reproduce_table, solve_for_qtilde,
-                       verify_main_prop, verify_projective_theorem)
+from .classify import (MODE_MOTION, MODE_WEAK, _exceptional_size,
+                       quadric_duality_check, render_table_lines,
+                       reproduce_table, solve_for_qtilde, verify_main_prop,
+                       verify_projective_theorem)
 from .fields import field_make
 from .groups import (BudgetExceeded, HARD_BUDGET_CEILING, order_gl,
                      orthogonal_group, reflection_generation_status,
@@ -326,9 +327,7 @@ def cmd_verify_theorem(cfg, em):
             em.text("# %s: motion %d, weak %d"
                     % (poly_str(Q), len(sols_m), len(sols_w)))
     nondeg = sum(1 for Q in lefts if is_nondegenerate(Q))
-    exceptional = ((n == 0 and fld.char == 2)
-                   or (n == 1 and fld.order <= 3)
-                   or (n == 2 and fld.order == 2))
+    exceptional = _exceptional_size(fld, n)
     em.text("solution sweep over %s, dim %d" % (fld.name, n),
             "left forms: %d, candidates each: %d" % (len(lefts), fld.order ** m),
             "non-degenerate-polar left forms: %d" % nondeg,

@@ -14,6 +14,7 @@ lookups.  No floating point is used anywhere.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -86,6 +87,8 @@ class Field:
 
 class PrimeField(Field):
     enumerable = True
+    zero = 0
+    one = 1
 
     def __init__(self, p):
         self.name = "GF(%d)" % p
@@ -99,6 +102,9 @@ class PrimeField(Field):
     def neg(self, a):
         return (-a) % self.p
 
+    def sub(self, a, b):
+        return (a - b) % self.p
+
     def mul(self, a, b):
         return (a * b) % self.p
 
@@ -110,6 +116,9 @@ class PrimeField(Field):
 
     def coerce(self, x):
         return int(x) % self.p
+
+    def dot(self, xs, ys):
+        return sum(map(operator.mul, xs, ys)) % self.p
 
     def elements(self):
         return list(range(self.p))
@@ -126,6 +135,8 @@ class GF4Field(Field):
     char = 2
     order = 4
     enumerable = True
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         return a ^ b

@@ -74,15 +74,37 @@ assert order_gl(2, 2) == 6 and order_gl(3, 2) == 168 and order_gl(4, 2) == 20160
 assert order_gl(2, 3) == 48 and order_gl(3, 3) == 11232 and order_gl(0, 5) == 1
 
 
+def check_budget(field, n, budget):
+    """Raise BudgetExceeded unless all of GL_n over the field fits the budget.
+
+    Every memoised function taking a budget calls this before its memo
+    lookup, so a result does not depend on what an earlier call memoised.
+    """
+    budget = group_budget() if budget is None else budget
+    required = order_gl(n, field.order)
+    if required > budget:
+        raise BudgetExceeded(required, budget)
+
+
+# One memo table for the whole package.  Keys are tuples led by the name of
+# the memoising function, followed by plain field names, dimensions and
+# coefficient tuples, so no form or matrix object is kept alive by a key.
+_MEMO = {}
+
+
+def memo(key, build):
+    """The value memoised under key; build() makes it (never None) on the
+    first call."""
+    got = _MEMO.get(key)
+    if got is None:
+        got = _MEMO[key] = build()
+    return got
+
+
 # --- numpy engine ----------------------------------------------------------
 
 _MUL4 = np.array([[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]],
                  dtype=np.uint8)
-
-_VEC_CACHE = {}
-_GL_CACHE = {}
-_PERM_CACHE = {}
-_ORBIT_CACHE = {}
 
 
 def _is_gf4(field):
@@ -91,17 +113,15 @@ def _is_gf4(field):
 
 def vectors_np(field, n):
     """(q^n, n) uint8 table; row idx holds the vector with index idx."""
-    key = (field.name, n)
-    tab = _VEC_CACHE.get(key)
-    if tab is None:
+    def build():
         q = field.order
         idx = np.arange(q ** n, dtype=np.int64)
         cols = [(idx // q ** i) % q for i in range(n)]
         tab = (np.stack(cols, axis=1).astype(np.uint8) if n
                else np.zeros((1, 0), dtype=np.uint8))
         tab.setflags(write=False)
-        _VEC_CACHE[key] = tab
-    return tab
+        return tab
+    return memo(("vectors_np", field.name, n), build)
 
 
 def vector_index_np(field, X):
@@ -138,16 +158,13 @@ def encode_np(arr):
 
 
 def _gl_arrays(field, n, budget=None):
-    """The full GL_n stack as a (m, n, n) uint8 array, cached."""
-    budget = group_budget() if budget is None else budget
-    required = order_gl(n, field.order)
-    if required > budget:
-        raise BudgetExceeded(required, budget)
-    key = (field.name, n)
-    arr = _GL_CACHE.get(key)
-    if arr is not None:
-        return arr
+    """The full GL_n stack as a (m, n, n) uint8 array, memoised."""
+    check_budget(field, n, budget)
+    return memo(("_gl_arrays", field.name, n), lambda: _build_gl(field, n))
 
+
+def _build_gl(field, n):
+    required = order_gl(n, field.order)
     elems = field.elements()
     vecs = [tuple(int(v) for v in row) for row in vectors_np(field, n)]
     zero = vecs[0]
@@ -175,15 +192,14 @@ def _gl_arrays(field, n, budget=None):
             for r_i, x in enumerate(col):
                 arr[m_i, r_i, c_i] = x
     arr.setflags(write=False)
-    _GL_CACHE[key] = arr
     return arr
 
 
 def _perm_table(field, n, budget=None):
     """P[g, j] = vector index of (GL_g applied to vector_j)."""
-    key = (field.name, n)
-    P = _PERM_CACHE.get(key)
-    if P is None:
+    check_budget(field, n, budget)
+
+    def build():
         G = _gl_arrays(field, n, budget)
         V = vectors_np(field, n)
         if _is_gf4(field):
@@ -200,16 +216,28 @@ def _perm_table(field, n, budget=None):
         P = vector_index_np(field, images)
         P = np.ascontiguousarray(P, dtype=np.int64)
         P.setflags(write=False)
-        _PERM_CACHE[key] = P
-    return P
+        return P
+    return memo(("_perm_table", field.name, n), build)
+
+
+def _monomials_np(field, n):
+    """(q^n, n(n+1)/2) int64 table: row idx holds the products x_i x_j
+    (i <= j, row-major) of vector idx, in the order of QForm.upper_coeffs."""
+    def build():
+        V = vectors_np(field, n).astype(np.int64)
+        iu, ju = np.triu_indices(n)
+        tab = V[:, iu] * V[:, ju]
+        tab.setflags(write=False)
+        return tab
+    return memo(("_monomials_np", field.name, n), build)
 
 
 def form_values_np(Q):
     """Value table: entry idx is the raw code of Q(vector_idx)."""
     field, n = Q.field, Q.n
-    V = vectors_np(field, n)
-    W = mat_to_np(Q.gram)
     if _is_gf4(field):
+        V = vectors_np(field, n)
+        W = mat_to_np(Q.gram)
         vals = np.zeros(V.shape[0], dtype=np.uint8)
         for i in range(n):
             for j in range(i, n):
@@ -218,8 +246,8 @@ def form_values_np(Q):
         return vals.astype(np.int64)
     if n == 0:
         return np.zeros(1, dtype=np.int64)
-    Vi = V.astype(np.int64)
-    return np.einsum("ni,ij,nj->n", Vi, W.astype(np.int64), Vi) % field.order
+    coeffs = np.array(Q.upper_coeffs(), dtype=np.int64)
+    return (_monomials_np(field, n) @ coeffs) % field.order
 
 
 def isometry_mask(Q, budget=None):
@@ -355,29 +383,22 @@ def enumerate_gl(field, n, budget=None):
     return GroupSet.from_np(field, n, _gl_arrays(field, n, budget))
 
 
-_ORTH_CACHE = {}
-_WEAK_ORTH_CACHE = {}
-
-
 def orthogonal_group(Q, budget=None):
     """All GL elements preserving Q (full enumeration + filter, memoized)."""
-    key = (Q.field.name, Q.n, Q.upper_coeffs())
-    got = _ORTH_CACHE.get(key)
-    if got is None:
-        got = _ORTH_CACHE[key] = GroupSet.from_mask(
-            Q.field, Q.n, isometry_mask(Q, budget), budget)
-    return got
+    check_budget(Q.field, Q.n, budget)
+    return memo(("orthogonal_group", Q.field.name, Q.n, Q.upper_coeffs()),
+                lambda: GroupSet.from_mask(Q.field, Q.n,
+                                           isometry_mask(Q, budget), budget))
 
 
 def weak_orthogonal_group(Q, budget=None):
     """Isometries of Q fixing the radical of the polar form pointwise
     (memoized: the verification sweeps revisit the same forms heavily)."""
-    key = (Q.field.name, Q.n, Q.upper_coeffs())
-    got = _WEAK_ORTH_CACHE.get(key)
-    if got is None:
-        got = _WEAK_ORTH_CACHE[key] = GroupSet.from_mask(
-            Q.field, Q.n, weak_isometry_mask(Q, budget), budget)
-    return got
+    check_budget(Q.field, Q.n, budget)
+    return memo(("weak_orthogonal_group", Q.field.name, Q.n, Q.upper_coeffs()),
+                lambda: GroupSet.from_mask(Q.field, Q.n,
+                                           weak_isometry_mask(Q, budget),
+                                           budget))
 
 
 def closure(field, n, generators, budget=None):
@@ -433,9 +454,9 @@ CASE_HYPERBOLIC_PAIR = "hyperbolic-pair"                    # x1x2+x3x4, dim >= 
 def congruence_orbit(field, n, coeffs, budget=None):
     """All forms A^T W A (A in GL) for the reference form with these upper
     coefficients, as a frozenset of upper-coefficient tuples.  Cached."""
-    key = (field.name, n, tuple(coeffs))
-    orbit = _ORBIT_CACHE.get(key)
-    if orbit is None:
+    check_budget(field, n, budget)
+
+    def build():
         ref = QForm.from_upper(field, n, coeffs)
         G = _gl_arrays(field, n, budget)
         W = mat_to_np(ref.gram).astype(np.int64)
@@ -445,9 +466,8 @@ def congruence_orbit(field, n, coeffs, budget=None):
         C = (np.triu(S) + np.triu(S.transpose(0, 2, 1), 1)) % field.order
         iu = np.triu_indices(n)
         flats = C[:, iu[0], iu[1]] if n else np.zeros((S.shape[0], 0), dtype=np.int64)
-        orbit = frozenset(tuple(int(x) for x in row) for row in flats)
-        _ORBIT_CACHE[key] = orbit
-    return orbit
+        return frozenset(tuple(int(x) for x in row) for row in flats)
+    return memo(("congruence_orbit", field.name, n, tuple(coeffs)), build)
 
 
 def _matches_shape(Q, coeffs, budget=None):
@@ -511,8 +531,7 @@ def reflection_generation_status(Q, budget=None):
             refs.append(reflection(Q, x))
     gen = closure(field, n, refs, budget)
     weak = weak_orthogonal_group(Q, budget)
-    for A in gen.elems:
-        assert A in set(weak.elems), "reflection closure escaped O'"
+    assert is_subgroup(gen, weak), "reflection closure escaped O'"
     generates = group_equal(gen, weak)
     exceptional = _exceptional_shape(Q, budget)
     assert generates == (exceptional is None), (

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .groups import GroupSet
+from .groups import GroupSet, check_budget, memo
 from .linalg import Mat, mat_invert, span_contains, unit_vector, vec
 from .quadform import (QForm, is_isometry, is_nondegenerate, poly_str, polar,
                        polar_apply, qf_eval, qf_scale, radical_basis,
@@ -101,7 +101,7 @@ class HomogModel:
 
 
 def homog_model(fld, n):
-    return HomogModel(fld, n)
+    return memo(("homog_model", fld.name, n), lambda: HomogModel(fld, n))
 
 
 def point_matrix(model, gamma):
@@ -166,10 +166,8 @@ def lift(Q):
     Binv = mat_invert(polar(Q))
     core = Binv * Q.gram * Binv
     z = F.zero
-    rows = [[z] * (n + 1)]
-    for i in range(n):
-        rows.append([z] + list(core.rows[i]))
-    out = QForm(F, Mat(F, rows, (n + 1, n + 1)))
+    rows = ((z,) * (n + 1),) + tuple((z,) + r for r in core.rows)
+    out = QForm(F, Mat._trusted(F, rows, n + 1, n + 1))
     model = homog_model(F, n)
     assert qf_eval(out, model.e0) == F.zero
     rad = radical_basis(out)
@@ -262,27 +260,28 @@ def motion_group_dual(Q, weak, budget=None):
     A motion is an affinity whose linear part preserves Q (and fixes the
     radical pointwise in the `weak` variant); the result is the GroupSet of
     their (n+1)-matrices on F x V*, of order q^n * |O| (resp. |O'|).
+    Memoised.
     """
     from .groups import orthogonal_group, weak_orthogonal_group
     from .quadform import all_vectors
 
     F, n = Q.field, Q.n
-    model = homog_model(F, n)
-    linear = (weak_orthogonal_group if weak else orthogonal_group)(Q, budget)
-    mats = []
-    translations = [vec(F, t) for t in all_vectors(F, n)]
-    for A in linear.mats():
-        for t in translations:
-            mats.append(dual_matrix(model, AffineMap(t, A)))
-    out = GroupSet.from_mats(F, n + 1, mats)
-    assert out.order == (F.order ** n) * linear.order
-    return out
+    check_budget(F, n, budget)
 
-
-def motion_group_beta(Q, weak, budget=None):
-    """Alias for motion_group_dual: the dual action is the beta
-    representation of the affine group."""
-    return motion_group_dual(Q, weak, budget)
+    def build():
+        model = homog_model(F, n)
+        group = weak_orthogonal_group if weak else orthogonal_group
+        linear = group(Q, budget)
+        mats = []
+        translations = [vec(F, t) for t in all_vectors(F, n)]
+        for A in linear.mats():
+            for t in translations:
+                mats.append(dual_matrix(model, AffineMap(t, A)))
+        out = GroupSet.from_mats(F, n + 1, mats)
+        assert out.order == (F.order ** n) * linear.order
+        return out
+    return memo(("motion_group_dual", F.name, n, Q.upper_coeffs(), bool(weak)),
+                build)
 
 
 def affine_reflection(Q, p, r):

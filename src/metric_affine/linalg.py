@@ -40,6 +40,20 @@ class Mat:
         self._key = (field.name, nrows, ncols, rows)
         self._hash = hash(self._key)
 
+    @classmethod
+    def _trusted(cls, field, rows, nrows, ncols):
+        """Build from a tuple of row tuples whose entries are already field
+        values of the right shape (results of field arithmetic or entries of
+        another Mat), skipping the per-entry coercion of the constructor."""
+        self = object.__new__(cls)
+        self.field = field
+        self.rows = rows
+        self.nrows = nrows
+        self.ncols = ncols
+        self._key = (field.name, nrows, ncols, rows)
+        self._hash = hash(self._key)
+        return self
+
     # --- constructors ------------------------------------------------------
 
     @classmethod
@@ -91,7 +105,8 @@ class Mat:
         return self.rows[i]
 
     def col(self, j):
-        return Mat.column(self.field, [self.rows[i][j] for i in range(self.nrows)])
+        return Mat._trusted(self.field, tuple((r[j],) for r in self.rows),
+                            self.nrows, 1)
 
     def col_entries(self, j):
         return tuple(self.rows[i][j] for i in range(self.nrows))
@@ -102,10 +117,8 @@ class Mat:
         return tuple(r[0] for r in self.rows)
 
     def transpose(self):
-        return Mat(self.field,
-                   [[self.rows[i][j] for i in range(self.nrows)]
-                    for j in range(self.ncols)],
-                   (self.ncols, self.nrows))
+        rows = tuple(zip(*self.rows)) if self.nrows else ((),) * self.ncols
+        return Mat._trusted(self.field, rows, self.ncols, self.nrows)
 
     @property
     def T(self):
@@ -123,23 +136,29 @@ class Mat:
     def __add__(self, other):
         assert self.shape == other.shape and self.field is other.field
         F = self.field
-        return Mat(F, [[F.add(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.rows, other.rows)], self.shape)
+        return Mat._trusted(F, tuple(tuple(F.add(a, b) for a, b in zip(ra, rb))
+                                     for ra, rb in zip(self.rows, other.rows)),
+                            self.nrows, self.ncols)
 
     def __sub__(self, other):
         assert self.shape == other.shape and self.field is other.field
         F = self.field
-        return Mat(F, [[F.sub(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.rows, other.rows)], self.shape)
+        return Mat._trusted(F, tuple(tuple(F.sub(a, b) for a, b in zip(ra, rb))
+                                     for ra, rb in zip(self.rows, other.rows)),
+                            self.nrows, self.ncols)
 
     def __neg__(self):
         F = self.field
-        return Mat(F, [[F.neg(a) for a in row] for row in self.rows], self.shape)
+        return Mat._trusted(F, tuple(tuple(F.neg(a) for a in row)
+                                     for row in self.rows),
+                            self.nrows, self.ncols)
 
     def scale(self, c):
         F = self.field
         c = F.coerce(c)
-        return Mat(F, [[F.mul(c, a) for a in row] for row in self.rows], self.shape)
+        return Mat._trusted(F, tuple(tuple(F.mul(c, a) for a in row)
+                                     for row in self.rows),
+                            self.nrows, self.ncols)
 
     def __mul__(self, other):
         """Matrix product; maps act on column vectors from the left."""
@@ -147,14 +166,18 @@ class Mat:
         assert self.field is other.field
         assert self.ncols == other.nrows, (self.shape, other.shape)
         F = self.field
-        ocols = [other.col_entries(j) for j in range(other.ncols)]
-        return Mat(F, [[F.dot(row, c) for c in ocols] for row in self.rows],
-                   (self.nrows, other.ncols))
+        ocols = (tuple(zip(*other.rows)) if other.nrows
+                 else ((),) * other.ncols)
+        dot = F.dot
+        return Mat._trusted(F, tuple(tuple(dot(row, c) for c in ocols)
+                                     for row in self.rows),
+                            self.nrows, other.ncols)
 
     def submatrix(self, row_idx, col_idx):
-        return Mat(self.field,
-                   [[self.rows[i][j] for j in col_idx] for i in row_idx],
-                   (len(row_idx), len(col_idx)))
+        return Mat._trusted(self.field,
+                            tuple(tuple(self.rows[i][j] for j in col_idx)
+                                  for i in row_idx),
+                            len(row_idx), len(col_idx))
 
 
 def vec(field, entries):
@@ -163,7 +186,8 @@ def vec(field, entries):
 
 def unit_vector(field, n, i):
     z, o = field.zero, field.one
-    return Mat.column(field, [o if k == i else z for k in range(n)])
+    return Mat._trusted(field, tuple((o if k == i else z,) for k in range(n)),
+                        n, 1)
 
 
 def pairing(astar, x):
@@ -187,6 +211,7 @@ def rref(M):
     rows = [list(r) for r in M.rows]
     nr, nc = M.nrows, M.ncols
     z = F.zero
+    inv, mul, sub = F.inv, F.mul, F.sub
     pivots = []
     r = 0
     for c in range(nc):
@@ -200,15 +225,15 @@ def rref(M):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pv = F.inv(rows[r][c])
-        rows[r] = [F.mul(pv, x) for x in rows[r]]
+        pv = inv(rows[r][c])
+        prow = rows[r] = [mul(pv, x) for x in rows[r]]
         for i in range(nr):
-            if i != r and rows[i][c] != z:
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f != z:
+                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
-    return Mat(F, rows, M.shape), pivots
+    return Mat._trusted(F, tuple(map(tuple, rows)), nr, nc), pivots
 
 
 def rank(M):
@@ -221,8 +246,9 @@ def mat_invert(M):
         raise Singular("not square: %s" % (M.shape,))
     n = M.nrows
     F = M.field
-    aug = Mat(F, [list(M.rows[i]) + list(Mat.identity(F, n).rows[i])
-                  for i in range(n)], (n, 2 * n))
+    eye = Mat.identity(F, n).rows
+    aug = Mat._trusted(F, tuple(M.rows[i] + eye[i] for i in range(n)),
+                       n, 2 * n)
     R, pivots = rref(aug)
     # [M | I] always has n pivots; M is invertible iff they all land in M.
     if pivots != list(range(n)):
@@ -247,7 +273,7 @@ def kernel_basis(M):
         x[fc] = o
         for r_i, pc in enumerate(pivots):
             x[pc] = F.neg(R.rows[r_i][fc])
-        basis.append(Mat.column(F, x))
+        basis.append(Mat._trusted(F, tuple((e,) for e in x), nc, 1))
     return basis
 
 
@@ -262,11 +288,6 @@ def annihilator(field, n, vectors):
         assert v.nrows == n and v.ncols == 1, v.shape
     M = Mat(field, [v.entries() for v in vectors], (len(vectors), n))
     return kernel_basis(M)
-
-
-def transpose_map(A):
-    """Matrix of the transpose map W* -> V* of A: V -> W (dual columns)."""
-    return A.transpose()
 
 
 def span_contains(basis, v):

@@ -16,7 +16,7 @@ import itertools
 import json
 
 from .fields import field_make
-from .linalg import Mat, kernel_basis, mat_invert, outer, vec
+from .linalg import Mat, kernel_basis, outer, vec
 
 
 class NotReflectable(Exception):
@@ -33,16 +33,17 @@ class QForm:
         assert gram.nrows == gram.ncols
         n = gram.nrows
         z = field.zero
+        g = gram.rows
         rows = []
         for i in range(n):
             row = [z] * n
-            row[i] = gram[i, i]
+            row[i] = g[i][i]
             for j in range(i + 1, n):
-                row[j] = field.add(gram[i, j], gram[j, i])
-            rows.append(row)
+                row[j] = field.add(g[i][j], g[j][i])
+            rows.append(tuple(row))
         self.field = field
         self.n = n
-        self.gram = Mat(field, rows, (n, n))
+        self.gram = Mat._trusted(field, tuple(rows), n, n)
         self._hash = hash(("QForm", self.gram))
         self._polar = None
 
@@ -105,11 +106,6 @@ def polar(Q):
     if Q._polar is None:
         Q._polar = Q.gram + Q.gram.T
     return Q._polar
-
-
-def polar_map(Q):
-    """Matrix of the induced map D: V -> V*, which is just B in our bases."""
-    return polar(Q)
 
 
 def polar_apply(Q, r, x):
@@ -180,10 +176,6 @@ def reflection(Q, r):
     return Mat.identity(Q.field, Q.n) - outer(r, polar(Q) * r).scale(c)
 
 
-def qf_equal(Q1, Q2):
-    return Q1 == Q2
-
-
 def qf_scale(Q, c):
     c = Q.field.coerce(c)
     return QForm(Q.field, Q.gram.scale(c))
@@ -247,11 +239,6 @@ def poly_str(Q, var="x", start=1):
             else:
                 terms.append("%s*%s" % (_coeff_str(F, c), mono))
     return " + ".join(terms) if terms else "0"
-
-
-def polar_inverse(Q):
-    """Inverse of the polar matrix (raises Singular when degenerate)."""
-    return mat_invert(polar(Q))
 
 
 # --- form files ------------------------------------------------------------

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import (GroupSet, encode_np, group_budget, mat_to_np, order_gl,
-                     orthogonal_group, weak_orthogonal_group)
+from .groups import (GroupSet, encode_np, group_budget, mat_to_np, memo,
+                     order_gl, orthogonal_group, weak_orthogonal_group)
 from .linalg import Mat, annihilator, outer, pairing, span_contains, vec
 from .quadform import (QForm, is_isometry, qf_eval, radical_basis, reflection)
 
@@ -62,9 +62,6 @@ def _all_duals(field, n):
     return [vec(field, a) for a in all_vectors(field, n)]
 
 
-_DELTA_CACHE = {}
-
-
 def delta_group(field, n, f):
     """The subgroup {x |-> x + <a*,x> f : <a*,f> != -1} of GL(V), f != o.
 
@@ -74,17 +71,13 @@ def delta_group(field, n, f):
         f = vec(field, f)
     if f.is_zero():
         raise ValueError("the direction vector must be non-zero")
-    key = (field.name, n, f.entries())
-    got = _DELTA_CACHE.get(key)
-    if got is not None:
-        return got
-    mats = []
-    minus_one = field.neg(field.one)
-    for a in _all_duals(field, n):
-        if pairing(a, f) != minus_one:
-            mats.append(delta_make(a, f).matrix)
-    got = _DELTA_CACHE[key] = GroupSet.from_mats(field, n, mats)
-    return got
+
+    def build():
+        minus_one = field.neg(field.one)
+        return GroupSet.from_mats(field, n, [
+            delta_make(a, f).matrix for a in _all_duals(field, n)
+            if pairing(a, f) != minus_one])
+    return memo(("delta_group", field.name, n, f.entries()), build)
 
 
 def _fixes_radical(Q, A):
@@ -99,9 +92,10 @@ def _member_keys(Q):
     the isometry property matrix by matrix.
     """
     field = Q.field
-    if field.enumerable and order_gl(Q.n, field.order) <= group_budget():
-        return (orthogonal_group(Q).key_set(),
-                weak_orthogonal_group(Q).key_set())
+    budget = group_budget()
+    if field.enumerable and order_gl(Q.n, field.order) <= budget:
+        return (orthogonal_group(Q, budget).key_set(),
+                weak_orthogonal_group(Q, budget).key_set())
     return None
 
 
@@ -184,61 +178,38 @@ COND_DIM_ONE = "dim-1"
 COND_BINARY_PLANE = "gf2-anisotropic-nondegenerate-plane"
 
 
-_ANNIH_CACHE = {}
-
-
 def _annihilator_duals(field, n, f):
     """All duals vanishing on f, spanned from an annihilator basis."""
-    key = (field.name, n, f.entries())
-    got = _ANNIH_CACHE.get(key)
-    if got is not None:
-        return got
-    basis = annihilator(field, n, [f])
-    duals = [vec(field, (field.zero,) * n)]
-    for b in basis:
-        be = b.entries()
-        duals = [vec(field,
-                     tuple(field.add(x, field.mul(c, bi))
-                           for x, bi in zip(d.entries(), be)))
-                 for d in duals for c in field.elements()]
-    # distinct by construction (basis combinations), but keep it honest:
-    assert len({d for d in duals}) == field.order ** len(basis)
-    _ANNIH_CACHE[key] = duals
-    return duals
-
-
-_ANNIH_PAIR_CACHE = {}
-_SCALED_KEY_CACHE = {}
+    def build():
+        basis = annihilator(field, n, [f])
+        duals = [vec(field, (field.zero,) * n)]
+        for b in basis:
+            be = b.entries()
+            duals = [vec(field,
+                         tuple(field.add(x, field.mul(c, bi))
+                               for x, bi in zip(d.entries(), be)))
+                     for d in duals for c in field.elements()]
+        # distinct by construction (basis combinations), but keep it honest:
+        assert len({d for d in duals}) == field.order ** len(basis)
+        return duals
+    return memo(("_annihilator_duals", field.name, n, f.entries()), build)
 
 
 def _annihilator_pairs(field, n, f):
     """(dual, byte key of its transvection matrix) for duals vanishing on f;
     all of it is independent of any form, so computed once per direction."""
-    key = (field.name, n, f.entries())
-    got = _ANNIH_PAIR_CACHE.get(key)
-    if got is None:
-        got = _ANNIH_PAIR_CACHE[key] = [
-            (a, encode_np(mat_to_np(delta_make(a, f).matrix)))
-            for a in _annihilator_duals(field, n, f)]
-    return got
+    return memo(("_annihilator_pairs", field.name, n, f.entries()), lambda: [
+        (a, encode_np(mat_to_np(delta_make(a, f).matrix)))
+        for a in _annihilator_duals(field, n, f)])
 
 
 def _scaled_keys(field, n, f):
     """Byte keys of s . (I + f a*^T) for s outside {0, 1}, a* != o in the
     annihilator of f; again independent of the form."""
-    key = (field.name, n, f.entries())
-    got = _SCALED_KEY_CACHE.get(key)
-    if got is None:
-        out = []
-        for s in field.elements():
-            if s in (field.zero, field.one):
-                continue
-            for a in _annihilator_duals(field, n, f):
-                if not a.is_zero():
-                    out.append(encode_np(
-                        mat_to_np(delta_make(a, f).matrix.scale(s))))
-        got = _SCALED_KEY_CACHE[key] = out
-    return got
+    return memo(("_scaled_keys", field.name, n, f.entries()), lambda: [
+        encode_np(mat_to_np(delta_make(a, f).matrix.scale(s)))
+        for s in field.elements() if s not in (field.zero, field.one)
+        for a in _annihilator_duals(field, n, f) if not a.is_zero()])
 
 
 def annihilator_transvections_in_weak(Q, f):

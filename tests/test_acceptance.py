@@ -36,10 +36,13 @@ def criterion(tag, limit=None):
         print("ACCEPTANCE %s: FAIL" % tag)
         raise
     elapsed = time.perf_counter() - t0
-    budget = "%.1f s < %d s" % (elapsed, limit) if limit else "%.1f s" % elapsed
-    print("ACCEPTANCE %s: PASS (%s)" % (tag, budget))
-    if limit is not None:
-        assert elapsed < limit, "runtime ceiling exceeded: %s" % budget
+    if limit is None:
+        print("ACCEPTANCE %s: PASS (%.1f s)" % (tag, elapsed))
+        return
+    ok = elapsed < limit
+    budget = "%.1f s %s %d s" % (elapsed, "<" if ok else ">=", limit)
+    print("ACCEPTANCE %s: %s (%s)" % (tag, "PASS" if ok else "FAIL", budget))
+    assert ok, "runtime ceiling exceeded: %s" % budget
 
 
 def nonzero_vectors(fld, n):

@@ -181,10 +181,9 @@ def test_verify_quadric_out_of_scope(form_file, capsys):
     assert "char" in capsys.readouterr().err
 
 
-# the budget tests steer to GF(7) on purpose: groups over other fields may
-# already be memoized by earlier tests in the same process, and a cache hit
-# legitimately bypasses the budget; nothing else enumerates GF(7) groups,
-# and these calls always fail before anything lands in a cache
+# the budget is checked before every memo lookup, so these exits do not
+# depend on what earlier tests in the process memoised (tests/test_groups.py
+# checks each memoised function for that)
 
 def test_budget_flag_exit(capsys):
     assert main(["--budget", "5", "verify", "proposition",

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from metric_affine.fields import GF2, GF3, GF4, GF5
-from metric_affine.groups import (BudgetExceeded, GroupSet, closure,
-                                  congruence_orbit, enumerate_gl,
-                                  group_budget, group_equal, is_subgroup,
-                                  isometry_mask, matmul_np, mat_to_np,
-                                  np_to_mat, order_gl, orthogonal_group,
+from metric_affine.groups import (BudgetExceeded, GroupSet, _gl_arrays,
+                                  _perm_table, closure, congruence_orbit,
+                                  enumerate_gl, group_budget, group_equal,
+                                  is_subgroup, isometry_mask, matmul_np,
+                                  mat_to_np, np_to_mat, order_gl,
+                                  orthogonal_group,
                                   reflection_generation_status,
                                   weak_orthogonal_group)
+from metric_affine.homog import motion_group_dual
 from metric_affine.linalg import Mat, vec
 from metric_affine.quadform import QForm, enumerate_forms, is_isometry
 
@@ -150,6 +152,23 @@ def test_budget_guard():
         assert group_budget() == 10
     finally:
         del os.environ["METRIC_AFFINE_BUDGET"]
+
+
+def test_budget_checked_before_memo_lookup():
+    # |GL_2(3)| = 48: a memoised result must not slip past a smaller budget
+    Q = QForm.from_upper(GF3, 2, (1, 0, 1))
+    calls = (lambda b: _gl_arrays(GF3, 2, budget=b),
+             lambda b: _perm_table(GF3, 2, budget=b),
+             lambda b: orthogonal_group(Q, budget=b),
+             lambda b: weak_orthogonal_group(Q, budget=b),
+             lambda b: congruence_orbit(GF3, 2, (1, 0, 1), budget=b),
+             lambda b: motion_group_dual(Q, False, budget=b),
+             lambda b: motion_group_dual(Q, True, budget=b))
+    for call in calls:
+        call(48)
+        with pytest.raises(BudgetExceeded) as exc:
+            call(5)
+        assert (exc.value.required, exc.value.budget) == (48, 5)
 
 
 def test_congruence_orbit_sizes():

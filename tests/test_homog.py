@@ -11,9 +11,8 @@ from metric_affine.groups import enumerate_gl
 from metric_affine.homog import (AffineMap, DegeneratePolarForm, NotDroppable,
                                  affine_reflection, drop, dual_matrix,
                                  dual_matrix_preimage, homog_model, lift,
-                                 motion_group_beta, motion_group_dual,
-                                 point_matrix, reflection_correspondence,
-                                 roundtrip_checks)
+                                 motion_group_dual, point_matrix,
+                                 reflection_correspondence, roundtrip_checks)
 from metric_affine.linalg import Mat, mat_invert, vec
 from metric_affine.quadform import (QForm, all_vectors, enumerate_forms,
                                     is_nondegenerate, polar, qf_eval,
@@ -175,7 +174,6 @@ def test_motion_group_orders():
     g = motion_group_dual(Q, weak=False)
     assert g.order == 3 * 2  # three translations, O = {+-1}
     assert group_order_matches_weak(Q)
-    assert motion_group_beta(Q, weak=False) == g
 
 
 def group_order_matches_weak(Q):

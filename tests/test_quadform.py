@@ -11,9 +11,9 @@ from metric_affine.linalg import Mat, vec
 from metric_affine.quadform import (QForm, all_vectors, enumerate_forms,
                                     form_from_text, form_to_text, is_isometry,
                                     is_nondegenerate, poly_str, polar,
-                                    qf_equal, qf_eval, qf_proportional,
-                                    qf_pullback, qf_rank, qf_scale,
-                                    radical_basis, reflection, NotReflectable)
+                                    qf_eval, qf_proportional, qf_pullback,
+                                    qf_rank, qf_scale, radical_basis,
+                                    reflection, NotReflectable)
 
 
 def test_canonicalization_folds_lower_part():
@@ -152,10 +152,10 @@ def test_scale_and_proportional():
     assert qf_proportional(Q, Zero) is None
 
 
-def test_qf_equal_vs_eq():
+def test_qform_eq_across_constructors():
     Q1 = QForm.from_upper(GF2, 1, [1])
     Q2 = QForm(GF2, Mat(GF2, [[1]]))
-    assert Q1 == Q2 and qf_equal(Q1, Q2)
+    assert Q1 == Q2
 
 
 def test_poly_str():
