@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (GroupSet, enumerate_gl, form_values_np, group_budget,
-                     group_equal, is_subgroup, memo, vectors_np,
+from .groups import (GroupSet, check_budget, enumerate_gl, form_values_np,
+                     group_budget, group_equal, is_subgroup, memo, vectors_np,
                      weak_orthogonal_group, orthogonal_group)
 from .homog import (DegeneratePolarForm, NotDroppable, drop, lift,
                     motion_group_dual)
@@ -97,6 +97,20 @@ def _exceptional_size(fld, n):
             or (n == 2 and fld.order == 2))
 
 
+def weak_group_index(fld, m, budget=None):
+    """Forms on F^m by weak orthogonal group: elems -> tuple of the forms
+    with that group, in enumerate_forms order.  Memoised."""
+    check_budget(fld, m, budget)
+
+    def build():
+        index = {}
+        for Qt in enumerate_forms(fld, m):
+            key = weak_orthogonal_group(Qt, budget).elems
+            index[key] = index.get(key, ()) + (Qt,)
+        return index
+    return memo(("weak_group_index", fld.name, m), build)
+
+
 def solve_for_qtilde(Q, mode, budget=None):
     """All Qt on F x V* satisfying the (mode) equation against Q.
 
@@ -107,13 +121,8 @@ def solve_for_qtilde(Q, mode, budget=None):
     """
     assert mode in MODES, mode
     fld, n = Q.field, Q.n
-    budget = group_budget() if budget is None else budget  # read env once
     target = motion_group_dual(Q, mode == MODE_WEAK, budget)
-    sols = []
-    for Qt in enumerate_forms(fld, n + 1):
-        ow = weak_orthogonal_group(Qt, budget)
-        if ow.order == target.order and group_equal(ow, target):
-            sols.append(Qt)
+    sols = list(weak_group_index(fld, n + 1, budget).get(target.elems, ()))
     if not _exceptional_size(fld, n):
         if is_nondegenerate(Q):
             expected = {qf_scale(lift(Q), c) for c in fld.units()}
@@ -244,6 +253,7 @@ def reproduce_table(dim, fld, budget=None):
         raise ValueError("no table for dim=%r over %s (have: %s)"
                          % (dim, fld.name, ", ".join(map(str, SUPPORTED_TABLES))))
     mismatch = []
+    budget = group_budget() if budget is None else budget  # read env once
 
     lefts_all = enumerate_forms(fld, dim)
     rights_all = enumerate_forms(fld, dim + 1)
@@ -462,12 +472,14 @@ def verify_projective_theorem(fld, n, budget=None):
     exclusion_hits = 0
     witness = False
     checked = 0
+    budget = group_budget() if budget is None else budget  # read env once
+    rights = enumerate_forms(fld, n + 1)
     for Q in enumerate_forms(fld, n):
         ao = motion_group_dual(Q, False, budget)
         aow = motion_group_dual(Q, True, budget)
         p_ao = projective_reduce(ao)
         p_aow = projective_reduce(aow)
-        for Qt in enumerate_forms(fld, n + 1):
+        for Qt in rights:
             checked += 1
             ow = weak_orthogonal_group(Qt, budget)
             p_ow = projective_reduce(ow)

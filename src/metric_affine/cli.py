@@ -19,8 +19,8 @@ from .classify import (MODE_MOTION, MODE_WEAK, _exceptional_size,
                        reproduce_table, solve_for_qtilde, verify_main_prop,
                        verify_projective_theorem)
 from .fields import field_make
-from .groups import (BudgetExceeded, HARD_BUDGET_CEILING, order_gl,
-                     orthogonal_group, reflection_generation_status,
+from .groups import (BadBudgetVariable, BudgetExceeded, HARD_BUDGET_CEILING,
+                     order_gl, orthogonal_group, reflection_generation_status,
                      weak_orthogonal_group)
 from .homog import DegeneratePolarForm, NotDroppable, drop, lift
 from .linalg import vec
@@ -100,8 +100,6 @@ def _load_form(path):
 
 
 def _finite_field(name):
-    if name.isdigit():
-        name = "GF(%s)" % name
     try:
         fld = field_make(name)
     except ValueError as e:
@@ -479,7 +477,7 @@ def main(argv=None):
     em = Emitter(cfg.fmt)
     try:
         return _HANDLERS[command](cfg, em)
-    except InputError as e:
+    except (InputError, BadBudgetVariable) as e:
         print("input error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
     except BudgetExceeded as e:

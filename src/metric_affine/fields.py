@@ -210,12 +210,17 @@ GF7 = PrimeField(7)
 QQ = RationalField()
 
 _BY_NAME = {f.name: f for f in (GF2, GF3, GF4, GF5, GF7, QQ)}
-_BY_NAME["QQ"] = QQ  # tolerated alias
+_BY_NAME["QQ"] = _BY_NAME["rational"] = QQ  # tolerated aliases
 
 
 def field_make(name):
-    """Look up a field by name: "GF(2)", ..., "GF(7)" or "Q"."""
-    f = _BY_NAME.get(name.strip())
+    """Look up a field by name: "GF(2)", ..., "GF(7)" or "Q", or by one of
+    the shorthands "2", ..., "7" (the order), "QQ" and "rational"."""
+    if not isinstance(name, str):
+        raise ValueError("field must be a string such as \"GF(3)\", got %r"
+                         % (name,))
+    key = name.strip()
+    f = _BY_NAME.get("GF(%s)" % key if key.isdigit() else key)
     if f is None:
         raise ValueError(
             "unknown field %r (known: %s)" % (name, ", ".join(sorted(_BY_NAME)))

@@ -9,8 +9,11 @@ and set equality is plain tuple equality.
 Under the hood the module keeps, per (field, n):
 
   * the table of all q^n vectors (row idx -> vector, idx = sum x_i q^i),
-  * the full list of invertible matrices (built once by extending partial
-    bases column by column),
+  * the full list of invertible matrices, built once, one column at a
+    time and all partial bases at once: the span of every partial basis is
+    the product of the coefficient table of F^k with its k columns, and
+    each vector outside that span extends it (np.nonzero keeps the result
+    in lexicographic order of the columns' vector indices),
   * the permutation table P[g, j] = index of (matrix_g * vector_j),
 
 all as small numpy integer arrays.  A subgroup of GL is then just a boolean
@@ -49,6 +52,10 @@ class BudgetExceeded(Exception):
         )
 
 
+class BadBudgetVariable(ValueError):
+    """METRIC_AFFINE_BUDGET is set, but not to an integer."""
+
+
 def group_budget():
     """Budget on enumerated group orders; env-tunable, hard-clamped."""
     raw = os.environ.get("METRIC_AFFINE_BUDGET")
@@ -57,7 +64,8 @@ def group_budget():
     try:
         value = int(raw)
     except ValueError:
-        return DEFAULT_BUDGET
+        raise BadBudgetVariable("METRIC_AFFINE_BUDGET must be an integer, "
+                                "got %r" % (raw,)) from None
     return max(1, min(value, HARD_BUDGET_CEILING))
 
 
@@ -135,7 +143,8 @@ def vector_index_np(field, X):
 def matmul_np(field, A, B):
     """Exact matrix product of integer-coded stacks over a finite field."""
     if _is_gf4(field):
-        out = np.zeros(A.shape[:-1] + B.shape[-1:], dtype=np.uint8)
+        out = np.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+                       + (A.shape[-2], B.shape[-1]), dtype=np.uint8)
         for k in range(A.shape[-1]):
             out ^= _MUL4[A[..., :, k][..., :, None], B[..., k, :][..., None, :]]
         return out
@@ -164,33 +173,19 @@ def _gl_arrays(field, n, budget=None):
 
 
 def _build_gl(field, n):
-    required = order_gl(n, field.order)
-    elems = field.elements()
-    vecs = [tuple(int(v) for v in row) for row in vectors_np(field, n)]
-    zero = vecs[0]
-    columns_out = []
-
-    def extend(cols, span):
-        if len(cols) == n:
-            columns_out.append(cols)
-            return
-        for v in vecs:
-            if v in span:
-                continue
-            grown = set()
-            for s in span:
-                for c in elems:
-                    grown.add(tuple(field.add(si, field.mul(c, vi))
-                                    for si, vi in zip(s, v)))
-            extend(cols + (v,), grown)
-
-    extend((), {zero})
-    assert len(columns_out) == required, (len(columns_out), required)
-    arr = np.zeros((required, n, n), dtype=np.uint8)
-    for m_i, cols in enumerate(columns_out):
-        for c_i, col in enumerate(cols):
-            for r_i, x in enumerate(col):
-                arr[m_i, r_i, c_i] = x
+    """Every invertible matrix, column by column: each partial basis is
+    extended by every vector outside its span, in vector-index order."""
+    V = vectors_np(field, n)
+    parts = np.zeros((1, 0, n), dtype=np.uint8)     # partial bases, as rows
+    for k in range(n):
+        span = matmul_np(field, vectors_np(field, k)[np.newaxis], parts)
+        inside = np.zeros((len(parts), len(V)), dtype=bool)
+        inside[np.arange(len(parts))[:, np.newaxis],
+               vector_index_np(field, span)] = True
+        rows, vecs = np.nonzero(~inside)
+        parts = np.concatenate([parts[rows], V[vecs][:, np.newaxis]], axis=1)
+    assert len(parts) == order_gl(n, field.order), (len(parts), n)
+    arr = np.ascontiguousarray(parts.transpose(0, 2, 1))
     arr.setflags(write=False)
     return arr
 
@@ -201,19 +196,8 @@ def _perm_table(field, n, budget=None):
 
     def build():
         G = _gl_arrays(field, n, budget)
-        V = vectors_np(field, n)
-        if _is_gf4(field):
-            # images[g, j, :] = G[g] . V[j]
-            images = np.zeros((G.shape[0], V.shape[0], n), dtype=np.uint8)
-            for i in range(n):
-                acc = np.zeros((G.shape[0], V.shape[0]), dtype=np.uint8)
-                for k in range(n):
-                    acc ^= _MUL4[G[:, i, k][:, None], V[None, :, k]]
-                images[:, :, i] = acc
-        else:
-            images = (np.einsum("gik,jk->gji", G.astype(np.int64),
-                                V.astype(np.int64)) % field.order)
-        P = vector_index_np(field, images)
+        images = matmul_np(field, G, vectors_np(field, n).T)   # (g, n, q^n)
+        P = vector_index_np(field, images.transpose(0, 2, 1))
         P = np.ascontiguousarray(P, dtype=np.int64)
         P.setflags(write=False)
         return P
@@ -260,15 +244,10 @@ def isometry_mask(Q, budget=None):
 def radical_vector_indices(Q):
     """Vector-table indices of every vector in rad(B), the whole subspace."""
     field, n = Q.field, Q.n
-    basis = radical_basis(Q)
-    vecs = [tuple(field.zero for _ in range(n))]
-    for b in basis:
-        be = b.entries()
-        vecs = [tuple(field.add(x, field.mul(c, bi)) for x, bi in zip(v, be))
-                for v in vecs for c in field.elements()]
-    arr = (np.array(sorted(set(vecs)), dtype=np.uint8) if n
-           else np.zeros((1, 0), dtype=np.uint8))
-    return np.unique(vector_index_np(field, arr))
+    basis = [b.entries() for b in radical_basis(Q)]
+    rad = np.array(basis, dtype=np.uint8).reshape(len(basis), n)
+    span = matmul_np(field, vectors_np(field, len(basis)), rad)
+    return np.unique(vector_index_np(field, span))
 
 
 def weak_isometry_mask(Q, budget=None):
@@ -306,7 +285,8 @@ class GroupSet:
 
     @classmethod
     def from_np(cls, field, n, arr):
-        return cls(field, n, [encode_np(a) for a in arr])
+        flat, k = np.ascontiguousarray(arr, dtype=np.uint8).tobytes(), n * n
+        return cls(field, n, [flat[i * k:(i + 1) * k] for i in range(len(arr))])
 
     @classmethod
     def from_mats(cls, field, n, mats):

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .groups import GroupSet, check_budget, memo
+import numpy as np
+
+from .groups import GroupSet, check_budget, memo, vectors_np
 from .linalg import Mat, mat_invert, span_contains, unit_vector, vec
 from .quadform import (QForm, is_isometry, is_nondegenerate, poly_str, polar,
                        polar_apply, qf_eval, qf_scale, radical_basis,
@@ -260,24 +262,26 @@ def motion_group_dual(Q, weak, budget=None):
     A motion is an affinity whose linear part preserves Q (and fixes the
     radical pointwise in the `weak` variant); the result is the GroupSet of
     their (n+1)-matrices on F x V*, of order q^n * |O| (resp. |O'|).
-    Memoised.
+
+    dual_matrix sends x |-> t + A x to [[1, -(A^-1 t)^T], [0, A^-T]].  The
+    linear group is closed under inverses and t |-> -A^-1 t permutes F^n,
+    so the image is {[[1, s^T], [0, B^T]] : s in F^n, B in the group},
+    assembled here as one stack.  Memoised.
     """
     from .groups import orthogonal_group, weak_orthogonal_group
-    from .quadform import all_vectors
 
     F, n = Q.field, Q.n
     check_budget(F, n, budget)
 
     def build():
-        model = homog_model(F, n)
         group = weak_orthogonal_group if weak else orthogonal_group
         linear = group(Q, budget)
-        mats = []
-        translations = [vec(F, t) for t in all_vectors(F, n)]
-        for A in linear.mats():
-            for t in translations:
-                mats.append(dual_matrix(model, AffineMap(t, A)))
-        out = GroupSet.from_mats(F, n + 1, mats)
+        S = vectors_np(F, n)
+        out = np.zeros((linear.order, len(S), n + 1, n + 1), dtype=np.uint8)
+        out[..., 0, 0] = 1
+        out[..., 0, 1:] = S
+        out[..., 1:, 1:] = linear.as_np().transpose(0, 2, 1)[:, np.newaxis]
+        out = GroupSet.from_np(F, n + 1, out.reshape(-1, n + 1, n + 1))
         assert out.order == (F.order ** n) * linear.order
         return out
     return memo(("motion_group_dual", F.name, n, Q.upper_coeffs(), bool(weak)),

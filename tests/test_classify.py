@@ -2,7 +2,9 @@
 
 import pytest
 
-from metric_affine.classify import (MODE_MOTION, MODE_WEAK, SUPPORTED_TABLES,
+from metric_affine import groups
+from metric_affine.classify import (MODE_MOTION, MODE_WEAK, MODES,
+                                    SUPPORTED_TABLES,
                                     dyad_report, dyad_satisfies,
                                     quadric_duality_check, quadric_points,
                                     projective_reduce, render_table_lines,
@@ -10,7 +12,9 @@ from metric_affine.classify import (MODE_MOTION, MODE_WEAK, SUPPORTED_TABLES,
                                     verify_main_prop,
                                     verify_projective_theorem)
 from metric_affine.fields import GF2, GF3, GF4, GF5
-from metric_affine.groups import enumerate_gl
+from metric_affine.groups import (enumerate_gl, group_equal,
+                                  weak_orthogonal_group)
+from metric_affine.homog import motion_group_dual
 from metric_affine.quadform import QForm, enumerate_forms
 
 
@@ -77,6 +81,33 @@ def test_sporadic_solutions_at_exceptional_size():
     assert sorted(Qt.upper_coeffs() for Qt in sols) == [(0, 0, 1), (0, 0, 2)]
     # ...but not under the weak one
     assert solve_for_qtilde(QForm.zero(GF3, 1), MODE_WEAK) == []
+
+
+def _scan_for_qtilde(Q, mode):
+    """Every form upstairs whose weak group equals the target, by a direct
+    scan over enumerate_forms: the route solve_for_qtilde first took."""
+    target = motion_group_dual(Q, mode == MODE_WEAK)
+    return [Qt for Qt in enumerate_forms(Q.field, Q.n + 1)
+            if group_equal(weak_orthogonal_group(Qt), target)]
+
+
+@pytest.mark.parametrize("F,n", [(GF2, 0), (GF2, 1), (GF2, 2), (GF3, 0),
+                                 (GF3, 1), (GF3, 2), (GF4, 1), (GF5, 1)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_solve_by_index_matches_direct_scan(F, n):
+    lefts = enumerate_forms(F, n)
+    warm = [solve_for_qtilde(Q, mode) for Q in lefts for mode in MODES]
+    assert warm == [_scan_for_qtilde(Q, mode)
+                    for Q in lefts for mode in MODES]
+    # and the answer does not depend on what was memoised before
+    saved = dict(groups._MEMO)
+    groups._MEMO.clear()
+    try:
+        assert warm == [solve_for_qtilde(Q, mode)
+                        for Q in lefts for mode in MODES]
+    finally:
+        groups._MEMO.clear()
+        groups._MEMO.update(saved)
 
 
 # --- tables ----------------------------------------------------------------

@@ -102,6 +102,23 @@ def test_bad_form_file_is_input_error(form_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("field,name", [('"3"', "GF(3)"), ('"7"', "GF(7)"),
+                                        ('"QQ"', "Q"), ('"rational"', "Q")])
+def test_form_file_field_shorthands(form_file, capsys, field, name):
+    text = '{"dim": 1, "field": %s, "upper": [1]}' % field
+    assert main(["eval", form_file(text), "1"]) == EXIT_PASS
+    assert capsys.readouterr().out == "# form: x1^2 [%s, dim 1]\nQ(1) = 1\n" % name
+
+
+@pytest.mark.parametrize("field", ["3", "null", '"6"'])
+def test_form_file_bad_field_is_input_error(form_file, capsys, field):
+    text = '{"dim": 1, "field": %s, "upper": [1]}' % field
+    assert main(["lift", form_file(text)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and "field" in captured.err
+
+
 def test_verify_lemmas(form_file, capsys):
     assert main(["verify", "lemmas", "--field", "GF(2)", "--dim", "2"]) \
         == EXIT_PASS
@@ -200,6 +217,16 @@ def test_budget_env_exit(form_file, capsys):
     finally:
         del os.environ["METRIC_AFFINE_BUDGET"]
     assert "need 2016 > budget 5" in capsys.readouterr().err
+
+
+def test_bad_budget_env_is_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("METRIC_AFFINE_BUDGET", "abc")
+    assert main(["verify", "proposition", "--field", "3", "--dim", "1"]) \
+        == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: METRIC_AFFINE_BUDGET must be an "
+                            "integer, got 'abc'\n")
 
 
 def test_records_mode_is_json_lines(form_file, capsys):

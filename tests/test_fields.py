@@ -83,6 +83,21 @@ def test_field_make():
         field_make("GF(6)")
 
 
+def test_field_make_shorthands():
+    for short, F in (("2", GF2), ("3", GF3), ("4", GF4), ("5", GF5),
+                     ("7", GF7), (" 3 ", GF3), ("QQ", QQ), ("rational", QQ)):
+        assert field_make(short) is F
+    for bad in ("6", "1", "GF(6)", "gf(3)", ""):
+        with pytest.raises(ValueError, match="unknown field"):
+            field_make(bad)
+
+
+@pytest.mark.parametrize("bad", [3, 3.0, None, ["GF(3)"]])
+def test_field_make_rejects_non_strings(bad):
+    with pytest.raises(ValueError, match="must be a string"):
+        field_make(bad)
+
+
 def test_dot():
     assert GF3.dot((1, 2), (2, 2)) == (2 + 4) % 3
     assert GF4.dot((2, 3), (2, 3)) == GF4.add(3, 2)  # t^2 + (t+1)^2

@@ -5,17 +5,19 @@ import os
 import numpy as np
 import pytest
 
-from metric_affine.fields import GF2, GF3, GF4, GF5
-from metric_affine.groups import (BudgetExceeded, GroupSet, _gl_arrays,
-                                  _perm_table, closure, congruence_orbit,
-                                  enumerate_gl, group_budget, group_equal,
-                                  is_subgroup, isometry_mask, matmul_np,
-                                  mat_to_np, np_to_mat, order_gl,
+from metric_affine.classify import weak_group_index
+from metric_affine.fields import GF2, GF3, GF4, GF5, GF7
+from metric_affine.groups import (DEFAULT_BUDGET, HARD_BUDGET_CEILING,
+                                  BadBudgetVariable, BudgetExceeded, GroupSet,
+                                  _build_gl, _gl_arrays, _perm_table, closure,
+                                  congruence_orbit, enumerate_gl, group_budget,
+                                  group_equal, is_subgroup, isometry_mask,
+                                  matmul_np, mat_to_np, np_to_mat, order_gl,
                                   orthogonal_group,
-                                  reflection_generation_status,
+                                  reflection_generation_status, vectors_np,
                                   weak_orthogonal_group)
 from metric_affine.homog import motion_group_dual
-from metric_affine.linalg import Mat, vec
+from metric_affine.linalg import Mat, rank, vec
 from metric_affine.quadform import QForm, enumerate_forms, is_isometry
 
 # group orders from the product formula, |GL_n(q)| = prod (q^n - q^i)
@@ -35,6 +37,56 @@ def test_enumerate_gl_matches_formula():
     for F, n in ((GF2, 1), (GF2, 2), (GF2, 3), (GF3, 2), (GF4, 2), (GF5, 2)):
         G = enumerate_gl(F, n)
         assert G.order == order_gl(n, F.order)
+
+
+def _recursive_gl(field, n):
+    """GL_n by depth-first extension of partial bases, one column at a time,
+    with each span grown as a Python set: the route GL was first built by."""
+    elems = field.elements()
+    vecs = [tuple(int(v) for v in row) for row in vectors_np(field, n)]
+    columns_out = []
+
+    def extend(cols, span):
+        if len(cols) == n:
+            columns_out.append(cols)
+            return
+        for v in vecs:
+            if v in span:
+                continue
+            grown = {tuple(field.add(si, field.mul(c, vi))
+                           for si, vi in zip(s, v))
+                     for s in span for c in elems}
+            extend(cols + (v,), grown)
+
+    extend((), {vecs[0]})
+    arr = np.zeros((len(columns_out), n, n), dtype=np.uint8)
+    for m_i, cols in enumerate(columns_out):
+        for c_i, col in enumerate(cols):
+            arr[m_i, :, c_i] = col
+    return arr
+
+
+def _sizes(fits):
+    return [(F, n) for F in (GF2, GF3, GF4, GF5, GF7) for n in range(6)
+            if fits(F.order, n)]
+
+
+@pytest.mark.parametrize(
+    "F,n", _sizes(lambda q, n: order_gl(n, q) <= DEFAULT_BUDGET),
+    ids=lambda v: getattr(v, "name", v))
+def test_gl_matches_recursive_build_bytewise(F, n):
+    got, want = _build_gl(F, n), _recursive_gl(F, n)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("F,n", _sizes(lambda q, n: q ** (n * n) <= 65536),
+                         ids=lambda v: getattr(v, "name", v))
+def test_gl_equals_rank_filter_of_all_matrices(F, n):
+    every = vectors_np(F, n * n)
+    every = every.reshape(len(every), n, n)
+    full = [A for A in every if rank(np_to_mat(F, A)) == n]
+    assert group_equal(enumerate_gl(F, n), GroupSet.from_np(F, n, full))
 
 
 def test_gl_zero_dim():
@@ -154,6 +206,20 @@ def test_budget_guard():
         del os.environ["METRIC_AFFINE_BUDGET"]
 
 
+def test_bad_budget_variable_is_rejected(monkeypatch):
+    Q = QForm.from_upper(GF3, 2, (1, 0, 1))
+    monkeypatch.setenv("METRIC_AFFINE_BUDGET", "abc")
+    with pytest.raises(BadBudgetVariable, match="METRIC_AFFINE_BUDGET"):
+        group_budget()
+    with pytest.raises(ValueError, match="'abc'"):
+        orthogonal_group(Q)
+    # valid integers are still clamped, not rejected
+    for raw, want in (("0", 1), ("-7", 1), ("99999999999", HARD_BUDGET_CEILING),
+                      (" 48 ", 48)):
+        monkeypatch.setenv("METRIC_AFFINE_BUDGET", raw)
+        assert group_budget() == want
+
+
 def test_budget_checked_before_memo_lookup():
     # |GL_2(3)| = 48: a memoised result must not slip past a smaller budget
     Q = QForm.from_upper(GF3, 2, (1, 0, 1))
@@ -163,7 +229,8 @@ def test_budget_checked_before_memo_lookup():
              lambda b: weak_orthogonal_group(Q, budget=b),
              lambda b: congruence_orbit(GF3, 2, (1, 0, 1), budget=b),
              lambda b: motion_group_dual(Q, False, budget=b),
-             lambda b: motion_group_dual(Q, True, budget=b))
+             lambda b: motion_group_dual(Q, True, budget=b),
+             lambda b: weak_group_index(GF3, 2, budget=b))
     for call in calls:
         call(48)
         with pytest.raises(BudgetExceeded) as exc:

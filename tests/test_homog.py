@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metric_affine.fields import GF2, GF3, GF5, QQ
-from metric_affine.groups import enumerate_gl
+from metric_affine.fields import GF2, GF3, GF4, GF5, QQ
+from metric_affine.groups import (GroupSet, enumerate_gl, orthogonal_group,
+                                  weak_orthogonal_group)
 from metric_affine.homog import (AffineMap, DegeneratePolarForm, NotDroppable,
                                  affine_reflection, drop, dual_matrix,
                                  dual_matrix_preimage, homog_model, lift,
@@ -179,6 +180,22 @@ def test_motion_group_orders():
 def group_order_matches_weak(Q):
     gw = motion_group_dual(Q, weak=True)
     return gw.order == Q.field.order ** Q.n * 2
+
+
+@pytest.mark.parametrize("F,n", [(GF2, 0), (GF2, 1), (GF2, 2), (GF3, 0),
+                                 (GF3, 1), (GF3, 2), (GF4, 1), (GF5, 1)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_motion_group_matches_per_motion_dual_matrices(F, n):
+    # the one-stack construction against dual_matrix of every motion (t, A)
+    model = homog_model(F, n)
+    translations = [vec(F, t) for t in all_vectors(F, n)]
+    for Q in enumerate_forms(F, n):
+        for weak in (False, True):
+            linear = (weak_orthogonal_group if weak else orthogonal_group)(Q)
+            want = GroupSet.from_mats(F, n + 1, [
+                dual_matrix(model, AffineMap(t, A))
+                for A in linear.mats() for t in translations])
+            assert motion_group_dual(Q, weak) == want, (Q, weak)
 
 
 def test_motion_group_elements_fix_marked_vector():
