@@ -19,7 +19,8 @@ import numpy as np
 
 from .groups import (GroupSet, check_budget, enumerate_gl, form_values_np,
                      group_budget, group_equal, is_subgroup, memo, vectors_np,
-                     weak_orthogonal_group, orthogonal_group)
+                     weak_groups_by_orbit, weak_orthogonal_group,
+                     orthogonal_group)
 from .homog import (DegeneratePolarForm, NotDroppable, drop, lift,
                     motion_group_dual)
 from .linalg import Mat, annihilator, kernel_basis, unit_vector, vec
@@ -104,8 +105,7 @@ def weak_group_index(fld, m, budget=None):
 
     def build():
         index = {}
-        for Qt in enumerate_forms(fld, m):
-            key = weak_orthogonal_group(Qt, budget).elems
+        for Qt, key in weak_groups_by_orbit(fld, m, budget):
             index[key] = index.get(key, ()) + (Qt,)
         return index
     return memo(("weak_group_index", fld.name, m), build)

@@ -460,6 +460,11 @@ def _build_parser():
 
 
 def main(argv=None):
+    if sys.flags.optimize:
+        # the verified invariants are assert statements, which -O strips
+        print("refusing to run under python -O or PYTHONOPTIMIZE: the "
+              "verification checks are asserts", file=sys.stderr)
+        return EXIT_INPUT
     args = _build_parser().parse_args(argv)
     command = args.command
     if command == "verify":

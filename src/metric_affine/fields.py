@@ -75,6 +75,11 @@ class Field:
         return a
 
     def from_json(self, x):
+        """A coefficient read from a form file: over a finite field, a JSON
+        integer (not a boolean, a float or a string)."""
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ValueError("%s coefficients are integers, got %r"
+                             % (self.name, x))
         return self.coerce(x)
 
     def parse(self, s):
@@ -194,7 +199,7 @@ class RationalField(Field):
     def from_json(self, x):
         if isinstance(x, str):
             return Fraction(x)
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
             return Fraction(x)
         raise ValueError("cannot read %r as a rational" % (x,))
 

@@ -21,6 +21,8 @@ mask over the matrix list, and "is A an isometry of Q" for every A at once
 is a single vectorised comparison of value tables.  This is nothing but the
 definition applied to every vector, in bulk; the readable one-vector-at-a-
 time route lives in quadform.is_isometry and the tests check the two agree.
+Forms in one congruence orbit have conjugate groups, so the weak groups of
+every form on F^n take one such filter per orbit (weak_groups_by_orbit).
 
 Everything stays in integer dtypes; there is no floating point here.
 """
@@ -34,7 +36,7 @@ import numpy as np
 
 from .fields import GF4Field
 from .linalg import Mat
-from .quadform import QForm, radical_basis
+from .quadform import QForm, enumerate_forms, radical_basis
 
 DEFAULT_BUDGET = 25_000
 HARD_BUDGET_CEILING = 10_000_000
@@ -96,7 +98,8 @@ def check_budget(field, n, budget):
 
 # One memo table for the whole package.  Keys are tuples led by the name of
 # the memoising function, followed by plain field names, dimensions and
-# coefficient tuples, so no form or matrix object is kept alive by a key.
+# coefficient tuples (a form's `gram.rows`, which it already holds), so no
+# form or matrix object is kept alive by a key.
 _MEMO = {}
 
 
@@ -366,7 +369,7 @@ def enumerate_gl(field, n, budget=None):
 def orthogonal_group(Q, budget=None):
     """All GL elements preserving Q (full enumeration + filter, memoized)."""
     check_budget(Q.field, Q.n, budget)
-    return memo(("orthogonal_group", Q.field.name, Q.n, Q.upper_coeffs()),
+    return memo(("orthogonal_group", Q.field.name, Q.n, Q.gram.rows),
                 lambda: GroupSet.from_mask(Q.field, Q.n,
                                            isometry_mask(Q, budget), budget))
 
@@ -375,10 +378,62 @@ def weak_orthogonal_group(Q, budget=None):
     """Isometries of Q fixing the radical of the polar form pointwise
     (memoized: the verification sweeps revisit the same forms heavily)."""
     check_budget(Q.field, Q.n, budget)
-    return memo(("weak_orthogonal_group", Q.field.name, Q.n, Q.upper_coeffs()),
+    return memo(("weak_orthogonal_group", Q.field.name, Q.n, Q.gram.rows),
                 lambda: GroupSet.from_mask(Q.field, Q.n,
                                            weak_isometry_mask(Q, budget),
                                            budget))
+
+
+def congruence_codes(field, W, G):
+    """The form x |-> Q(A x) (Gram A^T W A) for every A in the stack G, coded
+    as its position in enumerate_forms order: the canonical upper
+    coefficients read as base-q digits, the first one most significant."""
+    q, n = field.order, W.shape[-1]
+    S = matmul_np(field, matmul_np(field, G.transpose(0, 2, 1), W), G)
+    # canonicalise: keep the diagonal, fold the strictly-lower part up
+    iu, ju = np.triu_indices(n)
+    upper, lower = S[:, iu, ju], np.where(iu == ju, 0, S[:, ju, iu])
+    coeffs = upper ^ lower if _is_gf4(field) else (upper + lower) % q
+    return coeffs.astype(np.int64) @ q ** np.arange(len(iu) - 1, -1, -1,
+                                                   dtype=np.int64)
+
+
+def weak_groups_by_orbit(field, n, budget=None):
+    """(Q, O'(Q).elems) for every form Q on F^n, in enumerate_forms order,
+    with one GL filter per congruence orbit instead of one per form.
+
+    For Q' = R o A (Gram A^T W A), B |-> A^-1 B A carries O'(R) onto O'(Q'):
+    it turns isometries of R into isometries of Q', and A^-1 carries rad(R)
+    onto rad(Q').  So only the first form R of each orbit is filtered, and
+    the orbit-stabiliser count |orbit| |O(R)| = |GL|, with |O(R)| from the
+    isometry filter, is checked for every orbit; a miscount raises even
+    under -O.
+    """
+    G = _gl_arrays(field, n, budget)
+    P = _perm_table(field, n, budget)
+    forms = enumerate_forms(field, n)
+    V = vectors_np(field, n)
+    units = field.order ** np.arange(n)        # vector indices of e_1 .. e_n
+    keys = [None] * len(forms)
+    for r, R in enumerate(forms):
+        if keys[r] is not None:
+            continue
+        codes = congruence_codes(field, mat_to_np(R.gram), G)
+        members, first = np.unique(codes, return_index=True)
+        members = members.tolist()
+        if (len(members) * int(isometry_mask(R, budget).sum()) != len(G)
+                or any(keys[k] is not None for k in members)):
+            raise AssertionError("congruence orbit of %r fails the "
+                                 "orbit-stabiliser count" % (R,))
+        # column i of A^-1 is the preimage of e_i under A
+        A = G[first]
+        Ainv = V[np.argsort(P[first], axis=1)[:, units]].transpose(0, 2, 1)
+        weak = weak_orthogonal_group(R, budget).as_np()
+        conj = matmul_np(field, matmul_np(field, Ainv[:, np.newaxis], weak),
+                         A[:, np.newaxis])
+        for k, group in zip(members, conj):
+            keys[k] = GroupSet.from_np(field, n, group).elems
+    return list(zip(forms, keys))
 
 
 def closure(field, n, generators, budget=None):
@@ -438,23 +493,16 @@ def congruence_orbit(field, n, coeffs, budget=None):
 
     def build():
         ref = QForm.from_upper(field, n, coeffs)
-        G = _gl_arrays(field, n, budget)
-        W = mat_to_np(ref.gram).astype(np.int64)
-        Gi = G.astype(np.int64)
-        S = np.einsum("mji,jk,mkl->mil", Gi, W, Gi) % field.order
-        # canonicalise: keep diagonals, fold the strictly-lower part up
-        C = (np.triu(S) + np.triu(S.transpose(0, 2, 1), 1)) % field.order
-        iu = np.triu_indices(n)
-        flats = C[:, iu[0], iu[1]] if n else np.zeros((S.shape[0], 0), dtype=np.int64)
-        return frozenset(tuple(int(x) for x in row) for row in flats)
+        codes = np.unique(congruence_codes(field, mat_to_np(ref.gram),
+                                           _gl_arrays(field, n, budget)))
+        q, m = field.order, n * (n + 1) // 2
+        digits = codes[:, np.newaxis] // q ** np.arange(m - 1, -1, -1) % q
+        return frozenset(tuple(row) for row in digits.tolist())
     return memo(("congruence_orbit", field.name, n, tuple(coeffs)), build)
 
 
 def _matches_shape(Q, coeffs, budget=None):
-    if _is_gf4(Q.field):
-        raise NotImplementedError("shape orbits only needed over prime fields")
-    ints = tuple(int(c) for c in Q.upper_coeffs())
-    return ints in congruence_orbit(Q.field, Q.n, coeffs, budget)
+    return Q.upper_coeffs() in congruence_orbit(Q.field, Q.n, coeffs, budget)
 
 
 def _exceptional_shape(Q, budget=None):

@@ -284,7 +284,7 @@ def motion_group_dual(Q, weak, budget=None):
         out = GroupSet.from_np(F, n + 1, out.reshape(-1, n + 1, n + 1))
         assert out.order == (F.order ** n) * linear.order
         return out
-    return memo(("motion_group_dual", F.name, n, Q.upper_coeffs(), bool(weak)),
+    return memo(("motion_group_dual", F.name, n, Q.gram.rows, bool(weak)),
                 build)
 
 

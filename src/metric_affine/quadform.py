@@ -274,7 +274,7 @@ def form_from_text(text):
         raise ValueError("form record lacks %s" % ", ".join(sorted(missing)))
     field = field_make(rec["field"])
     n = rec["dim"]
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError("dim must be a non-negative integer, got %r" % (n,))
     upper = rec["upper"]
     want = n * (n + 1) // 2

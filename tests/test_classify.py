@@ -10,8 +10,9 @@ from metric_affine.classify import (MODE_MOTION, MODE_WEAK, MODES,
                                     projective_reduce, render_table_lines,
                                     reproduce_table, solve_for_qtilde,
                                     verify_main_prop,
-                                    verify_projective_theorem)
-from metric_affine.fields import GF2, GF3, GF4, GF5
+                                    verify_projective_theorem,
+                                    weak_group_index)
+from metric_affine.fields import GF2, GF3, GF4, GF5, GF7
 from metric_affine.groups import (enumerate_gl, group_equal,
                                   weak_orthogonal_group)
 from metric_affine.homog import motion_group_dual
@@ -105,6 +106,33 @@ def test_solve_by_index_matches_direct_scan(F, n):
     try:
         assert warm == [solve_for_qtilde(Q, mode)
                         for Q in lefts for mode in MODES]
+    finally:
+        groups._MEMO.clear()
+        groups._MEMO.update(saved)
+
+
+def _scan_index(F, m):
+    """The weak-group index by one GL filter per form: the route
+    weak_group_index first took."""
+    index = {}
+    for Qt in enumerate_forms(F, m):
+        key = weak_orthogonal_group(Qt).elems
+        index[key] = index.get(key, ()) + (Qt,)
+    return index
+
+
+@pytest.mark.parametrize("F,m", [(GF2, m) for m in range(5)]
+                         + [(GF3, m) for m in range(4)]
+                         + [(F, m) for F in (GF4, GF5, GF7) for m in range(3)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_orbit_index_matches_per_form_scan(F, m):
+    # built cold, so no group memoised by an earlier test is reused
+    saved = dict(groups._MEMO)
+    groups._MEMO.clear()
+    try:
+        index = weak_group_index(F, m)
+        groups._MEMO.clear()
+        assert index == _scan_index(F, m)
     finally:
         groups._MEMO.clear()
         groups._MEMO.update(saved)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -117,6 +119,44 @@ def test_form_file_bad_field_is_input_error(form_file, capsys, field):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error: ") and "field" in captured.err
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": true, "field": "GF(3)", "upper": [1]}',
+    '{"dim": true, "field": "GF(3)", "upper": [1.5]}',
+    '{"dim": 1, "field": "GF(3)", "upper": [1.5]}',
+    '{"dim": 1, "field": "GF(3)", "upper": [1.0]}',
+    '{"dim": 1, "field": "GF(5)", "upper": ["2"]}',
+    '{"dim": 1, "field": "GF(2)", "upper": [true]}',
+    '{"dim": 1, "field": "GF(4)", "upper": [false]}',
+    '{"dim": 1, "field": "GF(4)", "upper": [2.0]}',
+    '{"dim": 1, "field": "Q", "upper": [true]}',
+])
+def test_form_file_takes_only_documented_values(form_file, capsys, text):
+    # booleans are not dimensions; finite-field coefficients are JSON ints,
+    # rational ones are ints or strings
+    assert main(["eval", form_file(text), "1"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_optimized_interpreter_is_refused():
+    # -O strips the asserts that carry the verification; a run under it
+    # must not print PASS
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "metric_affine.cli", "verify", "lemmas",
+         "--field", "3", "--dim", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == EXIT_INPUT
+    assert "PASS" not in run.stdout
+    assert run.stderr.count("\n") == 1 and "-O" in run.stderr
 
 
 def test_verify_lemmas(form_file, capsys):

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from metric_affine import groups
 from metric_affine.classify import weak_group_index
 from metric_affine.fields import GF2, GF3, GF4, GF5, GF7
 from metric_affine.groups import (DEFAULT_BUDGET, HARD_BUDGET_CEILING,
@@ -18,7 +19,8 @@ from metric_affine.groups import (DEFAULT_BUDGET, HARD_BUDGET_CEILING,
                                   weak_orthogonal_group)
 from metric_affine.homog import motion_group_dual
 from metric_affine.linalg import Mat, rank, vec
-from metric_affine.quadform import QForm, enumerate_forms, is_isometry
+from metric_affine.quadform import (QForm, enumerate_forms, is_isometry,
+                                    qf_pullback)
 
 # group orders from the product formula, |GL_n(q)| = prod (q^n - q^i)
 GL_ORDERS = {
@@ -238,6 +240,30 @@ def test_budget_checked_before_memo_lookup():
         assert (exc.value.required, exc.value.budget) == (48, 5)
 
 
+def test_memo_keys_hold_plain_data():
+    # keys are built from what a form already stores, and keep no form or
+    # matrix object alive
+    Q = QForm.from_upper(GF3, 2, (1, 0, 2))
+    orthogonal_group(Q)
+    weak_orthogonal_group(Q)
+    motion_group_dual(Q, True)
+    assert ("orthogonal_group", "GF(3)", 2, ((1, 0), (0, 2))) in groups._MEMO
+
+    def plain(x):
+        return (all(map(plain, x)) if isinstance(x, tuple)
+                else isinstance(x, (str, int, bytes)))
+    assert all(plain(key) for key in groups._MEMO)
+
+
+ORBIT_FORMS = [
+    (GF4, 1, (1,)), (GF4, 2, (1, 1, 1)), (GF4, 2, (0, 1, 0)),
+    (GF4, 2, (2, 0, 0)), (GF4, 2, (0, 0, 0)),
+    (GF3, 2, (1, 0, 1)), (GF3, 2, (1, 0, 0)), (GF3, 3, (1, 0, 0, 1, 0, 2)),
+    (GF5, 2, (1, 0, 4)), (GF5, 2, (2, 0, 0)), (GF7, 2, (1, 0, 1)),
+    (GF7, 1, (3,)), (GF2, 3, (1, 1, 0, 1, 0, 0)), (GF5, 0, ()),
+]
+
+
 def test_congruence_orbit_sizes():
     # orbit sizes must be |GL| / |stabilizer| with the stabilizer acting by
     # congruence; for the binary hyperbolic plane in 3 variables: 168/8
@@ -247,6 +273,25 @@ def test_congruence_orbit_sizes():
     assert len(orbit4) == 105
     pair = congruence_orbit(GF2, 4, (0, 1, 0, 0, 0, 0, 0, 0, 1, 0))
     assert len(pair) == 280
+    # over GF(4) and the odd prime fields: orbit-stabiliser against the
+    # value-table filter, and each orbit against the pullbacks x |-> R(A x)
+    # built with Mat arithmetic
+    for F, n, upper in ORBIT_FORMS:
+        R = QForm.from_upper(F, n, upper)
+        orbit = congruence_orbit(F, n, upper)
+        assert len(orbit) * orthogonal_group(R).order == order_gl(n, F.order)
+        assert orbit == {qf_pullback(R, A).upper_coeffs()
+                         for A in enumerate_gl(F, n).mats()}, (F, n, upper)
+
+
+def test_orbit_walk_rejects_a_wrong_orbit(monkeypatch):
+    # an orbit that comes out wrong raises instead of building a wrong index:
+    # here every A maps the form to itself, so each orbit has one member
+    codes = groups.congruence_codes
+    monkeypatch.setattr(groups, "congruence_codes",
+                        lambda field, W, G: codes(field, W, G[:1]).repeat(len(G)))
+    with pytest.raises(AssertionError, match="orbit-stabiliser"):
+        groups.weak_groups_by_orbit(GF3, 2)
 
 
 def test_reflection_exceptional_cases():
