@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (GroupSet, check_budget, enumerate_gl, form_values_np,
-                     group_budget, group_equal, is_subgroup, memo, vectors_np,
-                     weak_groups_by_orbit, weak_orthogonal_group,
-                     orthogonal_group)
+from .groups import (GroupSet, check_budget, congruence_decomposition,
+                     enumerate_gl, form_values_np, group_budget, group_equal,
+                     groups_by_orbit, is_subgroup, memo, vectors_np,
+                     weak_orthogonal_group, orthogonal_group)
 from .homog import (DegeneratePolarForm, NotDroppable, drop, lift,
                     motion_group_dual)
 from .linalg import Mat, annihilator, kernel_basis, unit_vector, vec
@@ -104,8 +104,10 @@ def weak_group_index(fld, m, budget=None):
     check_budget(fld, m, budget)
 
     def build():
+        forms, _orbits = congruence_decomposition(fld, m, budget)
+        keys = groups_by_orbit(fld, m, weak_orthogonal_group, budget)
         index = {}
-        for Qt, key in weak_groups_by_orbit(fld, m, budget):
+        for Qt, key in zip(forms, keys):
             index[key] = index.get(key, ()) + (Qt,)
         return index
     return memo(("weak_group_index", fld.name, m), build)

@@ -20,8 +20,8 @@ from .classify import (MODE_MOTION, MODE_WEAK, _exceptional_size,
                        verify_projective_theorem)
 from .fields import field_make
 from .groups import (BadBudgetVariable, BudgetExceeded, HARD_BUDGET_CEILING,
-                     order_gl, orthogonal_group, reflection_generation_status,
-                     weak_orthogonal_group)
+                     group_budget, order_gl, orthogonal_group,
+                     reflection_generation_status, weak_orthogonal_group)
 from .homog import DegeneratePolarForm, NotDroppable, drop, lift
 from .linalg import vec
 from .quadform import (all_vectors, enumerate_forms, form_from_text,
@@ -232,16 +232,18 @@ def cmd_verify_lemmas(cfg, em):
     inside = 0
     pairs = 0
     run_scaled = n <= 2 or fld.order == 2
+    budget = group_budget() if cfg.budget is None else cfg.budget
     directions = [x for x in all_vectors(fld, n)
                   if any(c != fld.zero for c in x)]
     for Q in enumerate_forms(fld, n):
         for x in directions:
             f = vec(fld, x)
-            case = classify_direction(Q, f)
+            case = classify_direction(Q, f, budget)
             counts[case.letter] += 1
-            ok, _tag = annihilator_transvections_in_weak(Q, f)
+            ok, _tag = annihilator_transvections_in_weak(Q, f, budget)
             inside += ok
-            if run_scaled and not scaled_transvection_never_weak(Q, f):
+            if run_scaled and not scaled_transvection_never_weak(Q, f,
+                                                                 budget):
                 em.text("FAIL: scaled transvection inside weak group: Q=%s f=%s"
                         % (poly_str(Q), _vec_str(f)))
                 em.record({"record": "lemma-sweep", "ok": False})

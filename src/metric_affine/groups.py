@@ -21,8 +21,10 @@ mask over the matrix list, and "is A an isometry of Q" for every A at once
 is a single vectorised comparison of value tables.  This is nothing but the
 definition applied to every vector, in bulk; the readable one-vector-at-a-
 time route lives in quadform.is_isometry and the tests check the two agree.
-Forms in one congruence orbit have conjugate groups, so the weak groups of
-every form on F^n take one such filter per orbit (weak_groups_by_orbit).
+Forms in one congruence orbit have conjugate groups, so the groups of
+every form on F^n take one such filter per orbit: congruence_decomposition
+splits the forms into orbits once per (field, n), and groups_by_orbit
+conjugates the group of each orbit's first form onto the other members.
 
 Everything stays in integer dtypes; there is no floating point here.
 """
@@ -52,6 +54,11 @@ class BudgetExceeded(Exception):
             "enumeration needs %d elements, budget is %d "
             "(raise METRIC_AFFINE_BUDGET to allow more)" % (required, budget)
         )
+
+
+class InvariantViolation(AssertionError):
+    """A verified identity failed.  Raised explicitly, so that python -O,
+    which strips assert statements, cannot switch the check off."""
 
 
 class BadBudgetVariable(ValueError):
@@ -244,23 +251,6 @@ def isometry_mask(Q, budget=None):
     return (vals[P] == vals[np.newaxis, :]).all(axis=1)
 
 
-def radical_vector_indices(Q):
-    """Vector-table indices of every vector in rad(B), the whole subspace."""
-    field, n = Q.field, Q.n
-    basis = [b.entries() for b in radical_basis(Q)]
-    rad = np.array(basis, dtype=np.uint8).reshape(len(basis), n)
-    span = matmul_np(field, vectors_np(field, len(basis)), rad)
-    return np.unique(vector_index_np(field, span))
-
-
-def weak_isometry_mask(Q, budget=None):
-    """Isometries that also fix every radical vector."""
-    mask = isometry_mask(Q, budget)
-    ridx = radical_vector_indices(Q)
-    P = _perm_table(Q.field, Q.n, budget)
-    return mask & (P[:, ridx] == ridx[np.newaxis, :]).all(axis=1)
-
-
 # --- GroupSet --------------------------------------------------------------
 
 class GroupSet:
@@ -375,13 +365,20 @@ def orthogonal_group(Q, budget=None):
 
 
 def weak_orthogonal_group(Q, budget=None):
-    """Isometries of Q fixing the radical of the polar form pointwise
-    (memoized: the verification sweeps revisit the same forms heavily)."""
+    """Isometries of Q fixing the radical of the polar form pointwise: the
+    rows of O(Q) that fix every radical basis vector (memoized: the
+    verification sweeps revisit the same forms heavily)."""
     check_budget(Q.field, Q.n, budget)
+
+    def build():
+        field, n = Q.field, Q.n
+        O = orthogonal_group(Q, budget).as_np()
+        basis = [r.entries() for r in radical_basis(Q)]
+        rad = np.array(basis, dtype=np.uint8).reshape(len(basis), n).T
+        fixed = (matmul_np(field, O, rad) == rad).all(axis=(1, 2))
+        return GroupSet.from_np(field, n, O[fixed])
     return memo(("weak_orthogonal_group", Q.field.name, Q.n, Q.gram.rows),
-                lambda: GroupSet.from_mask(Q.field, Q.n,
-                                           weak_isometry_mask(Q, budget),
-                                           budget))
+                build)
 
 
 def congruence_codes(field, W, G):
@@ -398,42 +395,71 @@ def congruence_codes(field, W, G):
                                                    dtype=np.int64)
 
 
-def weak_groups_by_orbit(field, n, budget=None):
-    """(Q, O'(Q).elems) for every form Q on F^n, in enumerate_forms order,
-    with one GL filter per congruence orbit instead of one per form.
+@dataclass(frozen=True, eq=False)
+class Orbit:
+    """One congruence orbit of forms on F^n: the position of its first form
+    R in enumerate_forms order, the positions of all its members (an int
+    array), and stacks A, A^-1 with member k = R o A[k] (Gram A^T W A)."""
 
-    For Q' = R o A (Gram A^T W A), B |-> A^-1 B A carries O'(R) onto O'(Q'):
-    it turns isometries of R into isometries of Q', and A^-1 carries rad(R)
-    onto rad(Q').  So only the first form R of each orbit is filtered, and
-    the orbit-stabiliser count |orbit| |O(R)| = |GL|, with |O(R)| from the
-    isometry filter, is checked for every orbit; a miscount raises even
-    under -O.
+    first: int
+    members: np.ndarray
+    A: np.ndarray
+    Ainv: np.ndarray
+
+
+def congruence_decomposition(field, n, budget=None):
+    """(forms, orbits): every form on F^n in enumerate_forms order, and its
+    congruence orbits in order of their first form.  Memoised.
+
+    The orbit-stabiliser count |orbit| |O(R)| = |GL| is checked for every
+    orbit, and the orbits must not overlap; a failure raises even under -O.
     """
-    G = _gl_arrays(field, n, budget)
-    P = _perm_table(field, n, budget)
-    forms = enumerate_forms(field, n)
-    V = vectors_np(field, n)
-    units = field.order ** np.arange(n)        # vector indices of e_1 .. e_n
-    keys = [None] * len(forms)
-    for r, R in enumerate(forms):
-        if keys[r] is not None:
-            continue
-        codes = congruence_codes(field, mat_to_np(R.gram), G)
-        members, first = np.unique(codes, return_index=True)
-        members = members.tolist()
-        if (len(members) * int(isometry_mask(R, budget).sum()) != len(G)
-                or any(keys[k] is not None for k in members)):
-            raise AssertionError("congruence orbit of %r fails the "
-                                 "orbit-stabiliser count" % (R,))
-        # column i of A^-1 is the preimage of e_i under A
-        A = G[first]
-        Ainv = V[np.argsort(P[first], axis=1)[:, units]].transpose(0, 2, 1)
-        weak = weak_orthogonal_group(R, budget).as_np()
-        conj = matmul_np(field, matmul_np(field, Ainv[:, np.newaxis], weak),
-                         A[:, np.newaxis])
-        for k, group in zip(members, conj):
-            keys[k] = GroupSet.from_np(field, n, group).elems
-    return list(zip(forms, keys))
+    check_budget(field, n, budget)
+
+    def build():
+        G = _gl_arrays(field, n, budget)
+        P = _perm_table(field, n, budget)
+        forms = enumerate_forms(field, n)
+        V = vectors_np(field, n)
+        units = field.order ** np.arange(n)    # vector indices of e_1 .. e_n
+        seen = np.zeros(len(forms), dtype=bool)
+        orbits = []
+        for r, R in enumerate(forms):
+            if seen[r]:
+                continue
+            codes = congruence_codes(field, mat_to_np(R.gram), G)
+            members, first = np.unique(codes, return_index=True)
+            if (len(members) * orthogonal_group(R, budget).order != len(G)
+                    or seen[members].any()):
+                raise InvariantViolation("congruence orbit of %r fails the "
+                                         "orbit-stabiliser count" % (R,))
+            seen[members] = True
+            # column i of A^-1 is the preimage of e_i under A
+            Ainv = V[np.argsort(P[first], axis=1)[:, units]]
+            orbits.append(Orbit(r, members, G[first],
+                                Ainv.transpose(0, 2, 1)))
+        return forms, orbits
+    return memo(("congruence_decomposition", field.name, n), build)
+
+
+def groups_by_orbit(field, n, group, budget=None):
+    """group(Q).elems for every form Q on F^n, in enumerate_forms order,
+    where group is orthogonal_group or weak_orthogonal_group.
+
+    For Q = R o A, B |-> A^-1 B A carries O(R) onto O(Q), and O'(R) onto
+    O'(Q) since A^-1 carries rad(R) onto rad(Q).  So group is enumerated
+    only for the first form R of each congruence orbit.
+    """
+    forms, orbits = congruence_decomposition(field, n, budget)
+    elems = [None] * len(forms)
+    for orbit in orbits:
+        base = group(forms[orbit.first], budget).as_np()
+        conj = matmul_np(field,
+                         matmul_np(field, orbit.Ainv[:, np.newaxis], base),
+                         orbit.A[:, np.newaxis])
+        for k, arr in zip(orbit.members.tolist(), conj):
+            elems[k] = GroupSet.from_np(field, n, arr).elems
+    return elems
 
 
 def closure(field, n, generators, budget=None):

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import (GroupSet, encode_np, group_budget, mat_to_np, memo,
-                     order_gl, orthogonal_group, weak_orthogonal_group)
+from .groups import (GroupSet, InvariantViolation, check_budget,
+                     congruence_decomposition, encode_np, group_budget,
+                     groups_by_orbit, mat_to_np, memo, order_gl,
+                     orthogonal_group, weak_orthogonal_group)
 from .linalg import Mat, annihilator, outer, pairing, span_contains, vec
 from .quadform import (QForm, is_isometry, qf_eval, radical_basis, reflection)
 
@@ -80,26 +82,41 @@ def delta_group(field, n, f):
     return memo(("delta_group", field.name, n, f.entries()), build)
 
 
-def _fixes_radical(Q, A):
-    return all(A * r == r for r in radical_basis(Q))
+def _fixes_radical(rad, A):
+    return all(A * r == r for r in rad)
 
 
-def _member_keys(Q):
-    """(O keys, O' keys) when the ambient GL fits the budget, else None.
+def _member_table(field, n, budget=None):
+    """Q.gram.rows -> (O(Q) keys, O'(Q) keys, radical basis of Q) for every
+    form Q on F^n, built one congruence orbit at a time.  Memoised.
 
     The sweeps below revisit the same Q for many directions f; testing
-    membership against the memoized groups is far cheaper than re-deriving
-    the isometry property matrix by matrix.
+    membership against these key sets is far cheaper than re-deriving the
+    isometry property matrix by matrix.
     """
+    check_budget(field, n, budget)
+
+    def build():
+        forms, _orbits = congruence_decomposition(field, n, budget)
+        o_keys = groups_by_orbit(field, n, orthogonal_group, budget)
+        w_keys = groups_by_orbit(field, n, weak_orthogonal_group, budget)
+        return {Q.gram.rows: (frozenset(o), frozenset(w),
+                              tuple(radical_basis(Q)))
+                for Q, o, w in zip(forms, o_keys, w_keys)}
+    return memo(("_member_table", field.name, n), build)
+
+
+def _form_facts(Q, budget=None):
+    """(O keys, O' keys, radical basis) of Q.  The key sets are None when
+    the ambient GL is past the budget; the callers then test each map."""
     field = Q.field
-    budget = group_budget()
+    budget = group_budget() if budget is None else budget
     if field.enumerable and order_gl(Q.n, field.order) <= budget:
-        return (orthogonal_group(Q, budget).key_set(),
-                weak_orthogonal_group(Q, budget).key_set())
-    return None
+        return _member_table(field, Q.n, budget)[Q.gram.rows]
+    return None, None, tuple(radical_basis(Q))
 
 
-def delta_orth(Q, f):
+def delta_orth(Q, f, budget=None):
     """(Delta ∩ O(Q), Delta ∩ O'(Q)), by filtering the small group Delta.
 
     Filtering Delta (at most q^n maps) rather than GL keeps this cheap
@@ -108,17 +125,16 @@ def delta_orth(Q, f):
     if not isinstance(f, Mat):
         f = vec(Q.field, f)
     big = delta_group(Q.field, Q.n, f)
-    keys = _member_keys(Q)
+    o_keys, w_keys, rad = _form_facts(Q, budget)
     in_o, in_weak = [], []
-    if keys is not None:
-        o_keys, w_keys = keys
+    if o_keys is not None:
         in_o = [k for k in big.elems if k in o_keys]
         in_weak = [k for k in big.elems if k in w_keys]
     else:
         for A in big.mats():
             if is_isometry(Q, A):
                 in_o.append(encode_np(mat_to_np(A)))
-                if _fixes_radical(Q, A):
+                if _fixes_radical(rad, A):
                     in_weak.append(encode_np(mat_to_np(A)))
     return (GroupSet(Q.field, Q.n, in_o), GroupSet(Q.field, Q.n, in_weak))
 
@@ -141,14 +157,14 @@ class DirectionCase:
     actual: tuple
 
 
-def classify_direction(Q, f):
+def classify_direction(Q, f, budget=None):
     """Classify f and verify the predicted intersection sizes exactly."""
     if not isinstance(f, Mat):
         f = vec(Q.field, f)
     assert not f.is_zero()
     field, n = Q.field, Q.n
     q = field.order
-    rad = radical_basis(Q)
+    rad = _form_facts(Q, budget)[2]
     k = len(rad)
     in_rad = span_contains(rad, f)
     isotropic = qf_eval(Q, f) == field.zero
@@ -162,12 +178,14 @@ def classify_direction(Q, f):
         else:
             letter = "c"
             predicted = (1, 1)
-    go, gw = delta_orth(Q, f)
+    go, gw = delta_orth(Q, f, budget)
     actual = (go.order, gw.order)
-    assert actual == predicted, (letter, predicted, actual, Q, f.entries())
-    if letter == "a":
-        # the two elements are the identity and the reflection along f
-        assert reflection(Q, f) in go
+    if actual != predicted:
+        raise InvariantViolation((letter, predicted, actual, Q, f.entries()))
+    # for "a" the two elements are the identity and the reflection along f
+    if letter == "a" and reflection(Q, f) not in go:
+        raise InvariantViolation(("reflection along f not in Delta ∩ O(Q)",
+                                  Q, f.entries()))
     return DirectionCase(letter=letter, in_radical=in_rad,
                          isotropic=isotropic, predicted=predicted,
                          actual=actual)
@@ -190,7 +208,9 @@ def _annihilator_duals(field, n, f):
                                for x, bi in zip(d.entries(), be)))
                      for d in duals for c in field.elements()]
         # distinct by construction (basis combinations), but keep it honest:
-        assert len({d for d in duals}) == field.order ** len(basis)
+        if len(set(duals)) != field.order ** len(basis):
+            raise InvariantViolation(("annihilator duals repeat",
+                                      field.name, n, f.entries()))
         return duals
     return memo(("_annihilator_duals", field.name, n, f.entries()), build)
 
@@ -212,7 +232,7 @@ def _scaled_keys(field, n, f):
         for a in _annihilator_duals(field, n, f) if not a.is_zero()])
 
 
-def annihilator_transvections_in_weak(Q, f):
+def annihilator_transvections_in_weak(Q, f, budget=None):
     """Are all transvections with duals vanishing on f inside O'(Q)?
 
     Returns (answer, tag) where the tag names which of the three sufficient
@@ -224,18 +244,17 @@ def annihilator_transvections_in_weak(Q, f):
         f = vec(Q.field, f)
     assert not f.is_zero()
     field, n = Q.field, Q.n
-    keys = _member_keys(Q)
+    _o_keys, w_keys, rad = _form_facts(Q, budget)
     inside = True
     for a, akey in _annihilator_pairs(field, n, f):
-        if keys is not None:
-            ok = akey in keys[1]
+        if w_keys is not None:
+            ok = akey in w_keys
         else:
             A = delta_make(a, f).matrix
-            ok = is_isometry(Q, A) and _fixes_radical(Q, A)
+            ok = is_isometry(Q, A) and _fixes_radical(rad, A)
         if not ok:
             inside = False
             break
-    rad = radical_basis(Q)
     tag = None
     if qf_eval(Q, f) == field.zero and len(rad) == 1 and span_contains(rad, f):
         tag = COND_RADICAL_LINE
@@ -244,11 +263,12 @@ def annihilator_transvections_in_weak(Q, f):
     elif (n == 2 and qf_eval(Q, f) != field.zero and not rad
           and field.order == 2):
         tag = COND_BINARY_PLANE
-    assert inside == (tag is not None), (Q, f.entries(), inside, tag)
+    if inside != (tag is not None):
+        raise InvariantViolation((Q, f.entries(), inside, tag))
     return inside, tag
 
 
-def scaled_transvection_never_weak(Q, f):
+def scaled_transvection_never_weak(Q, f, budget=None):
     """No scaling s not in {0, 1} of a nontrivial annihilator transvection
     lies in O'(Q); returns True when that holds for every (s, a*) pair.
 
@@ -258,9 +278,9 @@ def scaled_transvection_never_weak(Q, f):
         f = vec(Q.field, f)
     assert not f.is_zero()
     field, n = Q.field, Q.n
-    keys = _member_keys(Q)
-    if keys is not None:
-        return not any(k in keys[1] for k in _scaled_keys(field, n, f))
+    _o_keys, w_keys, rad = _form_facts(Q, budget)
+    if w_keys is not None:
+        return not any(k in w_keys for k in _scaled_keys(field, n, f))
     for s in field.elements():
         if s in (field.zero, field.one):
             continue
@@ -268,6 +288,6 @@ def scaled_transvection_never_weak(Q, f):
             if a.is_zero():
                 continue
             A = delta_make(a, f).matrix.scale(s)
-            if is_isometry(Q, A) and _fixes_radical(Q, A):
+            if is_isometry(Q, A) and _fixes_radical(rad, A):
                 return False
     return True

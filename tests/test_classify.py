@@ -13,8 +13,8 @@ from metric_affine.classify import (MODE_MOTION, MODE_WEAK, MODES,
                                     verify_projective_theorem,
                                     weak_group_index)
 from metric_affine.fields import GF2, GF3, GF4, GF5, GF7
-from metric_affine.groups import (enumerate_gl, group_equal,
-                                  weak_orthogonal_group)
+from metric_affine.groups import (enumerate_gl, group_equal, groups_by_orbit,
+                                  orthogonal_group, weak_orthogonal_group)
 from metric_affine.homog import motion_group_dual
 from metric_affine.quadform import QForm, enumerate_forms
 
@@ -131,8 +131,12 @@ def test_orbit_index_matches_per_form_scan(F, m):
     groups._MEMO.clear()
     try:
         index = weak_group_index(F, m)
+        o_table = groups_by_orbit(F, m, orthogonal_group)
         groups._MEMO.clear()
         assert index == _scan_index(F, m)
+        # the scan memoised O(Q) form by form, by the per-form GL filter
+        assert o_table == [orthogonal_group(Q).elems
+                           for Q in enumerate_forms(F, m)]
     finally:
         groups._MEMO.clear()
         groups._MEMO.update(saved)

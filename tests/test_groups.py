@@ -11,7 +11,8 @@ from metric_affine.fields import GF2, GF3, GF4, GF5, GF7
 from metric_affine.groups import (DEFAULT_BUDGET, HARD_BUDGET_CEILING,
                                   BadBudgetVariable, BudgetExceeded, GroupSet,
                                   _build_gl, _gl_arrays, _perm_table, closure,
-                                  congruence_orbit, enumerate_gl, group_budget,
+                                  congruence_decomposition, congruence_orbit,
+                                  enumerate_gl, group_budget,
                                   group_equal, is_subgroup, isometry_mask,
                                   matmul_np, mat_to_np, np_to_mat, order_gl,
                                   orthogonal_group,
@@ -20,7 +21,8 @@ from metric_affine.groups import (DEFAULT_BUDGET, HARD_BUDGET_CEILING,
 from metric_affine.homog import motion_group_dual
 from metric_affine.linalg import Mat, rank, vec
 from metric_affine.quadform import (QForm, enumerate_forms, is_isometry,
-                                    qf_pullback)
+                                    qf_pullback, radical_basis)
+from metric_affine.transvect import _member_table
 
 # group orders from the product formula, |GL_n(q)| = prod (q^n - q^i)
 GL_ORDERS = {
@@ -232,7 +234,9 @@ def test_budget_checked_before_memo_lookup():
              lambda b: congruence_orbit(GF3, 2, (1, 0, 1), budget=b),
              lambda b: motion_group_dual(Q, False, budget=b),
              lambda b: motion_group_dual(Q, True, budget=b),
-             lambda b: weak_group_index(GF3, 2, budget=b))
+             lambda b: weak_group_index(GF3, 2, budget=b),
+             lambda b: congruence_decomposition(GF3, 2, budget=b),
+             lambda b: _member_table(GF3, 2, budget=b))
     for call in calls:
         call(48)
         with pytest.raises(BudgetExceeded) as exc:
@@ -286,12 +290,42 @@ def test_congruence_orbit_sizes():
 
 def test_orbit_walk_rejects_a_wrong_orbit(monkeypatch):
     # an orbit that comes out wrong raises instead of building a wrong index:
-    # here every A maps the form to itself, so each orbit has one member
+    # here every A maps the form to itself, so each orbit has one member.
+    # The decomposition is memoised, so it is built cold here.
     codes = groups.congruence_codes
     monkeypatch.setattr(groups, "congruence_codes",
                         lambda field, W, G: codes(field, W, G[:1]).repeat(len(G)))
-    with pytest.raises(AssertionError, match="orbit-stabiliser"):
-        groups.weak_groups_by_orbit(GF3, 2)
+    saved = dict(groups._MEMO)
+    groups._MEMO.clear()
+    try:
+        with pytest.raises(groups.InvariantViolation, match="orbit-stabiliser"):
+            congruence_decomposition(GF3, 2)
+    finally:
+        groups._MEMO.clear()
+        groups._MEMO.update(saved)
+
+
+def _gl_weak_mask(Q):
+    """O'(Q) as a mask over all of GL: isometries that map every radical
+    vector to itself, by the permutation table.  The route
+    weak_orthogonal_group took before it filtered O(Q) instead."""
+    field, n = Q.field, Q.n
+    basis = [b.entries() for b in radical_basis(Q)]
+    rad = np.array(basis, dtype=np.uint8).reshape(len(basis), n)
+    span = matmul_np(field, vectors_np(field, len(basis)), rad)
+    ridx = np.unique(groups.vector_index_np(field, span))
+    P = _perm_table(field, n)
+    return isometry_mask(Q) & (P[:, ridx] == ridx[np.newaxis, :]).all(axis=1)
+
+
+@pytest.mark.parametrize("F,n", [(GF2, n) for n in range(4)]
+                         + [(GF3, n) for n in range(4)]
+                         + [(F, n) for F in (GF4, GF5, GF7) for n in range(3)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_weak_group_from_o_matches_gl_filter(F, n):
+    for Q in enumerate_forms(F, n):
+        assert weak_orthogonal_group(Q) == GroupSet.from_mask(
+            F, n, _gl_weak_mask(Q)), Q
 
 
 def test_reflection_exceptional_cases():

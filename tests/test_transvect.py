@@ -1,5 +1,9 @@
 """Rank-one maps x |-> x + <a*,x> f and their orthogonal intersections."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 
 import pytest
@@ -154,3 +158,55 @@ def test_scaled_transvections_stay_outside_exhaustive(F, n):
     for Q in enumerate_forms(F, n):
         for fv in nonzero_vectors(F, n):
             assert scaled_transvection_never_weak(Q, fv)
+
+
+@pytest.mark.parametrize("F,n", [(GF2, 1), (GF2, 2), (GF2, 3), (GF3, 1),
+                                 (GF3, 2)])
+def test_table_route_matches_brute_force(F, n):
+    # budget 1 puts GL past the budget, so every map is tested on its own;
+    # the default budget reads the per-(field, dim) orbit table
+    for Q in enumerate_forms(F, n):
+        for fv in nonzero_vectors(F, n):
+            assert delta_orth(Q, fv, budget=1) == delta_orth(Q, fv)
+            assert (classify_direction(Q, fv, budget=1)
+                    == classify_direction(Q, fv))
+            assert (annihilator_transvections_in_weak(Q, fv, budget=1)
+                    == annihilator_transvections_in_weak(Q, fv))
+            assert (scaled_transvection_never_weak(Q, fv, budget=1)
+                    == scaled_transvection_never_weak(Q, fv))
+
+
+_WRONG_SIZE_CHILD = textwrap.dedent("""
+    import sys
+    from metric_affine import transvect
+    from metric_affine.fields import GF3
+    from metric_affine.groups import GroupSet, InvariantViolation
+    from metric_affine.quadform import QForm
+
+    def no_maps(Q, f, budget=None):
+        empty = GroupSet(Q.field, Q.n, [])
+        return empty, empty
+
+    transvect.delta_orth = no_maps
+    try:
+        # x1 x2 and the isotropic f = e1: case "b", predicted sizes (1, 1)
+        transvect.classify_direction(QForm.from_upper(GF3, 2, (0, 1, 0)),
+                                     (1, 0))
+    except InvariantViolation:
+        print("optimize=%d raised" % sys.flags.optimize)
+    else:
+        print("optimize=%d passed" % sys.flags.optimize)
+""")
+
+
+def test_size_check_survives_optimized_interpreter():
+    # python -O strips assert statements; the lemma checks raise explicitly
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-O", "-c", _WRONG_SIZE_CHILD],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "optimize=1 raised\n"
