@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (GroupSet, check_budget, congruence_decomposition,
-                     enumerate_gl, form_values_np, group_budget, group_equal,
-                     groups_by_orbit, is_subgroup, memo, vectors_np,
-                     weak_orthogonal_group, orthogonal_group)
+from .groups import (GroupSet, InvariantViolation, check_budget,
+                     congruence_decomposition, enumerate_gl, form_values_np,
+                     group_budget, group_equal, groups_by_orbit, is_subgroup,
+                     memo, vectors_np, weak_orthogonal_group,
+                     orthogonal_group)
 from .homog import (DegeneratePolarForm, NotDroppable, drop, lift,
                     motion_group_dual)
 from .linalg import Mat, annihilator, kernel_basis, unit_vector, vec
@@ -118,19 +119,19 @@ def solve_for_qtilde(Q, mode, budget=None):
 
     Outside the exceptional (dim, |F|) sizes the outcome is forced: exactly
     {c lift(Q) : c != 0} when the polar form of Q is non-degenerate, and
-    nothing at all otherwise.  That consequence is asserted here; the small
-    exceptional sizes are handled by the table machinery instead.
+    nothing at all otherwise.  That consequence is checked here, and raises
+    InvariantViolation even under python -O; the small exceptional sizes
+    are handled by the table machinery instead.
     """
     assert mode in MODES, mode
     fld, n = Q.field, Q.n
     target = motion_group_dual(Q, mode == MODE_WEAK, budget)
     sols = list(weak_group_index(fld, n + 1, budget).get(target.elems, ()))
     if not _exceptional_size(fld, n):
-        if is_nondegenerate(Q):
-            expected = {qf_scale(lift(Q), c) for c in fld.units()}
-            assert set(sols) == expected, (Q, mode, sols)
-        else:
-            assert not sols, (Q, mode, sols)
+        expected = (set() if not is_nondegenerate(Q)
+                    else {qf_scale(lift(Q), c) for c in fld.units()})
+        if set(sols) != expected:
+            raise InvariantViolation((Q, mode, sols))
     return sols
 
 

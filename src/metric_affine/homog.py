@@ -25,7 +25,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .groups import GroupSet, check_budget, memo, vectors_np
+from .groups import (GroupSet, InvariantViolation, check_budget, memo,
+                     vectors_np)
 from .linalg import Mat, mat_invert, span_contains, unit_vector, vec
 from .quadform import (QForm, is_isometry, is_nondegenerate, poly_str, polar,
                        polar_apply, qf_eval, qf_scale, radical_basis,
@@ -159,7 +160,7 @@ def lift(Q):
 
     Only defined when the polar form B is non-degenerate; the result
     vanishes at e0 and its polar radical is exactly the line F e0 (both
-    asserted).
+    checked; InvariantViolation otherwise).
     """
     F, n = Q.field, Q.n
     if radical_basis(Q):
@@ -171,9 +172,11 @@ def lift(Q):
     rows = ((z,) * (n + 1),) + tuple((z,) + r for r in core.rows)
     out = QForm(F, Mat._trusted(F, rows, n + 1, n + 1))
     model = homog_model(F, n)
-    assert qf_eval(out, model.e0) == F.zero
     rad = radical_basis(out)
-    assert len(rad) == 1 and span_contains(rad, model.e0)
+    if (qf_eval(out, model.e0) != F.zero or len(rad) != 1
+            or not span_contains(rad, model.e0)):
+        raise InvariantViolation("lift of %s must vanish at e0 and have "
+                                 "radical F e0" % poly_str(Q))
     return out
 
 

@@ -8,18 +8,26 @@ groups, intersects them with the orthogonal and weak orthogonal group of a
 form, and verifies the exhaustive classification of the possible
 intersection sizes in terms of where the direction vector f sits relative
 to the radical and the null set of Q.
+
+Within the budget, the lemmas are verified once per form for every
+direction f at once (_lemma_record), and each (Q, f) query is then a
+lookup by the vector index of f.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import (GroupSet, InvariantViolation, check_budget,
-                     congruence_decomposition, encode_np, group_budget,
-                     groups_by_orbit, mat_to_np, memo, order_gl,
-                     orthogonal_group, weak_orthogonal_group)
+import numpy as np
+
+from .groups import (GroupSet, InvariantViolation, _is_gf4, check_budget,
+                     congruence_decomposition, encode_np, form_values_np,
+                     group_budget, groups_by_orbit, mat_to_np, matmul_np, memo,
+                     order_gl, orthogonal_group, vector_index_np, vectors_np,
+                     weak_orthogonal_group)
 from .linalg import Mat, annihilator, outer, pairing, span_contains, vec
-from .quadform import (QForm, is_isometry, qf_eval, radical_basis, reflection)
+from .quadform import (all_vectors, is_isometry, polar, qf_eval,
+                       radical_basis, reflection)
 
 
 class NotInvertible(Exception):
@@ -60,7 +68,6 @@ def delta_make(cstar, f):
 
 
 def _all_duals(field, n):
-    from .quadform import all_vectors
     return [vec(field, a) for a in all_vectors(field, n)]
 
 
@@ -106,14 +113,10 @@ def _member_table(field, n, budget=None):
     return memo(("_member_table", field.name, n), build)
 
 
-def _form_facts(Q, budget=None):
-    """(O keys, O' keys, radical basis) of Q.  The key sets are None when
-    the ambient GL is past the budget; the callers then test each map."""
-    field = Q.field
+def _in_budget(field, n, budget):
+    """Does all of GL_n fit the budget?  If not, each map is tested alone."""
     budget = group_budget() if budget is None else budget
-    if field.enumerable and order_gl(Q.n, field.order) <= budget:
-        return _member_table(field, Q.n, budget)[Q.gram.rows]
-    return None, None, tuple(radical_basis(Q))
+    return field.enumerable and order_gl(n, field.order) <= budget
 
 
 def delta_orth(Q, f, budget=None):
@@ -125,17 +128,16 @@ def delta_orth(Q, f, budget=None):
     if not isinstance(f, Mat):
         f = vec(Q.field, f)
     big = delta_group(Q.field, Q.n, f)
-    o_keys, w_keys, rad = _form_facts(Q, budget)
-    in_o, in_weak = [], []
-    if o_keys is not None:
+    if _in_budget(Q.field, Q.n, budget):
+        o_keys, w_keys, _ = _member_table(Q.field, Q.n, budget)[Q.gram.rows]
         in_o = [k for k in big.elems if k in o_keys]
         in_weak = [k for k in big.elems if k in w_keys]
     else:
-        for A in big.mats():
-            if is_isometry(Q, A):
-                in_o.append(encode_np(mat_to_np(A)))
-                if _fixes_radical(rad, A):
-                    in_weak.append(encode_np(mat_to_np(A)))
+        rad = radical_basis(Q)
+        isos = [A for A in big.mats() if is_isometry(Q, A)]
+        in_o = [encode_np(mat_to_np(A)) for A in isos]
+        in_weak = [encode_np(mat_to_np(A)) for A in isos
+                   if _fixes_radical(rad, A)]
     return (GroupSet(Q.field, Q.n, in_o), GroupSet(Q.field, Q.n, in_weak))
 
 
@@ -155,40 +157,6 @@ class DirectionCase:
     isotropic: bool
     predicted: tuple
     actual: tuple
-
-
-def classify_direction(Q, f, budget=None):
-    """Classify f and verify the predicted intersection sizes exactly."""
-    if not isinstance(f, Mat):
-        f = vec(Q.field, f)
-    assert not f.is_zero()
-    field, n = Q.field, Q.n
-    q = field.order
-    rad = _form_facts(Q, budget)[2]
-    k = len(rad)
-    in_rad = span_contains(rad, f)
-    isotropic = qf_eval(Q, f) == field.zero
-    if not in_rad:
-        letter = "b" if isotropic else "a"
-        predicted = (1, 1) if isotropic else (2, 2)
-    else:
-        if isotropic:
-            letter = "d"
-            predicted = ((q - 1) * q ** (n - 1), q ** (n - k))
-        else:
-            letter = "c"
-            predicted = (1, 1)
-    go, gw = delta_orth(Q, f, budget)
-    actual = (go.order, gw.order)
-    if actual != predicted:
-        raise InvariantViolation((letter, predicted, actual, Q, f.entries()))
-    # for "a" the two elements are the identity and the reflection along f
-    if letter == "a" and reflection(Q, f) not in go:
-        raise InvariantViolation(("reflection along f not in Delta ∩ O(Q)",
-                                  Q, f.entries()))
-    return DirectionCase(letter=letter, in_radical=in_rad,
-                         isotropic=isotropic, predicted=predicted,
-                         actual=actual)
 
 
 COND_RADICAL_LINE = "isotropic-f-spans-radical"
@@ -215,21 +183,150 @@ def _annihilator_duals(field, n, f):
     return memo(("_annihilator_duals", field.name, n, f.entries()), build)
 
 
-def _annihilator_pairs(field, n, f):
-    """(dual, byte key of its transvection matrix) for duals vanishing on f;
-    all of it is independent of any form, so computed once per direction."""
-    return memo(("_annihilator_pairs", field.name, n, f.entries()), lambda: [
-        (a, encode_np(mat_to_np(delta_make(a, f).matrix)))
-        for a in _annihilator_duals(field, n, f)])
+def _transvections(field, n, f):
+    """(a*, I + f a*^T) for every dual a* vanishing on f."""
+    return [(a, delta_make(a, f).matrix)
+            for a in _annihilator_duals(field, n, f)]
 
 
-def _scaled_keys(field, n, f):
-    """Byte keys of s . (I + f a*^T) for s outside {0, 1}, a* != o in the
-    annihilator of f; again independent of the form."""
-    return memo(("_scaled_keys", field.name, n, f.entries()), lambda: [
-        encode_np(mat_to_np(delta_make(a, f).matrix.scale(s)))
-        for s in field.elements() if s not in (field.zero, field.one)
-        for a in _annihilator_duals(field, n, f) if not a.is_zero()])
+def _scalings(field, trans):
+    """s . (I + f a*^T) for s outside {0, 1} and a* != o."""
+    return [A.scale(s) for s in field.units() if s != field.one
+            for a, A in trans if not a.is_zero()]
+
+
+def _direction_keys(field, n):
+    """For every vector index of a nonzero f, in all_vectors order: (f, byte
+    keys of Delta_f, of the transvections with duals vanishing on f, and of
+    their scalings).  Independent of any form; slot 0 (f = o) is None."""
+    def build():
+        out = [None]
+        for x in all_vectors(field, n)[1:]:
+            f = vec(field, x)
+            trans = _transvections(field, n, f)
+            out.append((x, delta_group(field, n, f).elems,
+                        tuple(encode_np(mat_to_np(A)) for _a, A in trans),
+                        tuple(encode_np(mat_to_np(A))
+                              for A in _scalings(field, trans))))
+        return tuple(out)
+    return memo(("_direction_keys", field.name, n), build)
+
+
+def _reflections_np(Q, vals):
+    """I - Q(f)^-1 f (Bf)^T for every vector f, in vector-index order, from
+    the value table vals of Q (the identity where Q(f) = 0)."""
+    field, n = Q.field, Q.n
+    V = vectors_np(field, n)
+    neg_inv = np.zeros(field.order, dtype=np.uint8)
+    for c in field.units():
+        neg_inv[c] = field.neg(field.inv(c))
+    Bf = matmul_np(field, V, mat_to_np(polar(Q)).T)         # row f: (Bf)^T
+    scaled = matmul_np(field, neg_inv[vals][:, np.newaxis, np.newaxis],
+                       Bf[:, np.newaxis, :])
+    rank_one = matmul_np(field, V[:, :, np.newaxis], scaled)
+    ident = np.eye(n, dtype=np.uint8)
+    return (ident ^ rank_one if _is_gf4(field)
+            else (ident + rank_one) % field.order)
+
+
+def _judge(Q, x, in_rad, isotropic, k, sizes, reflected, inside, scaled_ok):
+    """Verify the lemmas on the pair (Q, f = x) from its facts: the sizes of
+    Delta_f ∩ O(Q) and ∩ O'(Q), whether the reflection along f is one of
+    them, and whether every annihilator transvection of f lies in O'(Q).
+    Returns the shared (DirectionCase, (inside, tag), scaled_ok)."""
+    q, n = Q.field.order, Q.n
+    if not in_rad:
+        letter, predicted = ("b", (1, 1)) if isotropic else ("a", (2, 2))
+    elif isotropic:
+        letter, predicted = "d", ((q - 1) * q ** (n - 1), q ** (n - k))
+    else:
+        letter, predicted = "c", (1, 1)
+    if sizes != predicted:
+        raise InvariantViolation((letter, predicted, sizes, Q, x))
+    # for "a" the two elements are the identity and the reflection along f
+    if letter == "a" and not reflected:
+        raise InvariantViolation(("reflection along f not in Delta ∩ O(Q)",
+                                  Q, x))
+    tag = None
+    if isotropic and k == 1 and in_rad:
+        tag = COND_RADICAL_LINE
+    elif n == 1:
+        tag = COND_DIM_ONE
+    elif n == 2 and not isotropic and k == 0 and q == 2:
+        tag = COND_BINARY_PLANE
+    if inside != (tag is not None):
+        raise InvariantViolation((Q, x, inside, tag))
+    return memo(("_judge", letter, predicted, inside, tag or "", scaled_ok),
+                lambda: (DirectionCase(letter=letter, in_radical=in_rad,
+                                       isotropic=isotropic,
+                                       predicted=predicted, actual=sizes),
+                         (inside, tag), scaled_ok))
+
+
+def _lemma_record(Q, budget):
+    """_judge's answer for every direction f, by vector index (slot 0 is
+    None): one pass per form, with O(Q), O'(Q) and rad(Q) from the orbit
+    table, isotropy from the value table and radical membership from a
+    mask of span(rad).  Memoised per form."""
+    field, n = Q.field, Q.n
+
+    def build():
+        o_keys, w_keys, rad = _member_table(field, n, budget)[Q.gram.rows]
+        vals = form_values_np(Q)
+        basis = np.array([r.entries() for r in rad],
+                         dtype=np.uint8).reshape(len(rad), n)
+        span = matmul_np(field, vectors_np(field, len(rad)), basis)
+        mask = np.zeros(len(vals), dtype=bool)
+        mask[vector_index_np(field, span)] = True
+        in_rad, isotropic = mask.tolist(), (vals == 0).tolist()
+        refl = _reflections_np(Q, vals).tobytes()
+        out = [None]
+        for idx, (x, d_keys, a_keys, s_keys) in enumerate(
+                _direction_keys(field, n)[1:], 1):
+            in_o = o_keys.intersection(d_keys)
+            out.append(_judge(
+                Q, x, in_rad[idx], isotropic[idx], len(rad),
+                (len(in_o), len(w_keys.intersection(in_o))),
+                refl[idx * n * n:(idx + 1) * n * n] in in_o,
+                w_keys.issuperset(a_keys), w_keys.isdisjoint(s_keys)))
+        return tuple(out)
+    return memo(("_lemma_record", field.name, n, Q.gram.rows), build)
+
+
+def _answers(Q, f, budget):
+    """(DirectionCase, (inside, tag), scaled_ok) for the pair (Q, f): a
+    lookup in the form's record, or, when GL is past the budget, from each
+    rank-one map tested on its own."""
+    field, n = Q.field, Q.n
+    if _in_budget(field, n, budget):
+        x = f.entries() if isinstance(f, Mat) else tuple(map(field.coerce, f))
+        if len(x) != n or not any(x):
+            raise ValueError("the direction must be a non-zero vector of "
+                             "F^%d, got %r" % (n, x))
+        idx = 0
+        for c in reversed(x):       # the index of x is sum_i x_i q^i
+            idx = idx * field.order + c
+        return _lemma_record(Q, budget)[idx]
+    if not isinstance(f, Mat):
+        f = vec(field, f)
+    rad = radical_basis(Q)
+    in_rad = span_contains(rad, f)
+    isotropic = qf_eval(Q, f) == field.zero
+    go, gw = delta_orth(Q, f, budget)
+    trans = _transvections(field, n, f)
+
+    def weak(A):
+        return is_isometry(Q, A) and _fixes_radical(rad, A)
+    return _judge(Q, f.entries(), in_rad, isotropic, len(rad),
+                  (go.order, gw.order),
+                  isotropic or in_rad or reflection(Q, f) in go,
+                  all(weak(A) for _a, A in trans),
+                  not any(weak(A) for A in _scalings(field, trans)))
+
+
+def classify_direction(Q, f, budget=None):
+    """Classify f and verify the predicted intersection sizes exactly."""
+    return _answers(Q, f, budget)[0]
 
 
 def annihilator_transvections_in_weak(Q, f, budget=None):
@@ -237,35 +334,10 @@ def annihilator_transvections_in_weak(Q, f, budget=None):
 
     Returns (answer, tag) where the tag names which of the three sufficient
     conditions holds (None if none does); the brute-force answer and the
-    condition-based answer are asserted to agree, which is exactly the
+    condition-based answer are checked to agree, which is exactly the
     biconditional being verified.
     """
-    if not isinstance(f, Mat):
-        f = vec(Q.field, f)
-    assert not f.is_zero()
-    field, n = Q.field, Q.n
-    _o_keys, w_keys, rad = _form_facts(Q, budget)
-    inside = True
-    for a, akey in _annihilator_pairs(field, n, f):
-        if w_keys is not None:
-            ok = akey in w_keys
-        else:
-            A = delta_make(a, f).matrix
-            ok = is_isometry(Q, A) and _fixes_radical(rad, A)
-        if not ok:
-            inside = False
-            break
-    tag = None
-    if qf_eval(Q, f) == field.zero and len(rad) == 1 and span_contains(rad, f):
-        tag = COND_RADICAL_LINE
-    elif n == 1:
-        tag = COND_DIM_ONE
-    elif (n == 2 and qf_eval(Q, f) != field.zero and not rad
-          and field.order == 2):
-        tag = COND_BINARY_PLANE
-    if inside != (tag is not None):
-        raise InvariantViolation((Q, f.entries(), inside, tag))
-    return inside, tag
+    return _answers(Q, f, budget)[1]
 
 
 def scaled_transvection_never_weak(Q, f, budget=None):
@@ -274,20 +346,4 @@ def scaled_transvection_never_weak(Q, f, budget=None):
 
     Vacuously true over GF(2), where no such s exists.
     """
-    if not isinstance(f, Mat):
-        f = vec(Q.field, f)
-    assert not f.is_zero()
-    field, n = Q.field, Q.n
-    _o_keys, w_keys, rad = _form_facts(Q, budget)
-    if w_keys is not None:
-        return not any(k in w_keys for k in _scaled_keys(field, n, f))
-    for s in field.elements():
-        if s in (field.zero, field.one):
-            continue
-        for a in _annihilator_duals(field, n, f):
-            if a.is_zero():
-                continue
-            A = delta_make(a, f).matrix.scale(s)
-            if is_isometry(Q, A) and _fixes_radical(rad, A):
-                return False
-    return True
+    return _answers(Q, f, budget)[2]

@@ -1,5 +1,7 @@
 """Classification sweeps: dyads, tables, projective view, quadric duality."""
 
+import textwrap
+
 import pytest
 
 from metric_affine import groups
@@ -284,3 +286,36 @@ def test_quadric_duality_three_vars():
     rep = quadric_duality_check(QForm.from_upper(GF3, 3, (1, 0, 0, 1, 0, 1)))
     assert rep.status == "ok"
     assert (rep.base_points, rep.lifted_points, rep.hyperplane_points) == (4, 13, 13)
+
+
+_WRONG_SOLUTIONS_CHILD = textwrap.dedent("""
+    import sys
+    from metric_affine import classify
+    from metric_affine.fields import GF5
+    from metric_affine.groups import InvariantViolation
+    from metric_affine.quadform import QForm
+
+    def index_giving(sols):
+        class Index(dict):
+            def get(self, key, default=None):
+                return sols
+        return lambda fld, m, budget=None: Index()
+
+    # GF(5)^1 is not an exceptional size: x1^2 must have its four unit
+    # scalings of the lift as solutions, and the zero form none at all
+    for coeffs, sols in (((1,), ()),
+                         ((0,), (QForm.from_upper(GF5, 2, (0, 0, 1)),))):
+        classify.weak_group_index = index_giving(sols)
+        try:
+            classify.solve_for_qtilde(QForm.from_upper(GF5, 1, coeffs),
+                                      classify.MODE_MOTION)
+        except InvariantViolation:
+            print("optimize=%d raised" % sys.flags.optimize)
+        else:
+            print("optimize=%d passed" % sys.flags.optimize)
+""")
+
+
+def test_forced_solution_check_survives_optimized_interpreter(run_optimized):
+    assert (run_optimized(_WRONG_SOLUTIONS_CHILD)
+            == "optimize=1 raised\noptimize=1 raised\n")

@@ -1,5 +1,6 @@
 """Homogeneous model: point/dual matrices, form lifting, reflections."""
 
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -257,3 +258,27 @@ def test_nondegenerate_forms_round_trip_via_scaling():
         lhs = {lift(qf_scale(Q, c)) for c in GF5.units()}
         rhs = {qf_scale(up, c) for c in GF5.units()}
         assert lhs == rhs
+
+
+_WRONG_LIFT_CHILD = textwrap.dedent("""
+    import sys
+    from metric_affine import homog
+    from metric_affine.fields import GF3
+    from metric_affine.groups import InvariantViolation
+    from metric_affine.linalg import Mat
+    from metric_affine.quadform import QForm
+
+    # a zero "inverse" of B lifts x1^2 to the zero form, whose radical is
+    # all of F x V*, not the line F e0
+    homog.mat_invert = lambda M: Mat.zeros(M.field, M.nrows, M.ncols)
+    try:
+        homog.lift(QForm.from_upper(GF3, 1, (1,)))
+    except InvariantViolation:
+        print("optimize=%d raised" % sys.flags.optimize)
+    else:
+        print("optimize=%d passed" % sys.flags.optimize)
+""")
+
+
+def test_lift_check_survives_optimized_interpreter(run_optimized):
+    assert run_optimized(_WRONG_LIFT_CHILD) == "optimize=1 raised\n"

@@ -1,8 +1,6 @@
 """Rank-one maps x |-> x + <a*,x> f and their orthogonal intersections."""
 
-import os
-import subprocess
-import sys
+import functools
 import textwrap
 from collections import Counter
 
@@ -10,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metric_affine.fields import GF2, GF3, GF5
-from metric_affine.linalg import Mat, pairing, vec
-from metric_affine.quadform import QForm, all_vectors, enumerate_forms
+from metric_affine.fields import GF2, GF3, GF4, GF5
+from metric_affine.groups import encode_np, form_values_np, mat_to_np
+from metric_affine.linalg import Mat, pairing, span_contains, vec
+from metric_affine.quadform import (QForm, all_vectors, enumerate_forms,
+                                    qf_eval, reflection)
 from metric_affine.transvect import (COND_BINARY_PLANE, COND_DIM_ONE,
                                      COND_RADICAL_LINE, KIND_DILATATION,
                                      KIND_IDENTITY, KIND_TRANSVECTION,
-                                     NotInvertible,
+                                     DirectionCase, NotInvertible,
+                                     _member_table, _reflections_np,
                                      annihilator_transvections_in_weak,
                                      classify_direction, delta_group,
                                      delta_make, delta_orth,
@@ -98,6 +99,16 @@ def test_direction_case_tallies(F, n):
     assert dict(tally) == LETTER_TALLIES[(F.name, n)]
 
 
+@pytest.mark.parametrize("budget", [None, 1])
+def test_lemma_functions_reject_a_zero_or_misshapen_direction(budget):
+    Q = QForm.from_upper(GF3, 2, (1, 0, 1))
+    for bad in [(0, 0), (3, 0)] + ([(1, 0, 0)] if budget is None else []):
+        for check in (classify_direction, annihilator_transvections_in_weak,
+                      scaled_transvection_never_weak):
+            with pytest.raises(ValueError):
+                check(Q, bad, budget)
+
+
 def test_case_c_impossible_in_odd_characteristic():
     # f in rad(B) forces 2 Q(f) = B(f, f) = 0, so Q(f) = 0 when char != 2
     for Q in enumerate_forms(GF3, 2):
@@ -161,7 +172,7 @@ def test_scaled_transvections_stay_outside_exhaustive(F, n):
 
 
 @pytest.mark.parametrize("F,n", [(GF2, 1), (GF2, 2), (GF2, 3), (GF3, 1),
-                                 (GF3, 2)])
+                                 (GF3, 2), (GF4, 1), (GF5, 1)])
 def test_table_route_matches_brute_force(F, n):
     # budget 1 puts GL past the budget, so every map is tested on its own;
     # the default budget reads the per-(field, dim) orbit table
@@ -176,37 +187,144 @@ def test_table_route_matches_brute_force(F, n):
                     == scaled_transvection_never_weak(Q, fv))
 
 
-_WRONG_SIZE_CHILD = textwrap.dedent("""
+# The lemma functions as they were before the per-form record: every pair
+# made its own delta_orth, span_contains, qf_eval and reflection calls, and
+# tested its annihilator transvections against O'(Q) one key at a time.
+
+def _per_pair_classify_direction(Q, fv):
+    f = vec(Q.field, fv)
+    field, n = Q.field, Q.n
+    q = field.order
+    rad = _member_table(field, n)[Q.gram.rows][2]
+    k = len(rad)
+    in_rad = span_contains(rad, f)
+    isotropic = qf_eval(Q, f) == field.zero
+    if not in_rad:
+        letter = "b" if isotropic else "a"
+        predicted = (1, 1) if isotropic else (2, 2)
+    elif isotropic:
+        letter, predicted = "d", ((q - 1) * q ** (n - 1), q ** (n - k))
+    else:
+        letter, predicted = "c", (1, 1)
+    go, gw = delta_orth(Q, f)
+    actual = (go.order, gw.order)
+    assert actual == predicted
+    assert letter != "a" or reflection(Q, f) in go
+    return DirectionCase(letter=letter, in_radical=in_rad,
+                         isotropic=isotropic, predicted=predicted,
+                         actual=actual)
+
+
+@functools.lru_cache(maxsize=None)
+def _annihilator_keys(field, n, fv):
+    """Keys of I + f a*^T over every a* with <a*, f> = 0, and of their
+    scalings s not in {0, 1} for a* != o, by brute force over the duals."""
+    f = vec(field, fv)
+    duals = [vec(field, a) for a in all_vectors(field, n)]
+    maps = [(a, delta_make(a, f).matrix) for a in duals
+            if pairing(a, f) == field.zero]
+    return ([encode_np(mat_to_np(A)) for _a, A in maps],
+            [encode_np(mat_to_np(A.scale(s))) for s in field.units()
+             if s != field.one for a, A in maps if not a.is_zero()])
+
+
+def _per_pair_annihilator_transvections_in_weak(Q, fv):
+    f = vec(Q.field, fv)
+    field, n = Q.field, Q.n
+    _o_keys, w_keys, rad = _member_table(field, n)[Q.gram.rows]
+    inside = all(k in w_keys for k in _annihilator_keys(field, n, fv)[0])
+    tag = None
+    if qf_eval(Q, f) == field.zero and len(rad) == 1 and span_contains(rad, f):
+        tag = COND_RADICAL_LINE
+    elif n == 1:
+        tag = COND_DIM_ONE
+    elif (n == 2 and qf_eval(Q, f) != field.zero and not rad
+          and field.order == 2):
+        tag = COND_BINARY_PLANE
+    assert inside == (tag is not None)
+    return inside, tag
+
+
+def _per_pair_scaled_transvection_never_weak(Q, fv):
+    w_keys = _member_table(Q.field, Q.n)[Q.gram.rows][1]
+    return not any(k in w_keys
+                   for k in _annihilator_keys(Q.field, Q.n, fv)[1])
+
+
+RECORD_SIZES = ([(F, n) for F in (GF2, GF3) for n in (1, 2, 3)]
+                + [(F, n) for F in (GF4, GF5) for n in (1, 2)])
+
+
+@pytest.mark.parametrize("F,n", RECORD_SIZES,
+                         ids=lambda v: getattr(v, "name", v))
+def test_form_record_matches_per_pair_route(F, n):
+    for Q in enumerate_forms(F, n):
+        for fv in nonzero_vectors(F, n):
+            assert (classify_direction(Q, fv)
+                    == _per_pair_classify_direction(Q, fv))
+            assert (annihilator_transvections_in_weak(Q, fv)
+                    == _per_pair_annihilator_transvections_in_weak(Q, fv))
+            assert (scaled_transvection_never_weak(Q, fv)
+                    == _per_pair_scaled_transvection_never_weak(Q, fv))
+
+
+@pytest.mark.parametrize("F,n", RECORD_SIZES,
+                         ids=lambda v: getattr(v, "name", v))
+def test_reflection_stack_matches_quadform(F, n):
+    for Q in enumerate_forms(F, n):
+        vals = form_values_np(Q)
+        stack = _reflections_np(Q, vals)
+        for idx, fv in enumerate(all_vectors(F, n)):
+            if vals[idx]:
+                assert (stack[idx] == mat_to_np(reflection(Q, fv))).all()
+
+
+_OPTIMIZED_CHILD = textwrap.dedent("""
     import sys
     from metric_affine import transvect
     from metric_affine.fields import GF3
-    from metric_affine.groups import GroupSet, InvariantViolation
+    from metric_affine.groups import InvariantViolation
     from metric_affine.quadform import QForm
 
-    def no_maps(Q, f, budget=None):
-        empty = GroupSet(Q.field, Q.n, [])
-        return empty, empty
+    real_table = transvect._member_table
+    real_reflections = transvect._reflections_np
 
-    transvect.delta_orth = no_maps
+    def no_isometries(field, n, budget=None):
+        # every form's O and O' read as empty, radicals kept
+        return {rows: (frozenset(), frozenset(), rad)
+                for rows, (_o, _w, rad) in real_table(field, n, budget).items()}
+
+    def wrong_sign(Q, vals):
+        # I + Q(f)^-1 f (Bf)^T in place of I - Q(f)^-1 f (Bf)^T
+        return real_reflections(Q, (-vals) % Q.field.order)
+
+    transvect.NAME = PATCH
     try:
-        # x1 x2 and the isotropic f = e1: case "b", predicted sizes (1, 1)
-        transvect.classify_direction(QForm.from_upper(GF3, 2, (0, 1, 0)),
-                                     (1, 0))
-    except InvariantViolation:
-        print("optimize=%d raised" % sys.flags.optimize)
+        transvect.classify_direction(QForm.from_upper(GF3, 2, COEFFS), (1, 0))
+    except InvariantViolation as e:
+        print("optimize=%d raised %s" % (sys.flags.optimize, e.args[0][0]))
     else:
         print("optimize=%d passed" % sys.flags.optimize)
 """)
 
 
-def test_size_check_survives_optimized_interpreter():
-    # python -O strips assert statements; the lemma checks raise explicitly
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    run = subprocess.run([sys.executable, "-O", "-c", _WRONG_SIZE_CHILD],
-                         capture_output=True, text=True, env=env, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "optimize=1 raised\n"
+def _optimized_child(name, patch, coeffs):
+    """The child above with transvect.name replaced by patch, run on the
+    GF(3) plane form with these upper coefficients and f = e1."""
+    return (_OPTIMIZED_CHILD.replace("NAME", name).replace("PATCH", patch)
+            .replace("COEFFS", repr(coeffs)))
+
+
+def test_size_check_survives_optimized_interpreter(run_optimized):
+    # python -O strips assert statements; the lemma checks raise explicitly.
+    # x1 x2 and the isotropic f = e1: case "b", predicted sizes (1, 1)
+    child = _optimized_child("_member_table", "no_isometries", (0, 1, 0))
+    assert run_optimized(child) == "optimize=1 raised b\n"
+
+
+def test_reflection_check_survives_optimized_interpreter(run_optimized):
+    # x1^2 + x2^2 and the anisotropic f = e1: case "a", whose two maps are
+    # the identity and the reflection along f
+    child = _optimized_child("_reflections_np", "wrong_sign", (1, 0, 1))
+    assert (run_optimized(child) == "optimize=1 raised reflection along f "
+            "not in Delta ∩ O(Q)\n")
