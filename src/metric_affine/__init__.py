@@ -23,8 +23,7 @@ from .quadform import (NotReflectable, QForm, all_vectors, enumerate_forms,
                        radical_basis, reflection)
 from .groups import (BudgetExceeded, DEFAULT_BUDGET, GroupSet,
                      HARD_BUDGET_CEILING, InvariantViolation, closure,
-                     congruence_orbit, enumerate_gl, group_budget,
-                     group_equal, is_subgroup,
+                     enumerate_gl, group_budget, group_equal, is_subgroup,
                      order_gl, orthogonal_group, ReflectionStatus,
                      reflection_generation_status, weak_orthogonal_group)
 from .transvect import (DeltaMap, DirectionCase, KIND_DILATATION,

@@ -17,14 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (GroupSet, InvariantViolation, check_budget,
+from .groups import (GroupSet, InvariantViolation, _gl_arrays, check_budget,
                      congruence_decomposition, enumerate_gl, form_values_np,
                      group_budget, group_equal, groups_by_orbit, is_subgroup,
-                     memo, vectors_np, weak_orthogonal_group,
+                     matmul_np, memo, vectors_np, weak_orthogonal_group,
                      orthogonal_group)
 from .homog import (DegeneratePolarForm, NotDroppable, drop, lift,
                     motion_group_dual)
-from .linalg import Mat, annihilator, kernel_basis, unit_vector, vec
+from .linalg import annihilator, kernel_basis, unit_vector, vec
 from .quadform import (QForm, enumerate_forms, is_nondegenerate, poly_str,
                        polar, qf_proportional, qf_scale)
 
@@ -100,16 +100,16 @@ def _exceptional_size(fld, n):
 
 
 def weak_group_index(fld, m, budget=None):
-    """Forms on F^m by weak orthogonal group: elems -> tuple of the forms
+    """Forms on F^m by weak orthogonal group: key -> tuple of the forms
     with that group, in enumerate_forms order.  Memoised."""
     check_budget(fld, m, budget)
 
     def build():
         forms, _orbits = congruence_decomposition(fld, m, budget)
-        keys = groups_by_orbit(fld, m, weak_orthogonal_group, budget)
+        groups = groups_by_orbit(fld, m, weak_orthogonal_group, budget)
         index = {}
-        for Qt, key in zip(forms, keys):
-            index[key] = index.get(key, ()) + (Qt,)
+        for Qt, g in zip(forms, groups):
+            index[g.key] = index.get(g.key, ()) + (Qt,)
         return index
     return memo(("weak_group_index", fld.name, m), build)
 
@@ -126,7 +126,7 @@ def solve_for_qtilde(Q, mode, budget=None):
     assert mode in MODES, mode
     fld, n = Q.field, Q.n
     target = motion_group_dual(Q, mode == MODE_WEAK, budget)
-    sols = list(weak_group_index(fld, n + 1, budget).get(target.elems, ()))
+    sols = list(weak_group_index(fld, n + 1, budget).get(target.key, ()))
     if not _exceptional_size(fld, n):
         expected = (set() if not is_nondegenerate(Q)
                     else {qf_scale(lift(Q), c) for c in fld.units()})
@@ -244,8 +244,11 @@ class TableReport:
 
 
 def _stabilizer_group(fld, n, v, budget=None):
-    keep = [A for A in enumerate_gl(fld, n, budget).mats() if A * v == v]
-    return GroupSet.from_mats(fld, n, keep)
+    """The matrices of GL_n fixing the vector with entries v."""
+    G = _gl_arrays(fld, n, budget)
+    x = np.array(v, dtype=np.uint8).reshape(n, 1)
+    fixed = (matmul_np(fld, G, x) == x).all(axis=(1, 2))
+    return GroupSet.from_np(fld, n, G[fixed])
 
 
 def reproduce_table(dim, fld, budget=None):
@@ -274,7 +277,7 @@ def reproduce_table(dim, fld, budget=None):
     # group pairs into complete-bipartite blocks via the shared right group
     by_group = {}
     for Q, Qt, _rep in pairs:
-        key = weak_orthogonal_group(Qt, budget).elems
+        key = weak_orthogonal_group(Qt, budget).key
         entry = by_group.setdefault(key, (set(), set()))
         entry[0].add(Q)
         entry[1].add(Qt)
@@ -331,8 +334,8 @@ def reproduce_table(dim, fld, budget=None):
     # shared groups inside each computed block
     shared_groups_ok = True
     for lefts, rights in computed_blocks:
-        o_groups = {orthogonal_group(Q, budget).elems for Q in lefts}
-        w_groups = {weak_orthogonal_group(Qt, budget).elems for Qt in rights}
+        o_groups = {orthogonal_group(Q, budget).key for Q in lefts}
+        w_groups = {weak_orthogonal_group(Qt, budget).key for Qt in rights}
         if len(o_groups) != 1 or len(w_groups) != 1:
             shared_groups_ok = False
             mismatch.append("block does not share its groups")
@@ -361,7 +364,7 @@ def reproduce_table(dim, fld, budget=None):
         if stab is None:
             want = enumerate_gl(fld, dim, budget)
         else:
-            want = _stabilizer_group(fld, dim, vec(fld, stab), budget)
+            want = _stabilizer_group(fld, dim, stab, budget)
         if not group_equal(o_group, want):
             stabilizers_ok = False
             mismatch.append("stabilizer claim off for block of %s"
@@ -443,14 +446,12 @@ def projective_reduce(gs):
     fld, n = gs.field, gs.n
 
     def build():
-        out = []
-        for A in gs.mats():
-            flat = [x for row in A.rows for x in row]
-            scaled = projective_rep(fld, flat)
-            out.append(Mat(fld, [scaled[i * n:(i + 1) * n] for i in range(n)],
-                           (n, n)))
-        return GroupSet.from_mats(fld, n, out)
-    return memo(("projective_reduce", fld.name, n, gs.elems), build)
+        if n == 0:      # the empty matrix has no entry to scale
+            return gs
+        A = gs.as_np()
+        flat = _projective_canon_np(fld, A.reshape(len(A), n * n))
+        return GroupSet.from_np(fld, n, flat.reshape(A.shape))
+    return memo(("projective_reduce", fld.name, n, gs.key), build)
 
 
 @dataclass(frozen=True)
@@ -504,23 +505,19 @@ def verify_projective_theorem(fld, n, budget=None):
 # --- the absolute quadric and its dual description -------------------------
 
 def _projective_canon_np(fld, rows):
-    """Canonicalise each nonzero row to its projective representative.
+    """Canonicalise each nonzero row of an integer-coded stack to its
+    projective representative; rows full of zeros are dropped.
 
-    Bulk counterpart of projective_rep for prime fields, where the codes
-    carry mod-p arithmetic; rows full of zeros are dropped.
+    Bulk counterpart of projective_rep: each row is scaled by the inverse
+    of its first nonzero entry, as a 1 x 1 times 1 x m product.
     """
-    assert fld.order == fld.char, "bulk canonicalisation needs a prime field"
-    rows = np.asarray(rows, dtype=np.int64)
-    nz = rows != 0
-    keep = nz.any(axis=1)
-    rows, nz = rows[keep], nz[keep]
-    if not len(rows):
-        return rows
-    first = nz.argmax(axis=1)
+    rows = np.asarray(rows, dtype=np.uint8)
+    rows = rows[(rows != 0).any(axis=1)]
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
     inv = memo(("_projective_canon_np", fld.name), lambda: np.array(
-        [0] + [fld.inv(c) for c in range(1, fld.order)], dtype=np.int64))
-    lead = rows[np.arange(len(rows)), first]
-    return (rows * inv[lead][:, np.newaxis]) % fld.order
+        [0] + [fld.inv(c) for c in range(1, fld.order)], dtype=np.uint8))
+    return matmul_np(fld, inv[lead][:, np.newaxis, np.newaxis],
+                     rows[:, np.newaxis, :])[:, 0]
 
 
 def _tangent_pencil(fld, n, bx):

@@ -27,8 +27,7 @@ from .linalg import vec
 from .quadform import (all_vectors, enumerate_forms, form_from_text,
                        form_to_text, is_nondegenerate, poly_str, qf_eval,
                        radical_basis)
-from .transvect import (annihilator_transvections_in_weak, classify_direction,
-                        scaled_transvection_never_weak)
+from .transvect import _answers
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -236,11 +235,12 @@ def cmd_verify_lemmas(cfg, em):
                   if any(c != fld.zero for c in x)]
     for Q in enumerate_forms(fld, n):
         for x in directions:
-            case = classify_direction(Q, x, budget)
+            # classify_direction, annihilator_transvections_in_weak and
+            # scaled_transvection_never_weak, from one set of answers
+            case, (ok, _tag), scaled_ok = _answers(Q, x, budget)
             counts[case.letter] += 1
-            ok, _tag = annihilator_transvections_in_weak(Q, x, budget)
             inside += ok
-            if not scaled_transvection_never_weak(Q, x, budget):
+            if not scaled_ok:
                 em.text("FAIL: scaled transvection inside weak group: Q=%s f=%s"
                         % (poly_str(Q), _vec_str(vec(fld, x))))
                 em.record({"record": "lemma-sweep", "ok": False})

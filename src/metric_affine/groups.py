@@ -2,9 +2,10 @@
 
 The public objects here are GroupSets: immutable, canonically-encoded sets
 of invertible matrices over one of the finite fields.  Group comparisons in
-the classification code happen thousands of times, so a GroupSet keeps a
-sorted tuple of byte encodings (row-major raw values, one byte per entry)
-and set equality is plain tuple equality.
+the classification code happen thousands of times, so a GroupSet keeps one
+sorted int64 array of matrix codes (matrix_codes: the row-major raw values
+read as base-q digits) and set equality is equality of those arrays.  This
+module is the only one that knows how an element is coded.
 
 Under the hood the module keeps, per (field, n):
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from .fields import GF4Field
 from .linalg import Mat
-from .quadform import QForm, enumerate_forms, radical_basis
+from .quadform import enumerate_forms, radical_basis
 
 DEFAULT_BUDGET = 25_000
 HARD_BUDGET_CEILING = 10_000_000
@@ -166,14 +167,22 @@ def mat_to_np(A):
                     dtype=np.uint8).reshape(A.nrows, A.ncols)
 
 
-def np_to_mat(field, arr):
-    return Mat(field, [[int(x) for x in row] for row in arr],
-               (arr.shape[0], arr.shape[1]))
+def _code_powers(field, n):
+    """q^(n*n - 1), ..., q, 1: the place values of a matrix code."""
+    if field.order ** (n * n) > 2 ** 63:
+        raise ValueError("%d x %d matrices over %s do not fit an int64 code"
+                         % (n, n, field.name))
+    return field.order ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
 
 
-def encode_np(arr):
-    """Canonical byte encoding of one n x n integer-coded matrix."""
-    return np.ascontiguousarray(arr, dtype=np.uint8).tobytes()
+def matrix_codes(field, stack):
+    """The code of every matrix in a (..., n, n) integer-coded stack: its
+    row-major entries read as base-q digits, the first one most significant,
+    so codes sort as the row-major entry tuples do."""
+    stack = np.asarray(stack)
+    n = stack.shape[-1]
+    flat = stack.reshape(stack.shape[:-2] + (n * n,)).astype(np.int64)
+    return flat @ _code_powers(field, n)
 
 
 def _gl_arrays(field, n, budget=None):
@@ -256,34 +265,34 @@ def isometry_mask(Q, budget=None):
 class GroupSet:
     """An immutable set of invertible n x n matrices over a finite field.
 
-    Elements are kept as a sorted tuple of canonical byte encodings; two
-    GroupSets over the same (field, n) are equal iff the tuples are equal.
-    Group axioms are not assumed by the container; `verify_axioms` checks
-    them on demand.
+    Elements are kept as `elems`, a sorted, duplicate-free int64 array of
+    matrix codes; two GroupSets over the same (field, n) are equal iff their
+    `key`s, the arrays' bytes, are equal.  Group axioms are not assumed by
+    the container; `verify_axioms` checks them on demand.
     """
 
-    __slots__ = ("field", "n", "elems", "_mats", "_elem_set")
+    __slots__ = ("field", "n", "elems")
 
-    def __init__(self, field, n, keys):
+    def __init__(self, field, n, codes):
         self.field = field
         self.n = n
-        self.elems = tuple(sorted(set(keys)))
-        self._mats = None
-        self._elem_set = None
-
-    def key_set(self):
-        if self._elem_set is None:
-            self._elem_set = frozenset(self.elems)
-        return self._elem_set
+        # sort and drop repeats; np.unique would be slower here, and its
+        # first call imports numpy.ma (tens of ms in a fresh process)
+        codes = np.sort(np.asarray(codes, dtype=np.int64))
+        fresh = np.ones(len(codes), dtype=bool)
+        fresh[1:] = codes[1:] != codes[:-1]
+        self.elems = codes[fresh]
+        self.elems.setflags(write=False)
 
     @classmethod
     def from_np(cls, field, n, arr):
-        flat, k = np.ascontiguousarray(arr, dtype=np.uint8).tobytes(), n * n
-        return cls(field, n, [flat[i * k:(i + 1) * k] for i in range(len(arr))])
+        return cls(field, n, matrix_codes(field, arr))
 
     @classmethod
     def from_mats(cls, field, n, mats):
-        return cls(field, n, [encode_np(mat_to_np(A)) for A in mats])
+        arr = [mat_to_np(A) for A in mats]
+        return cls.from_np(field, n, np.array(arr, dtype=np.uint8)
+                           .reshape(len(arr), n, n))
 
     @classmethod
     def from_mask(cls, field, n, mask, budget=None):
@@ -297,56 +306,41 @@ class GroupSet:
     def __len__(self):
         return len(self.elems)
 
-    def __iter__(self):
-        return iter(self.mats())
+    @property
+    def key(self):
+        """The sorted codes as bytes: a plain dict and memo key for the set."""
+        return self.elems.tobytes()
 
     def __contains__(self, A):
-        key = A if isinstance(A, bytes) else encode_np(mat_to_np(A))
-        return key in self.key_set()
+        return matrix_codes(self.field, mat_to_np(A)) in self.elems
 
     def __eq__(self, other):
         return (isinstance(other, GroupSet) and self.field is other.field
-                and self.n == other.n and self.elems == other.elems)
+                and self.n == other.n and self.key == other.key)
 
     def __hash__(self):
-        return hash((self.field.name, self.n, self.elems))
+        return hash((self.field.name, self.n, self.key))
 
     def __repr__(self):
         return "GroupSet(%s, n=%d, order=%d)" % (self.field.name, self.n, self.order)
 
-    def decode(self, key):
-        arr = np.frombuffer(key, dtype=np.uint8).reshape(self.n, self.n)
-        return np_to_mat(self.field, arr)
-
-    def mats(self):
-        if self._mats is None:
-            self._mats = [self.decode(k) for k in self.elems]
-        return self._mats
-
     def as_np(self):
-        if not self.elems:
-            return np.zeros((0, self.n, self.n), dtype=np.uint8)
-        flat = np.frombuffer(b"".join(self.elems), dtype=np.uint8)
-        return flat.reshape(len(self.elems), self.n, self.n)
+        """The elements as an (order, n, n) uint8 stack, in code order."""
+        q, n = self.field.order, self.n
+        digits = self.elems[:, np.newaxis] // _code_powers(self.field, n) % q
+        return digits.astype(np.uint8).reshape(len(self.elems), n, n)
 
     def verify_axioms(self):
         """Check identity, closure under product, closure under inverse."""
-        n = self.n
-        ident = encode_np(np.eye(n, dtype=np.uint8)) if n else b""
-        if ident not in set(self.elems):
+        ident = matrix_codes(self.field, np.eye(self.n, dtype=np.uint8))
+        if ident not in self.elems:
             return False
         arr = self.as_np()
-        keyset = set(self.elems)
         for a in arr:
-            prods = matmul_np(self.field, arr, a)
-            for row in prods:
-                if encode_np(row) not in keyset:
-                    return False
-        # closure + identity + finiteness already force inverses, but check
-        # anyway: every row of the product table must hit the identity once.
-        for a in arr:
-            prods = matmul_np(self.field, arr, a)
-            if not any(encode_np(row) == ident for row in prods):
+            prods = matrix_codes(self.field, matmul_np(self.field, arr, a))
+            # closure + identity + finiteness already force inverses, but
+            # check anyway: every row of the product table hits the identity
+            if not np.isin(prods, self.elems).all() or ident not in prods:
                 return False
         return True
 
@@ -443,23 +437,24 @@ def congruence_decomposition(field, n, budget=None):
 
 
 def groups_by_orbit(field, n, group, budget=None):
-    """group(Q).elems for every form Q on F^n, in enumerate_forms order,
-    where group is orthogonal_group or weak_orthogonal_group.
+    """group(Q) for every form Q on F^n, in enumerate_forms order, where
+    group is orthogonal_group or weak_orthogonal_group.
 
     For Q = R o A, B |-> A^-1 B A carries O(R) onto O(Q), and O'(R) onto
     O'(Q) since A^-1 carries rad(R) onto rad(Q).  So group is enumerated
     only for the first form R of each congruence orbit.
     """
     forms, orbits = congruence_decomposition(field, n, budget)
-    elems = [None] * len(forms)
+    out = [None] * len(forms)
     for orbit in orbits:
         base = group(forms[orbit.first], budget).as_np()
         conj = matmul_np(field,
                          matmul_np(field, orbit.Ainv[:, np.newaxis], base),
                          orbit.A[:, np.newaxis])
-        for k, arr in zip(orbit.members.tolist(), conj):
-            elems[k] = GroupSet.from_np(field, n, arr).elems
-    return elems
+        for k, codes in zip(orbit.members.tolist(),
+                            matrix_codes(field, conj)):
+            out[k] = GroupSet(field, n, codes)
+    return out
 
 
 def closure(field, n, generators, budget=None):
@@ -475,19 +470,14 @@ def closure(field, n, generators, budget=None):
         arr = mat_to_np(g) if isinstance(g, Mat) else np.asarray(g, dtype=np.uint8)
         assert arr.shape == (n, n), arr.shape
         gens.append(arr)
-    ident = np.eye(n, dtype=np.uint8) if n else np.zeros((0, 0), dtype=np.uint8)
-    seen = {encode_np(ident)}
-    frontier = [ident]
-    while frontier:
-        batch = np.stack(frontier)
-        frontier = []
-        for g in gens:
-            prods = matmul_np(field, batch, g)
-            for row in prods:
-                key = encode_np(row)
-                if key not in seen:
-                    seen.add(key)
-                    frontier.append(row)
+    frontier = np.eye(n, dtype=np.uint8)[np.newaxis]
+    seen = matrix_codes(field, frontier)
+    while len(frontier) and gens:
+        prods = np.concatenate([matmul_np(field, frontier, g) for g in gens])
+        codes, first = np.unique(matrix_codes(field, prods), return_index=True)
+        new = ~np.isin(codes, seen, assume_unique=True)
+        frontier = prods[first[new]]
+        seen = np.concatenate([seen, codes[new]])
         if len(seen) > budget:
             raise BudgetExceeded(len(seen), budget)
     return GroupSet(field, n, seen)
@@ -496,14 +486,14 @@ def closure(field, n, generators, budget=None):
 def group_equal(g1, g2):
     if g1.field is not g2.field or g1.n != g2.n:
         raise ValueError("group comparison across different spaces")
-    return g1.elems == g2.elems
+    return g1.key == g2.key
 
 
 def is_subgroup(g1, g2):
     """Is g1 contained in g2 (as sets)?"""
     if g1.field is not g2.field or g1.n != g2.n:
         raise ValueError("group comparison across different spaces")
-    return g1.key_set() <= g2.key_set()
+    return bool(np.isin(g1.elems, g2.elems, assume_unique=True).all())
 
 
 # --- reflection generation -------------------------------------------------
@@ -512,50 +502,28 @@ CASE_HYPERBOLIC_RADICAL = "hyperbolic-plane-plus-radical"   # x1x2, dim > 2
 CASE_HYPERBOLIC_PAIR = "hyperbolic-pair"                    # x1x2+x3x4, dim >= 4
 
 
-def congruence_orbit(field, n, coeffs, budget=None):
-    """All forms A^T W A (A in GL) for the reference form with these upper
-    coefficients, as a frozenset of upper-coefficient tuples.  Cached."""
-    check_budget(field, n, budget)
-
-    def build():
-        ref = QForm.from_upper(field, n, coeffs)
-        codes = np.unique(congruence_codes(field, mat_to_np(ref.gram),
-                                           _gl_arrays(field, n, budget)))
-        q, m = field.order, n * (n + 1) // 2
-        digits = codes[:, np.newaxis] // q ** np.arange(m - 1, -1, -1) % q
-        return frozenset(tuple(row) for row in digits.tolist())
-    return memo(("congruence_orbit", field.name, n, tuple(coeffs)), build)
-
-
-def _matches_shape(Q, coeffs, budget=None):
-    return Q.upper_coeffs() in congruence_orbit(Q.field, Q.n, coeffs, budget)
-
-
 def _exceptional_shape(Q, budget=None):
-    """The literal two-case taxonomy, detected up to change of basis."""
-    if Q.field.order != 2:
+    """The literal two-case taxonomy, detected up to change of basis: is Q
+    over GF(2) congruent to x1x2 (n > 2) or to x1x2 + x3x4 (n >= 4)?"""
+    field, n = Q.field, Q.n
+    if field.order != 2 or n <= 2:
         return None
-    n = Q.n
-    if n > 2:
-        m = n * (n + 1) // 2
-        hyp = [0] * m
-        hyp[1] = 1  # the (0,1) coefficient: x1*x2
-        if _matches_shape(Q, hyp, budget):
-            return CASE_HYPERBOLIC_RADICAL
+    m = n * (n + 1) // 2
+    # upper coefficients, row-major: x1*x2 sits at 1 and x3*x4 at 2n
+    shapes = [(CASE_HYPERBOLIC_RADICAL, (0, 1) + (0,) * (m - 2))]
     if n >= 4:
-        m = n * (n + 1) // 2
-        hyp2 = [0] * m
-        hyp2[1] = 1                      # (0,1): x1*x2
-        # (2,3) coefficient sits at row-major upper position:
-        pos = 0
-        for i in range(n):
-            for j in range(i, n):
-                if (i, j) == (2, 3):
-                    hyp2[pos] = 1
-                pos += 1
-        if _matches_shape(Q, hyp2, budget):
-            return CASE_HYPERBOLIC_PAIR
-    return None
+        shapes.append((CASE_HYPERBOLIC_PAIR, (0, 1) + (0,) * (2 * n - 2)
+                       + (1,) + (0,) * (m - 2 * n - 1)))
+
+    def position(coeffs):
+        # in enumerate_forms order: the coefficients as binary digits, the
+        # first one most significant
+        return int("".join(map(str, coeffs)), 2)
+    _forms, orbits = congruence_decomposition(field, n, budget)
+    orbit = next(o.members for o in orbits
+                 if position(Q.upper_coeffs()) in o.members)
+    return next((tag for tag, coeffs in shapes if position(coeffs) in orbit),
+                None)
 
 
 @dataclass(frozen=True)
@@ -585,12 +553,14 @@ def reflection_generation_status(Q, budget=None):
             refs.append(reflection(Q, x))
     gen = closure(field, n, refs, budget)
     weak = weak_orthogonal_group(Q, budget)
-    assert is_subgroup(gen, weak), "reflection closure escaped O'"
+    if not is_subgroup(gen, weak):
+        raise InvariantViolation("reflection closure escaped O'")
     generates = group_equal(gen, weak)
     exceptional = _exceptional_shape(Q, budget)
-    assert generates == (exceptional is None), (
-        "taxonomy mismatch for %r: closure order %d, weak order %d, tag %r"
-        % (Q, gen.order, weak.order, exceptional))
+    if generates != (exceptional is None):
+        raise InvariantViolation(
+            "taxonomy mismatch for %r: closure order %d, weak order %d, "
+            "tag %r" % (Q, gen.order, weak.order, exceptional))
     return ReflectionStatus(
         generates=generates,
         exceptional=exceptional,

@@ -298,15 +298,3 @@ def span_contains(basis, v):
     M = Mat.from_cols(F, [b.entries() for b in basis] + [v.entries()])
     return rank(M) == rank(M.submatrix(range(M.nrows), range(len(basis))))
 
-
-if __name__ == "__main__":
-    from .fields import GF3, QQ
-
-    A = Mat(GF3, [[1, 2], [0, 1]])
-    assert mat_invert(A) * A == Mat.identity(GF3, 2)
-    K = kernel_basis(Mat(GF3, [[1, 2, 0]]))
-    assert len(K) == 2
-    B = Mat(QQ, [[1, 2], [3, 4]])
-    assert mat_invert(B) * B == Mat.identity(QQ, 2)
-    assert rank(Mat.zeros(QQ, 0, 0)) == 0
-    print("linalg ok")

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (GroupSet, InvariantViolation, _is_gf4, check_budget,
-                     congruence_decomposition, encode_np, form_values_np,
-                     group_budget, groups_by_orbit, mat_to_np, matmul_np, memo,
-                     order_gl, orthogonal_group, vector_index_np, vectors_np,
-                     weak_orthogonal_group)
+                     congruence_decomposition, form_values_np, group_budget,
+                     groups_by_orbit, mat_to_np, matmul_np, matrix_codes,
+                     memo, order_gl, orthogonal_group, vector_index_np,
+                     vectors_np, weak_orthogonal_group)
 from .linalg import Mat, annihilator, outer, pairing, span_contains, vec
 from .quadform import (all_vectors, is_isometry, polar, qf_eval,
                        radical_basis, reflection)
@@ -71,6 +71,16 @@ def _all_duals(field, n):
     return [vec(field, a) for a in all_vectors(field, n)]
 
 
+def _delta_matrices(field, n, f):
+    """The matrices of x |-> x + <a*,x> f over every a* with <a*,f> != -1,
+    for a direction f != o given as a column."""
+    if f.is_zero():
+        raise ValueError("the direction vector must be non-zero")
+    minus_one = field.neg(field.one)
+    return [delta_make(a, f).matrix for a in _all_duals(field, n)
+            if pairing(a, f) != minus_one]
+
+
 def delta_group(field, n, f):
     """The subgroup {x |-> x + <a*,x> f : <a*,f> != -1} of GL(V), f != o.
 
@@ -78,15 +88,9 @@ def delta_group(field, n, f):
     """
     if not isinstance(f, Mat):
         f = vec(field, f)
-    if f.is_zero():
-        raise ValueError("the direction vector must be non-zero")
-
-    def build():
-        minus_one = field.neg(field.one)
-        return GroupSet.from_mats(field, n, [
-            delta_make(a, f).matrix for a in _all_duals(field, n)
-            if pairing(a, f) != minus_one])
-    return memo(("delta_group", field.name, n, f.entries()), build)
+    return memo(("delta_group", field.name, n, f.entries()),
+                lambda: GroupSet.from_mats(field, n,
+                                           _delta_matrices(field, n, f)))
 
 
 def _fixes_radical(rad, A):
@@ -94,22 +98,23 @@ def _fixes_radical(rad, A):
 
 
 def _member_table(field, n, budget=None):
-    """Q.gram.rows -> (O(Q) keys, O'(Q) keys, radical basis of Q) for every
+    """Q.gram.rows -> (O(Q) codes, O'(Q) codes, radical basis of Q) for every
     form Q on F^n, built one congruence orbit at a time.  Memoised.
 
     The sweeps below revisit the same Q for many directions f; testing
-    membership against these key sets is far cheaper than re-deriving the
+    membership against these code sets is far cheaper than re-deriving the
     isometry property matrix by matrix.
     """
     check_budget(field, n, budget)
 
     def build():
         forms, _orbits = congruence_decomposition(field, n, budget)
-        o_keys = groups_by_orbit(field, n, orthogonal_group, budget)
-        w_keys = groups_by_orbit(field, n, weak_orthogonal_group, budget)
-        return {Q.gram.rows: (frozenset(o), frozenset(w),
+        o_groups = groups_by_orbit(field, n, orthogonal_group, budget)
+        w_groups = groups_by_orbit(field, n, weak_orthogonal_group, budget)
+        return {Q.gram.rows: (frozenset(o.elems.tolist()),
+                              frozenset(w.elems.tolist()),
                               tuple(radical_basis(Q)))
-                for Q, o, w in zip(forms, o_keys, w_keys)}
+                for Q, o, w in zip(forms, o_groups, w_groups)}
     return memo(("_member_table", field.name, n), build)
 
 
@@ -119,26 +124,17 @@ def _in_budget(field, n, budget):
     return field.enumerable and order_gl(n, field.order) <= budget
 
 
-def delta_orth(Q, f, budget=None):
-    """(Delta ∩ O(Q), Delta ∩ O'(Q)), by filtering the small group Delta.
-
-    Filtering Delta (at most q^n maps) rather than GL keeps this cheap
-    enough for exhaustive sweeps.
-    """
+def delta_orth(Q, f):
+    """(Delta ∩ O(Q), Delta ∩ O'(Q)), by testing each map of the small
+    group Delta (at most q^n maps) rather than filtering GL."""
+    field, n = Q.field, Q.n
     if not isinstance(f, Mat):
-        f = vec(Q.field, f)
-    big = delta_group(Q.field, Q.n, f)
-    if _in_budget(Q.field, Q.n, budget):
-        o_keys, w_keys, _ = _member_table(Q.field, Q.n, budget)[Q.gram.rows]
-        in_o = [k for k in big.elems if k in o_keys]
-        in_weak = [k for k in big.elems if k in w_keys]
-    else:
-        rad = radical_basis(Q)
-        isos = [A for A in big.mats() if is_isometry(Q, A)]
-        in_o = [encode_np(mat_to_np(A)) for A in isos]
-        in_weak = [encode_np(mat_to_np(A)) for A in isos
-                   if _fixes_radical(rad, A)]
-    return (GroupSet(Q.field, Q.n, in_o), GroupSet(Q.field, Q.n, in_weak))
+        f = vec(field, f)
+    rad = radical_basis(Q)
+    isos = [A for A in _delta_matrices(field, n, f) if is_isometry(Q, A)]
+    return (GroupSet.from_mats(field, n, isos),
+            GroupSet.from_mats(field, n, [A for A in isos
+                                          if _fixes_radical(rad, A)]))
 
 
 @dataclass(frozen=True)
@@ -196,18 +192,20 @@ def _scalings(field, trans):
 
 
 def _direction_keys(field, n):
-    """For every vector index of a nonzero f, in all_vectors order: (f, byte
-    keys of Delta_f, of the transvections with duals vanishing on f, and of
+    """For every vector index of a nonzero f, in all_vectors order: (f, codes
+    of Delta_f, of the transvections with duals vanishing on f, and of
     their scalings).  Independent of any form; slot 0 (f = o) is None."""
+    def codes(mats):
+        return tuple(GroupSet.from_mats(field, n, mats).elems.tolist())
+
     def build():
         out = [None]
         for x in all_vectors(field, n)[1:]:
             f = vec(field, x)
             trans = _transvections(field, n, f)
-            out.append((x, delta_group(field, n, f).elems,
-                        tuple(encode_np(mat_to_np(A)) for _a, A in trans),
-                        tuple(encode_np(mat_to_np(A))
-                              for A in _scalings(field, trans))))
+            out.append((x, tuple(delta_group(field, n, f).elems.tolist()),
+                        codes([A for _a, A in trans]),
+                        codes(_scalings(field, trans))))
         return tuple(out)
     return memo(("_direction_keys", field.name, n), build)
 
@@ -279,7 +277,7 @@ def _lemma_record(Q, budget):
         mask = np.zeros(len(vals), dtype=bool)
         mask[vector_index_np(field, span)] = True
         in_rad, isotropic = mask.tolist(), (vals == 0).tolist()
-        refl = _reflections_np(Q, vals).tobytes()
+        refl = matrix_codes(field, _reflections_np(Q, vals)).tolist()
         out = [None]
         for idx, (x, d_keys, a_keys, s_keys) in enumerate(
                 _direction_keys(field, n)[1:], 1):
@@ -287,7 +285,7 @@ def _lemma_record(Q, budget):
             out.append(_judge(
                 Q, x, in_rad[idx], isotropic[idx], len(rad),
                 (len(in_o), len(w_keys.intersection(in_o))),
-                refl[idx * n * n:(idx + 1) * n * n] in in_o,
+                refl[idx] in in_o,
                 w_keys.issuperset(a_keys), w_keys.isdisjoint(s_keys)))
         return tuple(out)
     return memo(("_lemma_record", field.name, n, Q.gram.rows), build)
@@ -312,7 +310,7 @@ def _answers(Q, f, budget):
     rad = radical_basis(Q)
     in_rad = span_contains(rad, f)
     isotropic = qf_eval(Q, f) == field.zero
-    go, gw = delta_orth(Q, f, budget)
+    go, gw = delta_orth(Q, f)
     trans = _transvections(field, n, f)
 
     def weak(A):

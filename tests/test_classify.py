@@ -9,15 +9,18 @@ from metric_affine.classify import (MODE_MOTION, MODE_WEAK, MODES,
                                     SUPPORTED_TABLES,
                                     dyad_report, dyad_satisfies,
                                     quadric_duality_check, quadric_points,
-                                    projective_reduce, render_table_lines,
+                                    projective_reduce, projective_rep,
+                                    render_table_lines,
                                     reproduce_table, solve_for_qtilde,
                                     verify_main_prop,
                                     verify_projective_theorem,
                                     weak_group_index)
 from metric_affine.fields import GF2, GF3, GF4, GF5, GF7
-from metric_affine.groups import (enumerate_gl, group_equal, groups_by_orbit,
-                                  orthogonal_group, weak_orthogonal_group)
+from metric_affine.groups import (GroupSet, enumerate_gl, group_equal,
+                                  groups_by_orbit, orthogonal_group,
+                                  weak_orthogonal_group)
 from metric_affine.homog import motion_group_dual
+from metric_affine.linalg import Mat
 from metric_affine.quadform import QForm, enumerate_forms
 
 
@@ -118,7 +121,7 @@ def _scan_index(F, m):
     weak_group_index first took."""
     index = {}
     for Qt in enumerate_forms(F, m):
-        key = weak_orthogonal_group(Qt).elems
+        key = weak_orthogonal_group(Qt).key
         index[key] = index.get(key, ()) + (Qt,)
     return index
 
@@ -137,7 +140,7 @@ def test_orbit_index_matches_per_form_scan(F, m):
         groups._MEMO.clear()
         assert index == _scan_index(F, m)
         # the scan memoised O(Q) form by form, by the per-form GL filter
-        assert o_table == [orthogonal_group(Q).elems
+        assert o_table == [orthogonal_group(Q)
                            for Q in enumerate_forms(F, m)]
     finally:
         groups._MEMO.clear()
@@ -212,6 +215,27 @@ def test_projective_reduce_binary_is_identity_on_groups():
     # the only scalar over GF(2) is 1, so nothing merges
     gl = enumerate_gl(GF2, 2)
     assert projective_reduce(gl).order == gl.order
+
+
+def _per_matrix_projective_reduce(gs):
+    """projective_reduce one Mat at a time: each matrix's row-major entries
+    rescaled by projective_rep, the route it first took."""
+    fld, n = gs.field, gs.n
+    out = []
+    for A in gs.as_np():
+        scaled = projective_rep(fld, A.ravel().tolist())
+        out.append(Mat(fld, [scaled[i * n:(i + 1) * n] for i in range(n)],
+                       (n, n)))
+    return GroupSet.from_mats(fld, n, out)
+
+
+def test_projective_reduce_matches_per_matrix_route():
+    cases = [enumerate_gl(F, n)
+             for F, n in ((GF3, 2), (GF4, 2), (GF5, 2), (GF2, 3), (GF3, 0))]
+    cases += [motion_group_dual(Q, weak) for Q in enumerate_forms(GF3, 1)
+              for weak in (False, True)]
+    for gs in cases:
+        assert projective_reduce(gs) == _per_matrix_projective_reduce(gs), gs
 
 
 PROJECTIVE_EXPECT = {

@@ -1,6 +1,7 @@
 """Group enumeration: GL, orthogonal, weak orthogonal, closures, budgets."""
 
 import os
+import textwrap
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from metric_affine.fields import GF2, GF3, GF4, GF5, GF7
 from metric_affine.groups import (DEFAULT_BUDGET, HARD_BUDGET_CEILING,
                                   BadBudgetVariable, BudgetExceeded, GroupSet,
                                   _build_gl, _gl_arrays, _perm_table, closure,
-                                  congruence_decomposition, congruence_orbit,
-                                  enumerate_gl, group_budget,
-                                  group_equal, is_subgroup, isometry_mask,
-                                  matmul_np, mat_to_np, np_to_mat, order_gl,
+                                  congruence_decomposition, enumerate_gl,
+                                  group_budget, group_equal, is_subgroup,
+                                  isometry_mask, matmul_np, mat_to_np,
+                                  matrix_codes, order_gl,
                                   orthogonal_group,
                                   reflection_generation_status, vectors_np,
                                   weak_orthogonal_group)
@@ -89,7 +90,7 @@ def test_gl_matches_recursive_build_bytewise(F, n):
 def test_gl_equals_rank_filter_of_all_matrices(F, n):
     every = vectors_np(F, n * n)
     every = every.reshape(len(every), n, n)
-    full = [A for A in every if rank(np_to_mat(F, A)) == n]
+    full = [A for A in every if rank(Mat(F, A.tolist(), (n, n))) == n]
     assert group_equal(enumerate_gl(F, n), GroupSet.from_np(F, n, full))
 
 
@@ -102,8 +103,8 @@ def test_enumerate_gl_elements_are_invertible():
     # spot-check: no singular matrix sneaks into the GF(4) stack
     from metric_affine.linalg import mat_invert
     G = enumerate_gl(GF4, 2)
-    for A in list(G.mats())[::17]:
-        mat_invert(A)  # raises Singular if not
+    for A in G.as_np()[::17]:
+        mat_invert(Mat(GF4, A.tolist()))  # raises Singular if not
 
 
 # frozen orthogonal-group orders, computed once by the brute-force filter
@@ -152,18 +153,36 @@ def test_group_containments():
 def test_mask_route_matches_literal_filter():
     # the vectorised permutation-table route and a plain per-matrix filter
     # must build the same group
-    G = enumerate_gl(GF3, 2)
+    G = [Mat(GF3, A.tolist()) for A in enumerate_gl(GF3, 2).as_np()]
     for Q in enumerate_forms(GF3, 2)[:9]:
         literal = GroupSet.from_mats(
-            GF3, 2, [A for A in G.mats() if is_isometry(Q, A)])
+            GF3, 2, [A for A in G if is_isometry(Q, A)])
         assert group_equal(orthogonal_group(Q), literal)
         assert isometry_mask(Q).sum() == literal.order
+
+
+@pytest.mark.parametrize("F,n", [(GF4, 2), (GF4, 1), (GF4, 0), (GF3, 0),
+                                 (GF7, 2)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_codes_round_trip_in_lexicographic_order(F, n):
+    # as_np decodes the codes back to the stack they came from, in the
+    # lexicographic order of the row-major entries
+    g = enumerate_gl(F, n)
+    arr = g.as_np()
+    assert GroupSet.from_np(F, n, arr) == g
+    assert arr.dtype == np.uint8 and arr.shape == (g.order, n, n)
+    rows = [tuple(A.ravel().tolist()) for A in arr]
+    assert rows == sorted(set(rows))
+    assert rows == sorted(tuple(A.ravel().tolist())
+                          for A in _gl_arrays(F, n))
+    assert (matrix_codes(F, arr) == g.elems).all()
 
 
 def test_groupset_equality_and_hash():
     Q = QForm.from_upper(GF3, 2, (1, 0, 1))
     g1 = orthogonal_group(Q)
-    g2 = GroupSet.from_mats(GF3, 2, list(g1.mats()))
+    g2 = GroupSet.from_mats(GF3, 2, [Mat(GF3, A.tolist())
+                                     for A in g1.as_np()[::-1]])
     assert g1 == g2 and hash(g1) == hash(g2)
     assert g1 != weak_orthogonal_group(QForm.zero(GF3, 2))
     with pytest.raises(ValueError):
@@ -176,7 +195,7 @@ def test_matmul_np_gf4_agrees_with_mat():
         a = rng.integers(0, 4, (2, 2), dtype=np.uint8)
         b = rng.integers(0, 4, (2, 2), dtype=np.uint8)
         got = matmul_np(GF4, a[None], b)[0]
-        want = mat_to_np(np_to_mat(GF4, a) * np_to_mat(GF4, b))
+        want = mat_to_np(Mat(GF4, a.tolist()) * Mat(GF4, b.tolist()))
         assert (got == want).all()
 
 
@@ -187,7 +206,7 @@ def test_closure_generates_subgroup():
     assert g.order == 4  # klein four-group here
     assert g.verify_axioms()
     # closure is idempotent
-    assert group_equal(closure(GF3, 2, list(g.mats())), g)
+    assert group_equal(closure(GF3, 2, g.as_np()), g)
     # and the orthogonal group of x1^2+x2^2 is generated by its reflections
     Q = QForm.from_upper(GF3, 2, (1, 0, 1))
     st = reflection_generation_status(Q)
@@ -231,7 +250,6 @@ def test_budget_checked_before_memo_lookup():
              lambda b: _perm_table(GF3, 2, budget=b),
              lambda b: orthogonal_group(Q, budget=b),
              lambda b: weak_orthogonal_group(Q, budget=b),
-             lambda b: congruence_orbit(GF3, 2, (1, 0, 1), budget=b),
              lambda b: motion_group_dual(Q, False, budget=b),
              lambda b: motion_group_dual(Q, True, budget=b),
              lambda b: weak_group_index(GF3, 2, budget=b),
@@ -268,24 +286,31 @@ ORBIT_FORMS = [
 ]
 
 
+def _orbit_of(F, n, upper):
+    """Upper coefficients of every form in the congruence_decomposition
+    orbit of the form with these upper coefficients."""
+    forms, orbits = congruence_decomposition(F, n)
+    r = forms.index(QForm.from_upper(F, n, upper))
+    orbit = next(o for o in orbits if r in o.members)
+    return {forms[k].upper_coeffs() for k in orbit.members.tolist()}
+
+
 def test_congruence_orbit_sizes():
     # orbit sizes must be |GL| / |stabilizer| with the stabilizer acting by
     # congruence; for the binary hyperbolic plane in 3 variables: 168/8
-    orbit = congruence_orbit(GF2, 3, (0, 1, 0, 0, 0, 0))
-    assert len(orbit) == 21
-    orbit4 = congruence_orbit(GF2, 4, (0, 1, 0, 0, 0, 0, 0, 0, 0, 0))
-    assert len(orbit4) == 105
-    pair = congruence_orbit(GF2, 4, (0, 1, 0, 0, 0, 0, 0, 0, 1, 0))
-    assert len(pair) == 280
+    assert len(_orbit_of(GF2, 3, (0, 1, 0, 0, 0, 0))) == 21
+    assert len(_orbit_of(GF2, 4, (0, 1, 0, 0, 0, 0, 0, 0, 0, 0))) == 105
+    assert len(_orbit_of(GF2, 4, (0, 1, 0, 0, 0, 0, 0, 0, 1, 0))) == 280
     # over GF(4) and the odd prime fields: orbit-stabiliser against the
     # value-table filter, and each orbit against the pullbacks x |-> R(A x)
-    # built with Mat arithmetic
+    # over all of GL, built with Mat arithmetic
     for F, n, upper in ORBIT_FORMS:
         R = QForm.from_upper(F, n, upper)
-        orbit = congruence_orbit(F, n, upper)
+        orbit = _orbit_of(F, n, upper)
         assert len(orbit) * orthogonal_group(R).order == order_gl(n, F.order)
-        assert orbit == {qf_pullback(R, A).upper_coeffs()
-                         for A in enumerate_gl(F, n).mats()}, (F, n, upper)
+        assert orbit == {qf_pullback(R, Mat(F, A.tolist(), (n, n)))
+                         .upper_coeffs()
+                         for A in enumerate_gl(F, n).as_np()}, (F, n, upper)
 
 
 def test_orbit_walk_rejects_a_wrong_orbit(monkeypatch):
@@ -347,9 +372,32 @@ def test_reflection_exceptional_cases():
     assert st4.generates and st4.exceptional is None
 
 
+def test_taxonomy_check_survives_optimized_interpreter(run_optimized):
+    # python -O strips assert statements; with a taxonomy that never names
+    # an exceptional shape, x1x2 over GF(2)^3 (closure 4 inside O' of
+    # order 8) must still raise
+    child = textwrap.dedent("""
+        import sys
+        from metric_affine import groups
+        from metric_affine.fields import GF2
+        from metric_affine.quadform import QForm
+
+        groups._exceptional_shape = lambda Q, budget=None: None
+        try:
+            groups.reflection_generation_status(
+                QForm.from_upper(GF2, 3, (0, 1, 0, 0, 0, 0)))
+        except groups.InvariantViolation as e:
+            print("optimize=%d raised %s"
+                  % (sys.flags.optimize, e.args[0].split(" for ")[0]))
+        else:
+            print("optimize=%d passed" % sys.flags.optimize)
+    """)
+    assert run_optimized(child) == "optimize=1 raised taxonomy mismatch\n"
+
+
 def test_weak_group_fixes_radical_pointwise():
     Q = QForm.from_upper(GF3, 2, (1, 0, 0))  # radical = span(e2)
     w = weak_orthogonal_group(Q)
     e2 = vec(GF3, (0, 1))
-    for A in w.mats():
-        assert A * e2 == e2
+    for A in w.as_np():
+        assert Mat(GF3, A.tolist()) * e2 == e2

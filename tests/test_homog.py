@@ -21,7 +21,7 @@ from metric_affine.quadform import (QForm, all_vectors, enumerate_forms,
                                     qf_scale)
 
 M5 = homog_model(GF5, 2)
-GL52 = list(enumerate_gl(GF5, 2).mats())
+GL52 = [Mat(GF5, A.tolist()) for A in enumerate_gl(GF5, 2).as_np()]
 
 
 def affine_maps(field, n, mats):
@@ -195,15 +195,16 @@ def test_motion_group_matches_per_motion_dual_matrices(F, n):
             linear = (weak_orthogonal_group if weak else orthogonal_group)(Q)
             want = GroupSet.from_mats(F, n + 1, [
                 dual_matrix(model, AffineMap(t, A))
-                for A in linear.mats() for t in translations])
+                for A in (Mat(F, a.tolist(), (n, n)) for a in linear.as_np())
+                for t in translations])
             assert motion_group_dual(Q, weak) == want, (Q, weak)
 
 
 def test_motion_group_elements_fix_marked_vector():
     Q = QForm.from_upper(GF3, 1, (1,))
     m = homog_model(GF3, 1)
-    for A in motion_group_dual(Q, weak=False).mats():
-        assert A.col(0) == m.e0
+    for A in motion_group_dual(Q, weak=False).as_np():
+        assert Mat(GF3, A.tolist()).col(0) == m.e0
 
 
 def test_affine_reflection_fixes_axis_point():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metric_affine.fields import GF2, GF3, GF4, GF5
-from metric_affine.groups import encode_np, form_values_np, mat_to_np
+from metric_affine.groups import form_values_np, mat_to_np, matrix_codes
 from metric_affine.linalg import Mat, pairing, span_contains, vec
 from metric_affine.quadform import (QForm, all_vectors, enumerate_forms,
                                     qf_eval, reflection)
@@ -175,10 +175,12 @@ def test_scaled_transvections_stay_outside_exhaustive(F, n):
                                  (GF3, 2), (GF4, 1), (GF5, 1)])
 def test_table_route_matches_brute_force(F, n):
     # budget 1 puts GL past the budget, so every map is tested on its own;
-    # the default budget reads the per-(field, dim) orbit table
+    # the default budget reads the per-(field, dim) orbit table.  delta_orth
+    # always tests each map, so its orders are held against the record's.
     for Q in enumerate_forms(F, n):
         for fv in nonzero_vectors(F, n):
-            assert delta_orth(Q, fv, budget=1) == delta_orth(Q, fv)
+            go, gw = delta_orth(Q, fv)
+            assert (go.order, gw.order) == classify_direction(Q, fv).actual
             assert (classify_direction(Q, fv, budget=1)
                     == classify_direction(Q, fv))
             assert (annihilator_transvections_in_weak(Q, fv, budget=1)
@@ -188,14 +190,16 @@ def test_table_route_matches_brute_force(F, n):
 
 
 # The lemma functions as they were before the per-form record: every pair
-# made its own delta_orth, span_contains, qf_eval and reflection calls, and
-# tested its annihilator transvections against O'(Q) one key at a time.
+# made its own span_contains, qf_eval and reflection calls, tested each
+# element of Delta_f against O(Q) and O'(Q) one code at a time (the
+# in-budget route delta_orth took), and tested its annihilator transvections
+# against O'(Q) the same way.
 
 def _per_pair_classify_direction(Q, fv):
     f = vec(Q.field, fv)
     field, n = Q.field, Q.n
     q = field.order
-    rad = _member_table(field, n)[Q.gram.rows][2]
+    o_keys, w_keys, rad = _member_table(field, n)[Q.gram.rows]
     k = len(rad)
     in_rad = span_contains(rad, f)
     isotropic = qf_eval(Q, f) == field.zero
@@ -206,25 +210,30 @@ def _per_pair_classify_direction(Q, fv):
         letter, predicted = "d", ((q - 1) * q ** (n - 1), q ** (n - k))
     else:
         letter, predicted = "c", (1, 1)
-    go, gw = delta_orth(Q, f)
-    actual = (go.order, gw.order)
+    in_o = [c for c in delta_group(field, n, f).elems.tolist()
+            if c in o_keys]
+    actual = (len(in_o), sum(c in w_keys for c in in_o))
     assert actual == predicted
-    assert letter != "a" or reflection(Q, f) in go
+    assert letter != "a" or _code(reflection(Q, f)) in in_o
     return DirectionCase(letter=letter, in_radical=in_rad,
                          isotropic=isotropic, predicted=predicted,
                          actual=actual)
 
 
+def _code(A):
+    return int(matrix_codes(A.field, mat_to_np(A)))
+
+
 @functools.lru_cache(maxsize=None)
 def _annihilator_keys(field, n, fv):
-    """Keys of I + f a*^T over every a* with <a*, f> = 0, and of their
+    """Codes of I + f a*^T over every a* with <a*, f> = 0, and of their
     scalings s not in {0, 1} for a* != o, by brute force over the duals."""
     f = vec(field, fv)
     duals = [vec(field, a) for a in all_vectors(field, n)]
     maps = [(a, delta_make(a, f).matrix) for a in duals
             if pairing(a, f) == field.zero]
-    return ([encode_np(mat_to_np(A)) for _a, A in maps],
-            [encode_np(mat_to_np(A.scale(s))) for s in field.units()
+    return ([_code(A) for _a, A in maps],
+            [_code(A.scale(s)) for s in field.units()
              if s != field.one for a, A in maps if not a.is_zero()])
 
 
