@@ -17,16 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (GroupSet, InvariantViolation, _gl_arrays, check_budget,
-                     congruence_decomposition, enumerate_gl, form_values_np,
-                     group_budget, group_equal, groups_by_orbit, is_subgroup,
-                     matmul_np, memo, vectors_np, weak_orthogonal_group,
-                     orthogonal_group)
-from .homog import (DegeneratePolarForm, NotDroppable, drop, lift,
+from .groups import (GroupSet, InvariantViolation, _gl_arrays,
+                     _monomials_np, check_budget, congruence_decomposition,
+                     enumerate_gl, form_values_np, group_budget, group_equal,
+                     groups_by_orbit, is_subgroup, matmul_np, memo,
+                     vectors_np, weak_orthogonal_group, orthogonal_group)
+from .homog import (DegeneratePolarForm, NotDroppable, drop, lift, lift_np,
                     motion_group_dual)
-from .linalg import annihilator, kernel_basis, unit_vector, vec
 from .quadform import (QForm, enumerate_forms, is_nondegenerate, poly_str,
-                       polar, qf_proportional, qf_scale)
+                       qf_proportional, qf_scale)
 
 MODE_MOTION = "motion"       # full motion group on the left
 MODE_WEAK = "weak"           # weak motion group on the left
@@ -430,14 +429,20 @@ def render_table_lines(report):
 
 # --- projective view -------------------------------------------------------
 
-def projective_rep(fld, entries):
-    """Scale so the first non-zero entry (in order) becomes 1."""
-    entries = tuple(entries)
-    for x in entries:
-        if x != fld.zero:
-            inv = fld.inv(x)
-            return tuple(fld.mul(inv, e) for e in entries)
-    return entries
+def _projective_canon_np(fld, rows):
+    """Canonicalise each nonzero row of an integer-coded stack to its
+    projective representative; rows full of zeros are dropped.
+
+    Each row is scaled by the inverse of its first nonzero entry, as a
+    1 x 1 times 1 x m product.
+    """
+    rows = np.asarray(rows, dtype=np.uint8)
+    rows = rows[(rows != 0).any(axis=1)]
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    inv = memo(("_projective_canon_np", fld.name), lambda: np.array(
+        [0] + [fld.inv(c) for c in range(1, fld.order)], dtype=np.uint8))
+    return matmul_np(fld, inv[lead][:, np.newaxis, np.newaxis],
+                     rows[:, np.newaxis, :])[:, 0]
 
 
 def projective_reduce(gs):
@@ -504,56 +509,16 @@ def verify_projective_theorem(fld, n, budget=None):
 
 # --- the absolute quadric and its dual description -------------------------
 
-def _projective_canon_np(fld, rows):
-    """Canonicalise each nonzero row of an integer-coded stack to its
-    projective representative; rows full of zeros are dropped.
-
-    Bulk counterpart of projective_rep: each row is scaled by the inverse
-    of its first nonzero entry, as a 1 x 1 times 1 x m product.
-    """
-    rows = np.asarray(rows, dtype=np.uint8)
-    rows = rows[(rows != 0).any(axis=1)]
-    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
-    inv = memo(("_projective_canon_np", fld.name), lambda: np.array(
-        [0] + [fld.inv(c) for c in range(1, fld.order)], dtype=np.uint8))
-    return matmul_np(fld, inv[lead][:, np.newaxis, np.newaxis],
-                     rows[:, np.newaxis, :])[:, 0]
-
-
-def _tangent_pencil(fld, n, bx):
-    """Annihilators of the hyperplanes of F x V containing {0} x ker(bx).
-
-    The tangent space at a quadric point x enters only through the
-    functional bx = B x, so the whole derivation — kernel, embedding at
-    infinity, annihilator, projective span — is memoized on bx; across a
-    sweep the same few functionals recur for thousands of forms.
-    """
+def _rep_mask(fld, n):
+    """Mask over the vector table of F^n (n >= 1): the vectors that are
+    their own projective representative, nonzero with first nonzero entry 1."""
     def build():
-        row = vec(fld, bx).T
-        tangent = kernel_basis(row)              # n-1 directions in V
-        assert len(tangent) == n - 1
-        at_infinity = [vec(fld, (fld.zero,) + tuple(y.entries()))
-                       for y in tangent]         # inside F x V
-        pencil = annihilator(fld, n + 1, at_infinity)
-        assert len(pencil) == 2
-        span = np.array([p.entries() for p in pencil], dtype=np.int64)
-        q = fld.order
-        combos = np.array([(c0, c1) for c0 in range(q) for c1 in range(q)],
-                          dtype=np.int64)
-        canon = _projective_canon_np(fld, (combos @ span) % q)
-        return frozenset(map(tuple, canon.tolist()))
-    return memo(("_tangent_pencil", fld.name, n, bx), build)
-
-
-def _projective_reps(fld, n):
-    """The vector table as tuples, and a mask of the vectors that are their
-    own projective representative (the zero vector is not)."""
-    def build():
-        vecs = [tuple(v) for v in vectors_np(fld, n).tolist()]
-        mask = np.array([any(v) and projective_rep(fld, v) == v
-                         for v in vecs], dtype=bool)
-        return vecs, mask
-    return memo(("_projective_reps", fld.name, n), build)
+        V = vectors_np(fld, n)
+        lead = V[np.arange(len(V)), (V != 0).argmax(axis=1)]
+        mask = lead == 1
+        mask.setflags(write=False)
+        return mask
+    return memo(("_rep_mask", fld.name, n), build)
 
 
 def quadric_points(Q):
@@ -566,9 +531,8 @@ def quadric_points(Q):
     fld, n = Q.field, Q.n
     if n == 0:
         return set()
-    vecs, is_rep = _projective_reps(fld, n)
-    vals = form_values_np(Q)        # one entry per vector, index-aligned
-    return {vecs[i] for i in np.flatnonzero((vals == 0) & is_rep).tolist()}
+    hit = (form_values_np(Q) == 0) & _rep_mask(fld, n)
+    return set(map(tuple, vectors_np(fld, n)[hit].tolist()))
 
 
 @dataclass(frozen=True)
@@ -587,6 +551,101 @@ class QuadricReport:
         return self.status in ("ok", "empty-quadric")
 
 
+# the statuses a block of the quadric table codes as 0 .. 3
+_BLOCK_STATUSES = ("ok", "empty-quadric", "degenerate-polar", "mismatch")
+# value-table entries per block: 2,048 forms at GF(5)^3, proportionally
+# fewer where F^(n+1) is larger, so that one check pays for a bounded block
+_BLOCK_ENTRIES = 2048 * 5 ** 4
+
+
+def _block_size(fld, n):
+    return max(1, _BLOCK_ENTRIES // fld.order ** (n + 1))
+
+
+def _values_np(fld, n, C, cols):
+    """Values mod p of the forms with upper coefficients C (shape (k, m))
+    at the vectors of F^n with the given indices, as a (k, len(cols))
+    int16 table: each of the m terms is below p^3, so the sum stays small."""
+    mono = (_monomials_np(fld, n)[cols].T % fld.order).astype(np.int16)
+    return np.einsum("km,mv->kv", C.astype(np.int16), mono) % fld.order
+
+
+def _quadric_block(fld, n, block):
+    """quadric_duality_check for every form of one block of consecutive
+    positions in enumerate_forms order, on the block's coefficient stack.
+
+    Returns (status codes into _BLOCK_STATUSES, the three point counts per
+    form, {row: details} for the mismatching rows).
+    """
+    q, m = fld.order, n * (n + 1) // 2
+    size = _block_size(fld, n)
+    start = block * size
+    k = min(size, q ** m - start)
+    # the base-q digits of start + i, the first most significant: start's
+    # digits as Python ints (q^m can pass 2^63), then i added to the last
+    # digit and the carries passed up
+    W = np.tile(np.array([start // q ** e % q for e in range(m - 1, -1, -1)],
+                         dtype=np.int64), (k, 1))
+    W[:, -1] += np.arange(k)
+    for j in range(m - 1, 0, -1):
+        W[:, j - 1] += W[:, j] // q
+        W[:, j] %= q
+    W = W.astype(np.uint8)
+    ok, up = lift_np(fld, n, W)
+
+    # base side, over all of F^n: the null cone without 0
+    null = _values_np(fld, n, W, slice(None)) == 0
+    null[:, 0] = False
+    base = np.count_nonzero(null[:, _rep_mask(fld, n)], axis=1)
+
+    # lifted side, over the representatives of F^(n+1); the first of them
+    # is the vertex e0 = (1, 0, ..., 0), the vector with index 1
+    reps = np.flatnonzero(_rep_mask(fld, n + 1))
+    lifted = _values_np(fld, n + 1, up, reps) == 0
+    if not lifted[ok, 0].all():
+        raise InvariantViolation("a stacked lift over %s, dim %d, is nonzero "
+                                 "at e0" % (fld.name, n))
+
+    # hyperplane side: the annihilators of the hyperplanes through the
+    # tangent space at x at infinity are span(e0, (0, Bx)), so rhs holds
+    # (a0 : y) for y in F* Bx, x a base point, and e0.  B maps the null
+    # cone without 0 one-to-one onto those y on every non-degenerate row.
+    iu, ju = np.triu_indices(n)
+    B = np.zeros((k, n, n), dtype=np.int16)
+    B[:, iu, ju] = W
+    B += B.transpose(0, 2, 1)
+    images = np.einsum("kij,jv->kiv", B,
+                       vectors_np(fld, n).T.astype(np.int16)) % q
+    codes = np.einsum("kiv,i->kv", images.astype(np.int32),
+                      q ** np.arange(n, dtype=np.int32))   # index of B v
+    marked = np.zeros_like(null)
+    marked[np.arange(k)[:, np.newaxis], codes] = null & ok[:, np.newaxis]
+    rhs = marked[:, reps // q]      # the index of (a0, y) is a0 + q idx(y)
+    rhs[:, 0] = base > 0
+
+    # where the base quadric is nonempty, both sides hold e0, so a form
+    # matches when its two masks agree
+    status = np.where((rhs != lifted).any(axis=1), 3, 0)
+    status[base == 0] = 1
+    status[~ok] = 2
+    counts = np.stack([base, np.count_nonzero(lifted, axis=1),
+                       np.count_nonzero(rhs, axis=1)], axis=1)
+    counts[(status == 1) | (status == 2)] = 0
+    details = {}
+    points = vectors_np(fld, n + 1)[reps]
+    for r in np.flatnonzero(status == 3).tolist():
+        missed = lifted[r] & ~rhs[r]
+        missed[0] = False
+        details[r] = tuple(
+            [("hyperplane-annihilator-off-quadric", a)
+             for a in sorted(map(tuple, points[rhs[r] & ~lifted[r]].tolist()))]
+            + [("quadric-point-not-an-annihilator", a)
+               for a in sorted(map(tuple, points[missed].tolist()))]
+            + ([("vertex-missing-from-annihilators",
+                 tuple(points[0].tolist()))] if not rhs[r, 0] else []))
+    return status.astype(np.uint8), counts, details
+
+
 def quadric_duality_check(Q):
     """The lifted quadric equals the annihilators of the hyperplanes that
     contain a maximal tangent space of the base quadric at infinity.
@@ -594,38 +653,23 @@ def quadric_duality_check(Q):
     Verified point by point in both directions (the distinguished vertex is
     left out on the lifted side, and re-checked separately against the
     hyperplane at infinity).  Characteristic 2 is excluded by design: the
-    description is not established there.
+    description is not established there.  The answer is read from a table
+    memoised per (field, n) and built in blocks of consecutive forms.
     """
     fld, n = Q.field, Q.n
     if fld.char == 2:
         return QuadricReport(fld.name, n, "char-2-excluded", 0, 0, 0, ())
     if n < 2:
         return QuadricReport(fld.name, n, "dim-too-small", 0, 0, 0, ())
-    try:
-        up = lift(Q)
-    except DegeneratePolarForm:
-        return QuadricReport(fld.name, n, "degenerate-polar", 0, 0, 0, ())
-    base = quadric_points(Q)
-    if not base:
-        return QuadricReport(fld.name, n, "empty-quadric", 0, 0, 0, ())
-
-    lifted = quadric_points(up)
-    vertex = projective_rep(fld, unit_vector(fld, n + 1, 0).entries())
-
-    B = polar(Q).rows       # symmetric, so row i of B pairs with x to (Bx)_i
-    rhs = set()
-    for x in base:
-        rhs |= _tangent_pencil(fld, n, tuple(fld.dot(b, x) for b in B))
-
-    details = []
-    for a in sorted(rhs):
-        if a not in lifted:
-            details.append(("hyperplane-annihilator-off-quadric", a))
-    for a in sorted(lifted - {vertex}):
-        if a not in rhs:
-            details.append(("quadric-point-not-an-annihilator", a))
-    if vertex not in rhs:
-        details.append(("vertex-missing-from-annihilators", vertex))
-    status = "ok" if not details else "mismatch"
-    return QuadricReport(fld.name, n, status, len(base), len(lifted),
-                         len(rhs), tuple(details))
+    if not fld.enumerable:
+        raise ValueError("the quadric check enumerates points; %s is not "
+                         "a finite field" % fld.name)
+    q, size = fld.order, _block_size(fld, n)
+    pos = 0
+    for c in Q.upper_coeffs():      # base-q digits, the first most significant
+        pos = pos * q + c
+    block, row = divmod(pos, size)
+    status, counts, details = memo(("_quadric_block", fld.name, n, block),
+                                   lambda: _quadric_block(fld, n, block))
+    return QuadricReport(fld.name, n, _BLOCK_STATUSES[status[row]],
+                         *counts[row].tolist(), details.get(row, ()))

@@ -39,7 +39,7 @@ import numpy as np
 
 from .fields import GF4Field
 from .linalg import Mat
-from .quadform import enumerate_forms, radical_basis
+from .quadform import QForm, enumerate_forms, radical_basis
 
 DEFAULT_BUDGET = 25_000
 HARD_BUDGET_CEILING = 10_000_000
@@ -183,6 +183,47 @@ def matrix_codes(field, stack):
     n = stack.shape[-1]
     flat = stack.reshape(stack.shape[:-2] + (n * n,)).astype(np.int64)
     return flat @ _code_powers(field, n)
+
+
+def invert_np(field, stack):
+    """(ok, inverse) for a (k, n, n) integer-coded stack over a prime field:
+    ok marks the invertible matrices, and inverse holds their inverses
+    (its other rows are meaningless).  Gauss-Jordan on [A | I], every
+    matrix of the stack at once."""
+    assert not _is_gf4(field), "invert_np works over prime fields"
+    p, (k, n) = field.order, stack.shape[:2]
+    inv = np.array([0] + [field.inv(c) for c in range(1, p)], dtype=np.int16)
+    aug = np.concatenate([np.asarray(stack, dtype=np.int16) % p,
+                          np.broadcast_to(np.eye(n, dtype=np.int16),
+                                          (k, n, n))], axis=2)
+    ok = np.ones(k, dtype=bool)
+    rows = np.arange(k)
+    for c in range(n):
+        # pivot on the first row at or below c with a nonzero entry in
+        # column c; a matrix without one is singular, and its pivot row
+        # is scaled to zero, which leaves the other rows as they are
+        nonzero = aug[:, c:, c] != 0
+        ok &= nonzero.any(axis=1)
+        piv = c + nonzero.argmax(axis=1)
+        top = aug[rows, piv]
+        aug[rows, piv] = aug[:, c]
+        aug[:, c] = top * inv[top[:, c]][:, np.newaxis] % p
+        factor = aug[:, :, c].copy()
+        factor[:, c] = 0
+        aug = (aug - factor[:, :, np.newaxis] * aug[:, c:c + 1]) % p
+    return ok, aug[:, :, n:].astype(np.uint8)
+
+
+def upper_coeffs_np(field, S):
+    """The canonical upper coefficients (as in QForm.upper_coeffs) of every
+    Gram matrix in a (..., n, n) stack: the diagonal kept, the strictly-lower
+    part folded onto the upper one."""
+    n = S.shape[-1]
+    iu, ju = np.triu_indices(n)
+    upper, lower = S[..., iu, ju], np.where(iu == ju, 0, S[..., ju, iu])
+    if _is_gf4(field):
+        return upper ^ lower
+    return ((upper + lower) % field.order).astype(np.uint8)
 
 
 def _gl_arrays(field, n, budget=None):
@@ -379,14 +420,11 @@ def congruence_codes(field, W, G):
     """The form x |-> Q(A x) (Gram A^T W A) for every A in the stack G, coded
     as its position in enumerate_forms order: the canonical upper
     coefficients read as base-q digits, the first one most significant."""
-    q, n = field.order, W.shape[-1]
+    q = field.order
     S = matmul_np(field, matmul_np(field, G.transpose(0, 2, 1), W), G)
-    # canonicalise: keep the diagonal, fold the strictly-lower part up
-    iu, ju = np.triu_indices(n)
-    upper, lower = S[:, iu, ju], np.where(iu == ju, 0, S[:, ju, iu])
-    coeffs = upper ^ lower if _is_gf4(field) else (upper + lower) % q
-    return coeffs.astype(np.int64) @ q ** np.arange(len(iu) - 1, -1, -1,
-                                                   dtype=np.int64)
+    coeffs = upper_coeffs_np(field, S).astype(np.int64)
+    return coeffs @ q ** np.arange(coeffs.shape[-1] - 1, -1, -1,
+                                   dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -514,16 +552,19 @@ def _exceptional_shape(Q, budget=None):
     if n >= 4:
         shapes.append((CASE_HYPERBOLIC_PAIR, (0, 1) + (0,) * (2 * n - 2)
                        + (1,) + (0,) * (m - 2 * n - 1)))
-
-    def position(coeffs):
-        # in enumerate_forms order: the coefficients as binary digits, the
-        # first one most significant
-        return int("".join(map(str, coeffs)), 2)
-    _forms, orbits = congruence_decomposition(field, n, budget)
-    orbit = next(o.members for o in orbits
-                 if position(Q.upper_coeffs()) in o.members)
-    return next((tag for tag, coeffs in shapes if position(coeffs) in orbit),
-                None)
+    check_budget(field, n, budget)
+    # Q's position in enumerate_forms order: its coefficients as binary
+    # digits, the first one most significant
+    here = int("".join(map(str, Q.upper_coeffs())), 2)
+    for tag, coeffs in shapes:
+        # the congruence orbit of the shape, coded once per (n, shape)
+        W = mat_to_np(QForm.from_upper(field, n, coeffs).gram)
+        orbit = memo(("_exceptional_shape", field.name, n, tag),
+                     lambda: congruence_codes(field, W,
+                                              _gl_arrays(field, n, budget)))
+        if (orbit == here).any():
+            return tag
+    return None
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .groups import (GroupSet, InvariantViolation, check_budget, memo,
-                     vectors_np)
-from .linalg import Mat, mat_invert, span_contains, unit_vector, vec
+from .groups import (GroupSet, InvariantViolation, check_budget, invert_np,
+                     matmul_np, memo, upper_coeffs_np, vectors_np)
+from .linalg import (Mat, Singular, mat_invert, span_contains, unit_vector,
+                     vec)
 from .quadform import (QForm, is_isometry, is_nondegenerate, poly_str, polar,
                        polar_apply, qf_eval, qf_scale, radical_basis,
                        reflection)
@@ -120,8 +121,9 @@ def point_matrix(model, gamma):
 def dual_matrix(model, gamma):
     """The action on (a0, a*) columns: [[1, -t^T A^-T], [0, A^-T]].
 
-    This is exactly the inverse transpose of point_matrix(gamma), and its
-    first column is e0, i.e. the distinguished dual vector stays put.
+    This is exactly the inverse transpose of point_matrix(gamma) (checked;
+    InvariantViolation otherwise), so its first column is e0, i.e. the
+    distinguished dual vector stays put.
     """
     F, n = model.fld, model.n
     z, o = F.zero, F.one
@@ -132,7 +134,9 @@ def dual_matrix(model, gamma):
     for i in range(n):
         rows.append([z] + list(AinvT.rows[i]))
     out = Mat(F, rows, (n + 1, n + 1))
-    assert out.col(0) == model.e0
+    if out.T * point_matrix(model, gamma) != Mat.identity(F, n + 1):
+        raise InvariantViolation("dual matrix of %r is not the inverse "
+                                 "transpose of its point matrix" % (gamma,))
     return out
 
 
@@ -151,33 +155,66 @@ def dual_matrix_preimage(model, kappa):
     u = vec(F, kappa.rows[0][1:])                           # -t^T A^-T as row
     t = -(A * u)
     gamma = AffineMap(t, A)
-    assert dual_matrix(model, gamma) == kappa
+    if dual_matrix(model, gamma) != kappa:
+        raise InvariantViolation("%r is not the preimage of %r"
+                                 % (gamma, kappa))
     return gamma
 
 
 def lift(Q):
     """The companion form on F x V*: Gram diag(0, B^-1 W B^-1).
 
-    Only defined when the polar form B is non-degenerate; the result
-    vanishes at e0 and its polar radical is exactly the line F e0 (both
-    checked; InvariantViolation otherwise).
+    Only defined when the polar form B is non-degenerate.  The result
+    vanishes at e0, and the lower-right block of its polar matrix is B^-1;
+    with its first row and column zero, that makes the polar radical
+    exactly the line F e0.  Both are checked (InvariantViolation otherwise).
     """
     F, n = Q.field, Q.n
-    if radical_basis(Q):
+    B = polar(Q)
+    try:
+        Binv = mat_invert(B)
+    except Singular:
         raise DegeneratePolarForm(
-            "polar form of %s is degenerate" % poly_str(Q))
-    Binv = mat_invert(polar(Q))
+            "polar form of %s is degenerate" % poly_str(Q)) from None
     core = Binv * Q.gram * Binv
     z = F.zero
     rows = ((z,) * (n + 1),) + tuple((z,) + r for r in core.rows)
     out = QForm(F, Mat._trusted(F, rows, n + 1, n + 1))
-    model = homog_model(F, n)
-    rad = radical_basis(out)
-    if (qf_eval(out, model.e0) != F.zero or len(rad) != 1
-            or not span_contains(rad, model.e0)):
+    body = range(1, n + 1)
+    if (polar(out).submatrix(body, body) * B != Mat.identity(F, n)
+            or qf_eval(out, homog_model(F, n).e0) != F.zero):
         raise InvariantViolation("lift of %s must vanish at e0 and have "
-                                 "radical F e0" % poly_str(Q))
+                                 "polar block B^-1" % poly_str(Q))
     return out
+
+
+def lift_np(field, n, W):
+    """lift for a stack of forms on F^n over a prime field, held as upper
+    coefficients W (shape (k, n(n+1)/2)): (ok, up), where ok marks the
+    forms with a non-degenerate polar form and up holds the upper
+    coefficients of their lifts on F^(n+1) (other rows are meaningless).
+
+    One stacked Gauss-Jordan inverts every B = W + W^T; the lift is then
+    zero on the first row and B^-1 W B^-1 below it.  As in lift, the polar
+    block of the lift times B must be the identity (InvariantViolation
+    otherwise), on every row of ok.
+    """
+    k = len(W)
+    iu, ju = np.triu_indices(n)
+    G = np.zeros((k, n, n), dtype=np.uint8)
+    G[:, iu, ju] = W
+    B = (G + G.transpose(0, 2, 1)) % field.order
+    ok, Binv = invert_np(field, B)
+    core = upper_coeffs_np(field, matmul_np(field, matmul_np(field, Binv, G),
+                                            Binv))
+    C = np.zeros((k, n, n), dtype=np.uint8)
+    C[:, iu, ju] = core
+    block = (C + C.transpose(0, 2, 1)) % field.order
+    if (matmul_np(field, block[ok], B[ok]) != np.eye(n, dtype=np.uint8)).any():
+        raise InvariantViolation("a stacked lift over %s, dim %d, fails "
+                                 "polar block * B = I" % (field.name, n))
+    return ok, np.concatenate([np.zeros((k, n + 1), dtype=np.uint8), core],
+                              axis=1)
 
 
 def drop(Qt):
@@ -200,7 +237,9 @@ def drop(Qt):
     Wsub = Qt.gram.submatrix(body, body)
     Sinv = mat_invert(S)
     out = QForm(F, Sinv * Wsub * Sinv)
-    assert is_nondegenerate(out)
+    if not is_nondegenerate(out):
+        raise InvariantViolation("drop of %s is degenerate"
+                                 % poly_str(Qt, "a", 0))
     return out
 
 
@@ -285,7 +324,9 @@ def motion_group_dual(Q, weak, budget=None):
         out[..., 0, 1:] = S
         out[..., 1:, 1:] = linear.as_np().transpose(0, 2, 1)[:, np.newaxis]
         out = GroupSet.from_np(F, n + 1, out.reshape(-1, n + 1, n + 1))
-        assert out.order == (F.order ** n) * linear.order
+        if out.order != (F.order ** n) * linear.order:
+            raise InvariantViolation("motion group of %s has repeated "
+                                     "elements" % poly_str(Q))
         return out
     return memo(("motion_group_dual", F.name, n, Q.gram.rows, bool(weak)),
                 build)
@@ -295,7 +336,8 @@ def affine_reflection(Q, p, r):
     """The affine reflection x |-> x - Q(r)^-1 B(r, x - p) r.
 
     Linear part: the reflection along r; translation: Q(r)^-1 B(r,p) r.
-    Its linear part lands in the weak orthogonal group (asserted).
+    Its linear part lands in the weak orthogonal group, and the map fixes
+    p (checked; InvariantViolation otherwise).
     """
     F = Q.field
     if not isinstance(p, Mat):
@@ -305,10 +347,16 @@ def affine_reflection(Q, p, r):
     A = reflection(Q, r)  # raises NotReflectable when Q(r) = 0
     c = F.mul(F.inv(qf_eval(Q, r)), polar_apply(Q, r, p))
     t = r.scale(c)
-    assert is_isometry(Q, A)
-    assert all(A * rad == rad for rad in radical_basis(Q))
+    if not is_isometry(Q, A):
+        raise InvariantViolation("reflection along %r is no isometry"
+                                 % (r.entries(),))
+    if any(A * rad != rad for rad in radical_basis(Q)):
+        raise InvariantViolation("reflection along %r moves the radical"
+                                 % (r.entries(),))
     gamma = AffineMap(t, A)
-    assert gamma.apply(p) == p, "the axis point must stay fixed"
+    if gamma.apply(p) != p:
+        raise InvariantViolation("the axis point %r must stay fixed"
+                                 % (p.entries(),))
     return gamma
 
 

@@ -2,26 +2,31 @@
 
 import textwrap
 
+import numpy as np
 import pytest
 
-from metric_affine import groups
+from metric_affine import classify, groups
 from metric_affine.classify import (MODE_MOTION, MODE_WEAK, MODES,
-                                    SUPPORTED_TABLES,
+                                    SUPPORTED_TABLES, QuadricReport,
+                                    _projective_canon_np,
                                     dyad_report, dyad_satisfies,
                                     quadric_duality_check, quadric_points,
-                                    projective_reduce, projective_rep,
+                                    projective_reduce,
                                     render_table_lines,
                                     reproduce_table, solve_for_qtilde,
                                     verify_main_prop,
                                     verify_projective_theorem,
                                     weak_group_index)
 from metric_affine.fields import GF2, GF3, GF4, GF5, GF7
-from metric_affine.groups import (GroupSet, enumerate_gl, group_equal,
-                                  groups_by_orbit, orthogonal_group,
+from metric_affine.groups import (GroupSet, enumerate_gl, form_values_np,
+                                  group_equal, groups_by_orbit,
+                                  orthogonal_group, vectors_np,
                                   weak_orthogonal_group)
-from metric_affine.homog import motion_group_dual
-from metric_affine.linalg import Mat
-from metric_affine.quadform import QForm, enumerate_forms
+from metric_affine.homog import (DegeneratePolarForm, lift,
+                                 motion_group_dual)
+from metric_affine.linalg import (Mat, annihilator, kernel_basis,
+                                  unit_vector, vec)
+from metric_affine.quadform import QForm, enumerate_forms, polar
 
 
 def test_dyad_report_on_matched_pair():
@@ -217,6 +222,16 @@ def test_projective_reduce_binary_is_identity_on_groups():
     assert projective_reduce(gl).order == gl.order
 
 
+def projective_rep(fld, entries):
+    """Scale so the first non-zero entry (in order) becomes 1."""
+    entries = tuple(entries)
+    for x in entries:
+        if x != fld.zero:
+            inv = fld.inv(x)
+            return tuple(fld.mul(inv, e) for e in entries)
+    return entries
+
+
 def _per_matrix_projective_reduce(gs):
     """projective_reduce one Mat at a time: each matrix's row-major entries
     rescaled by projective_rep, the route it first took."""
@@ -263,12 +278,176 @@ def test_projective_witness_is_genuine():
 
 
 # --- quadric duality -------------------------------------------------------
+#
+# The per-form route quadric_duality_check first took is kept here as the
+# oracle of the block table: lift Q, list both quadrics point by point, and
+# take the union of the tangent pencils of the base points.
+
+_ORACLE_MEMO = {}
+
+
+def _projective_reps(fld, n):
+    """The vector table as tuples, and a mask of the vectors that are their
+    own projective representative (the zero vector is not)."""
+    key = ("reps", fld.name, n)
+    if key not in _ORACLE_MEMO:
+        vecs = [tuple(v) for v in vectors_np(fld, n).tolist()]
+        mask = np.array([any(v) and projective_rep(fld, v) == v
+                         for v in vecs], dtype=bool)
+        _ORACLE_MEMO[key] = vecs, mask
+    return _ORACLE_MEMO[key]
+
+
+def _per_form_quadric_points(Q):
+    vecs, is_rep = _projective_reps(Q.field, Q.n)
+    vals = form_values_np(Q)
+    return {vecs[i] for i in np.flatnonzero((vals == 0) & is_rep).tolist()}
+
+
+def _tangent_pencil(fld, n, bx):
+    """Annihilators of the hyperplanes of F x V containing {0} x ker(bx),
+    memoised on the functional bx = B x."""
+    key = ("pencil", fld.name, n, bx)
+    if key not in _ORACLE_MEMO:
+        tangent = kernel_basis(vec(fld, bx).T)   # n-1 directions in V
+        assert len(tangent) == n - 1
+        at_infinity = [vec(fld, (fld.zero,) + tuple(y.entries()))
+                       for y in tangent]         # inside F x V
+        pencil = annihilator(fld, n + 1, at_infinity)
+        assert len(pencil) == 2
+        span = np.array([p.entries() for p in pencil], dtype=np.int64)
+        q = fld.order
+        combos = np.array([(c0, c1) for c0 in range(q) for c1 in range(q)],
+                          dtype=np.int64)
+        canon = _projective_canon_np(fld, (combos @ span) % q)
+        _ORACLE_MEMO[key] = frozenset(map(tuple, canon.tolist()))
+    return _ORACLE_MEMO[key]
+
+
+def _per_form_quadric_check(Q, lift=lift):
+    """quadric_duality_check one form at a time."""
+    fld, n = Q.field, Q.n
+    if fld.char == 2:
+        return QuadricReport(fld.name, n, "char-2-excluded", 0, 0, 0, ())
+    if n < 2:
+        return QuadricReport(fld.name, n, "dim-too-small", 0, 0, 0, ())
+    try:
+        up = lift(Q)
+    except DegeneratePolarForm:
+        return QuadricReport(fld.name, n, "degenerate-polar", 0, 0, 0, ())
+    base = _per_form_quadric_points(Q)
+    if not base:
+        return QuadricReport(fld.name, n, "empty-quadric", 0, 0, 0, ())
+
+    lifted = _per_form_quadric_points(up)
+    vertex = projective_rep(fld, unit_vector(fld, n + 1, 0).entries())
+
+    B = polar(Q).rows       # symmetric, so row i of B pairs with x to (Bx)_i
+    rhs = set()
+    for x in base:
+        rhs |= _tangent_pencil(fld, n, tuple(fld.dot(b, x) for b in B))
+
+    details = []
+    for a in sorted(rhs):
+        if a not in lifted:
+            details.append(("hyperplane-annihilator-off-quadric", a))
+    for a in sorted(lifted - {vertex}):
+        if a not in rhs:
+            details.append(("quadric-point-not-an-annihilator", a))
+    if vertex not in rhs:
+        details.append(("vertex-missing-from-annihilators", vertex))
+    status = "ok" if not details else "mismatch"
+    return QuadricReport(fld.name, n, status, len(base), len(lifted),
+                         len(rhs), tuple(details))
+
+
+@pytest.fixture
+def cold_memo():
+    """An empty memo table for the test, the previous one restored after."""
+    saved = dict(groups._MEMO)
+    groups._MEMO.clear()
+    yield
+    groups._MEMO.clear()
+    groups._MEMO.update(saved)
+
 
 def test_quadric_points_projective_reps():
     # x1^2 + 4 x2^2 = x1^2 - x2^2 over GF(5): two projective points
     pts = quadric_points(QForm.from_upper(GF5, 2, (1, 0, 4)))
     assert pts == {(1, 1), (1, 4)}
     assert quadric_points(QForm.from_upper(GF3, 2, (1, 0, 1))) == set()
+
+
+@pytest.mark.parametrize("F,n", [(GF3, 2), (GF3, 3), (GF4, 2), (GF5, 2),
+                                 (GF7, 2)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_quadric_points_match_per_form_route(F, n):
+    for Q in enumerate_forms(F, n):
+        assert quadric_points(Q) == _per_form_quadric_points(Q), Q
+
+
+@pytest.mark.parametrize("F,n", [(GF3, 2), (GF3, 3), (GF5, 2), (GF5, 3),
+                                 (GF7, 2)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_quadric_table_matches_per_form_route(F, n, cold_memo):
+    for Q in enumerate_forms(F, n):
+        assert quadric_duality_check(Q) == _per_form_quadric_check(Q), Q
+
+
+def _lift_with_a1_squared_bumped(Q):
+    """lift(Q) with the coefficient of a1^2 raised by one."""
+    coeffs = list(lift(Q).upper_coeffs())
+    coeffs[Q.n + 1] = Q.field.add(coeffs[Q.n + 1], Q.field.one)
+    return QForm.from_upper(Q.field, Q.n + 1, coeffs)
+
+
+@pytest.mark.parametrize("F,n", [(GF3, 2), (GF5, 2), (GF3, 3)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_quadric_table_reports_a_perturbed_lift(F, n, cold_memo,
+                                                monkeypatch):
+    lift_np = classify.lift_np
+
+    def bumped_lift_np(field, dim, W):
+        ok, up = lift_np(field, dim, W)
+        up = up.copy()
+        up[:, dim + 1] = (up[:, dim + 1] + 1) % field.order
+        return ok, up
+    monkeypatch.setattr(classify, "lift_np", bumped_lift_np)
+    tags = ("hyperplane-annihilator-off-quadric",
+            "quadric-point-not-an-annihilator",
+            "vertex-missing-from-annihilators")
+    mismatches = 0
+    for Q in enumerate_forms(F, n):
+        rep = quadric_duality_check(Q)
+        assert rep == _per_form_quadric_check(
+            Q, lift=_lift_with_a1_squared_bumped), Q
+        if rep.status == "mismatch":
+            mismatches += 1
+            assert rep.details and not rep.ok
+            # tags in their fixed order, points sorted within each tag
+            assert list(rep.details) == sorted(
+                rep.details, key=lambda d: (tags.index(d[0]), d[1]))
+    assert mismatches > 0
+
+
+def test_quadric_table_reads_positions_past_int64():
+    # 2 x1^2 + 2 x1x2 + ... + 2 x9^2 over GF(3) sits at position 3^45 - 1,
+    # past the range of an int64
+    Q = QForm.from_upper(GF3, 9, (2,) * 45)
+    rep = quadric_duality_check(Q)
+    assert rep == _per_form_quadric_check(Q)
+    assert (rep.status, rep.base_points) == ("ok", 3280)
+
+
+def test_quadric_block_does_not_depend_on_the_first_form(cold_memo):
+    forms = enumerate_forms(GF5, 3)
+    size = classify._block_size(GF5, 3)
+    block = forms[size:2 * size]        # the second block of the table
+    first = [quadric_duality_check(Q) for Q in block]
+    groups._MEMO.clear()
+    last = [quadric_duality_check(Q) for Q in reversed(block)][::-1]
+    assert first == last
+    assert {rep.status for rep in first} == {"degenerate-polar", "ok"}
 
 
 def test_quadric_duality_worked_example():
@@ -294,10 +473,11 @@ def test_quadric_duality_statuses():
 QUADRIC_TALLIES = {
     (GF3.name, 2): {"degenerate-polar": 9, "empty-quadric": 6, "ok": 12},
     (GF5.name, 2): {"degenerate-polar": 25, "empty-quadric": 40, "ok": 60},
+    (GF7.name, 2): {"degenerate-polar": 49, "empty-quadric": 126, "ok": 168},
 }
 
 
-@pytest.mark.parametrize("F,n", [(GF3, 2), (GF5, 2)])
+@pytest.mark.parametrize("F,n", [(GF3, 2), (GF5, 2), (GF7, 2)])
 def test_quadric_duality_exhaustive(F, n):
     tally = {}
     for Q in enumerate_forms(F, n):
@@ -310,6 +490,46 @@ def test_quadric_duality_three_vars():
     rep = quadric_duality_check(QForm.from_upper(GF3, 3, (1, 0, 0, 1, 0, 1)))
     assert rep.status == "ok"
     assert (rep.base_points, rep.lifted_points, rep.hyperplane_points) == (4, 13, 13)
+
+
+_WRONG_BLOCK_CHILD = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from metric_affine import classify, homog
+    from metric_affine.fields import GF5
+    from metric_affine.groups import InvariantViolation
+    from metric_affine.quadform import QForm
+
+    lift_np = homog.lift_np
+
+    def lift_nonzero_at_e0(field, n, W):
+        ok, up = lift_np(field, n, W)
+        up = up.copy()
+        up[:, 0] = 1        # the coefficient of a0^2
+        return ok, up
+
+    # a zero "inverse" of every B, then lifts that are nonzero at e0
+    patches = ((homog, "invert_np", lambda field, stack: (
+                   np.ones(len(stack), dtype=bool), np.zeros_like(stack))),
+               (classify, "lift_np", lift_nonzero_at_e0))
+    for module, name, wrong in patches:
+        saved = getattr(module, name)
+        setattr(module, name, wrong)
+        try:
+            classify.quadric_duality_check(
+                QForm.from_upper(GF5, 3, (1, 0, 0, 1, 0, 1)))
+        except InvariantViolation:
+            print("optimize=%d raised" % sys.flags.optimize)
+        else:
+            print("optimize=%d passed" % sys.flags.optimize)
+        finally:
+            setattr(module, name, saved)
+""")
+
+
+def test_quadric_block_checks_survive_optimized_interpreter(run_optimized):
+    assert (run_optimized(_WRONG_BLOCK_CHILD)
+            == "optimize=1 raised\noptimize=1 raised\n")
 
 
 _WRONG_SOLUTIONS_CHILD = textwrap.dedent("""

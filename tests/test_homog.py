@@ -3,6 +3,7 @@
 import textwrap
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from metric_affine.groups import (GroupSet, enumerate_gl, orthogonal_group,
 from metric_affine.homog import (AffineMap, DegeneratePolarForm, NotDroppable,
                                  affine_reflection, drop, dual_matrix,
                                  dual_matrix_preimage, homog_model, lift,
-                                 motion_group_dual, point_matrix,
+                                 lift_np, motion_group_dual, point_matrix,
                                  reflection_correspondence, roundtrip_checks)
 from metric_affine.linalg import Mat, mat_invert, vec
 from metric_affine.quadform import (QForm, all_vectors, enumerate_forms,
@@ -127,6 +128,21 @@ def test_lift_requires_nondegenerate_polar():
         lift(QForm.from_upper(GF2, 1, (1,)))  # char 2: B = 0
     with pytest.raises(DegeneratePolarForm):
         lift(QForm.from_upper(GF3, 2, (1, 0, 0)))  # radical line
+
+
+@pytest.mark.parametrize("F,n", [(GF3, 2), (GF3, 3), (GF5, 2)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_lift_matches_stacked_lift(F, n):
+    forms = enumerate_forms(F, n)
+    ok, up = lift_np(F, n, np.array([Q.upper_coeffs() for Q in forms],
+                                    dtype=np.uint8))
+    for Q, nondegenerate, coeffs in zip(forms, ok, up.tolist()):
+        try:
+            want = lift(Q).upper_coeffs()
+        except DegeneratePolarForm:
+            assert not nondegenerate, Q
+        else:
+            assert nondegenerate and tuple(coeffs) == want, Q
 
 
 def test_drop_precondition_reasons():
@@ -283,3 +299,31 @@ _WRONG_LIFT_CHILD = textwrap.dedent("""
 
 def test_lift_check_survives_optimized_interpreter(run_optimized):
     assert run_optimized(_WRONG_LIFT_CHILD) == "optimize=1 raised\n"
+
+
+_WRONG_INVERSE_CHILD = textwrap.dedent("""
+    import sys
+    from metric_affine import homog
+    from metric_affine.fields import GF3
+    from metric_affine.groups import InvariantViolation
+    from metric_affine.linalg import Mat, vec
+
+    model = homog.homog_model(GF3, 1)
+    gamma = homog.AffineMap(vec(GF3, (1,)), Mat(GF3, [[2]]))
+    kappa = homog.dual_matrix(model, gamma)
+    # every matrix "inverts" to the identity, which is wrong for A = 2
+    homog.mat_invert = lambda M: Mat.identity(M.field, M.nrows)
+    for call in (lambda: homog.dual_matrix(model, gamma),
+                 lambda: homog.dual_matrix_preimage(model, kappa)):
+        try:
+            call()
+        except InvariantViolation:
+            print("optimize=%d raised" % sys.flags.optimize)
+        else:
+            print("optimize=%d passed" % sys.flags.optimize)
+""")
+
+
+def test_dual_matrix_checks_survive_optimized_interpreter(run_optimized):
+    assert (run_optimized(_WRONG_INVERSE_CHILD)
+            == "optimize=1 raised\noptimize=1 raised\n")
