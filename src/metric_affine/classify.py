@@ -24,8 +24,8 @@ from .groups import (GroupSet, InvariantViolation, _gl_arrays,
                      vectors_np, weak_orthogonal_group, orthogonal_group)
 from .homog import (DegeneratePolarForm, NotDroppable, drop, lift, lift_np,
                     motion_group_dual)
-from .quadform import (QForm, enumerate_forms, is_nondegenerate, poly_str,
-                       qf_proportional, qf_scale)
+from .quadform import (QForm, enumerate_forms, form_position,
+                       is_nondegenerate, poly_str, qf_proportional, qf_scale)
 
 MODE_MOTION = "motion"       # full motion group on the left
 MODE_WEAK = "weak"           # weak motion group on the left
@@ -281,11 +281,11 @@ def reproduce_table(dim, fld, budget=None):
         entry[0].add(Q)
         entry[1].add(Qt)
     computed_blocks = {(frozenset(l), frozenset(r)) for l, r in by_group.values()}
+    found = {(Q, Qt) for Q, Qt, _rep in pairs}
     for lefts, rights in computed_blocks:
-        for Q in lefts:
-            for Qt in rights:
-                assert (Q, Qt) in {(a, b) for a, b, _ in pairs}, \
-                    "block structure is not complete bipartite"
+        if any((Q, Qt) not in found for Q in lefts for Qt in rights):
+            raise InvariantViolation("block structure is not complete "
+                                     "bipartite")
 
     fixture_blocks = {
         (frozenset(QForm.from_upper(fld, dim, u) for u in lefts),
@@ -345,7 +345,9 @@ def reproduce_table(dim, fld, budget=None):
     for Q in lefts_all:
         ao = motion_group_dual(Q, False, budget)
         aow = motion_group_dual(Q, True, budget)
-        assert is_subgroup(aow, ao)
+        if not is_subgroup(aow, ao):
+            raise InvariantViolation("weak motion group of %r is not a "
+                                     "subgroup of its motion group" % (Q,))
         proper = ao.order > aow.order
         if proper != (Q in expected_proper):
             weak_proper_ok = False
@@ -664,11 +666,7 @@ def quadric_duality_check(Q):
     if not fld.enumerable:
         raise ValueError("the quadric check enumerates points; %s is not "
                          "a finite field" % fld.name)
-    q, size = fld.order, _block_size(fld, n)
-    pos = 0
-    for c in Q.upper_coeffs():      # base-q digits, the first most significant
-        pos = pos * q + c
-    block, row = divmod(pos, size)
+    block, row = divmod(form_position(Q), _block_size(fld, n))
     status, counts, details = memo(("_quadric_block", fld.name, n, block),
                                    lambda: _quadric_block(fld, n, block))
     return QuadricReport(fld.name, n, _BLOCK_STATUSES[status[row]],

@@ -459,9 +459,9 @@ def _build_parser():
 
 def main(argv=None):
     if sys.flags.optimize:
-        # the verified invariants are assert statements, which -O strips
-        print("refusing to run under python -O or PYTHONOPTIMIZE: the "
-              "verification checks are asserts", file=sys.stderr)
+        # the shape and argument checks are asserts, which -O strips
+        print("refusing to run under python -O or PYTHONOPTIMIZE: it strips "
+              "the library's assert statements", file=sys.stderr)
         return EXIT_INPUT
     args = _build_parser().parse_args(argv)
     command = args.command

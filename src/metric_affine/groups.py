@@ -39,7 +39,7 @@ import numpy as np
 
 from .fields import GF4Field
 from .linalg import Mat
-from .quadform import QForm, enumerate_forms, radical_basis
+from .quadform import QForm, enumerate_forms, form_position, radical_basis
 
 DEFAULT_BUDGET = 25_000
 HARD_BUDGET_CEILING = 10_000_000
@@ -553,9 +553,7 @@ def _exceptional_shape(Q, budget=None):
         shapes.append((CASE_HYPERBOLIC_PAIR, (0, 1) + (0,) * (2 * n - 2)
                        + (1,) + (0,) * (m - 2 * n - 1)))
     check_budget(field, n, budget)
-    # Q's position in enumerate_forms order: its coefficients as binary
-    # digits, the first one most significant
-    here = int("".join(map(str, Q.upper_coeffs())), 2)
+    here = form_position(Q)
     for tag, coeffs in shapes:
         # the congruence orbit of the shape, coded once per (n, shape)
         W = mat_to_np(QForm.from_upper(field, n, coeffs).gram)

@@ -4,7 +4,9 @@ Two Gram matrices describe the same form iff they agree on the diagonal and
 on the sums w_ij + w_ji of opposite off-diagonal entries, so we normalise
 once in the constructor: keep the diagonal, fold everything strictly below
 the diagonal into the upper part, and store that upper-triangular matrix.
-Form equality is then plain matrix equality.
+Form equality is then plain matrix equality.  Forms given by their upper
+coefficients (`from_upper`, `enumerate_forms`) are canonical already and
+skip the fold.
 
 The polar form is B = W + W^T (always symmetric; alternating in
 characteristic 2), and D: V -> V* with matrix B is the induced linear map.
@@ -29,6 +31,8 @@ class QForm:
     __slots__ = ("field", "n", "gram", "_hash", "_polar")
 
     def __init__(self, field, gram):
+        """From any Gram matrix: fold the part below the diagonal into the
+        upper part (pullbacks, scalings, lifts and Mat inputs)."""
         assert isinstance(gram, Mat) and gram.field is field
         assert gram.nrows == gram.ncols
         n = gram.nrows
@@ -41,11 +45,23 @@ class QForm:
             for j in range(i + 1, n):
                 row[j] = field.add(g[i][j], g[j][i])
             rows.append(tuple(row))
+        self._set_rows(field, n, tuple(rows))
+
+    def _set_rows(self, field, n, rows):
         self.field = field
         self.n = n
-        self.gram = Mat._trusted(field, tuple(rows), n, n)
+        self.gram = Mat._trusted(field, rows, n, n)
         self._hash = hash(("QForm", self.gram))
         self._polar = None
+
+    @classmethod
+    def _trusted(cls, field, n, rows):
+        """Build from a tuple of canonical upper-triangular rows (row i
+        starts with i zeros) whose entries are already field values, with
+        no coercion and no fold."""
+        self = object.__new__(cls)
+        self._set_rows(field, n, rows)
+        return self
 
     @classmethod
     def zero(cls, field, n):
@@ -54,24 +70,23 @@ class QForm:
     @classmethod
     def from_upper(cls, field, n, coeffs):
         """Build from row-major upper coefficients [(0,0), (0,1), ..., (n-1,n-1)]."""
-        coeffs = [field.coerce(c) for c in coeffs]
+        coeffs = tuple(field.coerce(c) for c in coeffs)
         want = n * (n + 1) // 2
         if len(coeffs) != want:
             raise ValueError("dim %d needs %d coefficients, got %d"
                              % (n, want, len(coeffs)))
         z = field.zero
-        rows = [[z] * n for _ in range(n)]
+        rows = []
         k = 0
         for i in range(n):
-            for j in range(i, n):
-                rows[i][j] = coeffs[k]
-                k += 1
-        return cls(field, Mat(field, rows, (n, n)))
+            rows.append((z,) * i + coeffs[k:k + n - i])
+            k += n - i
+        return cls._trusted(field, n, tuple(rows))
 
     def upper_coeffs(self):
         """Row-major upper coefficients; inverse of `from_upper`."""
-        return tuple(self.gram[i, j] for i in range(self.n)
-                     for j in range(i, self.n))
+        return tuple(itertools.chain.from_iterable(
+            row[i:] for i, row in enumerate(self.gram.rows)))
 
     def __eq__(self, other):
         return isinstance(other, QForm) and self.gram == other.gram
@@ -207,14 +222,31 @@ def enumerate_forms(field, n, nondegenerate_only=False):
     With `nondegenerate_only`, keep only those whose polar form has trivial
     radical.
     """
-    m = n * (n + 1) // 2
+    # row i of a canonical Gram matrix is i zeros and then any n - i
+    # values; every form takes its rows from these shared tuples, and the
+    # product runs through the upper coefficients in row-major order
+    z = field.zero
+    choices = [[(z,) * i + tail
+                for tail in itertools.product(field.elements(), repeat=n - i)]
+               for i in range(n)]
     out = []
-    for coeffs in itertools.product(field.elements(), repeat=m):
-        Q = QForm.from_upper(field, n, coeffs)
+    for rows in itertools.product(*choices):
+        Q = QForm._trusted(field, n, rows)
         if nondegenerate_only and not is_nondegenerate(Q):
             continue
         out.append(Q)
     return out
+
+
+def form_position(Q):
+    """Q's index in enumerate_forms(Q.field, Q.n): its upper coefficients
+    read as base-q digits, the first one most significant."""
+    q = Q.field.order
+    pos = 0
+    for i, row in enumerate(Q.gram.rows):
+        for c in row[i:]:
+            pos = pos * q + c
+    return pos
 
 
 def _coeff_str(field, c):

@@ -563,3 +563,44 @@ _WRONG_SOLUTIONS_CHILD = textwrap.dedent("""
 def test_forced_solution_check_survives_optimized_interpreter(run_optimized):
     assert (run_optimized(_WRONG_SOLUTIONS_CHILD)
             == "optimize=1 raised\noptimize=1 raised\n")
+
+
+_BROKEN_TABLE_CHILD = textwrap.dedent("""
+    import dataclasses
+    import sys
+    from metric_affine import classify
+    from metric_affine.fields import GF3
+    from metric_affine.groups import InvariantViolation
+
+    real_report = classify.dyad_report
+
+    def without_one_pair(Q, Qt, budget=None):
+        # x1^2 | a1^2 goes missing from the 3 x 2 block of the GF(3)^1
+        # table, whose other pairs still bring in both forms
+        rep = real_report(Q, Qt, budget)
+        if (Q.upper_coeffs(), Qt.upper_coeffs()) == ((1,), (0, 0, 1)):
+            rep = dataclasses.replace(rep, satisfies_motion=False,
+                                      satisfies_weak=False)
+        return rep
+
+    patches = (("dyad_report", without_one_pair),
+               ("is_subgroup", lambda g1, g2: False))
+    for name, wrong in patches:
+        saved = getattr(classify, name)
+        setattr(classify, name, wrong)
+        try:
+            classify.reproduce_table(1, GF3)
+        except InvariantViolation as e:
+            print("optimize=%d raised %s"
+                  % (sys.flags.optimize, e.args[0].split(" of ")[0]))
+        else:
+            print("optimize=%d passed" % sys.flags.optimize)
+        finally:
+            setattr(classify, name, saved)
+""")
+
+
+def test_table_checks_survive_optimized_interpreter(run_optimized):
+    assert (run_optimized(_BROKEN_TABLE_CHILD)
+            == "optimize=1 raised block structure is not complete bipartite\n"
+            "optimize=1 raised weak motion group\n")

@@ -143,7 +143,7 @@ def test_form_file_takes_only_documented_values(form_file, capsys, text):
 
 
 def test_optimized_interpreter_is_refused():
-    # -O strips the asserts that carry the verification; a run under it
+    # -O strips the library's shape and argument asserts; a run under it
     # must not print PASS
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metric_affine.fields import GF2, GF3, GF4, GF5, QQ
+from metric_affine.fields import GF2, GF3, GF4, GF5, GF7, QQ
 from metric_affine.linalg import Mat, vec
 from metric_affine.quadform import (QForm, all_vectors, enumerate_forms,
-                                    form_from_text, form_to_text, is_isometry,
+                                    form_from_text, form_position,
+                                    form_to_text, is_isometry,
                                     is_nondegenerate, poly_str, polar,
                                     qf_eval, qf_proportional, qf_pullback,
                                     qf_rank, qf_scale, radical_basis,
@@ -86,6 +87,72 @@ def test_enumerate_counts():
     assert len(nd) == 4
     assert all(Q.gram[0, 1] == 1 for Q in nd)
     assert len(enumerate_forms(GF2, 0)) == 1
+
+
+ENUMERATED_SIZES = ([(GF2, n) for n in range(5)] + [(GF3, n) for n in range(4)]
+                    + [(GF4, n) for n in range(3)]
+                    + [(GF5, n) for n in range(4)]
+                    + [(GF7, n) for n in range(3)])
+
+
+def _forms_through_the_fold(F, n):
+    """Every form on F^n in enumeration order, each built from a coerced
+    upper-triangular Mat through QForm's general constructor."""
+    out = []
+    for coeffs in itertools.product(F.elements(), repeat=n * (n + 1) // 2):
+        rows = [[0] * n for _ in range(n)]
+        k = 0
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = coeffs[k]
+                k += 1
+        out.append((coeffs, QForm(F, Mat(F, rows, (n, n)))))
+    return out
+
+
+@pytest.mark.parametrize("F,n", ENUMERATED_SIZES,
+                         ids=lambda v: getattr(v, "name", v))
+def test_enumerated_forms_match_general_route(F, n):
+    forms = enumerate_forms(F, n)
+    general = _forms_through_the_fold(F, n)
+    assert len(forms) == len(general)
+    for k, (Q, (coeffs, R)) in enumerate(zip(forms, general)):
+        assert Q == R, (Q, R)
+        assert hash(Q) == hash(R)
+        assert Q.gram._key == R.gram._key
+        assert Q.upper_coeffs() == R.upper_coeffs() == coeffs
+        assert QForm.from_upper(F, n, Q.upper_coeffs()) == Q
+        assert form_position(Q) == k
+
+
+def test_form_position_past_int64():
+    # the last form of GF(3)^9 sits at 3^45 - 1 > 2^63
+    assert form_position(QForm.from_upper(GF3, 9, (2,) * 45)) == 3 ** 45 - 1
+    assert form_position(QForm.from_upper(GF3, 9, (0,) * 44 + (1,))) == 1
+    assert form_position(QForm.from_upper(GF3, 9, (1,) + (0,) * 44)) == 3 ** 44
+
+
+def test_from_upper_coerces_each_coefficient():
+    # over Q: ints and Fractions become Fractions, the zeros below too
+    Q = QForm.from_upper(QQ, 2, [Fraction(1, 2), 3, Fraction(-2, 3)])
+    assert Q == QForm(QQ, Mat(QQ, [[Fraction(1, 2), 3],
+                                   [0, Fraction(-2, 3)]]))
+    assert all(type(c) is Fraction for row in Q.gram.rows for c in row)
+    assert Q.upper_coeffs() == (Fraction(1, 2), Fraction(3), Fraction(-2, 3))
+    # over GF(4), codes 0..3: t x1^2 + (t+1) x1x2 + x2^2 folds from
+    # w12 = 1, w21 = t
+    Q4 = QForm.from_upper(GF4, 2, (2, 3, 1))
+    assert Q4 == QForm(GF4, Mat(GF4, [[2, 1], [2, 1]]))
+    assert Q4.upper_coeffs() == (2, 3, 1) and form_position(Q4) == 45
+    with pytest.raises(ValueError):
+        QForm.from_upper(GF4, 1, (4,))
+
+
+@pytest.mark.parametrize("n,coeffs", [(2, (1, 2)), (2, (1, 2, 0, 1)),
+                                      (0, (1,)), (1, ())])
+def test_from_upper_rejects_a_wrong_coefficient_count(n, coeffs):
+    with pytest.raises(ValueError):
+        QForm.from_upper(GF3, n, coeffs)
 
 
 def test_pullback_composes():
