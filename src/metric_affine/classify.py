@@ -287,11 +287,11 @@ def reproduce_table(dim, fld, budget=None):
             raise InvariantViolation("block structure is not complete "
                                      "bipartite")
 
-    fixture_blocks = {
+    fixture_blocks = [
         (frozenset(QForm.from_upper(fld, dim, u) for u in lefts),
          frozenset(QForm.from_upper(fld, dim + 1, u) for u in rights))
-        for lefts, rights in fx.blocks}
-    expected_match = computed_blocks == fixture_blocks
+        for lefts, rights in fx.blocks]
+    expected_match = computed_blocks == set(fixture_blocks)
     if not expected_match:
         mismatch.append("computed blocks: %s" % _render_blocks(computed_blocks))
         mismatch.append("fixture blocks:  %s" % _render_blocks(fixture_blocks))
@@ -355,11 +355,7 @@ def reproduce_table(dim, fld, budget=None):
 
     # named stabilizer vectors (and full-GL blocks)
     stabilizers_ok = True
-    fixture_ordered = [
-        (frozenset(QForm.from_upper(fld, dim, u) for u in lefts),
-         frozenset(QForm.from_upper(fld, dim + 1, u) for u in rights))
-        for lefts, rights in fx.blocks]
-    for (lefts, _rights), stab in zip(fixture_ordered, fx.stabilizers):
+    for (lefts, _rights), stab in zip(fixture_blocks, fx.stabilizers):
         sample = next(iter(lefts))
         o_group = orthogonal_group(sample, budget)
         if stab is None:
@@ -412,7 +408,10 @@ def render_table_lines(report):
                     (ru is not None and ru in rights):
                 block_of.append(bi)
                 break
-    assert len(block_of) == len(cells)
+    if len(block_of) != len(cells):
+        raise InvariantViolation("a row of the table over %s, dim %d lies "
+                                 "in no block"
+                                 % (report.field_name, report.dim))
     head = ("Q on V", "Qt on F x V*")
     w0 = max(len(head[0]), *(len(a) for a, _ in cells))
     w1 = max(len(head[1]), *(len(b) for _, b in cells))

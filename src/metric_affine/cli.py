@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .classify import (MODE_MOTION, MODE_WEAK, _exceptional_size,
                        quadric_duality_check, render_table_lines,
@@ -44,24 +43,6 @@ _TABLE_CASES = {
 
 class InputError(Exception):
     """Bad file, bad flag value, or a form outside a command's domain."""
-
-
-@dataclass
-class CliConfig:
-    command: str
-    paths: tuple = ()
-    field_name: str = ""
-    dim: int = -1
-    case: str = ""
-    vector: str = ""
-    budget: object = None
-    fmt: str = "text"
-    verbose: int = 0
-
-    def __post_init__(self):
-        if self.budget is not None:
-            # never allow a runaway enumeration, whatever the flag says
-            self.budget = max(1, min(int(self.budget), HARD_BUDGET_CEILING))
 
 
 class Emitter:
@@ -109,10 +90,10 @@ def _finite_field(name):
     return fld
 
 
-def _require_dim(cfg, low=0):
-    if cfg.dim < low:
+def _require_dim(args, low=0):
+    if args.dim < low:
         raise InputError("--dim must be at least %d" % low)
-    return cfg.dim
+    return args.dim
 
 
 def _mat_lines(A, prefix=""):
@@ -131,51 +112,49 @@ def _vec_str(v):
 
 # --- plain commands --------------------------------------------------------
 
-def cmd_lift(cfg, em):
-    Q = _load_form(cfg.paths[0])
+def _lift_or_drop(args, em, transform, refused, why, caption, here, there):
+    """The body of lift and drop: the form file through transform, whose
+    refused exception becomes the input error why(Q, e).  here and there are
+    the (variable, first index) of the input's and of the result's
+    coordinates."""
+    Q = _load_form(args.form_file)
     try:
-        up = lift(Q)
-    except DegeneratePolarForm:
-        rad = radical_basis(Q)
-        raise InputError(
-            "polar form of %s is degenerate; radical basis: %s"
-            % (poly_str(Q), "; ".join(_vec_str(r) for r in rad))) from None
-    em.text("# input: %s [%s, dim %d]" % (poly_str(Q), Q.field.name, Q.n),
-            "# canonical matrix of the lift:")
-    em.text(*_mat_lines(up.gram, "# "))
+        out = transform(Q)
+    except refused as e:
+        raise InputError(why(Q, e)) from None
+    em.text("# input: %s [%s, dim %d]" % (poly_str(Q, *here), Q.field.name,
+                                          Q.n),
+            "# canonical matrix of the %s:" % caption)
+    em.text(*_mat_lines(out.gram, "# "))
     if em.fmt == "text":
-        sys.stdout.write(form_to_text(up, "a", 0))
-    em.record({"record": "lift", "input": _form_rec(Q),
-               "result": _form_rec(up, "a", 0),
-               "matrix": [[up.field.to_json(up.gram[i, j])
-                           for j in range(up.n)] for i in range(up.n)]})
+        sys.stdout.write(form_to_text(out, *there))
+    em.record({"record": args.command, "input": _form_rec(Q, *here),
+               "result": _form_rec(out, *there),
+               "matrix": [[out.field.to_json(out.gram[i, j])
+                           for j in range(out.n)] for i in range(out.n)]})
     return EXIT_PASS
 
 
-def cmd_drop(cfg, em):
-    Qt = _load_form(cfg.paths[0])
-    try:
-        down = drop(Qt)
-    except NotDroppable as e:
-        raise InputError("%s cannot be dropped (%s)"
-                         % (poly_str(Qt, "a", 0), e.reason)) from None
-    em.text("# input: %s [%s, dim %d]" % (poly_str(Qt, "a", 0),
-                                          Qt.field.name, Qt.n),
-            "# canonical matrix of the dropped form:")
-    em.text(*_mat_lines(down.gram, "# "))
-    if em.fmt == "text":
-        sys.stdout.write(form_to_text(down))
-    em.record({"record": "drop", "input": _form_rec(Qt, "a", 0),
-               "result": _form_rec(down),
-               "matrix": [[down.field.to_json(down.gram[i, j])
-                           for j in range(down.n)] for i in range(down.n)]})
-    return EXIT_PASS
+def cmd_lift(args, em):
+    return _lift_or_drop(
+        args, em, lift, DegeneratePolarForm,
+        lambda Q, _e: "polar form of %s is degenerate; radical basis: %s"
+        % (poly_str(Q), "; ".join(_vec_str(r) for r in radical_basis(Q))),
+        "lift", ("x", 1), ("a", 0))
 
 
-def cmd_eval(cfg, em):
-    Q = _load_form(cfg.paths[0])
+def cmd_drop(args, em):
+    return _lift_or_drop(
+        args, em, drop, NotDroppable,
+        lambda Qt, e: "%s cannot be dropped (%s)"
+        % (poly_str(Qt, "a", 0), e.reason),
+        "dropped form", ("a", 0), ("x", 1))
+
+
+def cmd_eval(args, em):
+    Q = _load_form(args.form_file)
     F = Q.field
-    raw = cfg.vector.strip().strip("()[]")
+    raw = args.vector.strip().strip("()[]")
     toks = [t.strip() for t in raw.split(",") if t.strip()]
     if len(toks) != Q.n:
         raise InputError("expected %d coordinates, got %d" % (Q.n, len(toks)))
@@ -193,15 +172,15 @@ def cmd_eval(cfg, em):
     return EXIT_PASS
 
 
-def cmd_groups(cfg, em):
-    Q = _load_form(cfg.paths[0])
+def cmd_groups(args, em):
+    Q = _load_form(args.form_file)
     F = Q.field
     if not F.enumerable:
         raise InputError("group enumeration needs a finite field, not %s"
                          % F.name)
-    o = orthogonal_group(Q, cfg.budget)
-    w = weak_orthogonal_group(Q, cfg.budget)
-    st = reflection_generation_status(Q, cfg.budget)
+    o = orthogonal_group(Q, args.budget)
+    w = weak_orthogonal_group(Q, args.budget)
+    st = reflection_generation_status(Q, args.budget)
     em.text("# form: %s [%s, dim %d]" % (poly_str(Q), F.name, Q.n),
             "|GL|: %d" % order_gl(Q.n, F.order),
             "|O|: %d" % o.order,
@@ -224,13 +203,13 @@ def cmd_groups(cfg, em):
 
 # --- verification commands -------------------------------------------------
 
-def cmd_verify_lemmas(cfg, em):
-    fld = _finite_field(cfg.field_name)
-    n = _require_dim(cfg, low=1)
+def cmd_verify_lemmas(args, em):
+    fld = _finite_field(args.field_name)
+    n = _require_dim(args, low=1)
     counts = {"a": 0, "b": 0, "c": 0, "d": 0}
     inside = 0
     pairs = 0
-    budget = group_budget() if cfg.budget is None else cfg.budget
+    budget = group_budget() if args.budget is None else args.budget
     directions = [x for x in all_vectors(fld, n)
                   if any(c != fld.zero for c in x)]
     for Q in enumerate_forms(fld, n):
@@ -260,10 +239,10 @@ def cmd_verify_lemmas(cfg, em):
     return EXIT_PASS
 
 
-def cmd_verify_proposition(cfg, em):
-    fld = _finite_field(cfg.field_name)
-    n = _require_dim(cfg, low=1)
-    rep = verify_main_prop(fld, n, cfg.budget)
+def cmd_verify_proposition(args, em):
+    fld = _finite_field(args.field_name)
+    n = _require_dim(args, low=1)
+    rep = verify_main_prop(fld, n, args.budget)
     em.record({"record": "main-prop", "field": fld.name, "dim": n,
                "forms_checked": rep.forms_checked,
                "scalars_each": rep.scalars_each,
@@ -279,16 +258,16 @@ def cmd_verify_proposition(cfg, em):
     return EXIT_PASS
 
 
-def cmd_verify_tables(cfg, em):
+def cmd_verify_tables(args, em):
     code = EXIT_PASS
-    for dim, fname in _TABLE_CASES[cfg.case]:
+    for dim, fname in _TABLE_CASES[args.case]:
         fld = field_make(fname)
-        rep = reproduce_table(dim, fld, cfg.budget)
+        rep = reproduce_table(dim, fld, args.budget)
         em.text(*render_table_lines(rep))
         em.text("row pairs (lift/drop): %d" % len(rep.row_pairs),
                 "matches embedded fixture: %s"
                 % ("yes" if rep.expected_match else "NO"))
-        em.record({"record": "table", "case": cfg.case, "dim": dim,
+        em.record({"record": "table", "case": args.case, "dim": dim,
                    "field": fname, "ok": rep.ok,
                    "blocks": [[[list(Q.upper_coeffs()) for Q in lefts],
                                [list(Qt.upper_coeffs()) for Qt in rights]]
@@ -303,23 +282,21 @@ def cmd_verify_tables(cfg, em):
     return code
 
 
-def cmd_verify_theorem(cfg, em):
-    fld = _finite_field(cfg.field_name)
-    n = cfg.dim
-    if n < 0:
-        raise InputError("--dim must be at least 0")
+def cmd_verify_theorem(args, em):
+    fld = _finite_field(args.field_name)
+    n = _require_dim(args)
     m = (n + 1) * (n + 2) // 2
     lefts = enumerate_forms(fld, n)
     stats = {MODE_MOTION: 0, MODE_WEAK: 0}
     with_solutions = 0
     for Q in lefts:
-        sols_m = solve_for_qtilde(Q, MODE_MOTION, cfg.budget)
-        sols_w = solve_for_qtilde(Q, MODE_WEAK, cfg.budget)
+        sols_m = solve_for_qtilde(Q, MODE_MOTION, args.budget)
+        sols_w = solve_for_qtilde(Q, MODE_WEAK, args.budget)
         stats[MODE_MOTION] += len(sols_m)
         stats[MODE_WEAK] += len(sols_w)
         if sols_m or sols_w:
             with_solutions += 1
-        if cfg.verbose:
+        if args.verbose:
             em.text("# %s: motion %d, weak %d"
                     % (poly_str(Q), len(sols_m), len(sols_w)))
     nondeg = sum(1 for Q in lefts if is_nondegenerate(Q))
@@ -346,12 +323,10 @@ def cmd_verify_theorem(cfg, em):
     return EXIT_PASS
 
 
-def cmd_verify_projective(cfg, em):
-    fld = _finite_field(cfg.field_name)
-    n = cfg.dim
-    if n < 0:
-        raise InputError("--dim must be at least 0")
-    rep = verify_projective_theorem(fld, n, cfg.budget)
+def cmd_verify_projective(args, em):
+    fld = _finite_field(args.field_name)
+    n = _require_dim(args)
+    rep = verify_projective_theorem(fld, n, args.budget)
     em.text("projective-to-linear rigidity over %s, dim %d" % (fld.name, n),
             "pairs checked: %d" % rep.pairs_checked,
             "excluded pairs hit: %d" % rep.exclusion_hits)
@@ -372,8 +347,8 @@ def cmd_verify_projective(cfg, em):
     return EXIT_PASS
 
 
-def cmd_verify_quadric(cfg, em):
-    Q = _load_form(cfg.paths[0])
+def cmd_verify_quadric(args, em):
+    Q = _load_form(args.form_file)
     if not Q.field.enumerable:
         raise InputError("the quadric check enumerates points; %s is not "
                          "a finite field" % Q.field.name)
@@ -401,20 +376,6 @@ def cmd_verify_quadric(cfg, em):
                      "non-degenerate polar form (got status: %s)" % rep.status)
 
 
-_HANDLERS = {
-    "lift": cmd_lift,
-    "drop": cmd_drop,
-    "eval": cmd_eval,
-    "groups": cmd_groups,
-    ("verify", "lemmas"): cmd_verify_lemmas,
-    ("verify", "proposition"): cmd_verify_proposition,
-    ("verify", "tables"): cmd_verify_tables,
-    ("verify", "theorem"): cmd_verify_theorem,
-    ("verify", "projective"): cmd_verify_projective,
-    ("verify", "quadric"): cmd_verify_quadric,
-}
-
-
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="metric-affine",
@@ -430,56 +391,48 @@ def _build_parser():
     p.add_argument("-v", "--verbose", action="count", default=0)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("lift", help="lift a form to the homogeneous dual")
-    sp.add_argument("form_file")
-    sp = sub.add_parser("drop", help="drop a lifted form back down")
-    sp.add_argument("form_file")
-    sp = sub.add_parser("eval", help="evaluate a form at a vector")
-    sp.add_argument("form_file")
-    sp.add_argument("vector", help="coordinates, e.g. 1,0,2")
-    sp = sub.add_parser("groups", help="orthogonal-group data for a form")
-    sp.add_argument("form_file")
+    for name, run, hint in (
+            ("lift", cmd_lift, "lift a form to the homogeneous dual"),
+            ("drop", cmd_drop, "drop a lifted form back down"),
+            ("eval", cmd_eval, "evaluate a form at a vector"),
+            ("groups", cmd_groups, "orthogonal-group data for a form")):
+        sp = sub.add_parser(name, help=hint)
+        sp.add_argument("form_file")
+        sp.set_defaults(run=run)
+    sub.choices["eval"].add_argument("vector", help="coordinates, e.g. 1,0,2")
 
     pv = sub.add_parser("verify", help="run a verification sweep")
     vsub = pv.add_subparsers(dest="vcmd", required=True)
-    for name, hint in (("lemmas", "rank-one intersection cardinalities"),
-                       ("proposition", "motion group = weak group of lifts"),
-                       ("theorem", "all solutions of the group equation"),
-                       ("projective", "projective equality forces linear")):
+    for name, run, hint in (
+            ("lemmas", cmd_verify_lemmas,
+             "rank-one intersection cardinalities"),
+            ("proposition", cmd_verify_proposition,
+             "motion group = weak group of lifts"),
+            ("theorem", cmd_verify_theorem,
+             "all solutions of the group equation"),
+            ("projective", cmd_verify_projective,
+             "projective equality forces linear")):
         sp = vsub.add_parser(name, help=hint)
         sp.add_argument("--field", required=True, dest="field_name",
                         metavar="F", help="GF(2), GF(3), GF(4), GF(5), GF(7)")
         sp.add_argument("--dim", required=True, type=int, metavar="N")
+        sp.set_defaults(run=run)
     sp = vsub.add_parser("tables", help="reproduce a sporadic-solution table")
     sp.add_argument("--case", required=True, choices=sorted(_TABLE_CASES))
+    sp.set_defaults(run=cmd_verify_tables)
     sp = vsub.add_parser("quadric", help="dual description of a quadric")
     sp.add_argument("form_file")
+    sp.set_defaults(run=cmd_verify_quadric)
     return p
 
 
 def main(argv=None):
-    if sys.flags.optimize:
-        # the shape and argument checks are asserts, which -O strips
-        print("refusing to run under python -O or PYTHONOPTIMIZE: it strips "
-              "the library's assert statements", file=sys.stderr)
-        return EXIT_INPUT
     args = _build_parser().parse_args(argv)
-    command = args.command
-    if command == "verify":
-        command = ("verify", args.vcmd)
-    cfg = CliConfig(
-        command=command if isinstance(command, str) else "verify",
-        paths=(args.form_file,) if hasattr(args, "form_file") else (),
-        field_name=getattr(args, "field_name", ""),
-        dim=getattr(args, "dim", -1),
-        case=getattr(args, "case", ""),
-        vector=getattr(args, "vector", ""),
-        budget=args.budget,
-        fmt=args.format,
-        verbose=args.verbose)
-    em = Emitter(cfg.fmt)
+    if args.budget is not None:
+        # never allow a runaway enumeration, whatever the flag says
+        args.budget = max(1, min(args.budget, HARD_BUDGET_CEILING))
     try:
-        return _HANDLERS[command](cfg, em)
+        return args.run(args, Emitter(args.format))
     except (InputError, BadBudgetVariable) as e:
         print("input error: %s" % e, file=sys.stderr)
         return EXIT_INPUT

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import GF4Field
-from .linalg import Mat
-from .quadform import QForm, enumerate_forms, form_position, radical_basis
+from .quadform import (QForm, enumerate_forms, form_position, polar,
+                       radical_basis)
 
 DEFAULT_BUDGET = 25_000
 HARD_BUDGET_CEILING = 10_000_000
@@ -244,7 +244,10 @@ def _build_gl(field, n):
                vector_index_np(field, span)] = True
         rows, vecs = np.nonzero(~inside)
         parts = np.concatenate([parts[rows], V[vecs][:, np.newaxis]], axis=1)
-    assert len(parts) == order_gl(n, field.order), (len(parts), n)
+    if len(parts) != order_gl(n, field.order):
+        raise InvariantViolation("GL_%d(%s) has %d elements, not %d"
+                                 % (n, field.name, len(parts),
+                                    order_gl(n, field.order)))
     arr = np.ascontiguousarray(parts.transpose(0, 2, 1))
     arr.setflags(write=False)
     return arr
@@ -498,19 +501,15 @@ def groups_by_orbit(field, n, group, budget=None):
 def closure(field, n, generators, budget=None):
     """Smallest GroupSet containing the generators, by BFS saturation.
 
-    `generators` may be Mats or integer arrays.  The ambient (field, n) is
+    `generators` is a (k, n, n) integer stack.  The ambient (field, n) is
     explicit so that an empty generating set still has a home; the result is
     then just {identity}.
     """
     budget = group_budget() if budget is None else budget
-    gens = []
-    for g in generators:
-        arr = mat_to_np(g) if isinstance(g, Mat) else np.asarray(g, dtype=np.uint8)
-        assert arr.shape == (n, n), arr.shape
-        gens.append(arr)
+    gens = np.asarray(generators, dtype=np.uint8)
     frontier = np.eye(n, dtype=np.uint8)[np.newaxis]
     seen = matrix_codes(field, frontier)
-    while len(frontier) and gens:
+    while len(frontier) and len(gens):
         prods = np.concatenate([matmul_np(field, frontier, g) for g in gens])
         codes, first = np.unique(matrix_codes(field, prods), return_index=True)
         new = ~np.isin(codes, seen, assume_unique=True)
@@ -565,6 +564,23 @@ def _exceptional_shape(Q, budget=None):
     return None
 
 
+def _reflections_np(Q, vals):
+    """I - Q(f)^-1 f (Bf)^T for every vector f, in vector-index order, from
+    the value table vals of Q (the identity where Q(f) = 0)."""
+    field, n = Q.field, Q.n
+    V = vectors_np(field, n)
+    neg_inv = np.zeros(field.order, dtype=np.uint8)
+    for c in field.units():
+        neg_inv[c] = field.neg(field.inv(c))
+    Bf = matmul_np(field, V, mat_to_np(polar(Q)).T)         # row f: (Bf)^T
+    scaled = matmul_np(field, neg_inv[vals][:, np.newaxis, np.newaxis],
+                       Bf[:, np.newaxis, :])
+    rank_one = matmul_np(field, V[:, :, np.newaxis], scaled)
+    ident = np.eye(n, dtype=np.uint8)
+    return (ident ^ rank_one if _is_gf4(field)
+            else (ident + rank_one) % field.order)
+
+
 @dataclass(frozen=True)
 class ReflectionStatus:
     generates: bool
@@ -582,14 +598,9 @@ def reflection_generation_status(Q, budget=None):
     over the two-element field); the two verdicts must agree, and a
     disagreement raises instead of being swallowed.
     """
-    from .quadform import all_vectors, qf_eval, reflection
-
     field, n = Q.field, Q.n
-    refs = []
-    for xe in all_vectors(field, n):
-        x = Mat.column(field, xe)
-        if qf_eval(Q, x) != field.zero:
-            refs.append(reflection(Q, x))
+    vals = form_values_np(Q)
+    refs = _reflections_np(Q, vals)[vals != 0]
     gen = closure(field, n, refs, budget)
     weak = weak_orthogonal_group(Q, budget)
     if not is_subgroup(gen, weak):

@@ -225,7 +225,9 @@ def drop(Qt):
     """
     F = Qt.field
     n = Qt.n - 1
-    assert n >= 0, "a form on F x V* lives in dimension >= 1"
+    if n < 0:
+        # F x V* has dimension >= 1, so a form on F^0 has no line F e0
+        raise NotDroppable(NotDroppable.REASON_RADICAL, poly_str(Qt, "a", 0))
     model = homog_model(F, n)
     if qf_eval(Qt, model.e0) != F.zero:
         raise NotDroppable(NotDroppable.REASON_VALUE, poly_str(Qt, "a", 0))

@@ -216,12 +216,8 @@ def qf_proportional(Q1, Q2):
     return c if qf_scale(Q1, c) == Q2 else None
 
 
-def enumerate_forms(field, n, nondegenerate_only=False):
-    """All quadratic forms on F^n, as a deterministic list.
-
-    With `nondegenerate_only`, keep only those whose polar form has trivial
-    radical.
-    """
+def enumerate_forms(field, n):
+    """All quadratic forms on F^n, as a deterministic list."""
     # row i of a canonical Gram matrix is i zeros and then any n - i
     # values; every form takes its rows from these shared tuples, and the
     # product runs through the upper coefficients in row-major order
@@ -229,13 +225,8 @@ def enumerate_forms(field, n, nondegenerate_only=False):
     choices = [[(z,) * i + tail
                 for tail in itertools.product(field.elements(), repeat=n - i)]
                for i in range(n)]
-    out = []
-    for rows in itertools.product(*choices):
-        Q = QForm._trusted(field, n, rows)
-        if nondegenerate_only and not is_nondegenerate(Q):
-            continue
-        out.append(Q)
-    return out
+    return [QForm._trusted(field, n, rows)
+            for rows in itertools.product(*choices)]
 
 
 def form_position(Q):

@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (GroupSet, InvariantViolation, _is_gf4, check_budget,
-                     congruence_decomposition, form_values_np, group_budget,
-                     groups_by_orbit, mat_to_np, matmul_np, matrix_codes,
+from .groups import (GroupSet, InvariantViolation, _reflections_np,
+                     check_budget, congruence_decomposition, form_values_np,
+                     group_budget, groups_by_orbit, matmul_np, matrix_codes,
                      memo, order_gl, orthogonal_group, vector_index_np,
                      vectors_np, weak_orthogonal_group)
 from .linalg import Mat, annihilator, outer, pairing, span_contains, vec
-from .quadform import (all_vectors, is_isometry, polar, qf_eval,
-                       radical_basis, reflection)
+from .quadform import (all_vectors, is_isometry, qf_eval, radical_basis,
+                       reflection)
 
 
 class NotInvertible(Exception):
@@ -208,23 +208,6 @@ def _direction_keys(field, n):
                         codes(_scalings(field, trans))))
         return tuple(out)
     return memo(("_direction_keys", field.name, n), build)
-
-
-def _reflections_np(Q, vals):
-    """I - Q(f)^-1 f (Bf)^T for every vector f, in vector-index order, from
-    the value table vals of Q (the identity where Q(f) = 0)."""
-    field, n = Q.field, Q.n
-    V = vectors_np(field, n)
-    neg_inv = np.zeros(field.order, dtype=np.uint8)
-    for c in field.units():
-        neg_inv[c] = field.neg(field.inv(c))
-    Bf = matmul_np(field, V, mat_to_np(polar(Q)).T)         # row f: (Bf)^T
-    scaled = matmul_np(field, neg_inv[vals][:, np.newaxis, np.newaxis],
-                       Bf[:, np.newaxis, :])
-    rank_one = matmul_np(field, V[:, :, np.newaxis], scaled)
-    ident = np.eye(n, dtype=np.uint8)
-    return (ident ^ rank_one if _is_gf4(field)
-            else (ident + rank_one) % field.order)
 
 
 def _judge(Q, x, in_rad, isotropic, k, sizes, reflected, inside, scaled_ok):

@@ -67,6 +67,15 @@ def test_drop_rejects_undroppable(form_file, capsys):
     assert "cannot be dropped" in capsys.readouterr().err
 
 
+def test_drop_dimension_zero_is_input_error(form_file, capsys):
+    form = '{"field": "GF(3)", "dim": 0, "upper": []}\n'
+    assert main(["drop", form_file(form)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: 0 cannot be dropped "
+                            "(radical-not-distinguished-line)\n")
+
+
 def test_eval(form_file, capsys):
     assert main(["eval", form_file(FORM_GF3_LINE), "2"]) == EXIT_PASS
     assert capsys.readouterr().out.endswith("Q(2) = 1\n")
@@ -142,21 +151,26 @@ def test_form_file_takes_only_documented_values(form_file, capsys, text):
     assert captured.err.count("\n") == 1
 
 
-def test_optimized_interpreter_is_refused():
-    # -O strips the library's shape and argument asserts; a run under it
-    # must not print PASS
+def test_optimized_interpreter_gives_the_same_output():
+    # -O strips assert statements; every verified invariant raises instead,
+    # so a run under -O prints and exits as one without it
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    run = subprocess.run(
-        [sys.executable, "-O", "-m", "metric_affine.cli", "verify", "lemmas",
-         "--field", "3", "--dim", "2"],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert run.returncode == EXIT_INPUT
-    assert "PASS" not in run.stdout
-    assert run.stderr.count("\n") == 1 and "-O" in run.stderr
+    for argv in (["verify", "lemmas", "--field", "3", "--dim", "2"],
+                 ["verify", "tables", "--case", "t4"]):
+        plain, optimized = (
+            subprocess.run([sys.executable] + flags
+                           + ["-m", "metric_affine.cli"] + argv,
+                           capture_output=True, text=True, env=env,
+                           timeout=120)
+            for flags in ([], ["-O"]))
+        assert plain.returncode == EXIT_PASS
+        assert plain.stdout.endswith("PASS\n")
+        assert (optimized.returncode, optimized.stdout) == (plain.returncode,
+                                                            plain.stdout)
 
 
 def test_verify_lemmas(form_file, capsys):

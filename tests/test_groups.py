@@ -202,7 +202,7 @@ def test_matmul_np_gf4_agrees_with_mat():
 def test_closure_generates_subgroup():
     swap = Mat(GF3, [[0, 1], [1, 0]])
     neg = Mat(GF3, [[2, 0], [0, 2]])
-    g = closure(GF3, 2, [swap, neg])
+    g = closure(GF3, 2, [mat_to_np(swap), mat_to_np(neg)])
     assert g.order == 4  # klein four-group here
     assert g.verify_axioms()
     # closure is idempotent
@@ -393,6 +393,27 @@ def test_taxonomy_check_survives_optimized_interpreter(run_optimized):
             print("optimize=%d passed" % sys.flags.optimize)
     """)
     assert run_optimized(child) == "optimize=1 raised taxonomy mismatch\n"
+
+
+def test_gl_count_check_survives_optimized_interpreter(run_optimized):
+    # python -O strips assert statements; with a product formula that is
+    # one off, the GL build must still raise
+    child = textwrap.dedent("""
+        import sys
+        from metric_affine import groups
+        from metric_affine.fields import GF3
+
+        real_order = groups.order_gl
+        groups.order_gl = lambda n, q: real_order(n, q) + 1
+        try:
+            groups._build_gl(GF3, 2)
+        except groups.InvariantViolation as e:
+            print("optimize=%d raised %s" % (sys.flags.optimize, e.args[0]))
+        else:
+            print("optimize=%d passed" % sys.flags.optimize)
+    """)
+    assert (run_optimized(child)
+            == "optimize=1 raised GL_2(GF(3)) has 48 elements, not 49\n")
 
 
 def test_weak_group_fixes_radical_pointwise():

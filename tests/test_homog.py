@@ -155,6 +155,10 @@ def test_drop_precondition_reasons():
     with pytest.raises(NotDroppable) as e3:
         drop(QForm.zero(GF3, 2))  # polar radical is everything
     assert e3.value.reason == NotDroppable.REASON_RADICAL
+    for F in (GF2, GF3, QQ):
+        with pytest.raises(NotDroppable) as e4:
+            drop(QForm.zero(F, 0))  # F x V* has dimension >= 1: no line F e0
+        assert e4.value.reason == NotDroppable.REASON_RADICAL
 
 
 def test_drop_known_value():

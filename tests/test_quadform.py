@@ -83,7 +83,7 @@ def test_enumerate_counts():
     assert len(enumerate_forms(GF3, 2)) == 27
     assert len(enumerate_forms(GF4, 1)) == 4
     # non-degenerate-polar forms on a binary plane: exactly the 4 with w12=1
-    nd = enumerate_forms(GF2, 2, nondegenerate_only=True)
+    nd = [Q for Q in enumerate_forms(GF2, 2) if is_nondegenerate(Q)]
     assert len(nd) == 4
     assert all(Q.gram[0, 1] == 1 for Q in nd)
     assert len(enumerate_forms(GF2, 0)) == 1

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metric_affine.fields import GF2, GF3, GF4, GF5
-from metric_affine.groups import form_values_np, mat_to_np, matrix_codes
+from metric_affine.groups import (_reflections_np, form_values_np, mat_to_np,
+                                  matrix_codes)
 from metric_affine.linalg import Mat, pairing, span_contains, vec
 from metric_affine.quadform import (QForm, all_vectors, enumerate_forms,
                                     qf_eval, reflection)
@@ -17,7 +18,7 @@ from metric_affine.transvect import (COND_BINARY_PLANE, COND_DIM_ONE,
                                      COND_RADICAL_LINE, KIND_DILATATION,
                                      KIND_IDENTITY, KIND_TRANSVECTION,
                                      DirectionCase, NotInvertible,
-                                     _member_table, _reflections_np,
+                                     _member_table,
                                      annihilator_transvections_in_weak,
                                      classify_direction, delta_group,
                                      delta_make, delta_orth,
