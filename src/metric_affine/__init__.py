@@ -21,26 +21,41 @@ from .quadform import (NotReflectable, QForm, all_vectors, enumerate_forms,
                        is_nondegenerate, poly_str, polar, qf_eval,
                        qf_proportional, qf_pullback, qf_rank, qf_scale,
                        radical_basis, reflection)
-from .groups import (BudgetExceeded, DEFAULT_BUDGET, GroupSet,
-                     HARD_BUDGET_CEILING, InvariantViolation, closure,
-                     enumerate_gl, group_budget, group_equal, is_subgroup,
-                     order_gl, orthogonal_group, ReflectionStatus,
-                     reflection_generation_status, weak_orthogonal_group)
-from .transvect import (DeltaMap, DirectionCase, KIND_DILATATION,
-                        KIND_IDENTITY, KIND_TRANSVECTION, NotInvertible,
-                        annihilator_transvections_in_weak, classify_direction,
-                        delta_group, delta_make, delta_orth,
-                        scaled_transvection_never_weak)
+from .budget import (BudgetExceeded, DEFAULT_BUDGET, HARD_BUDGET_CEILING,
+                     InvariantViolation, group_budget, order_gl)
 from .homog import (AffineMap, DegeneratePolarForm, HomogModel, NotDroppable,
                     RoundtripReport, affine_reflection, drop, dual_matrix,
-                    dual_matrix_preimage, homog_model, lift,
-                    motion_group_dual, point_matrix,
-                    reflection_correspondence, roundtrip_checks)
-from .classify import (DyadReport, MODE_MOTION, MODE_WEAK, MainPropReport,
-                       ProjectiveReport, QuadricReport, TableReport,
-                       SUPPORTED_TABLES, dyad_report, dyad_satisfies,
-                       projective_reduce, quadric_duality_check,
-                       quadric_points, reproduce_table, solve_for_qtilde,
-                       verify_main_prop, verify_projective_theorem)
+                    dual_matrix_preimage, homog_model, lift, motion_group_dual,
+                    point_matrix, reflection_correspondence, roundtrip_checks)
 
+# the numpy group engine: its names load on first use (PEP 562)
+_LAZY = {name: module for module, names in (
+    ("groups", "GroupSet ReflectionStatus closure enumerate_gl group_equal "
+     "is_subgroup orthogonal_group reflection_generation_status "
+     "weak_orthogonal_group"),
+    ("transvect", "DeltaMap DirectionCase KIND_DILATATION KIND_IDENTITY "
+     "KIND_TRANSVECTION NotInvertible annihilator_transvections_in_weak "
+     "classify_direction delta_group delta_make delta_orth "
+     "scaled_transvection_never_weak"),
+    ("classify", "DyadReport MODE_MOTION MODE_WEAK MainPropReport "
+     "ProjectiveReport QuadricReport TableReport SUPPORTED_TABLES dyad_report "
+     "dyad_satisfies projective_reduce quadric_duality_check quadric_points "
+     "reproduce_table solve_for_qtilde verify_main_prop "
+     "verify_projective_theorem")) for name in names.split()}
+__all__ = sorted(set(_LAZY) | {name for name in globals() if name[0] != "_"}
+                 - {"budget", "fields", "homog", "linalg", "quadform"})
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _LAZY.get(name, name)
+    if module not in ("groups", "transvect", "classify"):
+        raise AttributeError("%s has no attribute %r" % (__name__, name))
+    import importlib
+    home = importlib.import_module("." + module, __name__)
+    globals()[name] = home if name == module else getattr(home, name)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -1,0 +1,81 @@
+"""The numpy-free head of the group engine: budget, exceptions, memo table."""
+
+import os
+
+DEFAULT_BUDGET = 25_000
+HARD_BUDGET_CEILING = 10_000_000
+
+
+class BudgetExceeded(Exception):
+    """An enumeration would need more group elements than allowed."""
+
+    def __init__(self, required, budget):
+        self.required = required
+        self.budget = budget
+        super().__init__(
+            "enumeration needs %d elements, budget is %d "
+            "(raise METRIC_AFFINE_BUDGET to allow more)" % (required, budget)
+        )
+
+
+class InvariantViolation(AssertionError):
+    """A verified identity failed.  Raised explicitly, so that python -O,
+    which strips assert statements, cannot switch the check off."""
+
+
+class BadBudgetVariable(ValueError):
+    """METRIC_AFFINE_BUDGET is set, but not to an integer."""
+
+
+def group_budget():
+    """Budget on enumerated group orders; env-tunable, hard-clamped."""
+    raw = os.environ.get("METRIC_AFFINE_BUDGET")
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        value = int(raw)
+    except ValueError:
+        raise BadBudgetVariable("METRIC_AFFINE_BUDGET must be an integer, "
+                                "got %r" % (raw,)) from None
+    return max(1, min(value, HARD_BUDGET_CEILING))
+
+
+def order_gl(n, q):
+    """|GL_n(F_q)| = prod_i (q^n - q^i)."""
+    N = q ** n
+    order = 1
+    for i in range(n):
+        order *= N - q ** i
+    return order
+
+
+assert order_gl(2, 2) == 6 and order_gl(3, 2) == 168 and order_gl(4, 2) == 20160
+assert order_gl(2, 3) == 48 and order_gl(3, 3) == 11232 and order_gl(0, 5) == 1
+
+
+def check_budget(field, n, budget):
+    """Raise BudgetExceeded unless all of GL_n over the field fits the budget.
+
+    Every memoised function taking a budget calls this before its memo
+    lookup, so a result does not depend on what an earlier call memoised.
+    """
+    budget = group_budget() if budget is None else budget
+    required = order_gl(n, field.order)
+    if required > budget:
+        raise BudgetExceeded(required, budget)
+
+
+# One memo table for the whole package.  Keys are tuples led by the name of
+# the memoising function, followed by plain field names, dimensions and
+# coefficient tuples (a form's `gram.rows`, which it already holds), so no
+# form or matrix object is kept alive by a key.
+_MEMO = {}
+
+
+def memo(key, build):
+    """The value memoised under key; build() makes it (never None) on the
+    first call."""
+    got = _MEMO.get(key)
+    if got is None:
+        got = _MEMO[key] = build()
+    return got

@@ -7,26 +7,18 @@ inputs and budget; `--format records` switches to line-delimited JSON with
 stable field names.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
 
-from .classify import (MODE_MOTION, MODE_WEAK, _exceptional_size,
-                       quadric_duality_check, render_table_lines,
-                       reproduce_table, solve_for_qtilde, verify_main_prop,
-                       verify_projective_theorem)
+from .budget import (BadBudgetVariable, BudgetExceeded, HARD_BUDGET_CEILING,
+                     group_budget, order_gl)
 from .fields import field_make
-from .groups import (BadBudgetVariable, BudgetExceeded, HARD_BUDGET_CEILING,
-                     group_budget, order_gl, orthogonal_group,
-                     reflection_generation_status, weak_orthogonal_group)
 from .homog import DegeneratePolarForm, NotDroppable, drop, lift
 from .linalg import vec
 from .quadform import (all_vectors, enumerate_forms, form_from_text,
                        form_to_text, is_nondegenerate, poly_str, qf_eval,
                        radical_basis)
-from .transvect import _answers
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -154,8 +146,12 @@ def cmd_drop(args, em):
 def cmd_eval(args, em):
     Q = _load_form(args.form_file)
     F = Q.field
-    raw = args.vector.strip().strip("()[]")
-    toks = [t.strip() for t in raw.split(",") if t.strip()]
+    raw = args.vector.strip()
+    if raw[:1] + raw[-1:] in ("()", "[]"):  # any other bracket fails F.parse
+        raw = raw[1:-1]
+    toks = [t.strip() for t in raw.split(",")] if raw.strip() else []
+    if "" in toks:
+        raise InputError("empty coordinate in vector %r" % args.vector)
     if len(toks) != Q.n:
         raise InputError("expected %d coordinates, got %d" % (Q.n, len(toks)))
     try:
@@ -178,9 +174,10 @@ def cmd_groups(args, em):
     if not F.enumerable:
         raise InputError("group enumeration needs a finite field, not %s"
                          % F.name)
-    o = orthogonal_group(Q, args.budget)
-    w = weak_orthogonal_group(Q, args.budget)
-    st = reflection_generation_status(Q, args.budget)
+    from . import groups
+    o = groups.orthogonal_group(Q, args.budget)
+    w = groups.weak_orthogonal_group(Q, args.budget)
+    st = groups.reflection_generation_status(Q, args.budget)
     em.text("# form: %s [%s, dim %d]" % (poly_str(Q), F.name, Q.n),
             "|GL|: %d" % order_gl(Q.n, F.order),
             "|O|: %d" % o.order,
@@ -204,6 +201,7 @@ def cmd_groups(args, em):
 # --- verification commands -------------------------------------------------
 
 def cmd_verify_lemmas(args, em):
+    from .transvect import _answers
     fld = _finite_field(args.field_name)
     n = _require_dim(args, low=1)
     counts = {"a": 0, "b": 0, "c": 0, "d": 0}
@@ -240,6 +238,7 @@ def cmd_verify_lemmas(args, em):
 
 
 def cmd_verify_proposition(args, em):
+    from .classify import verify_main_prop
     fld = _finite_field(args.field_name)
     n = _require_dim(args, low=1)
     rep = verify_main_prop(fld, n, args.budget)
@@ -259,6 +258,7 @@ def cmd_verify_proposition(args, em):
 
 
 def cmd_verify_tables(args, em):
+    from .classify import render_table_lines, reproduce_table
     code = EXIT_PASS
     for dim, fname in _TABLE_CASES[args.case]:
         fld = field_make(fname)
@@ -283,6 +283,8 @@ def cmd_verify_tables(args, em):
 
 
 def cmd_verify_theorem(args, em):
+    from .classify import (MODE_MOTION, MODE_WEAK, _exceptional_size,
+                           solve_for_qtilde)
     fld = _finite_field(args.field_name)
     n = _require_dim(args)
     m = (n + 1) * (n + 2) // 2
@@ -324,6 +326,7 @@ def cmd_verify_theorem(args, em):
 
 
 def cmd_verify_projective(args, em):
+    from .classify import verify_projective_theorem
     fld = _finite_field(args.field_name)
     n = _require_dim(args)
     rep = verify_projective_theorem(fld, n, args.budget)
@@ -352,6 +355,7 @@ def cmd_verify_quadric(args, em):
     if not Q.field.enumerable:
         raise InputError("the quadric check enumerates points; %s is not "
                          "a finite field" % Q.field.name)
+    from .classify import quadric_duality_check
     rep = quadric_duality_check(Q)
     em.text("quadric duality for %s over %s, dim %d"
             % (poly_str(Q), rep.field_name, rep.n),

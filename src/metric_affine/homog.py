@@ -16,22 +16,21 @@ F x V* ("lift"): the Gram matrix is diag(0, B^-1 W B^-1).  The companion
 vanishes on e0 and has exactly the line through e0 as the radical of its
 polar form; "drop" inverts the construction.  Motions of (V, Q) turn into
 isometries of the lifted form under the dual representation, which is what
-the classification machinery in classify.py exploits.
+the classification machinery in classify.py exploits.  Only lift_np and
+motion_group_dual import numpy and the group engine, in their bodies, so
+lift and drop run without them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
-from .groups import (GroupSet, InvariantViolation, check_budget, invert_np,
-                     matmul_np, memo, upper_coeffs_np, vectors_np)
+from .budget import InvariantViolation, check_budget, memo
 from .linalg import (Mat, Singular, mat_invert, span_contains, unit_vector,
                      vec)
-from .quadform import (QForm, is_isometry, is_nondegenerate, poly_str, polar,
-                       polar_apply, qf_eval, qf_scale, radical_basis,
-                       reflection)
+from .quadform import (QForm, enumerate_forms, is_isometry, is_nondegenerate,
+                       poly_str, polar, polar_apply, qf_eval, qf_scale,
+                       radical_basis, reflection)
 
 
 class DegeneratePolarForm(Exception):
@@ -199,6 +198,8 @@ def lift_np(field, n, W):
     block of the lift times B must be the identity (InvariantViolation
     otherwise), on every row of ok.
     """
+    import numpy as np
+    from .groups import invert_np, matmul_np, upper_coeffs_np
     k = len(W)
     iu, ju = np.triu_indices(n)
     G = np.zeros((k, n, n), dtype=np.uint8)
@@ -267,7 +268,6 @@ def roundtrip_checks(fld, n):
     For forms Qt on dim n satisfying the drop preconditions:
       lift(drop(Qt)) = Qt.
     """
-    from .quadform import enumerate_forms
     violations = []
     lifted = dropped = 0
     units = fld.units()
@@ -312,20 +312,20 @@ def motion_group_dual(Q, weak, budget=None):
     so the image is {[[1, s^T], [0, B^T]] : s in F^n, B in the group},
     assembled here as one stack.  Memoised.
     """
-    from .groups import orthogonal_group, weak_orthogonal_group
-
     F, n = Q.field, Q.n
     check_budget(F, n, budget)
 
     def build():
-        group = weak_orthogonal_group if weak else orthogonal_group
-        linear = group(Q, budget)
-        S = vectors_np(F, n)
+        import numpy as np
+        from . import groups
+        linear = (groups.weak_orthogonal_group if weak
+                  else groups.orthogonal_group)(Q, budget)
+        S = groups.vectors_np(F, n)
         out = np.zeros((linear.order, len(S), n + 1, n + 1), dtype=np.uint8)
         out[..., 0, 0] = 1
         out[..., 0, 1:] = S
         out[..., 1:, 1:] = linear.as_np().transpose(0, 2, 1)[:, np.newaxis]
-        out = GroupSet.from_np(F, n + 1, out.reshape(-1, n + 1, n + 1))
+        out = groups.GroupSet.from_np(F, n + 1, out.reshape(-1, n + 1, n + 1))
         if out.order != (F.order ** n) * linear.order:
             raise InvariantViolation("motion group of %s has repeated "
                                      "elements" % poly_str(Q))

@@ -5,7 +5,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from metric_affine import classify, groups
+from metric_affine import classify
 from metric_affine.classify import (MODE_MOTION, MODE_WEAK, MODES,
                                     SUPPORTED_TABLES, QuadricReport,
                                     _projective_canon_np,
@@ -105,20 +105,15 @@ def _scan_for_qtilde(Q, mode):
 @pytest.mark.parametrize("F,n", [(GF2, 0), (GF2, 1), (GF2, 2), (GF3, 0),
                                  (GF3, 1), (GF3, 2), (GF4, 1), (GF5, 1)],
                          ids=lambda v: getattr(v, "name", v))
-def test_solve_by_index_matches_direct_scan(F, n):
+def test_solve_by_index_matches_direct_scan(F, n, cold_memo):
     lefts = enumerate_forms(F, n)
     warm = [solve_for_qtilde(Q, mode) for Q in lefts for mode in MODES]
     assert warm == [_scan_for_qtilde(Q, mode)
                     for Q in lefts for mode in MODES]
     # and the answer does not depend on what was memoised before
-    saved = dict(groups._MEMO)
-    groups._MEMO.clear()
-    try:
-        assert warm == [solve_for_qtilde(Q, mode)
-                        for Q in lefts for mode in MODES]
-    finally:
-        groups._MEMO.clear()
-        groups._MEMO.update(saved)
+    cold_memo.clear()
+    assert warm == [solve_for_qtilde(Q, mode)
+                    for Q in lefts for mode in MODES]
 
 
 def _scan_index(F, m):
@@ -135,21 +130,14 @@ def _scan_index(F, m):
                          + [(GF3, m) for m in range(4)]
                          + [(F, m) for F in (GF4, GF5, GF7) for m in range(3)],
                          ids=lambda v: getattr(v, "name", v))
-def test_orbit_index_matches_per_form_scan(F, m):
+def test_orbit_index_matches_per_form_scan(F, m, cold_memo):
     # built cold, so no group memoised by an earlier test is reused
-    saved = dict(groups._MEMO)
-    groups._MEMO.clear()
-    try:
-        index = weak_group_index(F, m)
-        o_table = groups_by_orbit(F, m, orthogonal_group)
-        groups._MEMO.clear()
-        assert index == _scan_index(F, m)
-        # the scan memoised O(Q) form by form, by the per-form GL filter
-        assert o_table == [orthogonal_group(Q)
-                           for Q in enumerate_forms(F, m)]
-    finally:
-        groups._MEMO.clear()
-        groups._MEMO.update(saved)
+    index = weak_group_index(F, m)
+    o_table = groups_by_orbit(F, m, orthogonal_group)
+    cold_memo.clear()
+    assert index == _scan_index(F, m)
+    # the scan memoised O(Q) form by form, by the per-form GL filter
+    assert o_table == [orthogonal_group(Q) for Q in enumerate_forms(F, m)]
 
 
 # --- tables ----------------------------------------------------------------
@@ -361,16 +349,6 @@ def _per_form_quadric_check(Q, lift=lift):
                          len(rhs), tuple(details))
 
 
-@pytest.fixture
-def cold_memo():
-    """An empty memo table for the test, the previous one restored after."""
-    saved = dict(groups._MEMO)
-    groups._MEMO.clear()
-    yield
-    groups._MEMO.clear()
-    groups._MEMO.update(saved)
-
-
 def test_quadric_points_projective_reps():
     # x1^2 + 4 x2^2 = x1^2 - x2^2 over GF(5): two projective points
     pts = quadric_points(QForm.from_upper(GF5, 2, (1, 0, 4)))
@@ -444,7 +422,7 @@ def test_quadric_block_does_not_depend_on_the_first_form(cold_memo):
     size = classify._block_size(GF5, 3)
     block = forms[size:2 * size]        # the second block of the table
     first = [quadric_duality_check(Q) for Q in block]
-    groups._MEMO.clear()
+    cold_memo.clear()
     last = [quadric_duality_check(Q) for Q in reversed(block)][::-1]
     assert first == last
     assert {rep.status for rep in first} == {"degenerate-polar", "ok"}
@@ -495,7 +473,7 @@ def test_quadric_duality_three_vars():
 _WRONG_BLOCK_CHILD = textwrap.dedent("""
     import sys
     import numpy as np
-    from metric_affine import classify, homog
+    from metric_affine import classify, groups, homog
     from metric_affine.fields import GF5
     from metric_affine.groups import InvariantViolation
     from metric_affine.quadform import QForm
@@ -509,7 +487,7 @@ _WRONG_BLOCK_CHILD = textwrap.dedent("""
         return ok, up
 
     # a zero "inverse" of every B, then lifts that are nonzero at e0
-    patches = ((homog, "invert_np", lambda field, stack: (
+    patches = ((groups, "invert_np", lambda field, stack: (
                    np.ones(len(stack), dtype=bool), np.zeros_like(stack))),
                (classify, "lift_np", lift_nonzero_at_e0))
     for module, name, wrong in patches:

@@ -88,6 +88,48 @@ def test_eval_wrong_arity(form_file, capsys):
     assert "expected 2 coordinates" in capsys.readouterr().err
 
 
+FORM_GF3_SPACE = '{"dim": 3, "field": "GF(3)", "upper": [1, 0, 0, 1, 0, 1]}\n'
+FORM_GF3_POINT = '{"dim": 0, "field": "GF(3)", "upper": []}\n'
+
+
+@pytest.mark.parametrize("vector", ["1,2", "(1,2)", "[1,2]", " ( 1 , 2 ) ",
+                                    "[ 1,2 ]"])
+def test_eval_vector_syntax(form_file, capsys, vector):
+    # comma-separated coordinates, optionally in one matching pair of
+    # brackets, as the README documents
+    assert main(["eval", form_file(FORM_GF3_PLANE), vector]) == EXIT_PASS
+    assert capsys.readouterr().out == ("# form: x1^2 + x2^2 [GF(3), dim 2]\n"
+                                       "Q(1, 2) = 2\n")
+
+
+@pytest.mark.parametrize("vector", ["", "()", "[]", " ( ) "])
+def test_eval_dimension_zero_takes_the_empty_vector(form_file, capsys,
+                                                    vector):
+    assert main(["eval", form_file(FORM_GF3_POINT), vector]) == EXIT_PASS
+    assert capsys.readouterr().out.endswith("Q() = 0\n")
+
+
+@pytest.mark.parametrize("form,vector", [
+    (FORM_GF3_PLANE, "1,,2"), (FORM_GF3_PLANE, "1,1,"),
+    (FORM_GF3_PLANE, ",1,1"), (FORM_GF3_PLANE, "1, ,1"),
+    (FORM_GF3_SPACE, "1,,2"), (FORM_GF3_SPACE, "1,1,"),
+    (FORM_GF3_SPACE, ",1,1"), (FORM_GF3_PLANE, ","),
+    (FORM_GF3_PLANE, "[1,1)"), (FORM_GF3_PLANE, "(1,1]"),
+    (FORM_GF3_PLANE, "(1,1"), (FORM_GF3_PLANE, "1,1)"),
+    (FORM_GF3_PLANE, "[1,1"), (FORM_GF3_PLANE, "((1,1))"),
+    (FORM_GF3_PLANE, "(1),(1)"), (FORM_GF3_PLANE, "()"),
+    (FORM_GF3_PLANE, ""), (FORM_RATIONAL, "1/2,,"), (FORM_RATIONAL, "(1/2,1"),
+    (FORM_GF3_POINT, ","), (FORM_GF3_POINT, "("), (FORM_GF3_POINT, "[)"),
+    (FORM_GF3_POINT, "(())"),
+])
+def test_eval_rejects_malformed_vectors(form_file, capsys, form, vector):
+    assert main(["eval", form_file(form), vector]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_groups_frozen_output(form_file, capsys):
     assert main(["groups", form_file(FORM_GF3_LINE)]) == EXIT_PASS
     assert capsys.readouterr().out == (

@@ -6,17 +6,18 @@ import textwrap
 import numpy as np
 import pytest
 
-from metric_affine import groups
+from metric_affine import budget, groups
+from metric_affine.budget import (DEFAULT_BUDGET, HARD_BUDGET_CEILING,
+                                  BadBudgetVariable, BudgetExceeded,
+                                  group_budget, order_gl)
 from metric_affine.classify import weak_group_index
 from metric_affine.fields import GF2, GF3, GF4, GF5, GF7
-from metric_affine.groups import (DEFAULT_BUDGET, HARD_BUDGET_CEILING,
-                                  BadBudgetVariable, BudgetExceeded, GroupSet,
-                                  _build_gl, _gl_arrays, _perm_table, closure,
+from metric_affine.groups import (GroupSet, _build_gl, _gl_arrays,
+                                  _perm_table, closure,
                                   congruence_decomposition, enumerate_gl,
-                                  group_budget, group_equal, is_subgroup,
+                                  group_equal, is_subgroup,
                                   isometry_mask, matmul_np, mat_to_np,
-                                  matrix_codes, order_gl,
-                                  orthogonal_group,
+                                  matrix_codes, orthogonal_group,
                                   reflection_generation_status, vectors_np,
                                   weak_orthogonal_group)
 from metric_affine.homog import motion_group_dual
@@ -269,12 +270,12 @@ def test_memo_keys_hold_plain_data():
     orthogonal_group(Q)
     weak_orthogonal_group(Q)
     motion_group_dual(Q, True)
-    assert ("orthogonal_group", "GF(3)", 2, ((1, 0), (0, 2))) in groups._MEMO
+    assert ("orthogonal_group", "GF(3)", 2, ((1, 0), (0, 2))) in budget._MEMO
 
     def plain(x):
         return (all(map(plain, x)) if isinstance(x, tuple)
                 else isinstance(x, (str, int, bytes)))
-    assert all(plain(key) for key in groups._MEMO)
+    assert all(plain(key) for key in budget._MEMO)
 
 
 ORBIT_FORMS = [
@@ -313,21 +314,15 @@ def test_congruence_orbit_sizes():
                          for A in enumerate_gl(F, n).as_np()}, (F, n, upper)
 
 
-def test_orbit_walk_rejects_a_wrong_orbit(monkeypatch):
+def test_orbit_walk_rejects_a_wrong_orbit(monkeypatch, cold_memo):
     # an orbit that comes out wrong raises instead of building a wrong index:
     # here every A maps the form to itself, so each orbit has one member.
     # The decomposition is memoised, so it is built cold here.
     codes = groups.congruence_codes
     monkeypatch.setattr(groups, "congruence_codes",
                         lambda field, W, G: codes(field, W, G[:1]).repeat(len(G)))
-    saved = dict(groups._MEMO)
-    groups._MEMO.clear()
-    try:
-        with pytest.raises(groups.InvariantViolation, match="orbit-stabiliser"):
-            congruence_decomposition(GF3, 2)
-    finally:
-        groups._MEMO.clear()
-        groups._MEMO.update(saved)
+    with pytest.raises(groups.InvariantViolation, match="orbit-stabiliser"):
+        congruence_decomposition(GF3, 2)
 
 
 def _gl_weak_mask(Q):
