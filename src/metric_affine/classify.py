@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (GroupSet, InvariantViolation, _gl_arrays,
-                     _monomials_np, check_budget, congruence_decomposition,
-                     enumerate_gl, form_values_np, group_budget, group_equal,
-                     groups_by_orbit, is_subgroup, matmul_np, memo,
-                     vectors_np, weak_orthogonal_group, orthogonal_group)
+                     check_budget, congruence_decomposition, enumerate_gl,
+                     form_values_np, group_budget, group_equal,
+                     groups_by_orbit, inverses_np, is_subgroup, matmul_np,
+                     memo, mul_np, values_np, vectors_np,
+                     weak_orthogonal_group, orthogonal_group)
 from .homog import (DegeneratePolarForm, NotDroppable, drop, lift, lift_np,
                     motion_group_dual)
 from .quadform import (QForm, enumerate_forms, form_position,
@@ -434,16 +435,12 @@ def _projective_canon_np(fld, rows):
     """Canonicalise each nonzero row of an integer-coded stack to its
     projective representative; rows full of zeros are dropped.
 
-    Each row is scaled by the inverse of its first nonzero entry, as a
-    1 x 1 times 1 x m product.
+    Each row is scaled by the inverse of its first nonzero entry.
     """
     rows = np.asarray(rows, dtype=np.uint8)
     rows = rows[(rows != 0).any(axis=1)]
     lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
-    inv = memo(("_projective_canon_np", fld.name), lambda: np.array(
-        [0] + [fld.inv(c) for c in range(1, fld.order)], dtype=np.uint8))
-    return matmul_np(fld, inv[lead][:, np.newaxis, np.newaxis],
-                     rows[:, np.newaxis, :])[:, 0]
+    return mul_np(fld, inverses_np(fld)[lead][:, np.newaxis], rows)
 
 
 def projective_reduce(gs):
@@ -563,14 +560,6 @@ def _block_size(fld, n):
     return max(1, _BLOCK_ENTRIES // fld.order ** (n + 1))
 
 
-def _values_np(fld, n, C, cols):
-    """Values mod p of the forms with upper coefficients C (shape (k, m))
-    at the vectors of F^n with the given indices, as a (k, len(cols))
-    int16 table: each of the m terms is below p^3, so the sum stays small."""
-    mono = (_monomials_np(fld, n)[cols].T % fld.order).astype(np.int16)
-    return np.einsum("km,mv->kv", C.astype(np.int16), mono) % fld.order
-
-
 def _quadric_block(fld, n, block):
     """quadric_duality_check for every form of one block of consecutive
     positions in enumerate_forms order, on the block's coefficient stack.
@@ -595,14 +584,14 @@ def _quadric_block(fld, n, block):
     ok, up = lift_np(fld, n, W)
 
     # base side, over all of F^n: the null cone without 0
-    null = _values_np(fld, n, W, slice(None)) == 0
+    null = values_np(fld, n, W) == 0
     null[:, 0] = False
     base = np.count_nonzero(null[:, _rep_mask(fld, n)], axis=1)
 
     # lifted side, over the representatives of F^(n+1); the first of them
     # is the vertex e0 = (1, 0, ..., 0), the vector with index 1
     reps = np.flatnonzero(_rep_mask(fld, n + 1))
-    lifted = _values_np(fld, n + 1, up, reps) == 0
+    lifted = values_np(fld, n + 1, up, reps) == 0
     if not lifted[ok, 0].all():
         raise InvariantViolation("a stacked lift over %s, dim %d, is nonzero "
                                  "at e0" % (fld.name, n))
@@ -658,13 +647,13 @@ def quadric_duality_check(Q):
     memoised per (field, n) and built in blocks of consecutive forms.
     """
     fld, n = Q.field, Q.n
+    if not fld.enumerable:
+        raise ValueError("the quadric check enumerates points; %s is not "
+                         "a finite field" % fld.name)
     if fld.char == 2:
         return QuadricReport(fld.name, n, "char-2-excluded", 0, 0, 0, ())
     if n < 2:
         return QuadricReport(fld.name, n, "dim-too-small", 0, 0, 0, ())
-    if not fld.enumerable:
-        raise ValueError("the quadric check enumerates points; %s is not "
-                         "a finite field" % fld.name)
     block, row = divmod(form_position(Q), _block_size(fld, n))
     status, counts, details = memo(("_quadric_block", fld.name, n, block),
                                    lambda: _quadric_block(fld, n, block))

@@ -3,13 +3,11 @@
 Field elements are plain Python values (small ints for the finite fields,
 `fractions.Fraction` for the rationals); a Field object supplies the
 arithmetic.  For the finite fields the raw value of an element *is* its
-enumeration index, which keeps the table-driven group code simple:
-
-    GF(p):  0, 1, ..., p-1           (integers mod p)
-    GF(4):  0, 1, 2, 3  meaning  0, 1, t, t+1  with t*t = t+1
-
-Addition in GF(4) is bitwise XOR; multiplication and inversion are table
-lookups.  No floating point is used anywhere.
+enumeration index, which keeps the table-driven group code simple: over
+GF(p) it is the integer mod p, and over GF(p^k) the polynomial in t of
+degree < k whose coefficients are its base-p digits, the constant term
+least significant; so GF(4) = F_2[t]/(t^2+t+1) codes 0, 1, t, t+1 as
+0, 1, 2, 3.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -129,42 +127,68 @@ class PrimeField(Field):
         return list(range(self.p))
 
 
-_GF4_MUL = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
-_GF4_INV = (None, 1, 3, 2)
+class PrimePowerField(Field):
+    """GF(p^k) = F_p[t] / (modulus), for a monic irreducible modulus of
+    degree k, its coefficients given constant term first (Lidl and
+    Niederreiter, *Finite Fields*, ch. 2).  Every operation is a lookup in
+    tables built here once; a reducible modulus is refused."""
 
-
-class GF4Field(Field):
-    """The four-element field, elements coded 0, 1, t, t+1 -> 0, 1, 2, 3."""
-
-    name = "GF(4)"
-    char = 2
-    order = 4
     enumerable = True
     zero = 0
     one = 1
 
+    def __init__(self, p, modulus):
+        k = len(modulus) - 1
+        self.char, self.order = p, p ** k
+        self.name = "GF(%d)" % self.order
+        els = range(self.order)
+        poly = [[a // p ** i % p for i in range(k)] for a in els]
+
+        def code(coeffs):       # the constant term least significant
+            return sum(c % p * p ** i for i, c in enumerate(coeffs))
+
+        def times(a, b):
+            prod = [0] * (2 * k - 1)
+            for i, x in enumerate(poly[a]):
+                for j, y in enumerate(poly[b]):
+                    prod[i + j] += x * y
+            for d in range(2 * k - 2, k - 1, -1):   # less t^(d-k) modulus
+                prod[d - k:d + 1] = [x - prod[d] * m for x, m
+                                     in zip(prod[d - k:d + 1], modulus)]
+            return code(prod[:k])
+
+        self._add = tuple(tuple(code(map(operator.add, poly[a], poly[b]))
+                                for b in els) for a in els)
+        self._neg = tuple(code(-c for c in poly[a]) for a in els)
+        self._mul = tuple(tuple(times(a, b) for b in els) for a in els)
+        if any(1 not in row for row in self._mul[1:]):
+            raise ValueError("%r is not irreducible over GF(%d)"
+                             % (modulus, p))
+        self._inv = (None,) + tuple(row.index(1) for row in self._mul[1:])
+
     def add(self, a, b):
-        return a ^ b
+        return self._add[a][b]
 
     def neg(self, a):
-        return a  # characteristic 2
+        return self._neg[a]
 
     def mul(self, a, b):
-        return _GF4_MUL[a][b]
+        return self._mul[a][b]
 
     def inv(self, a):
         if a == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(4)")
-        return _GF4_INV[a]
+            raise ZeroDivisionError("inverse of 0 in %s" % self.name)
+        return self._inv[a]
 
     def coerce(self, x):
         x = int(x)
-        if not 0 <= x <= 3:
-            raise ValueError("GF(4) elements are coded 0..3, got %r" % (x,))
+        if not 0 <= x < self.order:
+            raise ValueError("%s elements are coded 0..%d, got %r"
+                             % (self.name, self.order - 1, x))
         return x
 
     def elements(self):
-        return [0, 1, 2, 3]
+        return list(range(self.order))
 
 
 class RationalField(Field):
@@ -209,7 +233,7 @@ class RationalField(Field):
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
-GF4 = GF4Field()
+GF4 = PrimePowerField(2, (1, 1, 1))      # t^2 + t + 1
 GF5 = PrimeField(5)
 GF7 = PrimeField(7)
 QQ = RationalField()
@@ -232,7 +256,3 @@ def field_make(name):
         )
     return f
 
-
-# GF(4) sanity: t*t = t+1, t*(t+1) = 1, (t+1)*(t+1) = t.
-assert GF4.mul(2, 2) == 3 and GF4.mul(2, 3) == 1 and GF4.mul(3, 3) == 2
-assert all(GF4.mul(a, GF4.inv(a)) == 1 for a in (1, 2, 3))

@@ -38,16 +38,41 @@ import numpy as np
 
 from .budget import (BudgetExceeded, InvariantViolation, check_budget,
                      group_budget, memo, order_gl)
-from .fields import GF4Field
 from .quadform import (QForm, enumerate_forms, form_position, polar,
                        radical_basis)
 
-_MUL4 = np.array([[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]],
-                 dtype=np.uint8)
+
+def _table_np(field, op):
+    """The q x q uint8 table of op, field.add or field.mul, over a field
+    that is not prime.  Memoised."""
+    els = range(field.order)
+    return memo(("_table_np", field.name, op.__name__), lambda: np.array(
+        [[op(a, b) for b in els] for a in els], dtype=np.uint8))
 
 
-def _is_gf4(field):
-    return isinstance(field, GF4Field)
+# Field arithmetic on uint8 stacks of element codes, broadcast as numpy's own
+# operators are: mod p over GF(p), exact in uint8 for p <= 16 and about twice
+# as fast as a table gather, and the add/mul tables over any other field.
+# This and matmul_np's fast path are the one place that tells them apart.
+
+def add_np(field, a, b):
+    if field.order == field.char:
+        return (a + b) % field.order
+    return _table_np(field, field.add)[a, b]
+
+
+def mul_np(field, a, b):
+    if field.order == field.char:
+        return (a * b) % field.order
+    return _table_np(field, field.mul)[a, b]
+
+
+def inverses_np(field):
+    """uint8 table c |-> c^-1 (and 0 |-> 0), read off the products of every
+    pair of elements.  Memoised."""
+    els = np.arange(field.order, dtype=np.uint8)
+    return memo(("inverses_np", field.name), lambda: (mul_np(
+        field, els[:, np.newaxis], els) == 1).argmax(axis=1).astype(np.uint8))
 
 
 def vectors_np(field, n):
@@ -65,21 +90,22 @@ def vectors_np(field, n):
 
 def vector_index_np(field, X):
     """Indices of the rows of X (shape (..., n)) in the vector table."""
-    q = field.order
-    n = X.shape[-1]
-    powers = q ** np.arange(n, dtype=np.int64)
-    return X.astype(np.int64) @ powers if n else np.zeros(X.shape[:-1], dtype=np.int64)
+    powers = field.order ** np.arange(X.shape[-1], dtype=np.int64)
+    return X.astype(np.int64) @ powers
 
 
 def matmul_np(field, A, B):
-    """Exact matrix product of integer-coded stacks over a finite field."""
-    if _is_gf4(field):
-        out = np.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
-                       + (A.shape[-2], B.shape[-1]), dtype=np.uint8)
-        for k in range(A.shape[-1]):
-            out ^= _MUL4[A[..., :, k][..., :, None], B[..., k, :][..., None, :]]
-        return out
-    return ((A.astype(np.int64) @ B.astype(np.int64)) % field.order).astype(np.uint8)
+    """Exact matrix product of integer-coded stacks over a finite field:
+    int64 @ mod p over GF(p), a sum of add_np/mul_np terms otherwise."""
+    if field.order == field.char:
+        return ((A.astype(np.int64) @ B.astype(np.int64))
+                % field.order).astype(np.uint8)
+    out = np.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+                   + (A.shape[-2], B.shape[-1]), dtype=np.uint8)
+    for k in range(A.shape[-1]):
+        out = add_np(field, out, mul_np(field, A[..., :, k, np.newaxis],
+                                        B[..., np.newaxis, k, :]))
+    return out
 
 
 def mat_to_np(A):
@@ -106,15 +132,14 @@ def matrix_codes(field, stack):
 
 
 def invert_np(field, stack):
-    """(ok, inverse) for a (k, n, n) integer-coded stack over a prime field:
-    ok marks the invertible matrices, and inverse holds their inverses
-    (its other rows are meaningless).  Gauss-Jordan on [A | I], every
-    matrix of the stack at once."""
-    assert not _is_gf4(field), "invert_np works over prime fields"
-    p, (k, n) = field.order, stack.shape[:2]
-    inv = np.array([0] + [field.inv(c) for c in range(1, p)], dtype=np.int16)
-    aug = np.concatenate([np.asarray(stack, dtype=np.int16) % p,
-                          np.broadcast_to(np.eye(n, dtype=np.int16),
+    """(ok, inverse) for a (k, n, n) uint8 stack: ok marks the invertible
+    matrices, and inverse holds their inverses (its other rows are
+    meaningless).  Gauss-Jordan on [A | I], every matrix of the stack at
+    once."""
+    k, n = stack.shape[:2]
+    inv, minus_one = inverses_np(field), field.neg(field.one)
+    aug = np.concatenate([np.asarray(stack, dtype=np.uint8),
+                          np.broadcast_to(np.eye(n, dtype=np.uint8),
                                           (k, n, n))], axis=2)
     ok = np.ones(k, dtype=bool)
     rows = np.arange(k)
@@ -127,23 +152,20 @@ def invert_np(field, stack):
         piv = c + nonzero.argmax(axis=1)
         top = aug[rows, piv]
         aug[rows, piv] = aug[:, c]
-        aug[:, c] = top * inv[top[:, c]][:, np.newaxis] % p
-        factor = aug[:, :, c].copy()
+        aug[:, c] = mul_np(field, top, inv[top[:, c]][:, np.newaxis])
+        factor = mul_np(field, aug[:, :, c], minus_one)
         factor[:, c] = 0
-        aug = (aug - factor[:, :, np.newaxis] * aug[:, c:c + 1]) % p
-    return ok, aug[:, :, n:].astype(np.uint8)
+        aug = add_np(field, aug, mul_np(field, factor[:, :, np.newaxis],
+                                        aug[:, c:c + 1]))
+    return ok, aug[:, :, n:]
 
 
 def upper_coeffs_np(field, S):
     """The canonical upper coefficients (as in QForm.upper_coeffs) of every
     Gram matrix in a (..., n, n) stack: the diagonal kept, the strictly-lower
     part folded onto the upper one."""
-    n = S.shape[-1]
-    iu, ju = np.triu_indices(n)
-    upper, lower = S[..., iu, ju], np.where(iu == ju, 0, S[..., ju, iu])
-    if _is_gf4(field):
-        return upper ^ lower
-    return ((upper + lower) % field.order).astype(np.uint8)
+    iu, ju = np.triu_indices(S.shape[-1])
+    return add_np(field, S[..., iu, ju], np.where(iu == ju, 0, S[..., ju, iu]))
 
 
 def _gl_arrays(field, n, budget=None):
@@ -188,33 +210,27 @@ def _perm_table(field, n, budget=None):
 
 
 def _monomials_np(field, n):
-    """(q^n, n(n+1)/2) int64 table: row idx holds the products x_i x_j
+    """(q^n, n(n+1)/2) uint8 table: row idx holds the products x_i x_j
     (i <= j, row-major) of vector idx, in the order of QForm.upper_coeffs."""
     def build():
-        V = vectors_np(field, n).astype(np.int64)
+        V = vectors_np(field, n)
         iu, ju = np.triu_indices(n)
-        tab = V[:, iu] * V[:, ju]
+        tab = mul_np(field, V[:, iu], V[:, ju])
         tab.setflags(write=False)
         return tab
     return memo(("_monomials_np", field.name, n), build)
 
 
+def values_np(field, n, C, cols=slice(None)):
+    """The values of the forms on F^n with upper coefficients C (a (k,
+    n(n+1)/2) uint8 stack) at the vectors with indices cols, as a (k,
+    len(cols)) uint8 table."""
+    return matmul_np(field, C, _monomials_np(field, n)[cols].T)
+
+
 def form_values_np(Q):
     """Value table: entry idx is the raw code of Q(vector_idx)."""
-    field, n = Q.field, Q.n
-    if _is_gf4(field):
-        V = vectors_np(field, n)
-        W = mat_to_np(Q.gram)
-        vals = np.zeros(V.shape[0], dtype=np.uint8)
-        for i in range(n):
-            for j in range(i, n):
-                if W[i, j]:
-                    vals ^= _MUL4[_MUL4[W[i, j], V[:, i]], V[:, j]]
-        return vals.astype(np.int64)
-    if n == 0:
-        return np.zeros(1, dtype=np.int64)
-    coeffs = np.array(Q.upper_coeffs(), dtype=np.int64)
-    return (_monomials_np(field, n) @ coeffs) % field.order
+    return values_np(Q.field, Q.n, np.array([Q.upper_coeffs()], np.uint8))[0]
 
 
 def isometry_mask(Q, budget=None):
@@ -489,16 +505,11 @@ def _reflections_np(Q, vals):
     the value table vals of Q (the identity where Q(f) = 0)."""
     field, n = Q.field, Q.n
     V = vectors_np(field, n)
-    neg_inv = np.zeros(field.order, dtype=np.uint8)
-    for c in field.units():
-        neg_inv[c] = field.neg(field.inv(c))
+    neg_inv = mul_np(field, inverses_np(field), field.neg(field.one))
     Bf = matmul_np(field, V, mat_to_np(polar(Q)).T)         # row f: (Bf)^T
-    scaled = matmul_np(field, neg_inv[vals][:, np.newaxis, np.newaxis],
-                       Bf[:, np.newaxis, :])
-    rank_one = matmul_np(field, V[:, :, np.newaxis], scaled)
-    ident = np.eye(n, dtype=np.uint8)
-    return (ident ^ rank_one if _is_gf4(field)
-            else (ident + rank_one) % field.order)
+    scaled = mul_np(field, neg_inv[vals][:, np.newaxis], Bf)
+    rank_one = mul_np(field, V[:, :, np.newaxis], scaled[:, np.newaxis, :])
+    return add_np(field, np.eye(n, dtype=np.uint8), rank_one)
 
 
 @dataclass(frozen=True)

@@ -188,7 +188,7 @@ def lift(Q):
 
 
 def lift_np(field, n, W):
-    """lift for a stack of forms on F^n over a prime field, held as upper
+    """lift for a stack of forms on F^n over a finite field, held as upper
     coefficients W (shape (k, n(n+1)/2)): (ok, up), where ok marks the
     forms with a non-degenerate polar form and up holds the upper
     coefficients of their lifts on F^(n+1) (other rows are meaningless).
@@ -199,18 +199,18 @@ def lift_np(field, n, W):
     otherwise), on every row of ok.
     """
     import numpy as np
-    from .groups import invert_np, matmul_np, upper_coeffs_np
+    from .groups import add_np, invert_np, matmul_np, upper_coeffs_np
     k = len(W)
     iu, ju = np.triu_indices(n)
     G = np.zeros((k, n, n), dtype=np.uint8)
     G[:, iu, ju] = W
-    B = (G + G.transpose(0, 2, 1)) % field.order
+    B = add_np(field, G, G.transpose(0, 2, 1))
     ok, Binv = invert_np(field, B)
     core = upper_coeffs_np(field, matmul_np(field, matmul_np(field, Binv, G),
                                             Binv))
     C = np.zeros((k, n, n), dtype=np.uint8)
     C[:, iu, ju] = core
-    block = (C + C.transpose(0, 2, 1)) % field.order
+    block = add_np(field, C, C.transpose(0, 2, 1))
     if (matmul_np(field, block[ok], B[ok]) != np.eye(n, dtype=np.uint8)).any():
         raise InvariantViolation("a stacked lift over %s, dim %d, fails "
                                  "polar block * B = I" % (field.name, n))

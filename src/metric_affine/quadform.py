@@ -149,16 +149,7 @@ def qf_pullback(Q, A):
 
 def all_vectors(field, n):
     """All of F^n as tuples; index of x is sum_i x_i q^i (x_0 fastest)."""
-    elems = field.elements()
-    out = []
-    for idx in range(len(elems) ** n):
-        x = []
-        k = idx
-        for _ in range(n):
-            x.append(elems[k % len(elems)])
-            k //= len(elems)
-        out.append(tuple(x))
-    return out
+    return [x[::-1] for x in itertools.product(field.elements(), repeat=n)]
 
 
 def is_isometry(Q, A):

@@ -25,7 +25,7 @@ from .groups import (GroupSet, InvariantViolation, _reflections_np,
                      group_budget, groups_by_orbit, matmul_np, matrix_codes,
                      memo, order_gl, orthogonal_group, vector_index_np,
                      vectors_np, weak_orthogonal_group)
-from .linalg import Mat, annihilator, outer, pairing, span_contains, vec
+from .linalg import Mat, outer, pairing, span_contains, vec
 from .quadform import (all_vectors, is_isometry, qf_eval, radical_basis,
                        reflection)
 
@@ -161,22 +161,10 @@ COND_BINARY_PLANE = "gf2-anisotropic-nondegenerate-plane"
 
 
 def _annihilator_duals(field, n, f):
-    """All duals vanishing on f, spanned from an annihilator basis."""
-    def build():
-        basis = annihilator(field, n, [f])
-        duals = [vec(field, (field.zero,) * n)]
-        for b in basis:
-            be = b.entries()
-            duals = [vec(field,
-                         tuple(field.add(x, field.mul(c, bi))
-                               for x, bi in zip(d.entries(), be)))
-                     for d in duals for c in field.elements()]
-        # distinct by construction (basis combinations), but keep it honest:
-        if len(set(duals)) != field.order ** len(basis):
-            raise InvariantViolation(("annihilator duals repeat",
-                                      field.name, n, f.entries()))
-        return duals
-    return memo(("_annihilator_duals", field.name, n, f.entries()), build)
+    """All duals vanishing on f, in all_vectors order."""
+    return memo(("_annihilator_duals", field.name, n, f.entries()),
+                lambda: [a for a in _all_duals(field, n)
+                         if pairing(a, f) == field.zero])
 
 
 def _transvections(field, n, f):
@@ -279,17 +267,16 @@ def _answers(Q, f, budget):
     lookup in the form's record, or, when GL is past the budget, from each
     rank-one map tested on its own."""
     field, n = Q.field, Q.n
+    x = f.entries() if isinstance(f, Mat) else tuple(map(field.coerce, f))
+    if len(x) != n or not any(x):
+        raise ValueError("the direction must be a non-zero vector of F^%d, "
+                         "got %r" % (n, x))
     if _in_budget(field, n, budget):
-        x = f.entries() if isinstance(f, Mat) else tuple(map(field.coerce, f))
-        if len(x) != n or not any(x):
-            raise ValueError("the direction must be a non-zero vector of "
-                             "F^%d, got %r" % (n, x))
         idx = 0
         for c in reversed(x):       # the index of x is sum_i x_i q^i
             idx = idx * field.order + c
         return _lemma_record(Q, budget)[idx]
-    if not isinstance(f, Mat):
-        f = vec(field, f)
+    f = vec(field, x)
     rad = radical_basis(Q)
     in_rad = span_contains(rad, f)
     isotropic = qf_eval(Q, f) == field.zero

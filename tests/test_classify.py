@@ -17,7 +17,7 @@ from metric_affine.classify import (MODE_MOTION, MODE_WEAK, MODES,
                                     verify_main_prop,
                                     verify_projective_theorem,
                                     weak_group_index)
-from metric_affine.fields import GF2, GF3, GF4, GF5, GF7
+from metric_affine.fields import GF2, GF3, GF4, GF5, GF7, QQ
 from metric_affine.groups import (GroupSet, enumerate_gl, form_values_np,
                                   group_equal, groups_by_orbit,
                                   orthogonal_group, vectors_np,
@@ -447,6 +447,10 @@ def test_quadric_duality_statuses():
         == "degenerate-polar"
     empty = quadric_duality_check(QForm.from_upper(GF3, 2, (1, 0, 1)))
     assert empty.status == "empty-quadric" and empty.ok
+    # over Q the check refuses at every dimension, before any status
+    for n, upper in ((0, ()), (1, (1,)), (2, (1, 0, 1))):
+        with pytest.raises(ValueError, match="Q is not a finite field"):
+            quadric_duality_check(QForm.from_upper(QQ, n, upper))
 
 
 # exhaustive status tallies, frozen

@@ -193,6 +193,32 @@ def test_form_file_takes_only_documented_values(form_file, capsys, text):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("coeff", [2, 5, -1, 8, -4])
+def test_prime_field_coefficients_are_read_mod_p(form_file, capsys, coeff):
+    # over GF(p) any JSON int is a coefficient, read mod p
+    text = '{"dim": 1, "field": "GF(3)", "upper": [%d]}' % coeff
+    assert main(["eval", form_file(text), "1"]) == EXIT_PASS
+    assert capsys.readouterr().out == "# form: 2*x1^2 [GF(3), dim 1]\nQ(1) = 2\n"
+
+
+@pytest.mark.parametrize("coeff", [0, 1, 2, 3])
+def test_gf4_coefficients_are_the_codes_0_to_3(form_file, capsys, coeff):
+    text = '{"dim": 1, "field": "GF(4)", "upper": [%d]}' % coeff
+    assert main(["eval", form_file(text), "1"]) == EXIT_PASS
+    assert capsys.readouterr().out.endswith("Q(1) = %d\n" % coeff)
+
+
+@pytest.mark.parametrize("coeff", [4, 5, -1])
+def test_gf4_refuses_other_ints(form_file, capsys, coeff):
+    path = form_file('{"dim": 1, "field": "GF(4)", "upper": [%d]}' % coeff)
+    assert main(["eval", path, "1"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: %s: bad coefficient for GF(4): "
+                            "GF(4) elements are coded 0..3, got %d\n"
+                            % (path, coeff))
+
+
 def test_optimized_interpreter_gives_the_same_output():
     # -O strips assert statements; every verified invariant raises instead,
     # so a run under -O prints and exits as one without it

@@ -5,12 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from metric_affine.fields import GF2, GF3, GF4, GF5, GF7, QQ, field_make
+from metric_affine.fields import (GF2, GF3, GF4, GF5, GF7, QQ,
+                                  PrimePowerField, field_make)
 
 FINITE = (GF2, GF3, GF4, GF5, GF7)
+# the table construction of GF(4) at degree 3 and in odd characteristic:
+# GF(8) = F_2[t]/(t^3+t+1) and GF(9) = F_3[t]/(t^2+1), not offered as inputs
+PRIME_POWERS = (PrimePowerField(2, (1, 1, 0, 1)), PrimePowerField(3, (1, 0, 1)))
 
 
-@pytest.mark.parametrize("F", FINITE, ids=lambda F: F.name)
+@pytest.mark.parametrize("F", FINITE + PRIME_POWERS, ids=lambda F: F.name)
 def test_field_axioms_exhaustive(F):
     els = F.elements()
     assert len(els) == F.order
@@ -27,7 +31,7 @@ def test_field_axioms_exhaustive(F):
                 assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
 
 
-@pytest.mark.parametrize("F", FINITE, ids=lambda F: F.name)
+@pytest.mark.parametrize("F", FINITE + PRIME_POWERS, ids=lambda F: F.name)
 def test_inverses(F):
     for a in F.units():
         assert F.mul(a, F.inv(a)) == F.one
@@ -107,3 +111,35 @@ def test_dot():
 def test_gf4_coerce_rejects_out_of_range():
     with pytest.raises(ValueError):
         GF4.coerce(4)
+
+
+def test_gf4_sanity():
+    # t * t = t + 1, t * (t + 1) = 1, (t + 1) * (t + 1) = t
+    assert GF4.mul(2, 2) == 3 and GF4.mul(2, 3) == 1 and GF4.mul(3, 3) == 2
+    assert all(GF4.mul(a, GF4.inv(a)) == 1 for a in (1, 2, 3))
+    assert [GF4.inv(a) for a in (1, 2, 3)] == [1, 3, 2]
+
+
+@pytest.mark.parametrize("F,modulus", zip(PRIME_POWERS + (GF4,), [
+    (1, 1, 0, 1), (1, 0, 1), (1, 1, 1)]), ids=lambda v: getattr(v, "name", ""))
+def test_t_is_a_root_of_the_modulus(F, modulus):
+    # an element's code is its coefficients read as base-p digits, so
+    # 1, t, ..., t^(k-1) are coded 1, p, ..., p^(k-1); and t solves the
+    # modulus
+    k = len(modulus) - 1
+    assert (F.name, F.order) == ("GF(%d)" % F.char ** k, F.char ** k)
+    powers = [F.one]
+    for _ in range(k):
+        powers.append(F.mul(powers[-1], F.char))
+    assert powers[:k] == [F.char ** i for i in range(k)]
+    value = F.zero
+    for c, power in zip(modulus, powers):
+        value = F.add(value, F.mul(c, power))
+    assert value == F.zero
+
+
+@pytest.mark.parametrize("p,modulus", [(2, (1, 0, 1)), (3, (2, 0, 1)),
+                                       (3, (0, 0, 1))])
+def test_prime_power_field_refuses_a_reducible_modulus(p, modulus):
+    with pytest.raises(ValueError, match="not irreducible"):
+        PrimePowerField(p, modulus)

@@ -6,24 +6,28 @@ import textwrap
 import numpy as np
 import pytest
 
-from metric_affine import budget, groups
+from metric_affine import budget, fields, groups
 from metric_affine.budget import (DEFAULT_BUDGET, HARD_BUDGET_CEILING,
                                   BadBudgetVariable, BudgetExceeded,
                                   group_budget, order_gl)
 from metric_affine.classify import weak_group_index
 from metric_affine.fields import GF2, GF3, GF4, GF5, GF7
 from metric_affine.groups import (GroupSet, _build_gl, _gl_arrays,
-                                  _perm_table, closure,
+                                  _perm_table, add_np, closure,
                                   congruence_decomposition, enumerate_gl,
-                                  group_equal, is_subgroup,
-                                  isometry_mask, matmul_np, mat_to_np,
-                                  matrix_codes, orthogonal_group,
-                                  reflection_generation_status, vectors_np,
+                                  form_values_np, group_equal, inverses_np,
+                                  invert_np, is_subgroup, isometry_mask,
+                                  matmul_np, mat_to_np, matrix_codes, mul_np,
+                                  orthogonal_group,
+                                  reflection_generation_status,
+                                  upper_coeffs_np, values_np, vectors_np,
                                   weak_orthogonal_group)
-from metric_affine.homog import motion_group_dual
-from metric_affine.linalg import Mat, rank, vec
-from metric_affine.quadform import (QForm, enumerate_forms, is_isometry,
-                                    qf_pullback, radical_basis)
+from metric_affine.homog import (DegeneratePolarForm, lift, lift_np,
+                                 motion_group_dual)
+from metric_affine.linalg import Mat, Singular, mat_invert, rank, vec
+from metric_affine.quadform import (QForm, all_vectors, enumerate_forms,
+                                    is_isometry, qf_eval, qf_pullback,
+                                    radical_basis)
 from metric_affine.transvect import _member_table
 
 # group orders from the product formula, |GL_n(q)| = prod (q^n - q^i)
@@ -190,6 +194,28 @@ def test_groupset_equality_and_hash():
         group_equal(g1, enumerate_gl(GF2, 2))
 
 
+# every finite field that field_make offers
+ENGINE_FIELDS = sorted({F for F in fields._BY_NAME.values() if F.enumerable},
+                       key=lambda F: F.order)
+
+
+@pytest.mark.parametrize("F", ENGINE_FIELDS, ids=lambda F: F.name)
+def test_engine_arithmetic_matches_the_field(F):
+    # entry by entry: add_np, mul_np, negation as a product with -1 (as
+    # invert_np and the reflections negate) and the inverse table
+    els = F.elements()
+    codes = np.arange(F.order, dtype=np.uint8)
+    a, b = codes[:, np.newaxis], codes[np.newaxis, :]
+    for got, op in ((add_np(F, a, b), F.add), (mul_np(F, a, b), F.mul)):
+        assert got.dtype == np.uint8
+        assert got.tolist() == [[op(x, y) for y in els] for x in els]
+    neg = mul_np(F, codes, F.neg(F.one))
+    assert neg.dtype == np.uint8 and neg.tolist() == [F.neg(x) for x in els]
+    inv = inverses_np(F)
+    assert inv.dtype == np.uint8
+    assert inv.tolist() == [0] + [F.inv(x) for x in els[1:]]
+
+
 def test_matmul_np_gf4_agrees_with_mat():
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -198,6 +224,39 @@ def test_matmul_np_gf4_agrees_with_mat():
         got = matmul_np(GF4, a[None], b)[0]
         want = mat_to_np(Mat(GF4, a.tolist()) * Mat(GF4, b.tolist()))
         assert (got == want).all()
+    # invert_np on all 256 matrices of order 2, GL_2(4) and the singular
+    # ones, against mat_invert
+    every = vectors_np(GF4, 4).reshape(-1, 2, 2)
+    ok, inv = invert_np(GF4, every)
+    assert ok.sum() == order_gl(2, 4)
+    for A, invertible, Ainv in zip(every.tolist(), ok, inv.tolist()):
+        try:
+            want = mat_invert(Mat(GF4, A))
+        except Singular:
+            assert not invertible, A
+        else:
+            assert invertible and Ainv == [list(r) for r in want.rows], A
+    # the fold of every Gram matrix, against the QForm constructor's
+    assert [tuple(c) for c in upper_coeffs_np(GF4, every).tolist()] == [
+        QForm(GF4, Mat(GF4, A)).upper_coeffs() for A in every.tolist()]
+    # value tables and stacked lifts, against qf_eval and lift
+    for n in range(3):
+        forms = enumerate_forms(GF4, n)
+        C = np.array([Q.upper_coeffs() for Q in forms],
+                     dtype=np.uint8).reshape(len(forms), -1)
+        vals = values_np(GF4, n, C)
+        ok, up = lift_np(GF4, n, C)
+        for Q, row, nondegenerate, coeffs in zip(forms, vals.tolist(), ok,
+                                                 up.tolist()):
+            assert row == [qf_eval(Q, v) for v in all_vectors(GF4, n)], Q
+            assert row == form_values_np(Q).tolist(), Q
+            try:
+                want = lift(Q).upper_coeffs()
+            except DegeneratePolarForm:
+                assert not nondegenerate, Q
+            else:
+                assert nondegenerate and tuple(coeffs) == want, Q
+    assert ok.sum() == 48       # a x1^2 + b x1x2 + c x2^2 with b != 0
 
 
 def test_closure_generates_subgroup():

@@ -49,6 +49,8 @@ EXPORTS = {
 FORMS = {
     "gf3": '{"dim": 2, "field": "GF(3)", "upper": [1, 0, 1]}\n',
     "gf3-lifted": '{"dim": 3, "field": "GF(3)", "upper": [0, 0, 0, 1, 0, 1]}\n',
+    "gf4": '{"dim": 2, "field": "GF(4)", "upper": [2, 1, 3]}\n',
+    "gf4-lifted": '{"dim": 3, "field": "GF(4)", "upper": [0, 0, 0, 3, 1, 2]}\n',
     "q": '{"dim": 2, "field": "Q", "upper": ["1/2", 0, 1]}\n',
     "q-lifted": '{"dim": 3, "field": "Q", "upper": [0, 0, 0, "1/2", 0, "1/4"]}\n',
 }
@@ -101,10 +103,13 @@ def _run(tmp_path, argv, form, *extra):
 
 @pytest.mark.parametrize("argv,form,extra,code,last", [
     (["eval"], "gf3", ["1,2"], 0, "Q(1, 2) = 2"),
+    (["eval"], "gf4", ["1,2"], 0, "Q(1, 2) = 2"),
     (["eval"], "q", ["1,2"], 0, "Q(1, 2) = 9/2"),
     (["lift"], "gf3", [], 0, FORMS["gf3-lifted"].rstrip()),
+    (["lift"], "gf4", [], 0, FORMS["gf4-lifted"].rstrip()),
     (["lift"], "q", [], 0, FORMS["q-lifted"].rstrip()),
     (["drop"], "gf3-lifted", [], 0, FORMS["gf3"].rstrip()),
+    (["drop"], "gf4-lifted", [], 0, FORMS["gf4"].rstrip()),
     (["drop"], "q-lifted", [], 0, FORMS["q"].rstrip()),
     (["--format", "records", "drop"], "q-lifted", [], 0, None),
     (["groups"], "q", [], 2, None),               # over Q: an input error

@@ -102,12 +102,17 @@ def test_direction_case_tallies(F, n):
 
 @pytest.mark.parametrize("budget", [None, 1])
 def test_lemma_functions_reject_a_zero_or_misshapen_direction(budget):
+    # the direction is checked before the route is chosen, so the lookup
+    # within the budget and the per-map route past it refuse alike
     Q = QForm.from_upper(GF3, 2, (1, 0, 1))
-    for bad in [(0, 0), (3, 0)] + ([(1, 0, 0)] if budget is None else []):
+    for bad, read in [((0, 0), (0, 0)), ((3, 0), (0, 0)),
+                      ((1, 0, 0), (1, 0, 0)), ((1,), (1,))]:
         for check in (classify_direction, annihilator_transvections_in_weak,
                       scaled_transvection_never_weak):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as refused:
                 check(Q, bad, budget)
+            assert str(refused.value) == ("the direction must be a non-zero "
+                                          "vector of F^2, got %r" % (read,))
 
 
 def test_case_c_impossible_in_odd_characteristic():
@@ -306,7 +311,7 @@ _OPTIMIZED_CHILD = textwrap.dedent("""
 
     def wrong_sign(Q, vals):
         # I + Q(f)^-1 f (Bf)^T in place of I - Q(f)^-1 f (Bf)^T
-        return real_reflections(Q, (-vals) % Q.field.order)
+        return real_reflections(Q, (Q.field.order - vals) % Q.field.order)
 
     transvect.NAME = PATCH
     try:
