@@ -35,7 +35,7 @@ _LAZY = {name: module for module, names in (
      "weak_orthogonal_group"),
     ("transvect", "DeltaMap DirectionCase KIND_DILATATION KIND_IDENTITY "
      "KIND_TRANSVECTION NotInvertible annihilator_transvections_in_weak "
-     "classify_direction delta_group delta_make delta_orth "
+     "classify_direction delta_group delta_make "
      "scaled_transvection_never_weak"),
     ("classify", "DyadReport MODE_MOTION MODE_WEAK MainPropReport "
      "ProjectiveReport QuadricReport TableReport SUPPORTED_TABLES dyad_report "

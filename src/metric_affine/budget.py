@@ -49,10 +49,6 @@ def order_gl(n, q):
     return order
 
 
-assert order_gl(2, 2) == 6 and order_gl(3, 2) == 168 and order_gl(4, 2) == 20160
-assert order_gl(2, 3) == 48 and order_gl(3, 3) == 11232 and order_gl(0, 5) == 1
-
-
 def check_budget(field, n, budget):
     """Raise BudgetExceeded unless all of GL_n over the field fits the budget.
 

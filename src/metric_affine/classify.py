@@ -19,10 +19,11 @@ import numpy as np
 
 from .groups import (GroupSet, InvariantViolation, _gl_arrays,
                      check_budget, congruence_decomposition, enumerate_gl,
-                     form_values_np, group_budget, group_equal,
+                     form_block_np, form_values_np, group_budget, group_equal,
                      groups_by_orbit, inverses_np, is_subgroup, matmul_np,
-                     memo, mul_np, values_np, vectors_np,
-                     weak_orthogonal_group, orthogonal_group)
+                     memo, mul_np, polar_images_np, values_np,
+                     vector_index_np, vectors_np, weak_orthogonal_group,
+                     orthogonal_group)
 from .homog import (DegeneratePolarForm, NotDroppable, drop, lift, lift_np,
                     motion_group_dual)
 from .quadform import (QForm, enumerate_forms, form_position,
@@ -45,12 +46,8 @@ class DyadReport:
 def dyad_report(Q, Qt, budget=None):
     """Evaluate both defining equations for the pair, plus the lift scalar."""
     assert Qt.n == Q.n + 1 and Qt.field is Q.field
-    ow = weak_orthogonal_group(Qt, budget)
-    sat_m = group_equal(motion_group_dual(Q, False, budget), ow)
-    sat_w = group_equal(motion_group_dual(Q, True, budget), ow)
-    c = None
-    if is_nondegenerate(Q):
-        c = qf_proportional(lift(Q), Qt)
+    sat_m, sat_w = (dyad_satisfies(Q, Qt, mode, budget) for mode in MODES)
+    c = qf_proportional(lift(Q), Qt) if is_nondegenerate(Q) else None
     return DyadReport(Q=Q, Qt=Qt, satisfies_motion=sat_m,
                       satisfies_weak=sat_w, is_lift_of=c)
 
@@ -58,8 +55,8 @@ def dyad_report(Q, Qt, budget=None):
 def dyad_satisfies(Q, Qt, mode, budget=None):
     """Does the (mode) motion group of Q, seen on F x V*, equal O'(Qt)?"""
     assert mode in MODES, mode
-    rep = dyad_report(Q, Qt, budget)
-    return rep.satisfies_motion if mode == MODE_MOTION else rep.satisfies_weak
+    ow = weak_orthogonal_group(Qt, budget)
+    return group_equal(motion_group_dual(Q, mode == MODE_WEAK, budget), ow)
 
 
 @dataclass(frozen=True)
@@ -570,17 +567,8 @@ def _quadric_block(fld, n, block):
     q, m = fld.order, n * (n + 1) // 2
     size = _block_size(fld, n)
     start = block * size
-    k = min(size, q ** m - start)
-    # the base-q digits of start + i, the first most significant: start's
-    # digits as Python ints (q^m can pass 2^63), then i added to the last
-    # digit and the carries passed up
-    W = np.tile(np.array([start // q ** e % q for e in range(m - 1, -1, -1)],
-                         dtype=np.int64), (k, 1))
-    W[:, -1] += np.arange(k)
-    for j in range(m - 1, 0, -1):
-        W[:, j - 1] += W[:, j] // q
-        W[:, j] %= q
-    W = W.astype(np.uint8)
+    W = form_block_np(fld, n, start, min(size, q ** m - start))
+    k = len(W)
     ok, up = lift_np(fld, n, W)
 
     # base side, over all of F^n: the null cone without 0
@@ -600,14 +588,7 @@ def _quadric_block(fld, n, block):
     # tangent space at x at infinity are span(e0, (0, Bx)), so rhs holds
     # (a0 : y) for y in F* Bx, x a base point, and e0.  B maps the null
     # cone without 0 one-to-one onto those y on every non-degenerate row.
-    iu, ju = np.triu_indices(n)
-    B = np.zeros((k, n, n), dtype=np.int16)
-    B[:, iu, ju] = W
-    B += B.transpose(0, 2, 1)
-    images = np.einsum("kij,jv->kiv", B,
-                       vectors_np(fld, n).T.astype(np.int16)) % q
-    codes = np.einsum("kiv,i->kv", images.astype(np.int32),
-                      q ** np.arange(n, dtype=np.int32))   # index of B v
+    codes = vector_index_np(fld, polar_images_np(fld, n, W))  # index of B v
     marked = np.zeros_like(null)
     marked[np.arange(k)[:, np.newaxis], codes] = null & ok[:, np.newaxis]
     rhs = marked[:, reps // q]      # the index of (a0, y) is a0 + q idx(y)

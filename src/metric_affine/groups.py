@@ -89,17 +89,27 @@ def vectors_np(field, n):
 
 
 def vector_index_np(field, X):
-    """Indices of the rows of X (shape (..., n)) in the vector table."""
-    powers = field.order ** np.arange(X.shape[-1], dtype=np.int64)
-    return X.astype(np.int64) @ powers
+    """Indices of the rows of X (shape (..., n)) in the vector table:
+    sum_i X[..., i] q^i, by Horner's rule in place, so that no int64 copy
+    of X is made."""
+    idx = np.zeros(X.shape[:-1], dtype=np.int64)
+    for i in reversed(range(X.shape[-1])):
+        idx *= field.order
+        idx += X[..., i]
+    return idx
 
 
 def matmul_np(field, A, B):
     """Exact matrix product of integer-coded stacks over a finite field:
-    int64 @ mod p over GF(p), a sum of add_np/mul_np terms otherwise."""
+    int32 @ mod p over GF(p), a sum of add_np/mul_np terms otherwise.
+
+    int32 is exact: an entry of the product is at most the inner dimension
+    times (p - 1)^2, and the engine's inner dimensions (matrix orders and
+    the n(n+1)/2 coefficients of a form) keep that far below 2^31."""
     if field.order == field.char:
-        return ((A.astype(np.int64) @ B.astype(np.int64))
-                % field.order).astype(np.uint8)
+        out = A.astype(np.int32) @ B.astype(np.int32)
+        out %= field.order
+        return out.astype(np.uint8)
     out = np.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
                    + (A.shape[-2], B.shape[-1]), dtype=np.uint8)
     for k in range(A.shape[-1]):
@@ -221,11 +231,38 @@ def _monomials_np(field, n):
     return memo(("_monomials_np", field.name, n), build)
 
 
+def form_block_np(field, n, start, k):
+    """The upper coefficients of the k forms on F^n at positions start ..
+    start + k - 1 in enumerate_forms order, as a (k, n(n+1)/2) uint8 stack:
+    the base-q digits of each position, the first most significant."""
+    q, m = field.order, n * (n + 1) // 2
+    # start's digits as Python ints (q^m can pass 2^63), then i added to the
+    # last digit and the carries passed up
+    W = np.tile(np.array([start // q ** e % q for e in range(m - 1, -1, -1)],
+                         dtype=np.int64), (k, 1))
+    W[:, -1] += np.arange(k)
+    for j in range(m - 1, 0, -1):
+        W[:, j - 1] += W[:, j] // q
+        W[:, j] %= q
+    return W.astype(np.uint8)
+
+
 def values_np(field, n, C, cols=slice(None)):
     """The values of the forms on F^n with upper coefficients C (a (k,
     n(n+1)/2) uint8 stack) at the vectors with indices cols, as a (k,
     len(cols)) uint8 table."""
     return matmul_np(field, C, _monomials_np(field, n)[cols].T)
+
+
+def polar_images_np(field, n, C):
+    """B v for every form on F^n with upper coefficients C (a (k,
+    n(n+1)/2) uint8 stack), B = W + W^T its polar matrix, and every vector
+    v: a (k, q^n, n) uint8 stack, row v of form r holding B v."""
+    iu, ju = np.triu_indices(n)
+    W = np.zeros((len(C), n, n), dtype=np.uint8)
+    W[:, iu, ju] = C
+    B = add_np(field, W, W.transpose(0, 2, 1))      # symmetric: v^T B = (Bv)^T
+    return matmul_np(field, vectors_np(field, n), B)
 
 
 def form_values_np(Q):

@@ -9,9 +9,12 @@ form, and verifies the exhaustive classification of the possible
 intersection sizes in terms of where the direction vector f sits relative
 to the radical and the null set of Q.
 
-Within the budget, the lemmas are verified once per form for every
-direction f at once (_lemma_record), and each (Q, f) query is then a
-lookup by the vector index of f.
+The lemmas need no group larger than the maps they are about.  One table
+per (field, n) holds every rank-one map they test (_rank_one_maps), and the
+records of a block of consecutive forms are built at once from the block's
+coefficient stack (_lemma_block); each (Q, f) query is then a lookup in Q's
+record by the vector index of f.  The budget bounds the rows of the map
+table.
 """
 
 from __future__ import annotations
@@ -20,14 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (GroupSet, InvariantViolation, _reflections_np,
-                     check_budget, congruence_decomposition, form_values_np,
-                     group_budget, groups_by_orbit, matmul_np, matrix_codes,
-                     memo, order_gl, orthogonal_group, vector_index_np,
-                     vectors_np, weak_orthogonal_group)
-from .linalg import Mat, outer, pairing, span_contains, vec
-from .quadform import (all_vectors, is_isometry, qf_eval, radical_basis,
-                       reflection)
+from .groups import (BudgetExceeded, GroupSet, InvariantViolation, add_np,
+                     form_block_np, group_budget, inverses_np, matmul_np,
+                     memo, mul_np, polar_images_np, values_np,
+                     vector_index_np, vectors_np)
+from .linalg import Mat, outer, pairing, vec
+from .quadform import QForm, all_vectors, form_position
 
 
 class NotInvertible(Exception):
@@ -67,18 +68,14 @@ def delta_make(cstar, f):
     return DeltaMap(cstar=cstar, f=f, matrix=matrix, kind=kind)
 
 
-def _all_duals(field, n):
-    return [vec(field, a) for a in all_vectors(field, n)]
-
-
-def _delta_matrices(field, n, f):
-    """The matrices of x |-> x + <a*,x> f over every a* with <a*,f> != -1,
-    for a direction f != o given as a column."""
-    if f.is_zero():
-        raise ValueError("the direction vector must be non-zero")
-    minus_one = field.neg(field.one)
-    return [delta_make(a, f).matrix for a in _all_duals(field, n)
-            if pairing(a, f) != minus_one]
+def _direction(field, n, f):
+    """f (a column or a sequence) as a tuple of field values; ValueError
+    unless it is a non-zero vector of F^n."""
+    x = f.entries() if isinstance(f, Mat) else tuple(map(field.coerce, f))
+    if len(x) != n or not any(x):
+        raise ValueError("the direction must be a non-zero vector of F^%d, "
+                         "got %r" % (n, x))
+    return x
 
 
 def delta_group(field, n, f):
@@ -86,55 +83,68 @@ def delta_group(field, n, f):
 
     Its order is the number of admissible duals a*, which is q^n - q^(n-1).
     """
-    if not isinstance(f, Mat):
-        f = vec(field, f)
-    return memo(("delta_group", field.name, n, f.entries()),
-                lambda: GroupSet.from_mats(field, n,
-                                           _delta_matrices(field, n, f)))
-
-
-def _fixes_radical(rad, A):
-    return all(A * r == r for r in rad)
-
-
-def _member_table(field, n, budget=None):
-    """Q.gram.rows -> (O(Q) codes, O'(Q) codes, radical basis of Q) for every
-    form Q on F^n, built one congruence orbit at a time.  Memoised.
-
-    The sweeps below revisit the same Q for many directions f; testing
-    membership against these code sets is far cheaper than re-deriving the
-    isometry property matrix by matrix.
-    """
-    check_budget(field, n, budget)
+    x = _direction(field, n, f)
 
     def build():
-        forms, _orbits = congruence_decomposition(field, n, budget)
-        o_groups = groups_by_orbit(field, n, orthogonal_group, budget)
-        w_groups = groups_by_orbit(field, n, weak_orthogonal_group, budget)
-        return {Q.gram.rows: (frozenset(o.elems.tolist()),
-                              frozenset(w.elems.tolist()),
-                              tuple(radical_basis(Q)))
-                for Q, o, w in zip(forms, o_groups, w_groups)}
-    return memo(("_member_table", field.name, n), build)
+        f = vec(field, x)
+        minus_one = field.neg(field.one)
+        duals = [vec(field, a) for a in all_vectors(field, n)]
+        return GroupSet.from_mats(field, n, [delta_make(a, f).matrix
+                                             for a in duals
+                                             if pairing(a, f) != minus_one])
+    return memo(("delta_group", field.name, n, x), build)
 
 
-def _in_budget(field, n, budget):
-    """Does all of GL_n fit the budget?  If not, each map is tested alone."""
+def _check_maps(field, n, budget):
+    """BudgetExceeded unless the (q^n - 1)(q^n + (q - 2)(q^(n-1) - 1)) rows
+    of _rank_one_maps(field, n) fit the budget."""
+    if not field.enumerable:
+        raise NotImplementedError("%s is not enumerable" % field.name)
+    q = field.order
+    N = q ** n
+    maps = (N - 1) * (N + (q - 2) * (N // q - 1))
     budget = group_budget() if budget is None else budget
-    return field.enumerable and order_gl(n, field.order) <= budget
+    if maps > budget:
+        raise BudgetExceeded(maps, budget)
 
 
-def delta_orth(Q, f):
-    """(Delta ∩ O(Q), Delta ∩ O'(Q)), by testing each map of the small
-    group Delta (at most q^n maps) rather than filtering GL."""
-    field, n = Q.field, Q.n
-    if not isinstance(f, Mat):
-        f = vec(field, f)
-    rad = radical_basis(Q)
-    isos = [A for A in _delta_matrices(field, n, f) if is_isometry(Q, A)]
-    return (GroupSet.from_mats(field, n, isos),
-            GroupSet.from_mats(field, n, [A for A in isos
-                                          if _fixes_radical(rad, A)]))
+def _rank_one_maps(field, n, budget=None):
+    """(table, slot): every map the lemmas test, and where each Delta map
+    sits.  Memoised; the budget bounds the maps and is checked first.
+
+    table[f - 1] holds, for the direction f != o of vector index f, the
+    maps I + f a^T with <a, f> != -1 (Delta_f, in vector-index order of a),
+    then the annihilator transvections (<a, f> = 0), then their scalings by
+    s not in {0, 1} with a != o: q^n + (q - 2)(q^(n-1) - 1) maps, each row
+    the vector index of its image of every vector.  slot[f - 1, a] is the
+    place of the map of a in Delta_f, for every a with <a, f> != -1.
+    """
+    _check_maps(field, n, budget)
+
+    def build():
+        q, V = field.order, vectors_np(field, n)
+        N = len(V)
+        pair = matmul_np(field, V, V.T)                 # pair[a, x] = <a, x>
+        # image[f - 1, a, x]: the index of x + <a, x> f
+        image = vector_index_np(field, add_np(field, V, mul_np(
+            field, pair[..., np.newaxis], V[1:, np.newaxis, np.newaxis])))
+        on_f = pair[:, 1:].T                            # on_f[f - 1, a]
+        admissible = on_f != field.neg(field.one)
+        annihilators = image[on_f == 0].reshape(N - 1, N // q, N)
+        # s (x + <a, x> f) for s = 2 .. q - 1, the units other than 1; the
+        # first annihilator is a = o
+        scale = vector_index_np(field, mul_np(
+            field, np.arange(2, q, dtype=np.uint8)[:, np.newaxis, np.newaxis],
+            V))
+        scaled = scale[:, annihilators[:, 1:]].transpose(1, 0, 2, 3)
+        table = np.concatenate([image[admissible].reshape(N - 1, -1, N),
+                                annihilators, scaled.reshape(N - 1, -1, N)],
+                               axis=1)
+        slot = np.cumsum(admissible, axis=1) - 1
+        table.setflags(write=False)
+        slot.setflags(write=False)
+        return table, slot
+    return memo(("_rank_one_maps", field.name, n), build)
 
 
 @dataclass(frozen=True)
@@ -158,44 +168,6 @@ class DirectionCase:
 COND_RADICAL_LINE = "isotropic-f-spans-radical"
 COND_DIM_ONE = "dim-1"
 COND_BINARY_PLANE = "gf2-anisotropic-nondegenerate-plane"
-
-
-def _annihilator_duals(field, n, f):
-    """All duals vanishing on f, in all_vectors order."""
-    return memo(("_annihilator_duals", field.name, n, f.entries()),
-                lambda: [a for a in _all_duals(field, n)
-                         if pairing(a, f) == field.zero])
-
-
-def _transvections(field, n, f):
-    """(a*, I + f a*^T) for every dual a* vanishing on f."""
-    return [(a, delta_make(a, f).matrix)
-            for a in _annihilator_duals(field, n, f)]
-
-
-def _scalings(field, trans):
-    """s . (I + f a*^T) for s outside {0, 1} and a* != o."""
-    return [A.scale(s) for s in field.units() if s != field.one
-            for a, A in trans if not a.is_zero()]
-
-
-def _direction_keys(field, n):
-    """For every vector index of a nonzero f, in all_vectors order: (f, codes
-    of Delta_f, of the transvections with duals vanishing on f, and of
-    their scalings).  Independent of any form; slot 0 (f = o) is None."""
-    def codes(mats):
-        return tuple(GroupSet.from_mats(field, n, mats).elems.tolist())
-
-    def build():
-        out = [None]
-        for x in all_vectors(field, n)[1:]:
-            f = vec(field, x)
-            trans = _transvections(field, n, f)
-            out.append((x, tuple(delta_group(field, n, f).elems.tolist()),
-                        codes([A for _a, A in trans]),
-                        codes(_scalings(field, trans))))
-        return tuple(out)
-    return memo(("_direction_keys", field.name, n), build)
 
 
 def _judge(Q, x, in_rad, isotropic, k, sizes, reflected, inside, scaled_ok):
@@ -232,64 +204,75 @@ def _judge(Q, x, in_rad, isotropic, k, sizes, reflected, inside, scaled_ok):
                          (inside, tag), scaled_ok))
 
 
-def _lemma_record(Q, budget):
-    """_judge's answer for every direction f, by vector index (slot 0 is
-    None): one pass per form, with O(Q), O'(Q) and rad(Q) from the orbit
-    table, isotropy from the value table and radical membership from a
-    mask of span(rad).  Memoised per form."""
-    field, n = Q.field, Q.n
+# gathered entries (forms x maps x vectors) per block of forms, so that one
+# build pays for a bounded block
+_BLOCK_ENTRIES = 2 ** 21
 
-    def build():
-        o_keys, w_keys, rad = _member_table(field, n, budget)[Q.gram.rows]
-        vals = form_values_np(Q)
-        basis = np.array([r.entries() for r in rad],
-                         dtype=np.uint8).reshape(len(rad), n)
-        span = matmul_np(field, vectors_np(field, len(rad)), basis)
-        mask = np.zeros(len(vals), dtype=bool)
-        mask[vector_index_np(field, span)] = True
-        in_rad, isotropic = mask.tolist(), (vals == 0).tolist()
-        refl = matrix_codes(field, _reflections_np(Q, vals)).tolist()
-        out = [None]
-        for idx, (x, d_keys, a_keys, s_keys) in enumerate(
-                _direction_keys(field, n)[1:], 1):
-            in_o = o_keys.intersection(d_keys)
-            out.append(_judge(
-                Q, x, in_rad[idx], isotropic[idx], len(rad),
-                (len(in_o), len(w_keys.intersection(in_o))),
-                refl[idx] in in_o,
-                w_keys.issuperset(a_keys), w_keys.isdisjoint(s_keys)))
-        return tuple(out)
-    return memo(("_lemma_record", field.name, n, Q.gram.rows), build)
+
+def _lemma_block(Q, budget):
+    """The lemma record of every form in Q's block of consecutive positions
+    in enumerate_forms order, built on the block's coefficient stack and
+    memoised per form; returns Q's.  A record is _judge's answer for every
+    direction f, by vector index of f (slot 0 is None).
+
+    A map preserves a form when it preserves the form's value at every
+    vector, and it fixes the radical {x : Bx = 0} pointwise when it moves
+    no radical vector.  The reflection along f is the map of Delta_f with
+    a = -Q(f)^-1 Bf (a = o, the identity, where Q(f) = 0), which is in
+    Delta_f: <a, f> = -Q(f)^-1 B(f, f) is -2 in odd characteristic and 0 in
+    characteristic 2, never -1.
+    """
+    field, n = Q.field, Q.n
+    table, slot = _rank_one_maps(field, n, budget)
+    q, N, m = field.order, field.order ** n, n * (n + 1) // 2
+    size = max(1, _BLOCK_ENTRIES // (len(table) * table.shape[1] * N))
+    block, row = divmod(form_position(Q), size)
+    start = block * size
+    W = form_block_np(field, n, start, min(size, q ** m - start))
+    vals = values_np(field, n, W)
+    images = polar_images_np(field, n, W)                 # row x: B x
+    rad = ~images.any(axis=2)
+    iso = (vals[:, table] == vals[:, np.newaxis, np.newaxis]).all(axis=3)
+    moved = (table != np.arange(N)).reshape(-1, N)
+    weak = iso & ~(rad @ moved.T).reshape(iso.shape)
+    delta = N - N // q                                   # |Delta_f|
+    neg_inv = mul_np(field, inverses_np(field), field.neg(field.one))
+    dual = vector_index_np(field, mul_np(            # a, per form and f
+        field, neg_inv[vals][:, 1:, np.newaxis], images[:, 1:]))
+    reflected = iso[np.arange(len(W))[:, np.newaxis], np.arange(N - 1),
+                    slot[np.arange(N - 1), dual]]
+    dims = {q ** i: i for i in range(n + 1)}
+    facts = zip(rad[:, 1:].tolist(), (vals[:, 1:] == 0).tolist(),
+                iso[..., :delta].sum(axis=2).tolist(),
+                weak[..., :delta].sum(axis=2).tolist(), reflected.tolist(),
+                weak[..., delta:N].all(axis=2).tolist(),
+                (~weak[..., N:].any(axis=2)).tolist())
+    xs = all_vectors(field, n)[1:]
+    records = []
+    for coeffs, k, per_form in zip(W.tolist(), rad.sum(axis=1).tolist(),
+                                   facts):
+        R = QForm.from_upper(field, n, coeffs)
+        record = (None,) + tuple(
+            _judge(R, x, in_rad, isotropic, dims[k], (o, w), refl, inside,
+                   scaled_ok)
+            for x, in_rad, isotropic, o, w, refl, inside, scaled_ok
+            in zip(xs, *per_form))
+        records.append(memo(("_lemma_record", field.name, n, R.gram.rows),
+                            lambda: record))
+    return records[row]
 
 
 def _answers(Q, f, budget):
     """(DirectionCase, (inside, tag), scaled_ok) for the pair (Q, f): a
-    lookup in the form's record, or, when GL is past the budget, from each
-    rank-one map tested on its own."""
+    lookup in Q's lemma record."""
     field, n = Q.field, Q.n
-    x = f.entries() if isinstance(f, Mat) else tuple(map(field.coerce, f))
-    if len(x) != n or not any(x):
-        raise ValueError("the direction must be a non-zero vector of F^%d, "
-                         "got %r" % (n, x))
-    if _in_budget(field, n, budget):
-        idx = 0
-        for c in reversed(x):       # the index of x is sum_i x_i q^i
-            idx = idx * field.order + c
-        return _lemma_record(Q, budget)[idx]
-    f = vec(field, x)
-    rad = radical_basis(Q)
-    in_rad = span_contains(rad, f)
-    isotropic = qf_eval(Q, f) == field.zero
-    go, gw = delta_orth(Q, f)
-    trans = _transvections(field, n, f)
-
-    def weak(A):
-        return is_isometry(Q, A) and _fixes_radical(rad, A)
-    return _judge(Q, f.entries(), in_rad, isotropic, len(rad),
-                  (go.order, gw.order),
-                  isotropic or in_rad or reflection(Q, f) in go,
-                  all(weak(A) for _a, A in trans),
-                  not any(weak(A) for A in _scalings(field, trans)))
+    x = _direction(field, n, f)
+    _check_maps(field, n, budget)
+    idx = 0
+    for c in reversed(x):           # the index of x is sum_i x_i q^i
+        idx = idx * field.order + c
+    return memo(("_lemma_record", field.name, n, Q.gram.rows),
+                lambda: _lemma_block(Q, budget))[idx]
 
 
 def classify_direction(Q, f, budget=None):

@@ -111,8 +111,8 @@ LETTER_TALLIES = {
 def test_c4_intersection_cardinalities():
     with criterion("c4 (rank-one intersection cardinalities, dims 1-3)",
                    limit=30):
-        # classify_direction asserts the predicted sizes against brute-force
-        # delta_orth orders on every call
+        # classify_direction asserts the predicted sizes against the sizes
+        # counted over every rank-one map of the direction, on every call
         for fld in (GF2, GF3):
             for n in (1, 2, 3):
                 tally = {}

@@ -331,6 +331,14 @@ def test_budget_flag_exit(capsys):
     assert "budget exceeded" in err and "METRIC_AFFINE_BUDGET" in err
 
 
+def test_lemma_budget_bounds_the_map_table(capsys):
+    # the lemmas build no GL: the budget bounds the rows of the rank-one map
+    # table, (7^3 - 1)(7^3 + 5 (7^2 - 1)) of them over GF(7)^3
+    assert main(["verify", "lemmas", "--field", "7", "--dim", "3"]) \
+        == EXIT_BUDGET
+    assert "need 199386 > budget 25000" in capsys.readouterr().err
+
+
 def test_budget_env_exit(form_file, capsys):
     gf7 = '{"dim": 2, "field": "GF(7)", "upper": [1, 0, 1]}\n'
     os.environ["METRIC_AFFINE_BUDGET"] = "5"

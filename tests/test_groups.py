@@ -28,13 +28,13 @@ from metric_affine.linalg import Mat, Singular, mat_invert, rank, vec
 from metric_affine.quadform import (QForm, all_vectors, enumerate_forms,
                                     is_isometry, qf_eval, qf_pullback,
                                     radical_basis)
-from metric_affine.transvect import _member_table
+from metric_affine.transvect import _rank_one_maps, classify_direction
 
 # group orders from the product formula, |GL_n(q)| = prod (q^n - q^i)
 GL_ORDERS = {
     (2, 2): 6, (3, 2): 168, (4, 2): 20160,
     (2, 3): 48, (3, 3): 11232,
-    (2, 4): 180, (2, 5): 480, (2, 7): 2016,
+    (2, 4): 180, (2, 5): 480, (2, 7): 2016, (0, 5): 1,
 }
 
 
@@ -304,22 +304,24 @@ def test_bad_budget_variable_is_rejected(monkeypatch):
 
 
 def test_budget_checked_before_memo_lookup():
-    # |GL_2(3)| = 48: a memoised result must not slip past a smaller budget
+    # |GL_2(3)| = 48, and the rank-one map table of GF(3)^2 has 88 rows: a
+    # memoised result must not slip past a smaller budget
     Q = QForm.from_upper(GF3, 2, (1, 0, 1))
-    calls = (lambda b: _gl_arrays(GF3, 2, budget=b),
-             lambda b: _perm_table(GF3, 2, budget=b),
-             lambda b: orthogonal_group(Q, budget=b),
-             lambda b: weak_orthogonal_group(Q, budget=b),
-             lambda b: motion_group_dual(Q, False, budget=b),
-             lambda b: motion_group_dual(Q, True, budget=b),
-             lambda b: weak_group_index(GF3, 2, budget=b),
-             lambda b: congruence_decomposition(GF3, 2, budget=b),
-             lambda b: _member_table(GF3, 2, budget=b))
-    for call in calls:
-        call(48)
+    calls = ((48, lambda b: _gl_arrays(GF3, 2, budget=b)),
+             (48, lambda b: _perm_table(GF3, 2, budget=b)),
+             (48, lambda b: orthogonal_group(Q, budget=b)),
+             (48, lambda b: weak_orthogonal_group(Q, budget=b)),
+             (48, lambda b: motion_group_dual(Q, False, budget=b)),
+             (48, lambda b: motion_group_dual(Q, True, budget=b)),
+             (48, lambda b: weak_group_index(GF3, 2, budget=b)),
+             (48, lambda b: congruence_decomposition(GF3, 2, budget=b)),
+             (88, lambda b: _rank_one_maps(GF3, 2, budget=b)),
+             (88, lambda b: classify_direction(Q, (1, 0), budget=b)))
+    for required, call in calls:
+        call(required)
         with pytest.raises(BudgetExceeded) as exc:
             call(5)
-        assert (exc.value.required, exc.value.budget) == (48, 5)
+        assert (exc.value.required, exc.value.budget) == (required, 5)
 
 
 def test_memo_keys_hold_plain_data():

@@ -37,7 +37,7 @@ EXPORTS = {
     "transvect": "DeltaMap DirectionCase KIND_DILATATION KIND_IDENTITY "
                  "KIND_TRANSVECTION NotInvertible "
                  "annihilator_transvections_in_weak classify_direction "
-                 "delta_group delta_make delta_orth "
+                 "delta_group delta_make "
                  "scaled_transvection_never_weak",
     "classify": "DyadReport MODE_MOTION MODE_WEAK MainPropReport "
                 "ProjectiveReport QuadricReport SUPPORTED_TABLES TableReport "
@@ -168,7 +168,7 @@ def test_package_exports_every_name():
                           "star": sorted(k for k in star if k[0] != "_")}))
     """, json.dumps(EXPORTS)))
     names = sorted(n for names in EXPORTS.values() for n in names.split())
-    assert len(names) == 96 and out["wrong"] == []
+    assert len(names) == 95 and out["wrong"] == []
     assert out["all"] == names and out["star"] == names
     assert set(names) <= set(out["dir"])
     # listing the names loads nothing
