@@ -75,3 +75,8 @@ def memo(key, build):
     if got is None:
         got = _MEMO[key] = build()
     return got
+
+
+def forget(key):
+    """Drop the value memoised under key, if there is one."""
+    _MEMO.pop(key, None)

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .budget import (BadBudgetVariable, BudgetExceeded, HARD_BUDGET_CEILING,
-                     group_budget, order_gl)
+                     forget, group_budget, order_gl)
 from .fields import field_make
 from .homog import DegeneratePolarForm, NotDroppable, drop, lift
 from .linalg import vec
@@ -205,11 +205,9 @@ def cmd_verify_lemmas(args, em):
     fld = _finite_field(args.field_name)
     n = _require_dim(args, low=1)
     counts = {"a": 0, "b": 0, "c": 0, "d": 0}
-    inside = 0
-    pairs = 0
+    inside = pairs = 0
     budget = group_budget() if args.budget is None else args.budget
-    directions = [x for x in all_vectors(fld, n)
-                  if any(c != fld.zero for c in x)]
+    directions = all_vectors(fld, n)[1:]           # every x but o
     for Q in enumerate_forms(fld, n):
         for x in directions:
             # classify_direction, annihilator_transvections_in_weak and
@@ -223,6 +221,7 @@ def cmd_verify_lemmas(args, em):
                 em.record({"record": "lemma-sweep", "ok": False})
                 return EXIT_FAIL
             pairs += 1
+        forget(("_lemma_record", fld.name, n, Q.gram.rows))  # Q is done
     em.text("lemma sweep over %s, dim %d" % (fld.name, n),
             "pairs (Q, f): %d" % pairs,
             "direction cases: a=%d b=%d c=%d d=%d"

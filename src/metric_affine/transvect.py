@@ -10,11 +10,11 @@ intersection sizes in terms of where the direction vector f sits relative
 to the radical and the null set of Q.
 
 The lemmas need no group larger than the maps they are about.  One table
-per (field, n) holds every rank-one map they test (_rank_one_maps), and the
+per (field, n) holds every rank-one map they test (_rank_one_maps).  The
 records of a block of consecutive forms are built at once from the block's
-coefficient stack (_lemma_block); each (Q, f) query is then a lookup in Q's
-record by the vector index of f.  The budget bounds the rows of the map
-table.
+coefficient stack (_lemma_block), testing each map on the n(n+1)/2 vectors
+whose values fix a form; each (Q, f) query is a lookup in Q's record by the
+vector index of f.  The budget bounds the rows of the map table.
 """
 
 from __future__ import annotations
@@ -100,8 +100,7 @@ def _check_maps(field, n, budget):
     of _rank_one_maps(field, n) fit the budget."""
     if not field.enumerable:
         raise NotImplementedError("%s is not enumerable" % field.name)
-    q = field.order
-    N = q ** n
+    q, N = field.order, field.order ** n
     maps = (N - 1) * (N + (q - 2) * (N // q - 1))
     budget = group_budget() if budget is None else budget
     if maps > budget:
@@ -116,8 +115,9 @@ def _rank_one_maps(field, n, budget=None):
     maps I + f a^T with <a, f> != -1 (Delta_f, in vector-index order of a),
     then the annihilator transvections (<a, f> = 0), then their scalings by
     s not in {0, 1} with a != o: q^n + (q - 2)(q^(n-1) - 1) maps, each row
-    the vector index of its image of every vector.  slot[f - 1, a] is the
-    place of the map of a in Delta_f, for every a with <a, f> != -1.
+    the int16 vector index of its image of every vector (q^n (q^n - 1) rows
+    or more fit the budget ceiling only if q^n < 2^15).  slot[f - 1, a] is
+    the place of the map of a in Delta_f, for every a with <a, f> != -1.
     """
     _check_maps(field, n, budget)
 
@@ -135,11 +135,11 @@ def _rank_one_maps(field, n, budget=None):
         # first annihilator is a = o
         scale = vector_index_np(field, mul_np(
             field, np.arange(2, q, dtype=np.uint8)[:, np.newaxis, np.newaxis],
-            V))
+            V)).astype(np.int16)
         scaled = scale[:, annihilators[:, 1:]].transpose(1, 0, 2, 3)
         table = np.concatenate([image[admissible].reshape(N - 1, -1, N),
                                 annihilators, scaled.reshape(N - 1, -1, N)],
-                               axis=1)
+                               axis=1, dtype=np.int16)
         slot = np.cumsum(admissible, axis=1) - 1
         table.setflags(write=False)
         slot.setflags(write=False)
@@ -204,9 +204,24 @@ def _judge(Q, x, in_rad, isotropic, k, sizes, reflected, inside, scaled_ok):
                          (inside, tag), scaled_ok))
 
 
-# gathered entries (forms x maps x vectors) per block of forms, so that one
-# build pays for a bounded block
+# gathered entries (forms x maps x the n(n+1)/2 vectors e_i, e_i + e_j) per
+# block of forms, so that one build pays for a bounded block
 _BLOCK_ENTRIES = 2 ** 21
+
+
+def _isometries(field, n, table, vals, rad):
+    """(iso, weak)[form, f - 1, map]: the maps of table that preserve each
+    form, by its values vals, and those that also move no x with Bx = 0 (its
+    radical mask rad).  The values at the e_i and e_i + e_j fix a form, as
+    B(e_i, e_j) = Q(e_i + e_j) - Q(e_i) - Q(e_j); a radical {o} is fixed."""
+    q, N = field.order, table.shape[2]
+    S = [q ** i + q ** j * (j > i) for i in range(n) for j in range(i, n)]
+    narrow, moved = memo(("_isometries", field.name, n), lambda: (
+        table[..., S], (table != np.arange(N)).reshape(-1, N)))
+    iso = (vals[:, narrow] == vals[:, np.newaxis, np.newaxis, S]).all(axis=3)
+    weak, deg = iso.copy(), rad[:, 1:].any(axis=1)
+    weak[deg] &= ~(rad[deg] @ moved.T).reshape(-1, *iso.shape[1:])
+    return iso, weak
 
 
 def _lemma_block(Q, budget):
@@ -215,26 +230,21 @@ def _lemma_block(Q, budget):
     memoised per form; returns Q's.  A record is _judge's answer for every
     direction f, by vector index of f (slot 0 is None).
 
-    A map preserves a form when it preserves the form's value at every
-    vector, and it fixes the radical {x : Bx = 0} pointwise when it moves
-    no radical vector.  The reflection along f is the map of Delta_f with
-    a = -Q(f)^-1 Bf (a = o, the identity, where Q(f) = 0), which is in
-    Delta_f: <a, f> = -Q(f)^-1 B(f, f) is -2 in odd characteristic and 0 in
-    characteristic 2, never -1.
+    The reflection along f is the map of Delta_f with a = -Q(f)^-1 Bf (a = o,
+    the identity, where Q(f) = 0), which is in Delta_f: <a, f> = -Q(f)^-1
+    B(f, f) is -2 in odd characteristic and 0 in characteristic 2, never -1.
     """
     field, n = Q.field, Q.n
     table, slot = _rank_one_maps(field, n, budget)
     q, N, m = field.order, field.order ** n, n * (n + 1) // 2
-    size = max(1, _BLOCK_ENTRIES // (len(table) * table.shape[1] * N))
+    size = max(1, _BLOCK_ENTRIES // (len(table) * table.shape[1] * m))
     block, row = divmod(form_position(Q), size)
     start = block * size
     W = form_block_np(field, n, start, min(size, q ** m - start))
     vals = values_np(field, n, W)
     images = polar_images_np(field, n, W)                 # row x: B x
     rad = ~images.any(axis=2)
-    iso = (vals[:, table] == vals[:, np.newaxis, np.newaxis]).all(axis=3)
-    moved = (table != np.arange(N)).reshape(-1, N)
-    weak = iso & ~(rad @ moved.T).reshape(iso.shape)
+    iso, weak = _isometries(field, n, table, vals, rad)
     delta = N - N // q                                   # |Delta_f|
     neg_inv = mul_np(field, inverses_np(field), field.neg(field.one))
     dual = vector_index_np(field, mul_np(            # a, per form and f

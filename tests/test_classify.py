@@ -19,7 +19,7 @@ from metric_affine.classify import (MODE_MOTION, MODE_WEAK, MODES,
                                     weak_group_index)
 from metric_affine.fields import GF2, GF3, GF4, GF5, GF7, QQ
 from metric_affine.groups import (GroupSet, enumerate_gl, form_values_np,
-                                  group_equal, groups_by_orbit,
+                                  group_equal, groups_by_orbit, matmul_np,
                                   orthogonal_group, vectors_np,
                                   weak_orthogonal_group)
 from metric_affine.homog import (DegeneratePolarForm, lift,
@@ -305,11 +305,11 @@ def _tangent_pencil(fld, n, bx):
                        for y in tangent]         # inside F x V
         pencil = annihilator(fld, n + 1, at_infinity)
         assert len(pencil) == 2
-        span = np.array([p.entries() for p in pencil], dtype=np.int64)
+        span = np.array([p.entries() for p in pencil], dtype=np.uint8)
         q = fld.order
         combos = np.array([(c0, c1) for c0 in range(q) for c1 in range(q)],
-                          dtype=np.int64)
-        canon = _projective_canon_np(fld, (combos @ span) % q)
+                          dtype=np.uint8)
+        canon = _projective_canon_np(fld, matmul_np(fld, combos, span))
         _ORACLE_MEMO[key] = frozenset(map(tuple, canon.tolist()))
     return _ORACLE_MEMO[key]
 

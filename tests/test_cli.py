@@ -249,6 +249,37 @@ def test_verify_lemmas(form_file, capsys):
     assert out.rstrip().endswith("PASS")
 
 
+# two sizes past the exhaustive tests in tests/test_transvect.py, whose
+# tallies the per-pair route there gives too
+LEMMA_SWEEPS = {
+    ("7", "2"): ("GF(7)", 16464, "a=14112 b=2016 c=0 d=336", 288),
+    ("4", "3"): ("GF(4)", 258048, "a=181440 b=60480 c=12096 d=4032", 3024),
+}
+
+
+@pytest.mark.parametrize("field,dim", sorted(LEMMA_SWEEPS))
+def test_verify_lemmas_frozen_tallies(capsys, field, dim):
+    name, pairs, cases, inside = LEMMA_SWEEPS[field, dim]
+    assert main(["verify", "lemmas", "--field", field, "--dim", dim]) \
+        == EXIT_PASS
+    assert capsys.readouterr().out == (
+        "lemma sweep over %s, dim %s\n"
+        "pairs (Q, f): %d\n"
+        "direction cases: %s\n"
+        "pairs with all annihilator transvections weak: %d\n"
+        "scaled transvections outside weak group: verified\n"
+        "PASS\n" % (name, dim, pairs, cases, inside))
+
+
+def test_verify_lemmas_leaves_no_record_memoised(capsys, cold_memo):
+    # each form's record is dropped after its last direction, so the sweep
+    # does not hold every record at once
+    assert main(["verify", "lemmas", "--field", "3", "--dim", "2"]) \
+        == EXIT_PASS
+    assert "_rank_one_maps" in {key[0] for key in cold_memo}
+    assert "_lemma_record" not in {key[0] for key in cold_memo}
+
+
 def test_verify_proposition(capsys):
     assert main(["verify", "proposition", "--field", "3", "--dim", "1"]) \
         == EXIT_PASS

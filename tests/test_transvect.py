@@ -4,15 +4,17 @@ import functools
 import textwrap
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metric_affine import transvect
-from metric_affine.fields import GF2, GF3, GF4, GF5
-from metric_affine.groups import (GroupSet, _reflections_np, form_values_np,
-                                  mat_to_np, matrix_codes, orthogonal_group,
-                                  weak_orthogonal_group)
+from metric_affine.fields import GF2, GF3, GF4, GF5, GF7
+from metric_affine.groups import (GroupSet, _reflections_np, form_block_np,
+                                  form_values_np, mat_to_np, matrix_codes,
+                                  orthogonal_group, polar_images_np,
+                                  values_np, weak_orthogonal_group)
 from metric_affine.linalg import Mat, pairing, span_contains, vec
 from metric_affine.quadform import (QForm, all_vectors, enumerate_forms,
                                     is_isometry, qf_eval, radical_basis,
@@ -386,6 +388,97 @@ def test_reflection_stack_matches_quadform(F, n):
         for idx, fv in enumerate(all_vectors(F, n)):
             if vals[idx]:
                 assert (stack[idx] == mat_to_np(reflection(Q, fv))).all()
+
+
+def _map_rows(field, n):
+    """_rank_one_maps's table built one map at a time from the field's
+    scalar operations, as int64: for each f != o, the maps of a with
+    <a, f> != -1, then those with <a, f> = 0, then s times those with a != o
+    for each unit s != 1, each as the index of s (x + <a, x> f) for every x."""
+    V = all_vectors(field, n)
+    index = {x: i for i, x in enumerate(V)}
+    minus_one = field.neg(field.one)
+
+    def row(a, f, s=field.one):
+        return [index[tuple(field.mul(s, field.add(xi, field.mul(
+            field.dot(a, x), fi))) for xi, fi in zip(x, f))] for x in V]
+    table = []
+    for f in V[1:]:
+        annihilators = [a for a in V if field.dot(a, f) == field.zero]
+        table.append([row(a, f) for a in V if field.dot(a, f) != minus_one]
+                     + [row(a, f) for a in annihilators]
+                     + [row(a, f, s) for s in field.units()
+                        if s != field.one for a in annihilators[1:]])
+    return np.array(table, dtype=np.int64)
+
+
+@pytest.mark.parametrize("F,n", RECORD_SIZES,
+                         ids=lambda v: getattr(v, "name", v))
+def test_map_table_is_int16_and_matches_an_int64_build(F, n):
+    table, _slot = transvect._rank_one_maps(F, n)
+    assert table.dtype == np.int16
+    want = _map_rows(F, n)
+    assert table.shape == want.shape and (table == want).all()
+
+
+def _full_gather(field, n, table, vals, rad):
+    """(iso, weak) from the full-vector gather, the oracle for _isometries:
+    a map preserves a form when it preserves the form's value at every
+    vector."""
+    N = field.order ** n
+    iso = (vals[:, table] == vals[:, np.newaxis, np.newaxis]).all(axis=3)
+    moved = (table != np.arange(N)).reshape(-1, N)
+    return iso, iso & ~(rad @ moved.T).reshape(iso.shape)
+
+
+@pytest.mark.parametrize("F,n", RECORD_SIZES + [(GF7, 2)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_narrow_gather_matches_full_gather(F, n):
+    # the maps are tested on the n(n+1)/2 vectors e_i, e_i + e_j only; on
+    # every form and every map, that gives the masks of all q^n vectors
+    table, _slot = transvect._rank_one_maps(F, n)
+    forms = F.order ** (n * (n + 1) // 2)
+    step = max(1, 2 ** 21 // table.size)
+    not_iso = iso_not_weak = 0
+    for start in range(0, forms, step):
+        W = form_block_np(F, n, start, min(step, forms - start))
+        vals = values_np(F, n, W)
+        rad = ~polar_images_np(F, n, W).any(axis=2)
+        iso, weak = transvect._isometries(F, n, table, vals, rad)
+        want_iso, want_weak = _full_gather(F, n, table, vals, rad)
+        assert (iso == want_iso).all() and (weak == want_weak).all()
+        not_iso += (~want_iso).sum()
+        iso_not_weak += (want_iso & ~want_weak).sum()
+    # neither mask is vacuous past the line
+    assert n == 1 or (not_iso and iso_not_weak)
+
+
+# the (field, dim) sizes of perfbench's lemma-sweep
+LEMMA_SWEEP_SIZES = [(GF2, 1), (GF2, 2), (GF2, 3), (GF3, 1), (GF3, 2),
+                     (GF3, 3), (GF5, 1), (GF5, 2)]
+
+
+def test_lemma_blocks_are_sized_by_the_narrow_gather(cold_memo, monkeypatch):
+    # forms x maps x n(n+1)/2 vectors per block stays within 2^21, and a
+    # cold sweep of the lemma-sweep sizes builds 9 blocks, 2 of them for the
+    # 729 forms of GF(3)^3
+    real, builds = transvect.form_block_np, []
+
+    def recording(field, n, start, k):
+        table, _slot = transvect._rank_one_maps(field, n)
+        builds.append((field.name, n, k, k * table.shape[0]
+                       * table.shape[1] * n * (n + 1) // 2))
+        return real(field, n, start, k)
+    monkeypatch.setattr(transvect, "form_block_np", recording)
+    for F, n in LEMMA_SWEEP_SIZES:
+        for Q in enumerate_forms(F, n):
+            classify_direction(Q, (1,) + (0,) * (n - 1))
+    assert Counter(build[:2] for build in builds) == Counter(
+        {(F.name, n): 2 if (F, n) == (GF3, 3) else 1
+         for F, n in LEMMA_SWEEP_SIZES})
+    assert sum(build[2] for build in builds) == sum(
+        F.order ** (n * (n + 1) // 2) for F, n in LEMMA_SWEEP_SIZES)
+    assert max(build[3] for build in builds) <= 2 ** 21
 
 
 _OPTIMIZED_CHILD = textwrap.dedent("""
