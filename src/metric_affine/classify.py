@@ -561,8 +561,8 @@ def _quadric_block(fld, n, block):
     """quadric_duality_check for every form of one block of consecutive
     positions in enumerate_forms order, on the block's coefficient stack.
 
-    Returns (status codes into _BLOCK_STATUSES, the three point counts per
-    form, {row: details} for the mismatching rows).
+    Returns every row's QuadricReport; rows with equal status, counts and
+    details (listed on mismatching rows only) share one report object.
     """
     q, m = fld.order, n * (n + 1) // 2
     size = _block_size(fld, n)
@@ -614,7 +614,10 @@ def _quadric_block(fld, n, block):
                for a in sorted(map(tuple, points[missed].tolist()))]
             + ([("vertex-missing-from-annihilators",
                  tuple(points[0].tolist()))] if not rhs[r, 0] else []))
-    return status.astype(np.uint8), counts, details
+    keys = [(_BLOCK_STATUSES[s], *c, details.get(r, ()))
+            for r, (s, c) in enumerate(zip(status.tolist(), counts.tolist()))]
+    made = {key: QuadricReport(fld.name, n, *key) for key in set(keys)}
+    return tuple(map(made.__getitem__, keys))
 
 
 def quadric_duality_check(Q):
@@ -624,8 +627,8 @@ def quadric_duality_check(Q):
     Verified point by point in both directions (the distinguished vertex is
     left out on the lifted side, and re-checked separately against the
     hyperplane at infinity).  Characteristic 2 is excluded by design: the
-    description is not established there.  The answer is read from a table
-    memoised per (field, n) and built in blocks of consecutive forms.
+    description is not established there.  The report is one memo read of
+    a table per (field, n), built in blocks of consecutive forms.
     """
     fld, n = Q.field, Q.n
     if not fld.enumerable:
@@ -636,7 +639,5 @@ def quadric_duality_check(Q):
     if n < 2:
         return QuadricReport(fld.name, n, "dim-too-small", 0, 0, 0, ())
     block, row = divmod(form_position(Q), _block_size(fld, n))
-    status, counts, details = memo(("_quadric_block", fld.name, n, block),
-                                   lambda: _quadric_block(fld, n, block))
-    return QuadricReport(fld.name, n, _BLOCK_STATUSES[status[row]],
-                         *counts[row].tolist(), details.get(row, ()))
+    return memo(("_quadric_block", fld.name, n, block),
+                lambda: _quadric_block(fld, n, block))[row]

@@ -201,18 +201,18 @@ def cmd_groups(args, em):
 # --- verification commands -------------------------------------------------
 
 def cmd_verify_lemmas(args, em):
-    from .transvect import _answers
+    from .transvect import lemma_record
     fld = _finite_field(args.field_name)
     n = _require_dim(args, low=1)
     counts = {"a": 0, "b": 0, "c": 0, "d": 0}
     inside = pairs = 0
     budget = group_budget() if args.budget is None else args.budget
-    directions = all_vectors(fld, n)[1:]           # every x but o
+    directions = all_vectors(fld, n)[1:]   # every x but o, in index order
     for Q in enumerate_forms(fld, n):
-        for x in directions:
-            # classify_direction, annihilator_transvections_in_weak and
-            # scaled_transvection_never_weak, from one set of answers
-            case, (ok, _tag), scaled_ok = _answers(Q, x, budget)
+        # classify_direction, annihilator_transvections_in_weak and
+        # scaled_transvection_never_weak for every x, from Q's record
+        for x, (case, (ok, _tag), scaled_ok) in zip(
+                directions, lemma_record(Q, budget)[1:]):
             counts[case.letter] += 1
             inside += ok
             if not scaled_ok:

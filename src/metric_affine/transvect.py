@@ -272,17 +272,26 @@ def _lemma_block(Q, budget):
     return records[row]
 
 
+def lemma_record(Q, budget=None):
+    """Q's lemma record, _judge's answer for every direction f by the vector
+    index of f (slot 0 is None); the budget is checked before the lookup."""
+    _check_maps(Q.field, Q.n, budget)
+    return memo(("_lemma_record", Q.field.name, Q.n, Q.gram.rows),
+                lambda: _lemma_block(Q, budget))
+
+
 def _answers(Q, f, budget):
-    """(DirectionCase, (inside, tag), scaled_ok) for the pair (Q, f): a
-    lookup in Q's lemma record."""
+    """(DirectionCase, (inside, tag), scaled_ok) for the pair (Q, f): Q's
+    record at sum_i f_i q^i, coerced and summed in one pass, first to last."""
     field, n = Q.field, Q.n
-    x = _direction(field, n, f)
-    _check_maps(field, n, budget)
-    idx = 0
-    for c in reversed(x):           # the index of x is sum_i x_i q^i
-        idx = idx * field.order + c
-    return memo(("_lemma_record", field.name, n, Q.gram.rows),
-                lambda: _lemma_block(Q, budget))[idx]
+    idx, place, q, coerce = 0, 1, field.order, field.coerce
+    if field.enumerable:
+        for c in (f.entries() if isinstance(f, Mat) else f):
+            idx += coerce(c) * place
+            place *= q
+    if not idx or place != q ** n:
+        _direction(field, n, f)         # raises for a zero or misshapen f
+    return lemma_record(Q, budget)[idx]
 
 
 def classify_direction(Q, f, budget=None):

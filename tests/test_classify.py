@@ -1,6 +1,7 @@
 """Classification sweeps: dyads, tables, projective view, quadric duality."""
 
 import textwrap
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from metric_affine.classify import (MODE_MOTION, MODE_WEAK, MODES,
                                     verify_main_prop,
                                     verify_projective_theorem,
                                     weak_group_index)
-from metric_affine.fields import GF2, GF3, GF4, GF5, GF7, QQ
+from metric_affine.fields import GF2, GF3, GF4, GF5, GF7, QQ, PrimePowerField
 from metric_affine.groups import (GroupSet, enumerate_gl, form_values_np,
                                   group_equal, groups_by_orbit, matmul_np,
                                   orthogonal_group, vectors_np,
@@ -366,12 +367,37 @@ def test_quadric_points_match_per_form_route(F, n):
         assert quadric_points(Q) == _per_form_quadric_points(Q), Q
 
 
+# GF(9) = GF(3)[t] / (t^2 + 1), a non-prime odd field built outside field_make
+GF9 = PrimePowerField(3, (1, 0, 1))
+
+
 @pytest.mark.parametrize("F,n", [(GF3, 2), (GF3, 3), (GF5, 2), (GF5, 3),
-                                 (GF7, 2)],
+                                 (GF7, 2), (GF9, 2)],
                          ids=lambda v: getattr(v, "name", v))
 def test_quadric_table_matches_per_form_route(F, n, cold_memo):
+    tally = Counter()
     for Q in enumerate_forms(F, n):
-        assert quadric_duality_check(Q) == _per_form_quadric_check(Q), Q
+        rep = quadric_duality_check(Q)
+        assert rep == _per_form_quadric_check(Q), Q
+        tally[rep.status] += 1
+    if (F.name, n) in QUADRIC_TALLIES:
+        assert dict(tally) == QUADRIC_TALLIES[(F.name, n)]
+
+
+def test_warm_quadric_queries_build_no_block(cold_memo, monkeypatch):
+    # a cold sweep of the 15,625 forms of GF(5)^3 builds each of its 8
+    # blocks of 2,048 forms once; a second sweep builds none
+    real, builds = classify._quadric_block, []
+
+    def recording(fld, n, block):
+        builds.append((fld.name, n, block))
+        return real(fld, n, block)
+    monkeypatch.setattr(classify, "_quadric_block", recording)
+    forms = enumerate_forms(GF5, 3)
+    first = [quadric_duality_check(Q) for Q in forms]
+    assert builds == [("GF(5)", 3, block) for block in range(8)]
+    assert [quadric_duality_check(Q) for Q in forms] == first
+    assert len(builds) == 8
 
 
 def _lift_with_a1_squared_bumped(Q):
@@ -458,6 +484,7 @@ QUADRIC_TALLIES = {
     (GF3.name, 2): {"degenerate-polar": 9, "empty-quadric": 6, "ok": 12},
     (GF5.name, 2): {"degenerate-polar": 25, "empty-quadric": 40, "ok": 60},
     (GF7.name, 2): {"degenerate-polar": 49, "empty-quadric": 126, "ok": 168},
+    (GF9.name, 2): {"degenerate-polar": 81, "empty-quadric": 288, "ok": 360},
 }
 
 

@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metric_affine import transvect
-from metric_affine.fields import GF2, GF3, GF4, GF5, GF7
-from metric_affine.groups import (GroupSet, _reflections_np, form_block_np,
-                                  form_values_np, mat_to_np, matrix_codes,
-                                  orthogonal_group, polar_images_np,
-                                  values_np, weak_orthogonal_group)
+from metric_affine.fields import GF2, GF3, GF4, GF5, GF7, QQ
+from metric_affine.groups import (BudgetExceeded, GroupSet, _reflections_np,
+                                  form_block_np, form_values_np, mat_to_np,
+                                  matrix_codes, orthogonal_group,
+                                  polar_images_np, values_np,
+                                  weak_orthogonal_group)
 from metric_affine.linalg import Mat, pairing, span_contains, vec
 from metric_affine.quadform import (QForm, all_vectors, enumerate_forms,
                                     is_isometry, qf_eval, radical_basis,
@@ -139,6 +140,53 @@ def test_lemma_functions_reject_a_zero_or_misshapen_direction(budget):
                 check(Q, bad, budget)
             assert str(refused.value) == ("the direction must be a non-zero "
                                           "vector of F^2, got %r" % (read,))
+
+
+LEMMA_FUNCTIONS = (classify_direction, annihilator_transvections_in_weak,
+                   scaled_transvection_never_weak)
+
+
+def _lemma_answers(Q, f, budget):
+    """What each lemma function gives for (Q, f): its answer, or the message
+    of the BudgetExceeded it raises."""
+    got = []
+    for check in LEMMA_FUNCTIONS:
+        try:
+            got.append(check(Q, f, budget))
+        except BudgetExceeded as exc:
+            got.append(str(exc))
+    return got
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_every_spelling_of_a_direction_gets_the_same_answers(budget):
+    # a tuple, a list, a vec column and an alias read modulo 3, such as
+    # (4, -1) for (1, 2), name the same f; budget 1 refuses every spelling
+    for Q in enumerate_forms(GF3, 2):
+        for x in nonzero_vectors(GF3, 2):
+            spellings = (x, list(x), vec(GF3, x), (x[0] + 3, x[1] - 3))
+            got = [_lemma_answers(Q, f, budget) for f in spellings]
+            assert got == got[:1] * len(spellings), (Q, x)
+            refused = [a for a in got[0] if isinstance(a, str)]
+            assert len(refused) == (0 if budget is None else 3), (Q, x)
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_lemma_functions_name_the_first_bad_coordinate(budget):
+    # over GF(4) both 5 and 4 are outside the codes 0..3; 5 comes first
+    Q = QForm.from_upper(GF4, 2, (1, 0, 1))
+    for check in LEMMA_FUNCTIONS:
+        with pytest.raises(ValueError) as refused:
+            check(Q, (5, 4), budget)
+        assert str(refused.value) == "GF(4) elements are coded 0..3, got 5"
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_lemma_functions_refuse_a_form_over_the_rationals(budget):
+    Q = QForm.from_upper(QQ, 2, (1, 0, 1))
+    for check in LEMMA_FUNCTIONS:
+        with pytest.raises(NotImplementedError):
+            check(Q, (1, 0), budget)
 
 
 def test_lemmas_enumerate_no_gl(cold_memo):
