@@ -7,23 +7,23 @@ sorted int64 array of matrix codes (matrix_codes: the row-major raw values
 read as base-q digits) and set equality is equality of those arrays.  This
 module is the only one that knows how an element is coded.
 
-Under the hood the module keeps, per (field, n):
+Under the hood the module keeps, per (field, n), the table of all q^n
+vectors (row idx -> vector, idx = sum x_i q^i) as a small numpy integer
+array, and builds every group by one frontier of partial bases.  g is an
+isometry of Q exactly when it is invertible and its columns v_i satisfy
+Q(v_i) = Q(e_i) and B(v_i, v_j) = B(e_i, e_j) for i < j, since Q(sum x_i
+v_i) = sum x_i^2 Q(v_i) + sum_{i<j} x_i x_j B(v_i, v_j) in every
+characteristic.  So _isometries_np extends every partial basis at once, one
+column at a time, by every vector outside its span (the product of the
+coefficient table of F^k with its k columns) that meets the next column's
+constraints; np.nonzero keeps the result in lexicographic order of the
+columns' vector indices.  For the zero form the constraints are empty, and
+the frontier is all of GL_n.  The readable one-vector-at-a-time route
+lives in quadform.is_isometry, and the tests check the frontier against a
+filter of all of GL.
 
-  * the table of all q^n vectors (row idx -> vector, idx = sum x_i q^i),
-  * the full list of invertible matrices, built once, one column at a
-    time and all partial bases at once: the span of every partial basis is
-    the product of the coefficient table of F^k with its k columns, and
-    each vector outside that span extends it (np.nonzero keeps the result
-    in lexicographic order of the columns' vector indices),
-  * the permutation table P[g, j] = index of (matrix_g * vector_j),
-
-all as small numpy integer arrays.  A subgroup of GL is then just a boolean
-mask over the matrix list, and "is A an isometry of Q" for every A at once
-is a single vectorised comparison of value tables.  This is nothing but the
-definition applied to every vector, in bulk; the readable one-vector-at-a-
-time route lives in quadform.is_isometry and the tests check the two agree.
 Forms in one congruence orbit have conjugate groups, so the groups of
-every form on F^n take one such filter per orbit: congruence_decomposition
+every form on F^n take one frontier per orbit: congruence_decomposition
 splits the forms into orbits once per (field, n), and groups_by_orbit
 conjugates the group of each orbit's first form onto the other members.
 
@@ -178,45 +178,50 @@ def upper_coeffs_np(field, S):
     return add_np(field, S[..., iu, ju], np.where(iu == ju, 0, S[..., ju, iu]))
 
 
-def _gl_arrays(field, n, budget=None):
-    """The full GL_n stack as a (m, n, n) uint8 array, memoised."""
-    check_budget(field, n, budget)
-    return memo(("_gl_arrays", field.name, n), lambda: _build_gl(field, n))
-
-
-def _build_gl(field, n):
-    """Every invertible matrix, column by column: each partial basis is
-    extended by every vector outside its span, in vector-index order."""
+def _isometries_np(field, n, vals, B):
+    """The isometries of the form with values vals[v] = Q(v) and polar
+    products B[v, w] = B(v, w), by vector index, as an (m, n, n) uint8
+    stack: the frontier of the module docstring, each partial basis held
+    as the vector indices of its columns."""
     V = vectors_np(field, n)
-    parts = np.zeros((1, 0, n), dtype=np.uint8)     # partial bases, as rows
-    for k in range(n):
-        span = matmul_np(field, vectors_np(field, k)[np.newaxis], parts)
-        inside = np.zeros((len(parts), len(V)), dtype=bool)
-        inside[np.arange(len(parts))[:, np.newaxis],
-               vector_index_np(field, span)] = True
-        rows, vecs = np.nonzero(~inside)
-        parts = np.concatenate([parts[rows], V[vecs][:, np.newaxis]], axis=1)
-    if len(parts) != order_gl(n, field.order):
-        raise InvariantViolation("GL_%d(%s) has %d elements, not %d"
-                                 % (n, field.name, len(parts),
-                                    order_gl(n, field.order)))
-    arr = np.ascontiguousarray(parts.transpose(0, 2, 1))
-    arr.setflags(write=False)
-    return arr
+    units = field.order ** np.arange(n)        # vector indices of e_1 .. e_n
+    # uint8 wherever |GL_n| fits the budget ceiling: there q^n <= 125.
+    # np.take, as it gathers these small tables about twice as fast as [].
+    parts = np.zeros((1, n), dtype=np.min_scalar_type(len(V) - 1))
+    for k in range(n):          # columns k and on of parts are not set yet
+        ok = np.repeat((vals == vals[units[k]])[np.newaxis], len(parts), 0)
+        for j in range(k):      # one earlier column at a time
+            ok &= B.take(parts[:, j], axis=0) == B[units[j], units[k]]
+        span = matmul_np(field, vectors_np(field, k)[np.newaxis],
+                         V.take(parts[:, :k], axis=0))
+        ok[np.arange(len(parts))[:, np.newaxis],
+           vector_index_np(field, span)] = False
+        rows, vecs = np.nonzero(ok)
+        parts = parts.take(rows, axis=0)
+        parts[:, k] = vecs
+        del ok, rows, vecs      # freed before the next gathers
+    out = np.empty((len(parts), n, n), dtype=np.uint8)
+    for i in range(n):          # column by column, to gather without an
+        out[:, :, i] = V.take(parts[:, i], axis=0)     # intp copy of parts
+    return out
 
 
-def _perm_table(field, n, budget=None):
-    """P[g, j] = vector index of (GL_g applied to vector_j)."""
+def _gl_arrays(field, n, budget=None):
+    """The full GL_n stack as a (m, n, n) uint8 array: the isometries of
+    the zero form.  Memoised."""
     check_budget(field, n, budget)
 
     def build():
-        G = _gl_arrays(field, n, budget)
-        images = matmul_np(field, G, vectors_np(field, n).T)   # (g, n, q^n)
-        P = vector_index_np(field, images.transpose(0, 2, 1))
-        P = np.ascontiguousarray(P, dtype=np.int64)
-        P.setflags(write=False)
-        return P
-    return memo(("_perm_table", field.name, n), build)
+        N = field.order ** n
+        G = _isometries_np(field, n, np.zeros(N, dtype=np.uint8),
+                           np.zeros((N, N), dtype=np.uint8))
+        if len(G) != order_gl(n, field.order):
+            raise InvariantViolation("GL_%d(%s) has %d elements, not %d"
+                                     % (n, field.name, len(G),
+                                        order_gl(n, field.order)))
+        G.setflags(write=False)
+        return G
+    return memo(("_gl_arrays", field.name, n), build)
 
 
 def _monomials_np(field, n):
@@ -270,13 +275,6 @@ def form_values_np(Q):
     return values_np(Q.field, Q.n, np.array([Q.upper_coeffs()], np.uint8))[0]
 
 
-def isometry_mask(Q, budget=None):
-    """Boolean mask over the GL stack: which matrices preserve Q."""
-    P = _perm_table(Q.field, Q.n, budget)
-    vals = form_values_np(Q)
-    return (vals[P] == vals[np.newaxis, :]).all(axis=1)
-
-
 # --- GroupSet --------------------------------------------------------------
 
 class GroupSet:
@@ -310,11 +308,6 @@ class GroupSet:
         arr = [mat_to_np(A) for A in mats]
         return cls.from_np(field, n, np.array(arr, dtype=np.uint8)
                            .reshape(len(arr), n, n))
-
-    @classmethod
-    def from_mask(cls, field, n, mask, budget=None):
-        G = _gl_arrays(field, n, budget)
-        return cls.from_np(field, n, G[mask])
 
     @property
     def order(self):
@@ -368,11 +361,17 @@ def enumerate_gl(field, n, budget=None):
 
 
 def orthogonal_group(Q, budget=None):
-    """All GL elements preserving Q (full enumeration + filter, memoized)."""
+    """All GL elements preserving Q: the isometry frontier of Q's value and
+    polar tables (memoized)."""
     check_budget(Q.field, Q.n, budget)
-    return memo(("orthogonal_group", Q.field.name, Q.n, Q.gram.rows),
-                lambda: GroupSet.from_mask(Q.field, Q.n,
-                                           isometry_mask(Q, budget), budget))
+
+    def build():
+        field, n = Q.field, Q.n
+        V = vectors_np(field, n)
+        BV = matmul_np(field, V, mat_to_np(polar(Q)))     # row v: (B v)^T
+        return GroupSet.from_np(field, n, _isometries_np(
+            field, n, form_values_np(Q), matmul_np(field, BV, V.T)))
+    return memo(("orthogonal_group", Q.field.name, Q.n, Q.gram.rows), build)
 
 
 def weak_orthogonal_group(Q, budget=None):
@@ -407,7 +406,8 @@ def congruence_codes(field, W, G):
 class Orbit:
     """One congruence orbit of forms on F^n: the position of its first form
     R in enumerate_forms order, the positions of all its members (an int
-    array), and stacks A, A^-1 with member k = R o A[k] (Gram A^T W A)."""
+    array), a stack A of GL_n with member k = R o A[k] (Gram A^T W A), and
+    its inverses, from invert_np."""
 
     first: int
     members: np.ndarray
@@ -419,17 +419,15 @@ def congruence_decomposition(field, n, budget=None):
     """(forms, orbits): every form on F^n in enumerate_forms order, and its
     congruence orbits in order of their first form.  Memoised.
 
-    The orbit-stabiliser count |orbit| |O(R)| = |GL| is checked for every
-    orbit, and the orbits must not overlap; a failure raises even under -O.
+    The orbit-stabiliser count |orbit| |O(R)| = |GL| checks the frontier's
+    O(R) against the congruence codes of every orbit, and the orbits must
+    not overlap; a failure raises even under -O.
     """
     check_budget(field, n, budget)
 
     def build():
         G = _gl_arrays(field, n, budget)
-        P = _perm_table(field, n, budget)
         forms = enumerate_forms(field, n)
-        V = vectors_np(field, n)
-        units = field.order ** np.arange(n)    # vector indices of e_1 .. e_n
         seen = np.zeros(len(forms), dtype=bool)
         orbits = []
         for r, R in enumerate(forms):
@@ -442,10 +440,8 @@ def congruence_decomposition(field, n, budget=None):
                 raise InvariantViolation("congruence orbit of %r fails the "
                                          "orbit-stabiliser count" % (R,))
             seen[members] = True
-            # column i of A^-1 is the preimage of e_i under A
-            Ainv = V[np.argsort(P[first], axis=1)[:, units]]
             orbits.append(Orbit(r, members, G[first],
-                                Ainv.transpose(0, 2, 1)))
+                                invert_np(field, G[first])[1]))
         return forms, orbits
     return memo(("congruence_decomposition", field.name, n), build)
 
@@ -456,19 +452,23 @@ def groups_by_orbit(field, n, group, budget=None):
 
     For Q = R o A, B |-> A^-1 B A carries O(R) onto O(Q), and O'(R) onto
     O'(Q) since A^-1 carries rad(R) onto rad(Q).  So group is enumerated
-    only for the first form R of each congruence orbit.
+    only for the first form R of each congruence orbit.  Memoised, as a
+    tuple; congruence_decomposition checks the budget first.
     """
     forms, orbits = congruence_decomposition(field, n, budget)
-    out = [None] * len(forms)
-    for orbit in orbits:
-        base = group(forms[orbit.first], budget).as_np()
-        conj = matmul_np(field,
-                         matmul_np(field, orbit.Ainv[:, np.newaxis], base),
-                         orbit.A[:, np.newaxis])
-        for k, codes in zip(orbit.members.tolist(),
-                            matrix_codes(field, conj)):
-            out[k] = GroupSet(field, n, codes)
-    return out
+
+    def build():
+        out = [None] * len(forms)
+        for orbit in orbits:
+            base = group(forms[orbit.first], budget).as_np()
+            conj = matmul_np(field,
+                             matmul_np(field, orbit.Ainv[:, np.newaxis], base),
+                             orbit.A[:, np.newaxis])
+            for k, codes in zip(orbit.members.tolist(),
+                                matrix_codes(field, conj)):
+                out[k] = GroupSet(field, n, codes)
+        return tuple(out)
+    return memo(("groups_by_orbit", field.name, n, group.__name__), build)
 
 
 def closure(field, n, generators, budget=None):

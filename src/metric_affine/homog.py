@@ -28,9 +28,9 @@ from dataclasses import dataclass, field as dc_field
 from .budget import InvariantViolation, check_budget, memo
 from .linalg import (Mat, Singular, mat_invert, span_contains, unit_vector,
                      vec)
-from .quadform import (QForm, enumerate_forms, is_isometry, is_nondegenerate,
-                       poly_str, polar, polar_apply, qf_eval, qf_scale,
-                       radical_basis, reflection)
+from .quadform import (QForm, enumerate_forms, form_position, is_isometry,
+                       is_nondegenerate, poly_str, polar, polar_apply,
+                       qf_eval, qf_scale, radical_basis, reflection)
 
 
 class DegeneratePolarForm(Exception):
@@ -310,7 +310,9 @@ def motion_group_dual(Q, weak, budget=None):
     dual_matrix sends x |-> t + A x to [[1, -(A^-1 t)^T], [0, A^-T]].  The
     linear group is closed under inverses and t |-> -A^-1 t permutes F^n,
     so the image is {[[1, s^T], [0, B^T]] : s in F^n, B in the group},
-    assembled here as one stack.  Memoised.
+    assembled here as one stack.  The group is read from the memoised
+    groups_by_orbit table, so a first call builds the linear groups of
+    every form on F^n, one per congruence orbit.  Memoised.
     """
     F, n = Q.field, Q.n
     check_budget(F, n, budget)
@@ -318,8 +320,9 @@ def motion_group_dual(Q, weak, budget=None):
     def build():
         import numpy as np
         from . import groups
-        linear = (groups.weak_orthogonal_group if weak
-                  else groups.orthogonal_group)(Q, budget)
+        linear = groups.groups_by_orbit(
+            F, n, (groups.weak_orthogonal_group if weak
+                   else groups.orthogonal_group), budget)[form_position(Q)]
         S = groups.vectors_np(F, n)
         out = np.zeros((linear.order, len(S), n + 1, n + 1), dtype=np.uint8)
         out[..., 0, 0] = 1

@@ -84,9 +84,6 @@ class Mat:
     def __eq__(self, other):
         return isinstance(other, Mat) and self._key == other._key
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return self._hash
 

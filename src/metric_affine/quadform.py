@@ -91,9 +91,6 @@ class QForm:
     def __eq__(self, other):
         return isinstance(other, QForm) and self.gram == other.gram
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return self._hash
 

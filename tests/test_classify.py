@@ -139,8 +139,9 @@ def test_orbit_index_matches_per_form_scan(F, m, cold_memo):
     o_table = groups_by_orbit(F, m, orthogonal_group)
     cold_memo.clear()
     assert index == _scan_index(F, m)
-    # the scan memoised O(Q) form by form, by the per-form GL filter
-    assert o_table == [orthogonal_group(Q) for Q in enumerate_forms(F, m)]
+    # the scan memoised O(Q) form by form, by the per-form frontier
+    assert list(o_table) == [orthogonal_group(Q)
+                             for Q in enumerate_forms(F, m)]
 
 
 # --- tables ----------------------------------------------------------------

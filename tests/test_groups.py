@@ -12,13 +12,12 @@ from metric_affine.budget import (DEFAULT_BUDGET, HARD_BUDGET_CEILING,
                                   group_budget, order_gl)
 from metric_affine.classify import weak_group_index
 from metric_affine.fields import GF2, GF3, GF4, GF5, GF7
-from metric_affine.groups import (GroupSet, _build_gl, _gl_arrays,
-                                  _perm_table, add_np, closure,
+from metric_affine.groups import (GroupSet, _gl_arrays, add_np, closure,
                                   congruence_decomposition, enumerate_gl,
-                                  form_values_np, group_equal, inverses_np,
-                                  invert_np, is_subgroup, isometry_mask,
-                                  matmul_np, mat_to_np, matrix_codes, mul_np,
-                                  orthogonal_group,
+                                  form_values_np, group_equal,
+                                  groups_by_orbit, inverses_np, invert_np,
+                                  is_subgroup, matmul_np, mat_to_np,
+                                  matrix_codes, mul_np, orthogonal_group,
                                   reflection_generation_status,
                                   upper_coeffs_np, values_np, vectors_np,
                                   weak_orthogonal_group)
@@ -84,8 +83,8 @@ def _sizes(fits):
 @pytest.mark.parametrize(
     "F,n", _sizes(lambda q, n: order_gl(n, q) <= DEFAULT_BUDGET),
     ids=lambda v: getattr(v, "name", v))
-def test_gl_matches_recursive_build_bytewise(F, n):
-    got, want = _build_gl(F, n), _recursive_gl(F, n)
+def test_gl_matches_recursive_build_bytewise(F, n, cold_memo):
+    got, want = _gl_arrays(F, n), _recursive_gl(F, n)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -156,14 +155,14 @@ def test_group_containments():
 
 
 def test_mask_route_matches_literal_filter():
-    # the vectorised permutation-table route and a plain per-matrix filter
-    # must build the same group
+    # the frontier, the permutation-table filter of GL and a plain
+    # per-matrix filter must build the same group
     G = [Mat(GF3, A.tolist()) for A in enumerate_gl(GF3, 2).as_np()]
     for Q in enumerate_forms(GF3, 2)[:9]:
         literal = GroupSet.from_mats(
             GF3, 2, [A for A in G if is_isometry(Q, A)])
         assert group_equal(orthogonal_group(Q), literal)
-        assert isometry_mask(Q).sum() == literal.order
+        assert _isometry_mask(Q).sum() == literal.order
 
 
 @pytest.mark.parametrize("F,n", [(GF4, 2), (GF4, 1), (GF4, 0), (GF3, 0),
@@ -308,7 +307,8 @@ def test_budget_checked_before_memo_lookup():
     # memoised result must not slip past a smaller budget
     Q = QForm.from_upper(GF3, 2, (1, 0, 1))
     calls = ((48, lambda b: _gl_arrays(GF3, 2, budget=b)),
-             (48, lambda b: _perm_table(GF3, 2, budget=b)),
+             (48, lambda b: groups_by_orbit(GF3, 2, orthogonal_group,
+                                            budget=b)),
              (48, lambda b: orthogonal_group(Q, budget=b)),
              (48, lambda b: weak_orthogonal_group(Q, budget=b)),
              (48, lambda b: motion_group_dual(Q, False, budget=b)),
@@ -386,27 +386,51 @@ def test_orbit_walk_rejects_a_wrong_orbit(monkeypatch, cold_memo):
         congruence_decomposition(GF3, 2)
 
 
+# The GL filter, the route orthogonal_group took before the isometry
+# frontier: every matrix of GL applied to every vector, by a permutation
+# table P[g, j] = index of (GL_g vector_j), memoised here per (field, n).
+_PERM = {}
+
+
+def _perm_table(field, n):
+    if (field.name, n) not in _PERM:
+        images = matmul_np(field, _gl_arrays(field, n),
+                           vectors_np(field, n).T)          # (g, n, q^n)
+        _PERM[field.name, n] = groups.vector_index_np(
+            field, images.transpose(0, 2, 1))
+    return _PERM[field.name, n]
+
+
+def _isometry_mask(Q):
+    """Which rows of the GL stack preserve Q, by the permutation table."""
+    vals = form_values_np(Q)
+    return (vals[_perm_table(Q.field, Q.n)] == vals).all(axis=1)
+
+
 def _gl_weak_mask(Q):
     """O'(Q) as a mask over all of GL: isometries that map every radical
-    vector to itself, by the permutation table.  The route
-    weak_orthogonal_group took before it filtered O(Q) instead."""
+    vector to itself, by the permutation table."""
     field, n = Q.field, Q.n
     basis = [b.entries() for b in radical_basis(Q)]
     rad = np.array(basis, dtype=np.uint8).reshape(len(basis), n)
     span = matmul_np(field, vectors_np(field, len(basis)), rad)
     ridx = np.unique(groups.vector_index_np(field, span))
     P = _perm_table(field, n)
-    return isometry_mask(Q) & (P[:, ridx] == ridx[np.newaxis, :]).all(axis=1)
+    return _isometry_mask(Q) & (P[:, ridx] == ridx[np.newaxis, :]).all(axis=1)
 
 
-@pytest.mark.parametrize("F,n", [(GF2, n) for n in range(4)]
+@pytest.mark.parametrize("F,n", [(GF2, n) for n in range(5)]
                          + [(GF3, n) for n in range(4)]
                          + [(F, n) for F in (GF4, GF5, GF7) for n in range(3)],
                          ids=lambda v: getattr(v, "name", v))
-def test_weak_group_from_o_matches_gl_filter(F, n):
+def test_groups_match_gl_filter(F, n):
+    # 2,410 forms in all
+    G = _gl_arrays(F, n)
     for Q in enumerate_forms(F, n):
-        assert weak_orthogonal_group(Q) == GroupSet.from_mask(
-            F, n, _gl_weak_mask(Q)), Q
+        assert orthogonal_group(Q) == GroupSet.from_np(
+            F, n, G[_isometry_mask(Q)]), Q
+        assert weak_orthogonal_group(Q) == GroupSet.from_np(
+            F, n, G[_gl_weak_mask(Q)]), Q
 
 
 def test_reflection_exceptional_cases():
@@ -462,7 +486,7 @@ def test_gl_count_check_survives_optimized_interpreter(run_optimized):
         real_order = groups.order_gl
         groups.order_gl = lambda n, q: real_order(n, q) + 1
         try:
-            groups._build_gl(GF3, 2)
+            groups._gl_arrays(GF3, 2)
         except groups.InvariantViolation as e:
             print("optimize=%d raised %s" % (sys.flags.optimize, e.args[0]))
         else:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metric_affine.fields import GF2, GF3, GF4, GF5, QQ
+from metric_affine.fields import GF2, GF3, GF4, GF5, GF7, QQ
 from metric_affine.groups import (GroupSet, enumerate_gl, orthogonal_group,
                                   weak_orthogonal_group)
 from metric_affine.homog import (AffineMap, DegeneratePolarForm, NotDroppable,
@@ -218,6 +218,33 @@ def test_motion_group_matches_per_motion_dual_matrices(F, n):
                 for A in (Mat(F, a.tolist(), (n, n)) for a in linear.as_np())
                 for t in translations])
             assert motion_group_dual(Q, weak) == want, (Q, weak)
+
+
+def _direct_motion_group(Q, weak):
+    """{[[1, s^T], [0, B^T]] : s in F^n, B in O(Q) or O'(Q)}, with the
+    linear group built for Q itself, not carried along its orbit."""
+    F, n = Q.field, Q.n
+    linear = (weak_orthogonal_group if weak else orthogonal_group)(Q).as_np()
+    S = [np.array(t, dtype=np.uint8) for t in all_vectors(F, n)]
+    return GroupSet.from_np(F, n + 1, [
+        np.block([[np.ones((1, 1), np.uint8), s[np.newaxis]],
+                  [np.zeros((n, 1), np.uint8), B.T]])
+        for B in linear for s in S])
+
+
+@pytest.mark.parametrize("F,n", [(GF2, n) for n in range(4)]
+                         + [(GF3, n) for n in range(3)]
+                         + [(F, n) for F in (GF4, GF5, GF7) for n in range(2)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_motion_group_matches_direct_stack(F, n, cold_memo):
+    # motion_group_dual reads Q's linear group from the orbit transport;
+    # built cold, then compared with the groups built form by form
+    forms = enumerate_forms(F, n)
+    got = {(Q, weak): motion_group_dual(Q, weak)
+           for Q in forms for weak in (False, True)}
+    cold_memo.clear()
+    for (Q, weak), g in got.items():
+        assert g == _direct_motion_group(Q, weak), (Q, weak)
 
 
 def test_motion_group_elements_fix_marked_vector():
