@@ -5,8 +5,9 @@ representation of the motion group of (V, Q) — or of the weak motion group —
 coincide with the weak orthogonal group of Qt?  In large enough cases the
 answer is exactly {(Q, c . lift(Q)) : polar form of Q non-degenerate}; in a
 handful of small (dim, |F|) combinations there are extra sporadic pairs,
-which are pinned down here as embedded fixtures and re-derived from scratch
-by brute force.
+which are pinned down here as embedded fixtures and re-derived from the
+weak-group index of the forms on F x V*: (Q, Qt) solves the (weak) motion
+equation exactly when the index lists Qt under Q's (weak) motion group.
 
 All sweeps are exhaustive over every form on both sides; nothing is sampled.
 """
@@ -17,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (GroupSet, InvariantViolation, _gl_arrays,
-                     check_budget, congruence_decomposition, enumerate_gl,
-                     form_block_np, form_values_np, group_budget, group_equal,
-                     groups_by_orbit, inverses_np, is_subgroup, matmul_np,
-                     memo, mul_np, polar_images_np, values_np,
-                     vector_index_np, vectors_np, weak_orthogonal_group,
-                     orthogonal_group)
+from .groups import (GroupSet, InvariantViolation, check_budget,
+                     congruence_decomposition, form_block_np, form_values_np,
+                     group_budget, group_equal, groups_by_orbit, inverses_np,
+                     is_subgroup, matmul_np, memo, mul_np, order_gl,
+                     polar_images_np, values_np, vector_index_np, vectors_np,
+                     weak_orthogonal_group, orthogonal_group)
 from .homog import (DegeneratePolarForm, NotDroppable, drop, lift, lift_np,
                     motion_group_dual)
 from .quadform import (QForm, enumerate_forms, form_position,
@@ -45,7 +45,6 @@ class DyadReport:
 
 def dyad_report(Q, Qt, budget=None):
     """Evaluate both defining equations for the pair, plus the lift scalar."""
-    assert Qt.n == Q.n + 1 and Qt.field is Q.field
     sat_m, sat_w = (dyad_satisfies(Q, Qt, mode, budget) for mode in MODES)
     c = qf_proportional(lift(Q), Qt) if is_nondegenerate(Q) else None
     return DyadReport(Q=Q, Qt=Qt, satisfies_motion=sat_m,
@@ -54,7 +53,12 @@ def dyad_report(Q, Qt, budget=None):
 
 def dyad_satisfies(Q, Qt, mode, budget=None):
     """Does the (mode) motion group of Q, seen on F x V*, equal O'(Qt)?"""
-    assert mode in MODES, mode
+    if mode not in MODES:
+        raise ValueError("unknown mode %r, not one of %r" % (mode, MODES))
+    if Qt.n != Q.n + 1 or Qt.field is not Q.field:
+        raise ValueError("the right form %s lives on %s^%d, not on F x V* = "
+                         "%s^%d" % (poly_str(Qt, "a", 0), Qt.field.name, Qt.n,
+                                    Q.field.name, Q.n + 1))
     ow = weak_orthogonal_group(Qt, budget)
     return group_equal(motion_group_dual(Q, mode == MODE_WEAK, budget), ow)
 
@@ -120,7 +124,8 @@ def solve_for_qtilde(Q, mode, budget=None):
     InvariantViolation even under python -O; the small exceptional sizes
     are handled by the table machinery instead.
     """
-    assert mode in MODES, mode
+    if mode not in MODES:
+        raise ValueError("unknown mode %r, not one of %r" % (mode, MODES))
     fld, n = Q.field, Q.n
     target = motion_group_dual(Q, mode == MODE_WEAK, budget)
     sols = list(weak_group_index(fld, n + 1, budget).get(target.key, ()))
@@ -196,7 +201,7 @@ _add_fixture(TableFixture(
 # blocks are swapped relative to the printed source: both the row pairing
 # (right = lift of left) and the block pairing (shared groups) only come out
 # under x1^2+x1x2 <-> a1a2+a2^2 and x1x2+x2^2 <-> a1^2+a1a2, which is also
-# what the exhaustive dyad sweep returns.
+# what the weak-group index returns.
 _add_fixture(TableFixture(
     dim=2, field_name="GF(2)",
     blocks=(
@@ -228,7 +233,7 @@ class TableReport:
     expected_match: bool   # computed dyad structure == fixture
     rows_ok: bool          # lift/drop claims row by row
     motion_eq_ok: bool     # every sporadic pair satisfies the motion equation
-    shared_groups_ok: bool # per-block common O / common O'
+    shared_groups_ok: bool # per-block common O of the lefts
     weak_proper_ok: bool   # proper-subgroup claims match the fixture
     stabilizers_ok: bool   # named stabilizer vectors generate the block's O
     mismatch: tuple        # human-readable diff lines when something failed
@@ -240,17 +245,28 @@ class TableReport:
                 and self.stabilizers_ok)
 
 
-def _stabilizer_group(fld, n, v, budget=None):
-    """The matrices of GL_n fixing the vector with entries v."""
-    G = _gl_arrays(fld, n, budget)
+def _is_stabilizer(group, v):
+    """Is group, a subgroup of GL_n, all of GL_n (v None, or v = 0) or
+    exactly the stabiliser of the vector with entries v?  GL_n is transitive
+    on the q^n - 1 nonzero vectors, so that stabiliser has |GL_n| / (q^n - 1)
+    elements, and a group of that order that fixes v is all of it."""
+    fld, n = group.field, group.n
+    gl = order_gl(n, fld.order)
+    if v is None or not any(v):
+        return group.order == gl
     x = np.array(v, dtype=np.uint8).reshape(n, 1)
-    fixed = (matmul_np(fld, G, x) == x).all(axis=(1, 2))
-    return GroupSet.from_np(fld, n, G[fixed])
+    return (group.order * (fld.order ** n - 1) == gl
+            and bool((matmul_np(fld, group.as_np(), x) == x).all()))
 
 
 def reproduce_table(dim, fld, budget=None):
-    """Re-derive one sporadic table from scratch and diff it against the
-    transcribed fixture; every side claim is re-checked as well."""
+    """Re-derive one sporadic table and diff it against the transcribed
+    fixture; every side claim is re-checked as well.
+
+    One pass over the lefts: a block is the lefts whose motion or weak
+    motion group is one key of the weak-group index upstairs, paired with
+    the forms the index lists under that key.
+    """
     fx = _FIXTURES.get((dim, fld.name))
     if fx is None:
         raise ValueError("no table for dim=%r over %s (have: %s)"
@@ -258,33 +274,30 @@ def reproduce_table(dim, fld, budget=None):
     mismatch = []
     budget = group_budget() if budget is None else budget  # read env once
 
-    lefts_all = enumerate_forms(fld, dim)
-    rights_all = enumerate_forms(fld, dim + 1)
-    pairs = []
-    for Q in lefts_all:
-        for Qt in rights_all:
-            rep = dyad_report(Q, Qt, budget)
-            if rep.satisfies_motion or rep.satisfies_weak:
-                pairs.append((Q, Qt, rep))
+    index = weak_group_index(fld, dim + 1, budget)  # the |GL_(dim+1)| gate
+    expected_proper = {QForm.from_upper(fld, dim, u) for u in fx.weak_proper}
+    lefts_of = {}
+    motion_eq_ok = True
+    proper_off = []
+    for Q in enumerate_forms(fld, dim):
+        ao = motion_group_dual(Q, False, budget)
+        aow = motion_group_dual(Q, True, budget)
+        if not is_subgroup(aow, ao):
+            raise InvariantViolation("weak motion group of %r is not a "
+                                     "subgroup of its motion group" % (Q,))
+        for key in {ao.key, aow.key} & index.keys():
+            lefts_of.setdefault(key, set()).add(Q)
+        proper = ao.order > aow.order
+        if proper and aow.key in index:     # a pair of the weak equation only
+            motion_eq_ok = False
+        if proper != (Q in expected_proper):
+            proper_off.append("proper-subgroup claim off for %s" % poly_str(Q))
 
-    motion_eq_ok = all(rep.satisfies_motion for _, _, rep in pairs)
     if not motion_eq_ok:
         mismatch.append("a sporadic pair satisfies only the weak equation")
 
-    # group pairs into complete-bipartite blocks via the shared right group
-    by_group = {}
-    for Q, Qt, _rep in pairs:
-        key = weak_orthogonal_group(Qt, budget).key
-        entry = by_group.setdefault(key, (set(), set()))
-        entry[0].add(Q)
-        entry[1].add(Qt)
-    computed_blocks = {(frozenset(l), frozenset(r)) for l, r in by_group.values()}
-    found = {(Q, Qt) for Q, Qt, _rep in pairs}
-    for lefts, rights in computed_blocks:
-        if any((Q, Qt) not in found for Q in lefts for Qt in rights):
-            raise InvariantViolation("block structure is not complete "
-                                     "bipartite")
-
+    computed_blocks = {(frozenset(lefts), frozenset(index[key]))
+                       for key, lefts in lefts_of.items()}
     fixture_blocks = [
         (frozenset(QForm.from_upper(fld, dim, u) for u in lefts),
          frozenset(QForm.from_upper(fld, dim + 1, u) for u in rights))
@@ -328,39 +341,23 @@ def reproduce_table(dim, fld, budget=None):
                 mismatch.append("blank-left row is droppable: %s"
                                 % poly_str(Qt, "a", 0))
 
-    # shared groups inside each computed block
+    # the lefts of each computed block share O (its rights share O' by
+    # construction: they are one entry of the index)
     shared_groups_ok = True
-    for lefts, rights in computed_blocks:
-        o_groups = {orthogonal_group(Q, budget).key for Q in lefts}
-        w_groups = {weak_orthogonal_group(Qt, budget).key for Qt in rights}
-        if len(o_groups) != 1 or len(w_groups) != 1:
+    for lefts, _rights in computed_blocks:
+        if len({orthogonal_group(Q, budget).key for Q in lefts}) != 1:
             shared_groups_ok = False
             mismatch.append("block does not share its groups")
 
     # where is the weak motion group a proper subgroup?
-    weak_proper_ok = True
-    expected_proper = {QForm.from_upper(fld, dim, u) for u in fx.weak_proper}
-    for Q in lefts_all:
-        ao = motion_group_dual(Q, False, budget)
-        aow = motion_group_dual(Q, True, budget)
-        if not is_subgroup(aow, ao):
-            raise InvariantViolation("weak motion group of %r is not a "
-                                     "subgroup of its motion group" % (Q,))
-        proper = ao.order > aow.order
-        if proper != (Q in expected_proper):
-            weak_proper_ok = False
-            mismatch.append("proper-subgroup claim off for %s" % poly_str(Q))
+    weak_proper_ok = not proper_off
+    mismatch.extend(proper_off)
 
     # named stabilizer vectors (and full-GL blocks)
     stabilizers_ok = True
     for (lefts, _rights), stab in zip(fixture_blocks, fx.stabilizers):
         sample = next(iter(lefts))
-        o_group = orthogonal_group(sample, budget)
-        if stab is None:
-            want = enumerate_gl(fld, dim, budget)
-        else:
-            want = _stabilizer_group(fld, dim, stab, budget)
-        if not group_equal(o_group, want):
+        if not _is_stabilizer(orthogonal_group(sample, budget), stab):
             stabilizers_ok = False
             mismatch.append("stabilizer claim off for block of %s"
                             % poly_str(sample))
@@ -471,21 +468,21 @@ class ProjectiveReport:
 def verify_projective_theorem(fld, n, budget=None):
     """If O'(Qt) induces the same collineations as a motion group of Q, the
     linear groups must already agree — except in dimension 0 over odd
-    characteristic with Qt non-zero.  Checked for every (Q, Qt) pair."""
+    characteristic with Qt non-zero.  Checked for every (Q, Qt) pair, with
+    O'(Qt) read from the orbit table of the forms on F x V*."""
     violations = []
     exclusion_hits = 0
     witness = False
-    checked = 0
     budget = group_budget() if budget is None else budget  # read env once
+    lefts = enumerate_forms(fld, n)
+    # the left motion groups first: the |GL_n| gate comes before |GL_(n+1)|
+    motions = [(motion_group_dual(Q, False, budget),
+                motion_group_dual(Q, True, budget)) for Q in lefts]
     rights = enumerate_forms(fld, n + 1)
-    for Q in enumerate_forms(fld, n):
-        ao = motion_group_dual(Q, False, budget)
-        aow = motion_group_dual(Q, True, budget)
-        p_ao = projective_reduce(ao)
-        p_aow = projective_reduce(aow)
-        for Qt in rights:
-            checked += 1
-            ow = weak_orthogonal_group(Qt, budget)
+    weak = groups_by_orbit(fld, n + 1, weak_orthogonal_group, budget)
+    for Q, (ao, aow) in zip(lefts, motions):
+        p_ao, p_aow = projective_reduce(ao), projective_reduce(aow)
+        for Qt, ow in zip(rights, weak):
             p_ow = projective_reduce(ow)
             if not (group_equal(p_ow, p_ao) or group_equal(p_ow, p_aow)):
                 continue
@@ -498,8 +495,8 @@ def verify_projective_theorem(fld, n, budget=None):
                 continue
             if not linear_same:
                 violations.append((Q, Qt))
-    return ProjectiveReport(fld.name, n, checked, exclusion_hits, witness,
-                            tuple(violations))
+    return ProjectiveReport(fld.name, n, len(lefts) * len(rights),
+                            exclusion_hits, witness, tuple(violations))
 
 
 # --- the absolute quadric and its dual description -------------------------

@@ -8,8 +8,8 @@ import pytest
 
 from metric_affine import classify
 from metric_affine.classify import (MODE_MOTION, MODE_WEAK, MODES,
-                                    SUPPORTED_TABLES, QuadricReport,
-                                    _projective_canon_np,
+                                    SUPPORTED_TABLES, ProjectiveReport,
+                                    QuadricReport, _projective_canon_np,
                                     dyad_report, dyad_satisfies,
                                     quadric_duality_check, quadric_points,
                                     projective_reduce,
@@ -19,8 +19,9 @@ from metric_affine.classify import (MODE_MOTION, MODE_WEAK, MODES,
                                     verify_projective_theorem,
                                     weak_group_index)
 from metric_affine.fields import GF2, GF3, GF4, GF5, GF7, QQ, PrimePowerField
-from metric_affine.groups import (GroupSet, enumerate_gl, form_values_np,
-                                  group_equal, groups_by_orbit, matmul_np,
+from metric_affine.groups import (GroupSet, _gl_arrays, enumerate_gl,
+                                  form_values_np, group_equal,
+                                  groups_by_orbit, matmul_np,
                                   orthogonal_group, vectors_np,
                                   weak_orthogonal_group)
 from metric_affine.homog import (DegeneratePolarForm, lift,
@@ -200,6 +201,93 @@ def test_render_table_has_block_rules():
     assert sum(1 for ln in lines if ln == rule) == 4
 
 
+# The route reproduce_table first took is kept as its oracle: dyad_report on
+# every (Q, Qt) pair, the pairs grouped by the weak group of Qt, and each
+# named stabiliser filtered out of all of GL.
+
+def _pairwise_blocks(F, dim):
+    """(blocks, motion_eq_ok) of one table by dyad_report on every pair."""
+    by_group = {}
+    motion_eq_ok = True
+    for Q in enumerate_forms(F, dim):
+        for Qt in enumerate_forms(F, dim + 1):
+            rep = dyad_report(Q, Qt)
+            if rep.satisfies_motion or rep.satisfies_weak:
+                motion_eq_ok &= rep.satisfies_motion
+                lefts, rights = by_group.setdefault(
+                    weak_orthogonal_group(Qt).key, (set(), set()))
+                lefts.add(Q)
+                rights.add(Qt)
+    return ({(frozenset(l), frozenset(r)) for l, r in by_group.values()},
+            motion_eq_ok)
+
+
+def _gl_stabilizer(F, n, v):
+    """The matrices of GL_n fixing the vector with entries v, all of GL_n
+    for v None: a filter of all of GL_n."""
+    G = _gl_arrays(F, n)
+    if v is not None:
+        x = np.array(v, dtype=np.uint8).reshape(n, 1)
+        G = G[(matmul_np(F, G, x) == x).all(axis=(1, 2))]
+    return GroupSet.from_np(F, n, G)
+
+
+@pytest.mark.parametrize("dim,fname", SUPPORTED_TABLES)
+def test_table_matches_pairwise_route(dim, fname, cold_memo):
+    F = FIELD_BY_NAME[fname]
+    rep = reproduce_table(dim, F)
+    cold_memo.clear()       # the oracle builds every weak group form by form
+    blocks, motion_eq_ok = _pairwise_blocks(F, dim)
+    assert {(frozenset(l), frozenset(r)) for l, r in rep.blocks} == blocks
+    assert rep.motion_eq_ok == motion_eq_ok
+    fx = classify._FIXTURES[(dim, fname)]
+    verdicts = [orthogonal_group(QForm.from_upper(F, dim, lefts[0]))
+                == _gl_stabilizer(F, dim, stab)
+                for (lefts, _rights), stab in zip(fx.blocks, fx.stabilizers)]
+    assert rep.stabilizers_ok == all(verdicts)
+
+
+def test_weak_only_pair_is_reported(monkeypatch):
+    # list a right form under the weak motion group of the zero form on the
+    # GF(3) line, a proper subgroup of its motion group
+    real_index = classify.weak_group_index
+    key = motion_group_dual(QForm.zero(GF3, 1), True).key
+    monkeypatch.setattr(classify, "weak_group_index", lambda fld, m, b=None:
+                        {**real_index(fld, m, b), key: (QForm.zero(GF3, 2),)})
+    rep = reproduce_table(1, GF3)
+    assert not rep.motion_eq_ok and not rep.expected_match
+    assert rep.mismatch[:2] == (
+        "a sporadic pair satisfies only the weak equation",
+        "computed blocks: [0 | 0]  [0, 2*x1^2, x1^2 | 2*a1^2, a1^2]")
+
+
+def test_unshared_left_group_is_reported(monkeypatch):
+    # O(x1^2) made trivial: the lefts x1^2, 2*x1^2 and 0 of the GF(3)^1
+    # block no longer share O
+    real_o = classify.orthogonal_group
+    trivial = GroupSet.from_np(GF3, 1, np.ones((1, 1, 1), dtype=np.uint8))
+    x1sq = QForm.from_upper(GF3, 1, (1,))
+    monkeypatch.setattr(classify, "orthogonal_group", lambda Q, b=None:
+                        trivial if Q == x1sq else real_o(Q, b))
+    rep = reproduce_table(1, GF3)
+    assert not rep.shared_groups_ok and rep.expected_match
+    assert "block does not share its groups" in rep.mismatch
+
+
+@pytest.mark.parametrize("F,n", [(GF2, n) for n in range(4)]
+                         + [(GF3, n) for n in range(3)]
+                         + [(F, n) for F in (GF4, GF5, GF7) for n in range(2)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_stabilizer_check_matches_gl_filter(F, n):
+    # every O(Q) against every vector, the zero vector and None included
+    vs = [None] + [tuple(v) for v in vectors_np(F, n).tolist()]
+    wants = [_gl_stabilizer(F, n, v) for v in vs]
+    for Q in enumerate_forms(F, n):
+        O = orthogonal_group(Q)
+        assert ([classify._is_stabilizer(O, v) for v in vs]
+                == [O == want for want in wants]), Q
+
+
 # --- projective collineations ----------------------------------------------
 
 def test_projective_reduce_order():
@@ -251,10 +339,18 @@ PROJECTIVE_EXPECT = {
     (GF2.name, 0): (2, 0, False),
     (GF2.name, 1): (16, 0, False),
     (GF3.name, 1): (81, 0, False),
+    (GF4.name, 0): (4, 0, False),
+    (GF4.name, 1): (256, 0, False),
+    (GF5.name, 0): (5, 4, True),
+    (GF5.name, 1): (625, 0, False),
+    (GF7.name, 0): (7, 6, True),
+    (GF7.name, 1): (2401, 0, False),
 }
 
 
-@pytest.mark.parametrize("F,n", [(GF3, 0), (GF2, 0), (GF2, 1), (GF3, 1)])
+@pytest.mark.parametrize("F,n", [(GF3, 0), (GF2, 0), (GF2, 1), (GF3, 1),
+                                 (GF4, 0), (GF4, 1), (GF5, 0), (GF5, 1),
+                                 (GF7, 0), (GF7, 1)])
 def test_projective_rigidity(F, n):
     rep = verify_projective_theorem(F, n)
     assert rep.ok
@@ -267,6 +363,36 @@ def test_projective_witness_is_genuine():
     # O'(c a0^2) = {+-1} but the motion group of the empty form is trivial
     rep = verify_projective_theorem(GF3, 0)
     assert rep.witness_confirmed and rep.exclusion_hits == 2
+
+
+def _per_form_projective(F, n):
+    """verify_projective_theorem with O'(Qt) built form by form: the route
+    it first took."""
+    violations, hits, witness = [], 0, False
+    lefts, rights = enumerate_forms(F, n), enumerate_forms(F, n + 1)
+    for Q in lefts:
+        ao, aow = motion_group_dual(Q, False), motion_group_dual(Q, True)
+        for Qt in rights:
+            ow = weak_orthogonal_group(Qt)
+            if projective_reduce(ow) not in (projective_reduce(ao),
+                                             projective_reduce(aow)):
+                continue
+            if n == 0 and F.char != 2 and not Qt.is_zero():
+                hits += 1
+                witness |= ow != ao
+            elif ow != ao:
+                violations.append((Q, Qt))
+    return ProjectiveReport(F.name, n, len(lefts) * len(rights), hits,
+                            witness, tuple(violations))
+
+
+@pytest.mark.parametrize("F,n", [(F, n) for F in (GF2, GF3) for n in range(3)]
+                         + [(F, n) for F in (GF4, GF5, GF7) for n in range(2)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_projective_matches_per_form_route(F, n, cold_memo):
+    rep = verify_projective_theorem(F, n)
+    cold_memo.clear()       # the oracle builds every weak group form by form
+    assert rep == _per_form_projective(F, n)
 
 
 # --- quadric duality -------------------------------------------------------
@@ -578,35 +704,34 @@ def test_forced_solution_check_survives_optimized_interpreter(run_optimized):
 
 
 _BROKEN_TABLE_CHILD = textwrap.dedent("""
-    import dataclasses
     import sys
     from metric_affine import classify
     from metric_affine.fields import GF3
     from metric_affine.groups import InvariantViolation
 
-    real_report = classify.dyad_report
+    real_index = classify.weak_group_index
 
-    def without_one_pair(Q, Qt, budget=None):
-        # x1^2 | a1^2 goes missing from the 3 x 2 block of the GF(3)^1
-        # table, whose other pairs still bring in both forms
-        rep = real_report(Q, Qt, budget)
-        if (Q.upper_coeffs(), Qt.upper_coeffs()) == ((1,), (0, 0, 1)):
-            rep = dataclasses.replace(rep, satisfies_motion=False,
-                                      satisfies_weak=False)
-        return rep
+    def without_one_right(fld, m, budget=None):
+        # a1^2 goes missing from the entry it shares with 2*a1^2, the
+        # rights of the 3 x 2 block of the GF(3)^1 table
+        return {key: tuple(Qt for Qt in forms
+                           if Qt.upper_coeffs() != (0, 0, 1))
+                for key, forms in real_index(fld, m, budget).items()}
 
-    patches = (("dyad_report", without_one_pair),
+    patches = (("weak_group_index", without_one_right),
                ("is_subgroup", lambda g1, g2: False))
     for name, wrong in patches:
         saved = getattr(classify, name)
         setattr(classify, name, wrong)
         try:
-            classify.reproduce_table(1, GF3)
+            rep = classify.reproduce_table(1, GF3)
         except InvariantViolation as e:
             print("optimize=%d raised %s"
                   % (sys.flags.optimize, e.args[0].split(" of ")[0]))
         else:
-            print("optimize=%d passed" % sys.flags.optimize)
+            print("optimize=%d ok=%s %s"
+                  % (sys.flags.optimize, rep.ok,
+                     [line.split(":")[0] for line in rep.mismatch]))
         finally:
             setattr(classify, name, saved)
 """)
@@ -614,5 +739,38 @@ _BROKEN_TABLE_CHILD = textwrap.dedent("""
 
 def test_table_checks_survive_optimized_interpreter(run_optimized):
     assert (run_optimized(_BROKEN_TABLE_CHILD)
-            == "optimize=1 raised block structure is not complete bipartite\n"
+            == "optimize=1 ok=False ['computed blocks', 'fixture blocks']\n"
             "optimize=1 raised weak motion group\n")
+
+
+_BAD_INPUT_CHILD = textwrap.dedent("""
+    import sys
+    from metric_affine import classify
+    from metric_affine.fields import GF3, GF5
+    from metric_affine.homog import lift
+    from metric_affine.quadform import QForm
+
+    Q = QForm.from_upper(GF3, 1, (1,))
+    calls = (lambda: classify.solve_for_qtilde(Q, "bogus"),
+             lambda: classify.dyad_satisfies(Q, lift(Q), "bogus"),
+             lambda: classify.dyad_report(Q, Q),
+             lambda: classify.dyad_satisfies(
+                 Q, QForm.from_upper(GF5, 2, (0, 0, 1)), classify.MODE_WEAK))
+    for call in calls:
+        try:
+            got = call()
+        except ValueError as e:
+            print("optimize=%d %s" % (sys.flags.optimize, e))
+        else:
+            print("optimize=%d returned %r" % (sys.flags.optimize, got))
+""")
+
+
+def test_bad_mode_and_right_form_survive_optimized_interpreter(run_optimized):
+    assert run_optimized(_BAD_INPUT_CHILD) == (
+        "optimize=1 unknown mode 'bogus', not one of ('motion', 'weak')\n"
+        "optimize=1 unknown mode 'bogus', not one of ('motion', 'weak')\n"
+        "optimize=1 the right form a0^2 lives on GF(3)^1, not on F x V* = "
+        "GF(3)^2\n"
+        "optimize=1 the right form a1^2 lives on GF(5)^2, not on F x V* = "
+        "GF(3)^2\n")

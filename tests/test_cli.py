@@ -370,6 +370,18 @@ def test_lemma_budget_bounds_the_map_table(capsys):
     assert "need 199386 > budget 25000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,need", [
+    (["--budget", "1", "verify", "projective", "--field", "3", "--dim", "1"],
+     2),        # |GL_1(3)|: the left motion groups are checked first
+    (["--budget", "5", "verify", "projective", "--field", "3", "--dim", "1"],
+     48),       # |GL_2(3)|: then the weak groups on F x V*
+    (["--budget", "1", "verify", "tables", "--case", "t4"], 168)])
+def test_table_and_projective_refusals(argv, need, capsys):
+    assert main(argv) == EXIT_BUDGET
+    assert ("need %d > budget %s" % (need, argv[1])
+            in capsys.readouterr().err)
+
+
 def test_budget_env_exit(form_file, capsys):
     gf7 = '{"dim": 2, "field": "GF(7)", "upper": [1, 0, 1]}\n'
     os.environ["METRIC_AFFINE_BUDGET"] = "5"
