@@ -37,6 +37,11 @@ def group_budget():
     except ValueError:
         raise BadBudgetVariable("METRIC_AFFINE_BUDGET must be an integer, "
                                 "got %r" % (raw,)) from None
+    return clamp_budget(value)
+
+
+def clamp_budget(value):
+    """value held to [1, HARD_BUDGET_CEILING], whatever the caller asks."""
     return max(1, min(value, HARD_BUDGET_CEILING))
 
 
@@ -55,8 +60,12 @@ def check_budget(field, n, budget):
     Every memoised function taking a budget calls this before its memo
     lookup, so a result does not depend on what an earlier call memoised.
     """
+    check_required(order_gl(n, field.order), budget)
+
+
+def check_required(required, budget):
+    """BudgetExceeded if required passes the budget (None: group_budget())."""
     budget = group_budget() if budget is None else budget
-    required = order_gl(n, field.order)
     if required > budget:
         raise BudgetExceeded(required, budget)
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (GroupSet, InvariantViolation, check_budget,
-                     congruence_decomposition, form_block_np, form_values_np,
-                     group_budget, group_equal, groups_by_orbit, inverses_np,
+                     form_block_np, form_values_np, group_budget,
+                     group_equal, groups_by_orbit, inverses_np,
                      is_subgroup, matmul_np, memo, mul_np, order_gl,
                      polar_images_np, values_np, vector_index_np, vectors_np,
                      weak_orthogonal_group, orthogonal_group)
@@ -106,10 +106,9 @@ def weak_group_index(fld, m, budget=None):
     check_budget(fld, m, budget)
 
     def build():
-        forms, _orbits = congruence_decomposition(fld, m, budget)
         groups = groups_by_orbit(fld, m, weak_orthogonal_group, budget)
         index = {}
-        for Qt, g in zip(forms, groups):
+        for Qt, g in zip(enumerate_forms(fld, m), groups):
             index[g.key] = index.get(g.key, ()) + (Qt,)
         return index
     return memo(("weak_group_index", fld.name, m), build)
@@ -480,12 +479,14 @@ def verify_projective_theorem(fld, n, budget=None):
                 motion_group_dual(Q, True, budget)) for Q in lefts]
     rights = enumerate_forms(fld, n + 1)
     weak = groups_by_orbit(fld, n + 1, weak_orthogonal_group, budget)
+    by_key = {}         # right positions by collineation set, in order
+    for k, ow in enumerate(weak):
+        by_key.setdefault(projective_reduce(ow).key, []).append(k)
     for Q, (ao, aow) in zip(lefts, motions):
-        p_ao, p_aow = projective_reduce(ao), projective_reduce(aow)
-        for Qt, ow in zip(rights, weak):
-            p_ow = projective_reduce(ow)
-            if not (group_equal(p_ow, p_ao) or group_equal(p_ow, p_aow)):
-                continue
+        # a position has one key, so the two keys' lists are disjoint
+        keys = {projective_reduce(ao).key, projective_reduce(aow).key}
+        for k in sorted(k for key in keys for k in by_key.get(key, ())):
+            Qt, ow = rights[k], weak[k]
             linear_same = group_equal(ao, ow)
             excluded = (n == 0 and fld.char != 2 and not Qt.is_zero())
             if excluded:

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .budget import (BadBudgetVariable, BudgetExceeded, HARD_BUDGET_CEILING,
-                     forget, group_budget, order_gl)
+                     clamp_budget, forget, group_budget, order_gl)
 from .fields import field_make
 from .homog import DegeneratePolarForm, NotDroppable, drop, lift
 from .linalg import vec
@@ -432,8 +432,7 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     if args.budget is not None:
-        # never allow a runaway enumeration, whatever the flag says
-        args.budget = max(1, min(args.budget, HARD_BUDGET_CEILING))
+        args.budget = clamp_budget(args.budget)
     try:
         return args.run(args, Emitter(args.format))
     except (InputError, BadBudgetVariable) as e:

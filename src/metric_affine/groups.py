@@ -23,9 +23,10 @@ lives in quadform.is_isometry, and the tests check the frontier against a
 filter of all of GL.
 
 Forms in one congruence orbit have conjugate groups, so the groups of
-every form on F^n take one frontier per orbit: congruence_decomposition
-splits the forms into orbits once per (field, n), and groups_by_orbit
-conjugates the group of each orbit's first form onto the other members.
+every form on F^n take one frontier per orbit.  groups_by_orbit walks the
+forms in enumerate_forms order; the first form R that no earlier orbit
+holds codes its orbit R o A over all of GL_n (congruence_codes), and its
+group is conjugated onto every member at once.  Nothing is kept per orbit.
 
 Everything stays in integer dtypes; there is no floating point here.
 """
@@ -38,8 +39,7 @@ import numpy as np
 
 from .budget import (BudgetExceeded, InvariantViolation, check_budget,
                      group_budget, memo, order_gl)
-from .quadform import (QForm, enumerate_forms, form_position, polar,
-                       radical_basis)
+from .quadform import QForm, form_position, polar, radical_basis
 
 
 def _table_np(field, op):
@@ -242,10 +242,11 @@ def form_block_np(field, n, start, k):
     the base-q digits of each position, the first most significant."""
     q, m = field.order, n * (n + 1) // 2
     # start's digits as Python ints (q^m can pass 2^63), then i added to the
-    # last digit and the carries passed up
+    # last digit and the carries passed up; F^0 has one form and no digits
     W = np.tile(np.array([start // q ** e % q for e in range(m - 1, -1, -1)],
                          dtype=np.int64), (k, 1))
-    W[:, -1] += np.arange(k)
+    if m:
+        W[:, -1] += np.arange(k)
     for j in range(m - 1, 0, -1):
         W[:, j - 1] += W[:, j] // q
         W[:, j] %= q
@@ -382,11 +383,12 @@ def weak_orthogonal_group(Q, budget=None):
 
     def build():
         field, n = Q.field, Q.n
-        O = orthogonal_group(Q, budget).as_np()
+        o = orthogonal_group(Q, budget)
         basis = [r.entries() for r in radical_basis(Q)]
         rad = np.array(basis, dtype=np.uint8).reshape(len(basis), n).T
-        fixed = (matmul_np(field, O, rad) == rad).all(axis=(1, 2))
-        return GroupSet.from_np(field, n, O[fixed])
+        # as_np() is in code order, so fixed lines up with o.elems
+        fixed = (matmul_np(field, o.as_np(), rad) == rad).all(axis=(1, 2))
+        return GroupSet(field, n, o.elems[fixed])
     return memo(("weak_orthogonal_group", Q.field.name, Q.n, Q.gram.rows),
                 build)
 
@@ -402,71 +404,37 @@ def congruence_codes(field, W, G):
                                    dtype=np.int64)
 
 
-@dataclass(frozen=True, eq=False)
-class Orbit:
-    """One congruence orbit of forms on F^n: the position of its first form
-    R in enumerate_forms order, the positions of all its members (an int
-    array), a stack A of GL_n with member k = R o A[k] (Gram A^T W A), and
-    its inverses, from invert_np."""
-
-    first: int
-    members: np.ndarray
-    A: np.ndarray
-    Ainv: np.ndarray
-
-
-def congruence_decomposition(field, n, budget=None):
-    """(forms, orbits): every form on F^n in enumerate_forms order, and its
-    congruence orbits in order of their first form.  Memoised.
-
-    The orbit-stabiliser count |orbit| |O(R)| = |GL| checks the frontier's
-    O(R) against the congruence codes of every orbit, and the orbits must
-    not overlap; a failure raises even under -O.
-    """
+def groups_by_orbit(field, n, group, budget=None):
+    """group(Q) for every form Q on F^n, in enumerate_forms order, where
+    group is orthogonal_group or weak_orthogonal_group, by the orbit walk of
+    the module docstring: for Q = R o A, B |-> A^-1 B A carries O(R) onto
+    O(Q), and O'(R) onto O'(Q) since A^-1 carries rad(R) onto rad(Q).  The
+    orbit-stabiliser count |orbit| |O(R)| = |GL| checks the frontier's O(R)
+    against the congruence codes, and the orbits must not overlap; a
+    failure raises even under -O.  Memoised, as a tuple; the budget is
+    checked first."""
     check_budget(field, n, budget)
 
     def build():
         G = _gl_arrays(field, n, budget)
-        forms = enumerate_forms(field, n)
-        seen = np.zeros(len(forms), dtype=bool)
-        orbits = []
-        for r, R in enumerate(forms):
-            if seen[r]:
+        out = [None] * field.order ** (n * (n + 1) // 2)
+        for r in range(len(out)):
+            if out[r] is not None:
                 continue
+            R = QForm.from_upper(field, n,
+                                 form_block_np(field, n, r, 1)[0].tolist())
             codes = congruence_codes(field, mat_to_np(R.gram), G)
             members, first = np.unique(codes, return_index=True)
             if (len(members) * orthogonal_group(R, budget).order != len(G)
-                    or seen[members].any()):
+                    or any(out[k] is not None for k in members.tolist())):
                 raise InvariantViolation("congruence orbit of %r fails the "
                                          "orbit-stabiliser count" % (R,))
-            seen[members] = True
-            orbits.append(Orbit(r, members, G[first],
-                                invert_np(field, G[first])[1]))
-        return forms, orbits
-    return memo(("congruence_decomposition", field.name, n), build)
-
-
-def groups_by_orbit(field, n, group, budget=None):
-    """group(Q) for every form Q on F^n, in enumerate_forms order, where
-    group is orthogonal_group or weak_orthogonal_group.
-
-    For Q = R o A, B |-> A^-1 B A carries O(R) onto O(Q), and O'(R) onto
-    O'(Q) since A^-1 carries rad(R) onto rad(Q).  So group is enumerated
-    only for the first form R of each congruence orbit.  Memoised, as a
-    tuple; congruence_decomposition checks the budget first.
-    """
-    forms, orbits = congruence_decomposition(field, n, budget)
-
-    def build():
-        out = [None] * len(forms)
-        for orbit in orbits:
-            base = group(forms[orbit.first], budget).as_np()
-            conj = matmul_np(field,
-                             matmul_np(field, orbit.Ainv[:, np.newaxis], base),
-                             orbit.A[:, np.newaxis])
-            for k, codes in zip(orbit.members.tolist(),
-                                matrix_codes(field, conj)):
-                out[k] = GroupSet(field, n, codes)
+            A = G[first]                # member k = R o A[k]
+            conj = matmul_np(field, matmul_np(
+                field, invert_np(field, A)[1][:, np.newaxis],
+                group(R, budget).as_np()), A[:, np.newaxis])
+            for k, elems in zip(members.tolist(), matrix_codes(field, conj)):
+                out[k] = GroupSet(field, n, elems)
         return tuple(out)
     return memo(("groups_by_orbit", field.name, n, group.__name__), build)
 

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (BudgetExceeded, GroupSet, InvariantViolation, add_np,
-                     form_block_np, group_budget, inverses_np, matmul_np,
-                     memo, mul_np, polar_images_np, values_np,
-                     vector_index_np, vectors_np)
+from .budget import check_required
+from .groups import (GroupSet, InvariantViolation, add_np, form_block_np,
+                     inverses_np, matmul_np, memo, mul_np, polar_images_np,
+                     values_np, vector_index_np, vectors_np)
 from .linalg import Mat, outer, pairing, vec
 from .quadform import QForm, all_vectors, form_position
 
@@ -101,10 +101,7 @@ def _check_maps(field, n, budget):
     if not field.enumerable:
         raise NotImplementedError("%s is not enumerable" % field.name)
     q, N = field.order, field.order ** n
-    maps = (N - 1) * (N + (q - 2) * (N // q - 1))
-    budget = group_budget() if budget is None else budget
-    if maps > budget:
-        raise BudgetExceeded(maps, budget)
+    check_required((N - 1) * (N + (q - 2) * (N // q - 1)), budget)
 
 
 def _rank_one_maps(field, n, budget=None):

@@ -134,10 +134,17 @@ def _scan_index(F, m):
                          + [(GF3, m) for m in range(4)]
                          + [(F, m) for F in (GF4, GF5, GF7) for m in range(3)],
                          ids=lambda v: getattr(v, "name", v))
-def test_orbit_index_matches_per_form_scan(F, m, cold_memo):
-    # built cold, so no group memoised by an earlier test is reused
-    index = weak_group_index(F, m)
-    o_table = groups_by_orbit(F, m, orthogonal_group)
+@pytest.mark.parametrize("o_first", [False, True],
+                         ids=["weak-first", "orthogonal-first"])
+def test_orbit_index_matches_per_form_scan(F, m, o_first, cold_memo):
+    # built cold, so no group memoised by an earlier test is reused; each
+    # table walks the orbits itself, whichever is built first
+    if o_first:
+        o_table = groups_by_orbit(F, m, orthogonal_group)
+        index = weak_group_index(F, m)
+    else:
+        index = weak_group_index(F, m)
+        o_table = groups_by_orbit(F, m, orthogonal_group)
     cold_memo.clear()
     assert index == _scan_index(F, m)
     # the scan memoised O(Q) form by form, by the per-form frontier

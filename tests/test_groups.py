@@ -13,8 +13,7 @@ from metric_affine.budget import (DEFAULT_BUDGET, HARD_BUDGET_CEILING,
 from metric_affine.classify import weak_group_index
 from metric_affine.fields import GF2, GF3, GF4, GF5, GF7
 from metric_affine.groups import (GroupSet, _gl_arrays, add_np, closure,
-                                  congruence_decomposition, enumerate_gl,
-                                  form_values_np, group_equal,
+                                  enumerate_gl, form_values_np, group_equal,
                                   groups_by_orbit, inverses_np, invert_np,
                                   is_subgroup, matmul_np, mat_to_np,
                                   matrix_codes, mul_np, orthogonal_group,
@@ -25,8 +24,8 @@ from metric_affine.homog import (DegeneratePolarForm, lift, lift_np,
                                  motion_group_dual)
 from metric_affine.linalg import Mat, Singular, mat_invert, rank, vec
 from metric_affine.quadform import (QForm, all_vectors, enumerate_forms,
-                                    is_isometry, qf_eval, qf_pullback,
-                                    radical_basis)
+                                    form_position, is_isometry, qf_eval,
+                                    qf_pullback, radical_basis)
 from metric_affine.transvect import _rank_one_maps, classify_direction
 
 # group orders from the product formula, |GL_n(q)| = prod (q^n - q^i)
@@ -314,7 +313,6 @@ def test_budget_checked_before_memo_lookup():
              (48, lambda b: motion_group_dual(Q, False, budget=b)),
              (48, lambda b: motion_group_dual(Q, True, budget=b)),
              (48, lambda b: weak_group_index(GF3, 2, budget=b)),
-             (48, lambda b: congruence_decomposition(GF3, 2, budget=b)),
              (88, lambda b: _rank_one_maps(GF3, 2, budget=b)),
              (88, lambda b: classify_direction(Q, (1, 0), budget=b)))
     for required, call in calls:
@@ -349,12 +347,11 @@ ORBIT_FORMS = [
 
 
 def _orbit_of(F, n, upper):
-    """Upper coefficients of every form in the congruence_decomposition
-    orbit of the form with these upper coefficients."""
-    forms, orbits = congruence_decomposition(F, n)
-    r = forms.index(QForm.from_upper(F, n, upper))
-    orbit = next(o for o in orbits if r in o.members)
-    return {forms[k].upper_coeffs() for k in orbit.members.tolist()}
+    """Upper coefficients of every pullback x |-> R(A x), A in GL, of the
+    form R with these upper coefficients, built with Mat arithmetic."""
+    R = QForm.from_upper(F, n, upper)
+    return {qf_pullback(R, Mat(F, A.tolist(), (n, n))).upper_coeffs()
+            for A in enumerate_gl(F, n).as_np()}
 
 
 def test_congruence_orbit_sizes():
@@ -364,26 +361,75 @@ def test_congruence_orbit_sizes():
     assert len(_orbit_of(GF2, 4, (0, 1, 0, 0, 0, 0, 0, 0, 0, 0))) == 105
     assert len(_orbit_of(GF2, 4, (0, 1, 0, 0, 0, 0, 0, 0, 1, 0))) == 280
     # over GF(4) and the odd prime fields: orbit-stabiliser against the
-    # value-table filter, and each orbit against the pullbacks x |-> R(A x)
-    # over all of GL, built with Mat arithmetic
+    # isometry frontier, and the orbit table conjugates O(R) onto every
+    # member of the pullback orbit
     for F, n, upper in ORBIT_FORMS:
         R = QForm.from_upper(F, n, upper)
         orbit = _orbit_of(F, n, upper)
-        assert len(orbit) * orthogonal_group(R).order == order_gl(n, F.order)
-        assert orbit == {qf_pullback(R, Mat(F, A.tolist(), (n, n)))
-                         .upper_coeffs()
-                         for A in enumerate_gl(F, n).as_np()}, (F, n, upper)
+        order = orthogonal_group(R).order
+        assert len(orbit) * order == order_gl(n, F.order), (F, n, upper)
+        table = groups_by_orbit(F, n, orthogonal_group)
+        assert {table[form_position(QForm.from_upper(F, n, c))].order
+                for c in orbit} == {order}, (F, n, upper)
 
 
-def test_orbit_walk_rejects_a_wrong_orbit(monkeypatch, cold_memo):
-    # an orbit that comes out wrong raises instead of building a wrong index:
-    # here every A maps the form to itself, so each orbit has one member.
-    # The decomposition is memoised, so it is built cold here.
-    codes = groups.congruence_codes
+def _one_member_orbits(codes):
+    """A congruence coder that maps every form to itself: each orbit has
+    one member, so the orbit-stabiliser count fails."""
+    return lambda field, W, G: codes(field, W, G[:1]).repeat(len(G))
+
+
+def _overlapping_orbits(codes):
+    """A congruence coder that moves the last member of every orbit after
+    the zero form's onto position 0, the zero form's own: the orbit sizes
+    stay right, so only the overlap check can see it."""
+    def coder(field, W, G):
+        got = codes(field, W, G)
+        got[got == got.max()] = 0
+        return got
+    return coder
+
+
+@pytest.mark.parametrize("wrong", [_one_member_orbits, _overlapping_orbits])
+def test_orbit_walk_rejects_a_wrong_orbit(wrong, monkeypatch, cold_memo):
+    # an orbit that comes out wrong raises instead of building a wrong
+    # table.  The table is memoised, so it is built cold here.
     monkeypatch.setattr(groups, "congruence_codes",
-                        lambda field, W, G: codes(field, W, G[:1]).repeat(len(G)))
+                        wrong(groups.congruence_codes))
     with pytest.raises(groups.InvariantViolation, match="orbit-stabiliser"):
-        congruence_decomposition(GF3, 2)
+        groups_by_orbit(GF3, 2, orthogonal_group)
+
+
+def test_orbit_walk_checks_survive_optimized_interpreter(run_optimized):
+    # python -O strips assert statements; both wrong coders of the test
+    # above must still make the walk raise
+    child = textwrap.dedent("""
+        import sys
+        from metric_affine import groups
+        from metric_affine.fields import GF3
+
+        codes = groups.congruence_codes
+
+        def one_member(field, W, G):
+            return codes(field, W, G[:1]).repeat(len(G))
+
+        def overlapping(field, W, G):
+            got = codes(field, W, G)
+            got[got == got.max()] = 0
+            return got
+
+        for coder in (one_member, overlapping):
+            groups.congruence_codes = coder
+            try:
+                groups.groups_by_orbit(GF3, 2, groups.orthogonal_group)
+            except groups.InvariantViolation as e:
+                print("optimize=%d raised %s"
+                      % (sys.flags.optimize, e.args[0].split(" fails ")[1]))
+            else:
+                print("optimize=%d passed" % sys.flags.optimize)
+    """)
+    assert run_optimized(child) == (
+        "optimize=1 raised the orbit-stabiliser count\n" * 2)
 
 
 # The GL filter, the route orthogonal_group took before the isometry
