@@ -1,4 +1,7 @@
-"""The numpy-free head of the group engine: budget, exceptions, memo table."""
+"""The numpy-free head of the group engine: budget, exceptions, memo table.
+
+Every memoised reader that enumerates hands its requirement to memo, the
+one place that compares it with the budget, on every read."""
 
 import os
 
@@ -54,22 +57,6 @@ def order_gl(n, q):
     return order
 
 
-def check_budget(field, n, budget):
-    """Raise BudgetExceeded unless all of GL_n over the field fits the budget.
-
-    Every memoised function taking a budget calls this before its memo
-    lookup, so a result does not depend on what an earlier call memoised.
-    """
-    check_required(order_gl(n, field.order), budget)
-
-
-def check_required(required, budget):
-    """BudgetExceeded if required passes the budget (None: group_budget())."""
-    budget = group_budget() if budget is None else budget
-    if required > budget:
-        raise BudgetExceeded(required, budget)
-
-
 # One memo table for the whole package.  Keys are tuples led by the name of
 # the memoising function, followed by plain field names, dimensions and
 # coefficient tuples (a form's `gram.rows`, which it already holds), so no
@@ -77,9 +64,15 @@ def check_required(required, budget):
 _MEMO = {}
 
 
-def memo(key, build):
+def memo(key, build, required=None, budget=None):
     """The value memoised under key; build() makes it (never None) on the
-    first call."""
+    first call.  A required size (|GL_n|, say) must fit the budget (None:
+    group_budget()) on every read, cached or cold, else BudgetExceeded, so
+    no result depends on what ran earlier; without one, no budget is read."""
+    if required is not None:
+        budget = group_budget() if budget is None else budget
+        if required > budget:
+            raise BudgetExceeded(required, budget)
     got = _MEMO.get(key)
     if got is None:
         got = _MEMO[key] = build()

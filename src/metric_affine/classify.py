@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (GroupSet, InvariantViolation, check_budget,
-                     form_block_np, form_values_np, group_budget,
-                     group_equal, groups_by_orbit, inverses_np,
-                     is_subgroup, matmul_np, memo, mul_np, order_gl,
-                     polar_images_np, values_np, vector_index_np, vectors_np,
-                     weak_orthogonal_group, orthogonal_group)
+from .groups import (GroupSet, InvariantViolation, form_block_np,
+                     form_values_np, group_budget, group_equal,
+                     groups_by_orbit, inverses_np, is_subgroup, matmul_np,
+                     memo, mul_np, order_gl, polar_images_np, values_np,
+                     vector_index_np, vectors_np, weak_orthogonal_group,
+                     orthogonal_group)
 from .homog import (DegeneratePolarForm, NotDroppable, drop, lift, lift_np,
                     motion_group_dual)
 from .quadform import (QForm, enumerate_forms, form_position,
@@ -102,16 +102,16 @@ def _exceptional_size(fld, n):
 
 def weak_group_index(fld, m, budget=None):
     """Forms on F^m by weak orthogonal group: key -> tuple of the forms
-    with that group, in enumerate_forms order.  Memoised."""
-    check_budget(fld, m, budget)
-
+    with that group, in enumerate_forms order.  Memoised, behind the
+    |GL_m| gate."""
     def build():
         groups = groups_by_orbit(fld, m, weak_orthogonal_group, budget)
         index = {}
         for Qt, g in zip(enumerate_forms(fld, m), groups):
             index[g.key] = index.get(g.key, ()) + (Qt,)
         return index
-    return memo(("weak_group_index", fld.name, m), build)
+    return memo(("weak_group_index", fld.name, m), build,
+                order_gl(m, fld.order), budget)
 
 
 def solve_for_qtilde(Q, mode, budget=None):
@@ -455,6 +455,7 @@ class ProjectiveReport:
     field_name: str
     n: int
     pairs_checked: int
+    projective_matches: int  # pairs with equal collineations, excluded too
     exclusion_hits: int
     witness_confirmed: bool
     violations: tuple
@@ -470,7 +471,7 @@ def verify_projective_theorem(fld, n, budget=None):
     characteristic with Qt non-zero.  Checked for every (Q, Qt) pair, with
     O'(Qt) read from the orbit table of the forms on F x V*."""
     violations = []
-    exclusion_hits = 0
+    matches = exclusion_hits = 0
     witness = False
     budget = group_budget() if budget is None else budget  # read env once
     lefts = enumerate_forms(fld, n)
@@ -486,6 +487,7 @@ def verify_projective_theorem(fld, n, budget=None):
         # a position has one key, so the two keys' lists are disjoint
         keys = {projective_reduce(ao).key, projective_reduce(aow).key}
         for k in sorted(k for key in keys for k in by_key.get(key, ())):
+            matches += 1
             Qt, ow = rights[k], weak[k]
             linear_same = group_equal(ao, ow)
             excluded = (n == 0 and fld.char != 2 and not Qt.is_zero())
@@ -496,7 +498,7 @@ def verify_projective_theorem(fld, n, budget=None):
                 continue
             if not linear_same:
                 violations.append((Q, Qt))
-    return ProjectiveReport(fld.name, n, len(lefts) * len(rights),
+    return ProjectiveReport(fld.name, n, len(lefts) * len(rights), matches,
                             exclusion_hits, witness, tuple(violations))
 
 

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import (BudgetExceeded, InvariantViolation, check_budget,
-                     group_budget, memo, order_gl)
+from .budget import (BudgetExceeded, InvariantViolation, group_budget, memo,
+                     order_gl)
 from .quadform import QForm, form_position, polar, radical_basis
 
 
@@ -208,9 +208,7 @@ def _isometries_np(field, n, vals, B):
 
 def _gl_arrays(field, n, budget=None):
     """The full GL_n stack as a (m, n, n) uint8 array: the isometries of
-    the zero form.  Memoised."""
-    check_budget(field, n, budget)
-
+    the zero form.  Memoised, behind the |GL_n| gate."""
     def build():
         N = field.order ** n
         G = _isometries_np(field, n, np.zeros(N, dtype=np.uint8),
@@ -221,7 +219,8 @@ def _gl_arrays(field, n, budget=None):
                                         order_gl(n, field.order)))
         G.setflags(write=False)
         return G
-    return memo(("_gl_arrays", field.name, n), build)
+    return memo(("_gl_arrays", field.name, n), build,
+                order_gl(n, field.order), budget)
 
 
 def _monomials_np(field, n):
@@ -363,24 +362,22 @@ def enumerate_gl(field, n, budget=None):
 
 def orthogonal_group(Q, budget=None):
     """All GL elements preserving Q: the isometry frontier of Q's value and
-    polar tables (memoized)."""
-    check_budget(Q.field, Q.n, budget)
-
+    polar tables.  Memoised, behind the |GL_n| gate."""
     def build():
         field, n = Q.field, Q.n
         V = vectors_np(field, n)
         BV = matmul_np(field, V, mat_to_np(polar(Q)))     # row v: (B v)^T
         return GroupSet.from_np(field, n, _isometries_np(
             field, n, form_values_np(Q), matmul_np(field, BV, V.T)))
-    return memo(("orthogonal_group", Q.field.name, Q.n, Q.gram.rows), build)
+    return memo(("orthogonal_group", Q.field.name, Q.n, Q.gram.rows), build,
+                order_gl(Q.n, Q.field.order), budget)
 
 
 def weak_orthogonal_group(Q, budget=None):
     """Isometries of Q fixing the radical of the polar form pointwise: the
-    rows of O(Q) that fix every radical basis vector (memoized: the
-    verification sweeps revisit the same forms heavily)."""
-    check_budget(Q.field, Q.n, budget)
-
+    rows of O(Q) that fix every radical basis vector.  Memoised, behind the
+    |GL_n| gate: `groups` takes O'(Q) twice, and `verify proposition` meets
+    each c lift(Q) once for every scaling of Q."""
     def build():
         field, n = Q.field, Q.n
         o = orthogonal_group(Q, budget)
@@ -390,7 +387,7 @@ def weak_orthogonal_group(Q, budget=None):
         fixed = (matmul_np(field, o.as_np(), rad) == rad).all(axis=(1, 2))
         return GroupSet(field, n, o.elems[fixed])
     return memo(("weak_orthogonal_group", Q.field.name, Q.n, Q.gram.rows),
-                build)
+                build, order_gl(Q.n, Q.field.order), budget)
 
 
 def congruence_codes(field, W, G):
@@ -411,10 +408,8 @@ def groups_by_orbit(field, n, group, budget=None):
     O(Q), and O'(R) onto O'(Q) since A^-1 carries rad(R) onto rad(Q).  The
     orbit-stabiliser count |orbit| |O(R)| = |GL| checks the frontier's O(R)
     against the congruence codes, and the orbits must not overlap; a
-    failure raises even under -O.  Memoised, as a tuple; the budget is
-    checked first."""
-    check_budget(field, n, budget)
-
+    failure raises even under -O.  Memoised, as a tuple, behind the |GL_n|
+    gate that every reader of the table meets first."""
     def build():
         G = _gl_arrays(field, n, budget)
         out = [None] * field.order ** (n * (n + 1) // 2)
@@ -436,7 +431,8 @@ def groups_by_orbit(field, n, group, budget=None):
             for k, elems in zip(members.tolist(), matrix_codes(field, conj)):
                 out[k] = GroupSet(field, n, elems)
         return tuple(out)
-    return memo(("groups_by_orbit", field.name, n, group.__name__), build)
+    return memo(("groups_by_orbit", field.name, n, group.__name__), build,
+                order_gl(n, field.order), budget)
 
 
 def closure(field, n, generators, budget=None):
@@ -492,14 +488,14 @@ def _exceptional_shape(Q, budget=None):
     if n >= 4:
         shapes.append((CASE_HYPERBOLIC_PAIR, (0, 1) + (0,) * (2 * n - 2)
                        + (1,) + (0,) * (m - 2 * n - 1)))
-    check_budget(field, n, budget)
     here = form_position(Q)
     for tag, coeffs in shapes:
         # the congruence orbit of the shape, coded once per (n, shape)
         W = mat_to_np(QForm.from_upper(field, n, coeffs).gram)
         orbit = memo(("_exceptional_shape", field.name, n, tag),
                      lambda: congruence_codes(field, W,
-                                              _gl_arrays(field, n, budget)))
+                                              _gl_arrays(field, n, budget)),
+                     order_gl(n, field.order), budget)
         if (orbit == here).any():
             return tag
     return None

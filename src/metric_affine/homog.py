@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .budget import InvariantViolation, check_budget, memo
+from .budget import InvariantViolation, memo
 from .linalg import (Mat, Singular, mat_invert, span_contains, unit_vector,
                      vec)
 from .quadform import (QForm, enumerate_forms, form_position, is_isometry,
@@ -311,30 +311,25 @@ def motion_group_dual(Q, weak, budget=None):
     linear group is closed under inverses and t |-> -A^-1 t permutes F^n,
     so the image is {[[1, s^T], [0, B^T]] : s in F^n, B in the group},
     assembled here as one stack.  The group is read from the memoised
-    groups_by_orbit table, so a first call builds the linear groups of
-    every form on F^n, one per congruence orbit.  Memoised.
+    groups_by_orbit table, behind its |GL_n| gate, so a first call builds
+    the linear groups of every form on F^n, one per congruence orbit.
     """
+    import numpy as np
+    from . import groups
     F, n = Q.field, Q.n
-    check_budget(F, n, budget)
-
-    def build():
-        import numpy as np
-        from . import groups
-        linear = groups.groups_by_orbit(
-            F, n, (groups.weak_orthogonal_group if weak
-                   else groups.orthogonal_group), budget)[form_position(Q)]
-        S = groups.vectors_np(F, n)
-        out = np.zeros((linear.order, len(S), n + 1, n + 1), dtype=np.uint8)
-        out[..., 0, 0] = 1
-        out[..., 0, 1:] = S
-        out[..., 1:, 1:] = linear.as_np().transpose(0, 2, 1)[:, np.newaxis]
-        out = groups.GroupSet.from_np(F, n + 1, out.reshape(-1, n + 1, n + 1))
-        if out.order != (F.order ** n) * linear.order:
-            raise InvariantViolation("motion group of %s has repeated "
-                                     "elements" % poly_str(Q))
-        return out
-    return memo(("motion_group_dual", F.name, n, Q.gram.rows, bool(weak)),
-                build)
+    linear = groups.groups_by_orbit(
+        F, n, (groups.weak_orthogonal_group if weak
+               else groups.orthogonal_group), budget)[form_position(Q)]
+    S = groups.vectors_np(F, n)
+    out = np.zeros((linear.order, len(S), n + 1, n + 1), dtype=np.uint8)
+    out[..., 0, 0] = 1
+    out[..., 0, 1:] = S
+    out[..., 1:, 1:] = linear.as_np().transpose(0, 2, 1)[:, np.newaxis]
+    out = groups.GroupSet.from_np(F, n + 1, out.reshape(-1, n + 1, n + 1))
+    if out.order != (F.order ** n) * linear.order:
+        raise InvariantViolation("motion group of %s has repeated elements"
+                                 % poly_str(Q))
+    return out
 
 
 def affine_reflection(Q, p, r):

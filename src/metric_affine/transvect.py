@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import check_required
 from .groups import (GroupSet, InvariantViolation, add_np, form_block_np,
                      inverses_np, matmul_np, memo, mul_np, polar_images_np,
                      values_np, vector_index_np, vectors_np)
@@ -95,18 +94,18 @@ def delta_group(field, n, f):
     return memo(("delta_group", field.name, n, x), build)
 
 
-def _check_maps(field, n, budget):
-    """BudgetExceeded unless the (q^n - 1)(q^n + (q - 2)(q^(n-1) - 1)) rows
-    of _rank_one_maps(field, n) fit the budget."""
+def _map_rows(field, n):
+    """The (q^n - 1)(q^n + (q - 2)(q^(n-1) - 1)) rows of
+    _rank_one_maps(field, n): what the budget bounds."""
     if not field.enumerable:
         raise NotImplementedError("%s is not enumerable" % field.name)
     q, N = field.order, field.order ** n
-    check_required((N - 1) * (N + (q - 2) * (N // q - 1)), budget)
+    return (N - 1) * (N + (q - 2) * (N // q - 1))
 
 
 def _rank_one_maps(field, n, budget=None):
     """(table, slot): every map the lemmas test, and where each Delta map
-    sits.  Memoised; the budget bounds the maps and is checked first.
+    sits.  Memoised, behind the gate of its rows (_map_rows).
 
     table[f - 1] holds, for the direction f != o of vector index f, the
     maps I + f a^T with <a, f> != -1 (Delta_f, in vector-index order of a),
@@ -116,8 +115,6 @@ def _rank_one_maps(field, n, budget=None):
     or more fit the budget ceiling only if q^n < 2^15).  slot[f - 1, a] is
     the place of the map of a in Delta_f, for every a with <a, f> != -1.
     """
-    _check_maps(field, n, budget)
-
     def build():
         q, V = field.order, vectors_np(field, n)
         N = len(V)
@@ -141,7 +138,8 @@ def _rank_one_maps(field, n, budget=None):
         table.setflags(write=False)
         slot.setflags(write=False)
         return table, slot
-    return memo(("_rank_one_maps", field.name, n), build)
+    return memo(("_rank_one_maps", field.name, n), build,
+                _map_rows(field, n), budget)
 
 
 @dataclass(frozen=True)
@@ -264,6 +262,7 @@ def _lemma_block(Q, budget):
                    scaled_ok)
             for x, in_rad, isotropic, o, w, refl, inside, scaled_ok
             in zip(xs, *per_form))
+        # ungated: a block is built only inside lemma_record's gated read
         records.append(memo(("_lemma_record", field.name, n, R.gram.rows),
                             lambda: record))
     return records[row]
@@ -271,10 +270,10 @@ def _lemma_block(Q, budget):
 
 def lemma_record(Q, budget=None):
     """Q's lemma record, _judge's answer for every direction f by the vector
-    index of f (slot 0 is None); the budget is checked before the lookup."""
-    _check_maps(Q.field, Q.n, budget)
+    index of f (slot 0 is None), behind the gate of the map rows."""
     return memo(("_lemma_record", Q.field.name, Q.n, Q.gram.rows),
-                lambda: _lemma_block(Q, budget))
+                lambda: _lemma_block(Q, budget), _map_rows(Q.field, Q.n),
+                budget)
 
 
 def _answers(Q, f, budget):

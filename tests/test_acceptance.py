@@ -239,6 +239,9 @@ PROJECTIVE_PAIRS = {
     ("GF(2)", 0): 2, ("GF(2)", 1): 16, ("GF(2)", 2): 512,
     ("GF(3)", 0): 3, ("GF(3)", 1): 81, ("GF(3)", 2): 19683,
 }
+# the pairs whose collineation sets agree; the smaller sizes are frozen in
+# tests/test_classify.py's PROJECTIVE_EXPECT
+PROJECTIVE_MATCHES = {("GF(2)", 2): 8, ("GF(3)", 2): 36}
 
 
 def test_c8_projective_equality_forces_linear():
@@ -248,6 +251,9 @@ def test_c8_projective_equality_forces_linear():
                 rep = verify_projective_theorem(fld, n)
                 assert rep.ok, rep.violations
                 assert rep.pairs_checked == PROJECTIVE_PAIRS[(fld.name, n)]
+                if n == 2:
+                    assert (rep.projective_matches
+                            == PROJECTIVE_MATCHES[(fld.name, n)])
                 if (fld, n) == (GF3, 0):
                     # the lone exception, exhibited concretely
                     assert rep.exclusion_hits == 2
@@ -261,6 +267,9 @@ QUADRIC_TALLIES = {
     ("GF(3)", 3): {"degenerate-polar": 261, "ok": 468},
     ("GF(5)", 2): {"degenerate-polar": 25, "empty-quadric": 40, "ok": 60},
     ("GF(5)", 3): {"degenerate-polar": 3225, "ok": 12400},
+    ("GF(7)", 2): {"degenerate-polar": 49, "empty-quadric": 126, "ok": 168},
+    # GF(9) = GF(3)[t] / (t^2 + 1), built in tests/test_classify.py
+    ("GF(9)", 2): {"degenerate-polar": 81, "empty-quadric": 288, "ok": 360},
 }
 
 

@@ -29,6 +29,7 @@ from metric_affine.homog import (DegeneratePolarForm, lift,
 from metric_affine.linalg import (Mat, annihilator, kernel_basis,
                                   unit_vector, vec)
 from metric_affine.quadform import QForm, enumerate_forms, polar
+from test_acceptance import QUADRIC_TALLIES
 
 
 def test_dyad_report_on_matched_pair():
@@ -341,17 +342,17 @@ def test_projective_reduce_matches_per_matrix_route():
 
 
 PROJECTIVE_EXPECT = {
-    # (field, n) -> (pairs, exclusions, witness)
-    (GF3.name, 0): (3, 2, True),
-    (GF2.name, 0): (2, 0, False),
-    (GF2.name, 1): (16, 0, False),
-    (GF3.name, 1): (81, 0, False),
-    (GF4.name, 0): (4, 0, False),
-    (GF4.name, 1): (256, 0, False),
-    (GF5.name, 0): (5, 4, True),
-    (GF5.name, 1): (625, 0, False),
-    (GF7.name, 0): (7, 6, True),
-    (GF7.name, 1): (2401, 0, False),
+    # (field, n) -> (pairs, exclusions, witness, projective matches)
+    (GF3.name, 0): (3, 2, True, 3),
+    (GF2.name, 0): (2, 0, False, 2),
+    (GF2.name, 1): (16, 0, False, 2),
+    (GF3.name, 1): (81, 0, False, 6),
+    (GF4.name, 0): (4, 0, False, 4),
+    (GF4.name, 1): (256, 0, False, 0),
+    (GF5.name, 0): (5, 4, True, 5),
+    (GF5.name, 1): (625, 0, False, 16),
+    (GF7.name, 0): (7, 6, True, 7),
+    (GF7.name, 1): (2401, 0, False, 36),
 }
 
 
@@ -361,8 +362,8 @@ PROJECTIVE_EXPECT = {
 def test_projective_rigidity(F, n):
     rep = verify_projective_theorem(F, n)
     assert rep.ok
-    assert (rep.pairs_checked, rep.exclusion_hits,
-            rep.witness_confirmed) == PROJECTIVE_EXPECT[(F.name, n)]
+    assert (rep.pairs_checked, rep.exclusion_hits, rep.witness_confirmed,
+            rep.projective_matches) == PROJECTIVE_EXPECT[(F.name, n)]
 
 
 def test_projective_witness_is_genuine():
@@ -375,7 +376,7 @@ def test_projective_witness_is_genuine():
 def _per_form_projective(F, n):
     """verify_projective_theorem with O'(Qt) built form by form: the route
     it first took."""
-    violations, hits, witness = [], 0, False
+    violations, matches, hits, witness = [], 0, 0, False
     lefts, rights = enumerate_forms(F, n), enumerate_forms(F, n + 1)
     for Q in lefts:
         ao, aow = motion_group_dual(Q, False), motion_group_dual(Q, True)
@@ -384,13 +385,14 @@ def _per_form_projective(F, n):
             if projective_reduce(ow) not in (projective_reduce(ao),
                                              projective_reduce(aow)):
                 continue
+            matches += 1
             if n == 0 and F.char != 2 and not Qt.is_zero():
                 hits += 1
                 witness |= ow != ao
             elif ow != ao:
                 violations.append((Q, Qt))
-    return ProjectiveReport(F.name, n, len(lefts) * len(rights), hits,
-                            witness, tuple(violations))
+    return ProjectiveReport(F.name, n, len(lefts) * len(rights), matches,
+                            hits, witness, tuple(violations))
 
 
 @pytest.mark.parametrize("F,n", [(F, n) for F in (GF2, GF3) for n in range(3)]
@@ -611,15 +613,6 @@ def test_quadric_duality_statuses():
     for n, upper in ((0, ()), (1, (1,)), (2, (1, 0, 1))):
         with pytest.raises(ValueError, match="Q is not a finite field"):
             quadric_duality_check(QForm.from_upper(QQ, n, upper))
-
-
-# exhaustive status tallies, frozen
-QUADRIC_TALLIES = {
-    (GF3.name, 2): {"degenerate-polar": 9, "empty-quadric": 6, "ok": 12},
-    (GF5.name, 2): {"degenerate-polar": 25, "empty-quadric": 40, "ok": 60},
-    (GF7.name, 2): {"degenerate-polar": 49, "empty-quadric": 126, "ok": 168},
-    (GF9.name, 2): {"degenerate-polar": 81, "empty-quadric": 288, "ok": 360},
-}
 
 
 @pytest.mark.parametrize("F,n", [(GF3, 2), (GF5, 2), (GF7, 2)])

@@ -303,6 +303,29 @@ def test_verify_theorem_uniqueness_line(capsys):
     assert "solution pairs: motion 0, weak 0" in out
 
 
+def test_verify_theorem_verbose(capsys):
+    # -v adds one line per left form to the text; records do not change
+    argv = ["verify", "theorem", "--field", "GF(3)", "--dim", "1"]
+    assert main(["-v"] + argv) == EXIT_PASS
+    assert capsys.readouterr().out == (
+        "# 0: motion 2, weak 0\n"
+        "# x1^2: motion 2, weak 2\n"
+        "# 2*x1^2: motion 2, weak 2\n"
+        "solution sweep over GF(3), dim 1\n"
+        "left forms: 3, candidates each: 27\n"
+        "non-degenerate-polar left forms: 2\n"
+        "forms with solutions: 3\n"
+        "solution pairs: motion 6, weak 4\n"
+        "note: sporadic size (see the tables); no uniqueness asserted here\n"
+        "PASS\n")
+    records = []
+    for verbose in ([], ["-v"]):
+        assert main(["--format", "records"] + verbose + argv) == EXIT_PASS
+        records.append(capsys.readouterr().out)
+    assert records[0] == records[1]
+    assert json.loads(records[0])["pairs_weak"] == 4
+
+
 def test_verify_tables_t3(capsys):
     assert main(["verify", "tables", "--case", "t3"]) == EXIT_PASS
     out = capsys.readouterr().out

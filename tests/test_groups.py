@@ -12,8 +12,9 @@ from metric_affine.budget import (DEFAULT_BUDGET, HARD_BUDGET_CEILING,
                                   group_budget, order_gl)
 from metric_affine.classify import weak_group_index
 from metric_affine.fields import GF2, GF3, GF4, GF5, GF7
-from metric_affine.groups import (GroupSet, _gl_arrays, add_np, closure,
-                                  enumerate_gl, form_values_np, group_equal,
+from metric_affine.groups import (GroupSet, _exceptional_shape, _gl_arrays,
+                                  add_np, closure, enumerate_gl,
+                                  form_values_np, group_equal,
                                   groups_by_orbit, inverses_np, invert_np,
                                   is_subgroup, matmul_np, mat_to_np,
                                   matrix_codes, mul_np, orthogonal_group,
@@ -301,10 +302,50 @@ def test_bad_budget_variable_is_rejected(monkeypatch):
         assert group_budget() == want
 
 
+def test_memo_gates_every_read(cold_memo, monkeypatch):
+    builds = []
+
+    def build():
+        builds.append(1)
+        return "value"
+    key = ("test_memo_gates_every_read",)
+    assert budget.memo(key, build, required=48, budget=48) == "value"
+    with pytest.raises(BudgetExceeded) as exc:     # cached, and still refused
+        budget.memo(key, build, required=48, budget=5)
+    assert (exc.value.required, exc.value.budget) == (48, 5)
+    # without a requirement there is no gate, and the variable is not read
+    monkeypatch.setenv("METRIC_AFFINE_BUDGET", "abc")
+    assert budget.memo(key, build) == "value"
+    assert budget.memo(key + ("cold",), build) == "value"
+    with pytest.raises(BadBudgetVariable):
+        budget.memo(key, build, required=48)
+    assert builds == [1, 1]
+
+
+def test_memo_gate_survives_optimized_interpreter(run_optimized):
+    child = textwrap.dedent("""
+        import sys
+        from metric_affine import budget
+
+        budget.memo(("k",), lambda: 1, required=48, budget=48)
+        try:
+            budget.memo(("k",), lambda: 1, required=48, budget=5)
+        except budget.BudgetExceeded as e:
+            print("optimize=%d refused %d > %d"
+                  % (sys.flags.optimize, e.required, e.budget))
+        else:
+            print("optimize=%d passed" % sys.flags.optimize)
+    """)
+    assert run_optimized(child) == "optimize=1 refused 48 > 5\n"
+
+
 def test_budget_checked_before_memo_lookup():
-    # |GL_2(3)| = 48, and the rank-one map table of GF(3)^2 has 88 rows: a
-    # memoised result must not slip past a smaller budget
+    # |GL_2(3)| = 48, |GL_3(2)| = 168, and the rank-one map table of GF(3)^2
+    # has 88 rows: a memoised result must not slip past a smaller budget.
+    # motion_group_dual memoises nothing; it meets the gate of the orbit
+    # table it reads.
     Q = QForm.from_upper(GF3, 2, (1, 0, 1))
+    hyperbolic = QForm.from_upper(GF2, 3, (0, 1, 0, 0, 0, 0))      # x1x2
     calls = ((48, lambda b: _gl_arrays(GF3, 2, budget=b)),
              (48, lambda b: groups_by_orbit(GF3, 2, orthogonal_group,
                                             budget=b)),
@@ -314,7 +355,8 @@ def test_budget_checked_before_memo_lookup():
              (48, lambda b: motion_group_dual(Q, True, budget=b)),
              (48, lambda b: weak_group_index(GF3, 2, budget=b)),
              (88, lambda b: _rank_one_maps(GF3, 2, budget=b)),
-             (88, lambda b: classify_direction(Q, (1, 0), budget=b)))
+             (88, lambda b: classify_direction(Q, (1, 0), budget=b)),
+             (168, lambda b: _exceptional_shape(hyperbolic, budget=b)))
     for required, call in calls:
         call(required)
         with pytest.raises(BudgetExceeded) as exc:
