@@ -7,7 +7,8 @@ enumeration index, which keeps the table-driven group code simple: over
 GF(p) it is the integer mod p, and over GF(p^k) the polynomial in t of
 degree < k whose coefficients are its base-p digits, the constant term
 least significant; so GF(4) = F_2[t]/(t^2+t+1) codes 0, 1, t, t+1 as
-0, 1, 2, 3.  No floating point is used anywhere.
+0, 1, 2, 3.  The one float is in groups.matmul_np: GF(p) products run in
+float32 on integers below 2^16, where every step is exact.
 """
 
 from __future__ import annotations

@@ -28,11 +28,14 @@ forms in enumerate_forms order; the first form R that no earlier orbit
 holds codes its orbit R o A over all of GL_n (congruence_codes), and its
 group is conjugated onto every member at once.  Nothing is kept per orbit.
 
-Everything stays in integer dtypes; there is no floating point here.
+Every stack holds integer element codes.  The one float is inside
+matmul_np over GF(p): a float32 product of integers below 2^16, where every
+step is exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +56,8 @@ def _table_np(field, op):
 # Field arithmetic on uint8 stacks of element codes, broadcast as numpy's own
 # operators are: mod p over GF(p), exact in uint8 for p <= 16 and about twice
 # as fast as a table gather, and the add/mul tables over any other field.
-# This and matmul_np's fast path are the one place that tells them apart.
+# These and matmul_np, a float32 product mod p over GF(p), are the one place
+# that tells them apart.
 
 def add_np(field, a, b):
     if field.order == field.char:
@@ -99,23 +103,52 @@ def vector_index_np(field, X):
     return idx
 
 
-def matmul_np(field, A, B):
-    """Exact matrix product of integer-coded stacks over a finite field:
-    int32 @ mod p over GF(p), a sum of add_np/mul_np terms otherwise.
+def _gemm_f32(A, B):
+    """A @ B in float32, as one BLAS product wherever one side is a single
+    matrix (its stack dimensions all 1): the other side's stack folds into
+    the rows, (..., r, k) @ (k, c), or the columns, (r, k) @ (k, ... c), of
+    the GEMM.  Only stack @ stack runs numpy's batched @.  The matrix @
+    stack result is a view in the GEMM's layout, not a contiguous copy."""
+    (r, k), c = A.shape[-2:], B.shape[-1]
+    a = np.ascontiguousarray(A, dtype=np.float32)
+    if math.prod(B.shape[:-2]) == 1:
+        return (a.reshape(math.prod(A.shape[:-1]), k)
+                @ np.ascontiguousarray(B, dtype=np.float32).reshape(k, c))
+    if math.prod(A.shape[:-2]) == 1:
+        b = np.ascontiguousarray(np.moveaxis(B, -2, 0), dtype=np.float32)
+        prod = a.reshape(r, k) @ b.reshape(k, math.prod(B.shape[:-2]) * c)
+        return np.moveaxis(prod.reshape((r,) + B.shape[:-2] + (c,)), 0, -2)
+    return a @ B.astype(np.float32)
 
-    int32 is exact: an entry of the product is at most the inner dimension
-    times (p - 1)^2, and the engine's inner dimensions (matrix orders and
-    the n(n+1)/2 coefficients of a form) keep that far below 2^31."""
-    if field.order == field.char:
-        out = A.astype(np.int32) @ B.astype(np.int32)
-        out %= field.order
-        return out.astype(np.uint8)
-    out = np.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
-                   + (A.shape[-2], B.shape[-1]), dtype=np.uint8)
-    for k in range(A.shape[-1]):
-        out = add_np(field, out, mul_np(field, A[..., :, k, np.newaxis],
-                                        B[..., np.newaxis, k, :]))
-    return out
+
+def matmul_np(field, A, B):
+    """Exact matrix product of integer-coded stacks over a finite field, as
+    a uint8 stack broadcast as numpy's @ is.
+
+    Over GF(p) it is one float32 product (_gemm_f32), reduced mod p.  Every
+    entry is below p, so a partial sum is at most k (p - 1)^2 for inner
+    dimension k; below 2^16 (ValueError otherwise) float32 holds every step
+    exactly, whatever order BLAS adds in.  The product is cast to the
+    narrowest unsigned type that holds k (p - 1)^2 and reduced in place, as
+    x - (x // p) p: numpy divides by a scalar in SIMD, but its % does not.
+    Over any other field it is a sum of add_np/mul_np terms."""
+    lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    (r, k), c = A.shape[-2:], B.shape[-1]
+    if field.order != field.char:
+        out = np.zeros(lead + (r, c), dtype=np.uint8)
+        for i in range(k):
+            out = add_np(field, out, mul_np(field, A[..., :, i, np.newaxis],
+                                            B[..., np.newaxis, i, :]))
+        return out
+    p, top = field.order, k * (field.order - 1) ** 2
+    if top >= 2 ** 16:
+        raise ValueError("a product over %s with inner dimension %d can "
+                         "reach %d, past the exact range below 2^16"
+                         % (field.name, k, top))
+    out = _gemm_f32(A, B).astype(np.uint8 if top < 2 ** 8 else np.uint16)
+    out = out.reshape(lead + (r, c))
+    out -= out // p * p
+    return out.astype(np.uint8, copy=False)
 
 
 def mat_to_np(A):

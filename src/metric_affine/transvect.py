@@ -96,9 +96,13 @@ def delta_group(field, n, f):
 
 def _map_rows(field, n):
     """The (q^n - 1)(q^n + (q - 2)(q^(n-1) - 1)) rows of
-    _rank_one_maps(field, n): what the budget bounds."""
+    _rank_one_maps(field, n): what the budget bounds.  F^0 has no direction
+    f != o, so dimension 0 raises ValueError."""
     if not field.enumerable:
         raise NotImplementedError("%s is not enumerable" % field.name)
+    if n < 1:
+        raise ValueError("the lemmas need a direction f != o: dimension %d "
+                         "over %s has none" % (n, field.name))
     q, N = field.order, field.order ** n
     return (N - 1) * (N + (q - 2) * (N // q - 1))
 

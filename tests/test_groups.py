@@ -215,14 +215,67 @@ def test_engine_arithmetic_matches_the_field(F):
     assert inv.tolist() == [0] + [F.inv(x) for x in els[1:]]
 
 
-def test_matmul_np_gf4_agrees_with_mat():
+# (A shape, B shape) for each way matmul_np lays out a product: stack @
+# matrix, matrix @ stack, stack @ stack, 4-D broadcasts (as groups_by_orbit
+# conjugates), stacks of leading 1s (as _isometries_np spans), empty stacks,
+# inner dimension 0, and inner dimension 10 (uint16 over GF(7))
+MATMUL_SHAPES = [
+    ((5, 3, 4), (4, 2)), ((3, 4), (6, 4, 2)), ((5, 3, 4), (5, 4, 2)),
+    ((3, 2, 4, 4), (3, 1, 4, 4)), ((3, 1, 4, 4), (2, 4, 4)),
+    ((1, 3, 4), (6, 4, 2)), ((6, 3, 4), (1, 4, 2)),
+    ((1, 1, 3, 4), (5, 4, 2)), ((4, 2), (1, 1, 2, 3)),
+    ((0, 3, 4), (4, 2)), ((3, 4), (0, 4, 2)), ((0, 3, 4), (0, 4, 2)),
+    ((3, 0), (0, 2)), ((5, 3, 0), (0, 2)), ((3, 0), (5, 0, 2)),
+    ((4, 3, 10), (10, 3)), ((3, 10), (2, 10, 3)),
+]
+
+
+def _mat_product(F, a, b):
+    """a @ b broadcast over the stacks, one Mat product per matrix."""
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a = np.broadcast_to(a, lead + a.shape[-2:])
+    b = np.broadcast_to(b, lead + b.shape[-2:])
+    out = np.zeros(lead + (a.shape[-2], b.shape[-1]), dtype=np.uint8)
+    for i in np.ndindex(lead):
+        out[i] = mat_to_np(Mat(F, a[i].tolist(), a.shape[-2:])
+                           * Mat(F, b[i].tolist(), b.shape[-2:]))
+    return out
+
+
+@pytest.mark.parametrize("F", ENGINE_FIELDS, ids=lambda F: F.name)
+def test_matmul_np_agrees_with_mat(F):
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        a = rng.integers(0, 4, (2, 2), dtype=np.uint8)
-        b = rng.integers(0, 4, (2, 2), dtype=np.uint8)
-        got = matmul_np(GF4, a[None], b)[0]
-        want = mat_to_np(Mat(GF4, a.tolist()) * Mat(GF4, b.tolist()))
-        assert (got == want).all()
+    for sa, sb in MATMUL_SHAPES:
+        a = rng.integers(0, F.order, sa, dtype=np.uint8)
+        b = rng.integers(0, F.order, sb, dtype=np.uint8)
+        got = matmul_np(F, a, b)
+        want = _mat_product(F, a, b)
+        assert got.dtype == np.uint8 and got.shape == want.shape, (sa, sb)
+        assert (got == want).all(), (sa, sb)
+    # transposed (non-contiguous) operands on each side, as congruence_codes
+    # passes G^T
+    G = rng.integers(0, F.order, (6, 3, 3), dtype=np.uint8)
+    for a, b in ((G.transpose(0, 2, 1), G[0]), (G[0].T, G),
+                 (G.transpose(0, 2, 1), G)):
+        assert (matmul_np(F, a, b) == _mat_product(F, a, b)).all()
+    # every partial sum at its largest: all entries -1
+    top = np.full((2, 3, 10), F.order - 1, dtype=np.uint8)
+    want = _mat_product(F, top, top[0].T)
+    assert (matmul_np(F, top, top[0].T) == want).all()
+
+
+def test_matmul_np_refuses_past_the_exact_range():
+    # k (p - 1)^2 < 2^16 keeps every float32 step exact: over GF(7), inner
+    # dimension 1820 (65520) is the largest product accepted, and it is exact
+    six = np.full((1, 1820), 6, dtype=np.uint8)
+    assert matmul_np(GF7, six, six.T).tolist() == [[1820 * 36 % 7]]
+    for F, k in ((GF7, 1821), (GF5, 4096), (GF2, 2 ** 16)):
+        with pytest.raises(ValueError, match="inner dimension %d" % k):
+            matmul_np(F, np.zeros((1, k), dtype=np.uint8),
+                      np.zeros((k, 1), dtype=np.uint8))
+
+
+def test_gf4_stacks_agree_with_mat():
     # invert_np on all 256 matrices of order 2, GL_2(4) and the singular
     # ones, against mat_invert
     every = vectors_np(GF4, 4).reshape(-1, 2, 2)

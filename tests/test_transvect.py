@@ -1,6 +1,7 @@
 """Rank-one maps x |-> x + <a*,x> f and their orthogonal intersections."""
 
 import functools
+import re
 import textwrap
 from collections import Counter
 
@@ -467,6 +468,17 @@ def test_map_table_is_int16_and_matches_an_int64_build(F, n):
     assert table.dtype == np.int16
     want = _map_rows(F, n)
     assert table.shape == want.shape and (table == want).all()
+
+
+@pytest.mark.parametrize("F", [GF2, GF3, GF4], ids=lambda F: F.name)
+def test_lemma_record_refuses_dimension_zero(F, cold_memo):
+    # F^0 has no direction f != o: a refusal naming the dimension and the
+    # field, where the table build used to fail inside numpy
+    with pytest.raises(ValueError,
+                       match=re.escape("dimension 0 over %s" % F.name)):
+        transvect.lemma_record(QForm.from_upper(F, 0, ()))
+    with pytest.raises(ValueError, match="dimension 0"):
+        transvect._rank_one_maps(F, 0)
 
 
 def _full_gather(field, n, table, vals, rad):
