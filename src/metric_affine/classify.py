@@ -15,6 +15,7 @@ All sweeps are exhaustive over every form on both sides; nothing is sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -142,82 +143,55 @@ def solve_for_qtilde(Q, mode, budget=None):
 class TableFixture:
     """One sporadic-solution table, transcribed as upper-coefficient data.
 
-    blocks: ((lefts...), (rights...)) per block; every left pairs with every
-    right.  rows: the printed row layout, None marking a blank cell.
+    blocks: per block, its printed rows (left, right) in print order, None
+    marking a blank cell; every left of a block pairs with every right.
     weak_proper: the lefts whose weak motion group is a proper subgroup of
     the full one.  stabilizers: per block, None for "all of GL" or a vector
     fixed by exactly the block's shared orthogonal group.
     """
 
-    dim: int
-    field_name: str
     blocks: tuple
-    rows: tuple
     weak_proper: tuple
     stabilizers: tuple
 
 
-_FIXTURES = {}
-
-
-def _add_fixture(fx):
-    _FIXTURES[(fx.dim, fx.field_name)] = fx
-
-
-_add_fixture(TableFixture(
-    dim=0, field_name="GF(2)",
-    blocks=((((),), ((0,), (1,))),),
-    rows=(((), (0,)), (None, (1,))),
-    weak_proper=(),
-    stabilizers=(None,),
-))
-
-_add_fixture(TableFixture(
-    dim=0, field_name="GF(4)",
-    blocks=((((),), ((0,), (1,), (2,), (3,))),),
-    rows=(((), (0,)), (None, (1,)), (None, (2,)), (None, (3,))),
-    weak_proper=(),
-    stabilizers=(None,),
-))
-
-_add_fixture(TableFixture(
-    dim=1, field_name="GF(2)",
-    blocks=((((0,), (1,)), ((1, 1, 0),)),),
-    rows=((None, (1, 1, 0)), ((0,), None), ((1,), None)),
-    weak_proper=(),
-    stabilizers=(None,),
-))
-
-_add_fixture(TableFixture(
-    dim=1, field_name="GF(3)",
-    blocks=((((1,), (2,), (0,)), ((0, 0, 1), (0, 0, 2))),),
-    rows=(((1,), (0, 0, 1)), ((2,), (0, 0, 2)), ((0,), None)),
-    weak_proper=((0,),),
-    stabilizers=(None,),
-))
-
-# The two-dimensional binary table.  The right-hand cells of the last two
-# blocks are swapped relative to the printed source: both the row pairing
-# (right = lift of left) and the block pairing (shared groups) only come out
-# under x1^2+x1x2 <-> a1a2+a2^2 and x1x2+x2^2 <-> a1^2+a1a2, which is also
-# what the weak-group index returns.
-_add_fixture(TableFixture(
-    dim=2, field_name="GF(2)",
-    blocks=(
-        (((1, 1, 1), (0, 0, 0)), ((0, 0, 0, 1, 1, 1),)),
-        (((0, 1, 0), (1, 0, 1)), ((0, 0, 0, 0, 1, 0),)),
-        (((1, 1, 0), (0, 0, 1)), ((0, 0, 0, 0, 1, 1),)),
-        (((0, 1, 1), (1, 0, 0)), ((0, 0, 0, 1, 1, 0),)),
+_FIXTURES = {
+    (0, "GF(2)"): TableFixture(
+        blocks=((((), (0,)), (None, (1,))),),
+        weak_proper=(),
+        stabilizers=(None,),
     ),
-    rows=(
-        ((1, 1, 1), (0, 0, 0, 1, 1, 1)), ((0, 0, 0), None),
-        ((0, 1, 0), (0, 0, 0, 0, 1, 0)), ((1, 0, 1), None),
-        ((1, 1, 0), (0, 0, 0, 0, 1, 1)), ((0, 0, 1), None),
-        ((0, 1, 1), (0, 0, 0, 1, 1, 0)), ((1, 0, 0), None),
+    (0, "GF(4)"): TableFixture(
+        blocks=((((), (0,)), (None, (1,)), (None, (2,)), (None, (3,))),),
+        weak_proper=(),
+        stabilizers=(None,),
     ),
-    weak_proper=((0, 0, 0), (1, 0, 1), (0, 0, 1), (1, 0, 0)),
-    stabilizers=(None, (1, 1), (1, 0), (0, 1)),
-))
+    (1, "GF(2)"): TableFixture(
+        blocks=(((None, (1, 1, 0)), ((0,), None), ((1,), None)),),
+        weak_proper=(),
+        stabilizers=(None,),
+    ),
+    (1, "GF(3)"): TableFixture(
+        blocks=((((1,), (0, 0, 1)), ((2,), (0, 0, 2)), ((0,), None)),),
+        weak_proper=((0,),),
+        stabilizers=(None,),
+    ),
+    # The two-dimensional binary table.  The right-hand cells of the last
+    # two blocks are swapped relative to the printed source: both the row
+    # pairing (right = lift of left) and the block pairing (shared groups)
+    # only come out under x1^2+x1x2 <-> a1a2+a2^2 and x1x2+x2^2 <->
+    # a1^2+a1a2, which is also what the weak-group index returns.
+    (2, "GF(2)"): TableFixture(
+        blocks=(
+            (((1, 1, 1), (0, 0, 0, 1, 1, 1)), ((0, 0, 0), None)),
+            (((0, 1, 0), (0, 0, 0, 0, 1, 0)), ((1, 0, 1), None)),
+            (((1, 1, 0), (0, 0, 0, 0, 1, 1)), ((0, 0, 1), None)),
+            (((0, 1, 1), (0, 0, 0, 1, 1, 0)), ((1, 0, 0), None)),
+        ),
+        weak_proper=((0, 0, 0), (1, 0, 1), (0, 0, 1), (1, 0, 0)),
+        stabilizers=(None, (1, 1), (1, 0), (0, 1)),
+    ),
+}
 
 SUPPORTED_TABLES = tuple(sorted(_FIXTURES))
 
@@ -297,10 +271,14 @@ def reproduce_table(dim, fld, budget=None):
 
     computed_blocks = {(frozenset(lefts), frozenset(index[key]))
                        for key, lefts in lefts_of.items()}
-    fixture_blocks = [
-        (frozenset(QForm.from_upper(fld, dim, u) for u in lefts),
-         frozenset(QForm.from_upper(fld, dim + 1, u) for u in rights))
-        for lefts, rights in fx.blocks]
+    block_rows = tuple(
+        tuple((None if lu is None else QForm.from_upper(fld, dim, lu),
+               None if ru is None else QForm.from_upper(fld, dim + 1, ru))
+              for lu, ru in rows)
+        for rows in fx.blocks)
+    fixture_blocks = [(frozenset(Q for Q, _ in rows if Q is not None),
+                       frozenset(Qt for _, Qt in rows if Qt is not None))
+                      for rows in block_rows]
     expected_match = computed_blocks == set(fixture_blocks)
     if not expected_match:
         mismatch.append("computed blocks: %s" % _render_blocks(computed_blocks))
@@ -310,18 +288,16 @@ def reproduce_table(dim, fld, budget=None):
     # cell <-> the lift (resp. drop) hypothesis genuinely fails
     rows_ok = True
     row_pairs = []
-    for left_u, right_u in fx.rows:
-        if left_u is not None and right_u is not None:
-            Q = QForm.from_upper(fld, dim, left_u)
-            Qt = QForm.from_upper(fld, dim + 1, right_u)
+    rows_out = tuple(row for rows in block_rows for row in rows)
+    for Q, Qt in rows_out:
+        if Q is not None and Qt is not None:
             if lift(Q) != Qt or drop(Qt) != Q:
                 rows_ok = False
                 mismatch.append("row pair broken: %s | %s"
                                 % (poly_str(Q), poly_str(Qt, "a", 0)))
             else:
                 row_pairs.append((Q, Qt))
-        elif right_u is None:
-            Q = QForm.from_upper(fld, dim, left_u)
+        elif Qt is None:
             try:
                 lift(Q)
             except DegeneratePolarForm:
@@ -330,7 +306,6 @@ def reproduce_table(dim, fld, budget=None):
                 rows_ok = False
                 mismatch.append("blank-right row is liftable: %s" % poly_str(Q))
         else:
-            Qt = QForm.from_upper(fld, dim + 1, right_u)
             try:
                 drop(Qt)
             except NotDroppable:
@@ -367,10 +342,6 @@ def reproduce_table(dim, fld, budget=None):
         for l, r in sorted(
             computed_blocks,
             key=lambda b: sorted(f.upper_coeffs() for f in b[0])))
-    rows_out = tuple(
-        (None if lu is None else QForm.from_upper(fld, dim, lu),
-         None if ru is None else QForm.from_upper(fld, dim + 1, ru))
-        for lu, ru in fx.rows)
     return TableReport(
         dim=dim, field_name=fld.name, blocks=blocks_out, rows=rows_out,
         row_pairs=tuple(row_pairs), expected_match=expected_match,
@@ -390,35 +361,25 @@ def _render_blocks(blocks):
 
 
 def render_table_lines(report):
-    """The block table as fixed-width text, horizontal rules between blocks."""
-    fx = _FIXTURES[(report.dim, report.field_name)]
-    cells = []
-    block_of = []
-    for (lu, ru), (Q, Qt) in zip(fx.rows, report.rows):
-        cells.append(("" if Q is None else poly_str(Q),
-                      "" if Qt is None else poly_str(Qt, "a", 0)))
-        for bi, (lefts, rights) in enumerate(fx.blocks):
-            if (lu is not None and lu in lefts) or \
-                    (ru is not None and ru in rights):
-                block_of.append(bi)
-                break
-    if len(block_of) != len(cells):
-        raise InvariantViolation("a row of the table over %s, dim %d lies "
-                                 "in no block"
-                                 % (report.field_name, report.dim))
+    """The block table as fixed-width text, a horizontal rule above each
+    block."""
+    rows = iter(report.rows)
+    blocks = [[("" if Q is None else poly_str(Q),
+                "" if Qt is None else poly_str(Qt, "a", 0))
+               for Q, Qt in islice(rows, len(block))]
+              for block in _FIXTURES[(report.dim, report.field_name)].blocks]
+    cells = [cell for block in blocks for cell in block]
     head = ("Q on V", "Qt on F x V*")
     w0 = max(len(head[0]), *(len(a) for a, _ in cells))
     w1 = max(len(head[1]), *(len(b) for _, b in cells))
     rule = "-" * (w0 + 2) + "+" + "-" * (w1 + 2)
     lines = ["%s over %s, dim %d" % (
         "table of sporadic solution pairs", report.field_name, report.dim),
-        (" %-*s | %-*s" % (w0, head[0], w1, head[1])).rstrip(), rule]
-    prev = block_of[0] if block_of else None
-    for (a, b), bi in zip(cells, block_of):
-        if bi != prev:
-            lines.append(rule)
-            prev = bi
-        lines.append((" %-*s | %-*s" % (w0, a, w1, b)).rstrip())
+        (" %-*s | %-*s" % (w0, head[0], w1, head[1])).rstrip()]
+    for block in blocks:
+        lines.append(rule)
+        lines.extend((" %-*s | %-*s" % (w0, a, w1, b)).rstrip()
+                     for a, b in block)
     return lines
 
 
@@ -595,9 +556,10 @@ def _quadric_block(fld, n, block):
     rhs[:, 0] = base > 0
 
     # where the base quadric is nonempty, both sides hold e0, so a form
-    # matches when its two masks agree
+    # matches when its two masks agree; where it is empty, there is no
+    # tangent hyperplane, and the lifted quadric must be e0 alone
     status = np.where((rhs != lifted).any(axis=1), 3, 0)
-    status[base == 0] = 1
+    status[(base == 0) & ~lifted[:, 1:].any(axis=1)] = 1
     status[~ok] = 2
     counts = np.stack([base, np.count_nonzero(lifted, axis=1),
                        np.count_nonzero(rhs, axis=1)], axis=1)

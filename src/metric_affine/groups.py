@@ -480,7 +480,8 @@ def closure(field, n, generators, budget=None):
     frontier = np.eye(n, dtype=np.uint8)[np.newaxis]
     seen = matrix_codes(field, frontier)
     while len(frontier) and len(gens):
-        prods = np.concatenate([matmul_np(field, frontier, g) for g in gens])
+        prods = matmul_np(field, frontier[:, np.newaxis], gens).reshape(
+            len(frontier) * len(gens), n, n)
         codes, first = np.unique(matrix_codes(field, prods), return_index=True)
         new = ~np.isin(codes, seen, assume_unique=True)
         frontier = prods[first[new]]

@@ -249,9 +249,10 @@ def test_table_matches_pairwise_route(dim, fname, cold_memo):
     assert {(frozenset(l), frozenset(r)) for l, r in rep.blocks} == blocks
     assert rep.motion_eq_ok == motion_eq_ok
     fx = classify._FIXTURES[(dim, fname)]
-    verdicts = [orthogonal_group(QForm.from_upper(F, dim, lefts[0]))
+    lefts = [next(lu for lu, _ in rows if lu is not None) for rows in fx.blocks]
+    verdicts = [orthogonal_group(QForm.from_upper(F, dim, lu))
                 == _gl_stabilizer(F, dim, stab)
-                for (lefts, _rights), stab in zip(fx.blocks, fx.stabilizers)]
+                for lu, stab in zip(lefts, fx.stabilizers)]
     assert rep.stabilizers_ok == all(verdicts)
 
 
@@ -463,11 +464,10 @@ def _per_form_quadric_check(Q, lift=lift):
     except DegeneratePolarForm:
         return QuadricReport(fld.name, n, "degenerate-polar", 0, 0, 0, ())
     base = _per_form_quadric_points(Q)
-    if not base:
-        return QuadricReport(fld.name, n, "empty-quadric", 0, 0, 0, ())
-
     lifted = _per_form_quadric_points(up)
     vertex = projective_rep(fld, unit_vector(fld, n + 1, 0).entries())
+    if not base and lifted == {vertex}:
+        return QuadricReport(fld.name, n, "empty-quadric", 0, 0, 0, ())
 
     B = polar(Q).rows       # symmetric, so row i of B pairs with x to (Bx)_i
     rhs = set()
@@ -570,6 +570,36 @@ def test_quadric_table_reports_a_perturbed_lift(F, n, cold_memo,
             assert list(rep.details) == sorted(
                 rep.details, key=lambda d: (tags.index(d[0]), d[1]))
     assert mismatches > 0
+
+
+def _zero_lift(Q):
+    """The zero form on F x V* in place of lift(Q), which still refuses a
+    degenerate polar form."""
+    lift(Q)
+    return QForm.zero(Q.field, Q.n + 1)
+
+
+@pytest.mark.parametrize("F,n", [(GF3, 2), (GF5, 2), (GF7, 2)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_quadric_table_reports_a_zero_lift(F, n, cold_memo, monkeypatch):
+    # the zero form vanishes on all of P(F x V*), so no row may pass: an
+    # empty base quadric passes only with the vertex alone upstairs
+    lift_np = classify.lift_np
+
+    def zero_lift_np(field, dim, W):
+        ok, up = lift_np(field, dim, W)
+        return ok, np.zeros_like(up)
+    monkeypatch.setattr(classify, "lift_np", zero_lift_np)
+    tally = Counter()
+    for Q in enumerate_forms(F, n):
+        rep = quadric_duality_check(Q)
+        assert rep == _per_form_quadric_check(Q, lift=_zero_lift), Q
+        assert rep.details or rep.status == "degenerate-polar", Q
+        tally[rep.status] += 1
+    want = QUADRIC_TALLIES[(F.name, n)]
+    assert dict(tally) == {
+        "degenerate-polar": want["degenerate-polar"],
+        "mismatch": want["empty-quadric"] + want["ok"]}
 
 
 def test_quadric_table_reads_positions_past_int64():

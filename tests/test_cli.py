@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
+from metric_affine.classify import SUPPORTED_TABLES
 from metric_affine.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_PASS,
-                               main)
+                               _TABLE_CASES, main)
 
 FORM_GF3_LINE = '{"dim": 1, "field": "GF(3)", "upper": [1]}\n'
 FORM_GF3_PLANE = '{"dim": 2, "field": "GF(3)", "upper": [1, 0, 1]}\n'
@@ -326,26 +327,82 @@ def test_verify_theorem_verbose(capsys):
     assert json.loads(records[0])["pairs_weak"] == 4
 
 
-def test_verify_tables_t3(capsys):
-    assert main(["verify", "tables", "--case", "t3"]) == EXIT_PASS
-    out = capsys.readouterr().out
-    assert " x1^2   | a1^2" in out
-    assert " 2*x1^2 | 2*a1^2" in out
-    assert "matches embedded fixture: yes" in out
+# the full text that each case of `verify tables` prints
+TABLE_TEXT = {
+    "t1": [
+        "table of sporadic solution pairs over GF(2), dim 0",
+        " Q on V | Qt on F x V*",
+        "--------+--------------",
+        " 0      | 0",
+        "        | a0^2",
+        "row pairs (lift/drop): 1",
+        "matches embedded fixture: yes",
+        "PASS",
+        "table of sporadic solution pairs over GF(4), dim 0",
+        " Q on V | Qt on F x V*",
+        "--------+--------------",
+        " 0      | 0",
+        "        | a0^2",
+        "        | 2*a0^2",
+        "        | 3*a0^2",
+        "row pairs (lift/drop): 1",
+        "matches embedded fixture: yes",
+        "PASS",
+    ],
+    "t2": [
+        "table of sporadic solution pairs over GF(2), dim 1",
+        " Q on V | Qt on F x V*",
+        "--------+--------------",
+        "        | a0^2 + a0*a1",
+        " 0      |",
+        " x1^2   |",
+        "row pairs (lift/drop): 0",
+        "matches embedded fixture: yes",
+        "PASS",
+    ],
+    "t3": [
+        "table of sporadic solution pairs over GF(3), dim 1",
+        " Q on V | Qt on F x V*",
+        "--------+--------------",
+        " x1^2   | a1^2",
+        " 2*x1^2 | 2*a1^2",
+        " 0      |",
+        "row pairs (lift/drop): 2",
+        "matches embedded fixture: yes",
+        "PASS",
+    ],
+    "t4": [
+        "table of sporadic solution pairs over GF(2), dim 2",
+        " Q on V              | Qt on F x V*",
+        "---------------------+---------------------",
+        " x1^2 + x1*x2 + x2^2 | a1^2 + a1*a2 + a2^2",
+        " 0                   |",
+        "---------------------+---------------------",
+        " x1*x2               | a1*a2",
+        " x1^2 + x2^2         |",
+        "---------------------+---------------------",
+        " x1^2 + x1*x2        | a1*a2 + a2^2",
+        " x2^2                |",
+        "---------------------+---------------------",
+        " x1*x2 + x2^2        | a1^2 + a1*a2",
+        " x1^2                |",
+        "row pairs (lift/drop): 4",
+        "matches embedded fixture: yes",
+        "PASS",
+    ],
+}
 
 
-def test_verify_tables_t4_renders_blocks(capsys):
-    assert main(["verify", "tables", "--case", "t4"]) == EXIT_PASS
-    out = capsys.readouterr().out
-    assert "x1^2 + x1*x2 + x2^2" in out
-    assert out.count("PASS") == 1
+@pytest.mark.parametrize("case", sorted(TABLE_TEXT))
+def test_verify_tables_frozen_text(case, capsys):
+    assert main(["verify", "tables", "--case", case]) == EXIT_PASS
+    out, err = capsys.readouterr()
+    assert (out, err) == ("".join(ln + "\n" for ln in TABLE_TEXT[case]), "")
 
 
-def test_verify_tables_t1_covers_both_fields(capsys):
-    assert main(["verify", "tables", "--case", "t1"]) == EXIT_PASS
-    out = capsys.readouterr().out
-    assert "over GF(2), dim 0" in out and "over GF(4), dim 0" in out
-    assert out.count("PASS") == 2
+def test_table_cases_name_every_table_once():
+    named = [key for cases in _TABLE_CASES.values() for key in cases]
+    assert sorted(named) == list(SUPPORTED_TABLES)
 
 
 def test_verify_projective(capsys):
