@@ -23,9 +23,9 @@ from .quadform import (NotReflectable, QForm, all_vectors, enumerate_forms,
                        radical_basis, reflection)
 from .budget import (BudgetExceeded, DEFAULT_BUDGET, HARD_BUDGET_CEILING,
                      InvariantViolation, group_budget, order_gl)
-from .homog import (AffineMap, DegeneratePolarForm, HomogModel, NotDroppable,
+from .homog import (AffineMap, DegeneratePolarForm, NotDroppable,
                     RoundtripReport, affine_reflection, drop, dual_matrix,
-                    dual_matrix_preimage, homog_model, lift, motion_group_dual,
+                    dual_matrix_preimage, lift, motion_group_dual,
                     point_matrix, reflection_correspondence, roundtrip_checks)
 
 # the numpy group engine: its names load on first use (PEP 562)

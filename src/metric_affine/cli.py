@@ -356,6 +356,10 @@ def cmd_verify_quadric(args, em):
                          "a finite field" % Q.field.name)
     from .classify import quadric_duality_check
     rep = quadric_duality_check(Q)
+    if not rep.ok and rep.status != "mismatch":
+        raise InputError("quadric duality needs char != 2, dim >= 2 and a "
+                         "non-degenerate polar form (got status: %s)"
+                         % rep.status)
     em.text("quadric duality for %s over %s, dim %d"
             % (poly_str(Q), rep.field_name, rep.n),
             "status: %s" % rep.status,
@@ -368,15 +372,12 @@ def cmd_verify_quadric(args, em):
                "hyperplane_points": rep.hyperplane_points,
                "details": [[tag, list(map(str, pt))]
                            for tag, pt in rep.details]})
-    if rep.status in ("ok", "empty-quadric"):
+    if rep.ok:
         em.text("PASS")
         return EXIT_PASS
-    if rep.status == "mismatch":
-        for tag, pt in rep.details:
-            em.text("FAIL: %s at %s" % (tag, tuple(map(str, pt))))
-        return EXIT_FAIL
-    raise InputError("quadric duality needs char != 2, dim >= 2 and a "
-                     "non-degenerate polar form (got status: %s)" % rep.status)
+    for tag, pt in rep.details:
+        em.text("FAIL: %s at %s" % (tag, tuple(map(str, pt))))
+    return EXIT_FAIL
 
 
 def _build_parser():

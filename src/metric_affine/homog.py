@@ -7,8 +7,9 @@ An affinity x |-> t + A x of F^n embeds into GL(n+1) twice over:
   * `dual_matrix` acts on F x V*, the dual side, and is the inverse
     transpose [[1, -t^T A^-T], [0, A^-T]].
 
-The dual picture fixes the distinguished vector e0 = (1, o*), and the maps
-fixing e0's line elementwise are exactly the dual images of affinities,
+Each function here reads F and n from its own argument.  The dual picture
+fixes the distinguished vector e0 = (1, o*), the first unit vector of
+F x V*, and the maps fixing e0 are exactly the dual images of affinities,
 which is what `dual_matrix_preimage` inverts.
 
 A form Q on V with non-degenerate polar form B has a companion form on
@@ -23,9 +24,9 @@ lift and drop run without them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
-from .budget import InvariantViolation, memo
+from .budget import InvariantViolation
 from .linalg import (Mat, Singular, mat_invert, span_contains, unit_vector,
                      vec)
 from .quadform import (QForm, enumerate_forms, form_position, is_isometry,
@@ -83,33 +84,9 @@ class AffineMap:
         return AffineMap(-(Ainv * self.t), Ainv)
 
 
-@dataclass(frozen=True)
-class HomogModel:
-    """Fixed coordinates for F x V and F x V*, plus the structural maps."""
-
-    fld: object
-    n: int
-    embed: Mat = dc_field(init=False)        # V -> F x V, x |-> (0, x)
-    project: Mat = dc_field(init=False)      # F x V -> V, (x0, x) |-> x
-    e0: Mat = dc_field(init=False)           # (1, o*) in F x V* coordinates
-
-    def __post_init__(self):
-        F, n = self.fld, self.n
-        z, o = F.zero, F.one
-        emb = Mat(F, [[z] * n] + [[o if i == j else z for j in range(n)]
-                                  for i in range(n)], (n + 1, n))
-        object.__setattr__(self, "embed", emb)
-        object.__setattr__(self, "project", emb.T)
-        object.__setattr__(self, "e0", unit_vector(F, n + 1, 0))
-
-
-def homog_model(fld, n):
-    return memo(("homog_model", fld.name, n), lambda: HomogModel(fld, n))
-
-
-def point_matrix(model, gamma):
+def point_matrix(gamma):
     """The (n+1)-matrix [[1, 0],[t, A]] acting on (x0, x) columns."""
-    F, n = model.fld, model.n
+    F, n = gamma.A.field, gamma.A.nrows
     z, o = F.zero, F.one
     rows = [[o] + [z] * n]
     for i in range(n):
@@ -117,14 +94,14 @@ def point_matrix(model, gamma):
     return Mat(F, rows, (n + 1, n + 1))
 
 
-def dual_matrix(model, gamma):
+def dual_matrix(gamma):
     """The action on (a0, a*) columns: [[1, -t^T A^-T], [0, A^-T]].
 
     This is exactly the inverse transpose of point_matrix(gamma) (checked;
     InvariantViolation otherwise), so its first column is e0, i.e. the
     distinguished dual vector stays put.
     """
-    F, n = model.fld, model.n
+    F, n = gamma.A.field, gamma.A.nrows
     z, o = F.zero, F.one
     Ainv = mat_invert(gamma.A)
     head = (Ainv * gamma.t).entries()  # -t^T A^-T as a column, then negate
@@ -133,28 +110,28 @@ def dual_matrix(model, gamma):
     for i in range(n):
         rows.append([z] + list(AinvT.rows[i]))
     out = Mat(F, rows, (n + 1, n + 1))
-    if out.T * point_matrix(model, gamma) != Mat.identity(F, n + 1):
+    if out.T * point_matrix(gamma) != Mat.identity(F, n + 1):
         raise InvariantViolation("dual matrix of %r is not the inverse "
                                  "transpose of its point matrix" % (gamma,))
     return out
 
 
-def dual_matrix_preimage(model, kappa):
+def dual_matrix_preimage(kappa):
     """The affinity gamma with dual_matrix(gamma) = kappa, if one exists.
 
     Returns None unless the first column of kappa is e0 (kappa must fix the
     distinguished dual vector, not just its line).
     """
-    F, n = model.fld, model.n
-    assert kappa.nrows == kappa.ncols == n + 1
-    if kappa.col(0) != model.e0:
+    F, n = kappa.field, kappa.nrows - 1
+    assert kappa.ncols == n + 1
+    if kappa.col(0) != unit_vector(F, n + 1, 0):
         return None
     M = kappa.submatrix(range(1, n + 1), range(1, n + 1))   # A^-T
     A = mat_invert(M.T)
     u = vec(F, kappa.rows[0][1:])                           # -t^T A^-T as row
     t = -(A * u)
     gamma = AffineMap(t, A)
-    if dual_matrix(model, gamma) != kappa:
+    if dual_matrix(gamma) != kappa:
         raise InvariantViolation("%r is not the preimage of %r"
                                  % (gamma, kappa))
     return gamma
@@ -181,7 +158,7 @@ def lift(Q):
     out = QForm(F, Mat._trusted(F, rows, n + 1, n + 1))
     body = range(1, n + 1)
     if (polar(out).submatrix(body, body) * B != Mat.identity(F, n)
-            or qf_eval(out, homog_model(F, n).e0) != F.zero):
+            or qf_eval(out, unit_vector(F, n + 1, 0)) != F.zero):
         raise InvariantViolation("lift of %s must vanish at e0 and have "
                                  "polar block B^-1" % poly_str(Q))
     return out
@@ -229,11 +206,11 @@ def drop(Qt):
     if n < 0:
         # F x V* has dimension >= 1, so a form on F^0 has no line F e0
         raise NotDroppable(NotDroppable.REASON_RADICAL, poly_str(Qt, "a", 0))
-    model = homog_model(F, n)
-    if qf_eval(Qt, model.e0) != F.zero:
+    e0 = unit_vector(F, n + 1, 0)
+    if qf_eval(Qt, e0) != F.zero:
         raise NotDroppable(NotDroppable.REASON_VALUE, poly_str(Qt, "a", 0))
     rad = radical_basis(Qt)
-    if len(rad) != 1 or not span_contains(rad, model.e0):
+    if len(rad) != 1 or not span_contains(rad, e0):
         raise NotDroppable(NotDroppable.REASON_RADICAL, poly_str(Qt, "a", 0))
     body = list(range(1, n + 1))
     S = polar(Qt).submatrix(body, body)
@@ -363,13 +340,12 @@ def affine_reflection(Q, p, r):
 def reflection_correspondence(Q, p, r):
     """Dual image of the affine reflection == reflection of the lifted form
     in the direction (-B(r,p), B r).  Returns the comparison verdict."""
-    F, n = Q.field, Q.n
+    F = Q.field
     if not isinstance(p, Mat):
         p = vec(F, p)
     if not isinstance(r, Mat):
         r = vec(F, r)
-    model = homog_model(F, n)
-    lhs = dual_matrix(model, affine_reflection(Q, p, r))
+    lhs = dual_matrix(affine_reflection(Q, p, r))
     up = lift(Q)
     direction = vec(F, [F.neg(polar_apply(Q, r, p))] + list((polar(Q) * r).entries()))
     rhs = reflection(up, direction)

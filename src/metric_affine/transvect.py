@@ -9,7 +9,7 @@ form, and verifies the exhaustive classification of the possible
 intersection sizes in terms of where the direction vector f sits relative
 to the radical and the null set of Q.
 
-The lemmas need no group larger than the maps they are about.  One table
+The lemmas need no group larger than the maps they are about.  One build
 per (field, n) holds every rank-one map they test (_rank_one_maps).  The
 records of a block of consecutive forms are built at once from the block's
 coefficient stack (_lemma_block), testing each map on the n(n+1)/2 vectors
@@ -108,16 +108,18 @@ def _map_rows(field, n):
 
 
 def _rank_one_maps(field, n, budget=None):
-    """(table, slot): every map the lemmas test, and where each Delta map
-    sits.  Memoised, behind the gate of its rows (_map_rows).
+    """(narrow, moved, slot): the two views of every map the lemmas test
+    that a block reads, and where each Delta map sits.  Memoised, behind
+    the gate of its rows (_map_rows).
 
-    table[f - 1] holds, for the direction f != o of vector index f, the
-    maps I + f a^T with <a, f> != -1 (Delta_f, in vector-index order of a),
-    then the annihilator transvections (<a, f> = 0), then their scalings by
-    s not in {0, 1} with a != o: q^n + (q - 2)(q^(n-1) - 1) maps, each row
-    the int16 vector index of its image of every vector (q^n (q^n - 1) rows
-    or more fit the budget ceiling only if q^n < 2^15).  slot[f - 1, a] is
-    the place of the map of a in Delta_f, for every a with <a, f> != -1.
+    For the direction f != o of vector index f, the maps are I + f a^T with
+    <a, f> != -1 (Delta_f, in vector-index order of a), then the annihilator
+    transvections (<a, f> = 0), then their scalings by s not in {0, 1} with
+    a != o: q^n + (q - 2)(q^(n-1) - 1) maps.  narrow[f - 1, map] is the
+    int16 vector index of the map's image of each e_i, e_i + e_j (q^n (q^n -
+    1) maps or more fit the budget ceiling only if q^n < 2^15), and moved
+    flags, one row per map, the vectors it moves.  slot[f - 1, a] is the
+    place of the map of a in Delta_f, for every a with <a, f> != -1.
     """
     def build():
         q, V = field.order, vectors_np(field, n)
@@ -138,10 +140,12 @@ def _rank_one_maps(field, n, budget=None):
         table = np.concatenate([image[admissible].reshape(N - 1, -1, N),
                                 annihilators, scaled.reshape(N - 1, -1, N)],
                                axis=1, dtype=np.int16)
-        slot = np.cumsum(admissible, axis=1) - 1
-        table.setflags(write=False)
-        slot.setflags(write=False)
-        return table, slot
+        S = [q ** i + q ** j * (j > i) for i in range(n) for j in range(i, n)]
+        out = (table[..., S], (table != np.arange(N)).reshape(-1, N),
+               np.cumsum(admissible, axis=1) - 1)
+        for part in out:
+            part.setflags(write=False)
+        return out
     return memo(("_rank_one_maps", field.name, n), build,
                 _map_rows(field, n), budget)
 
@@ -208,15 +212,13 @@ def _judge(Q, x, in_rad, isotropic, k, sizes, reflected, inside, scaled_ok):
 _BLOCK_ENTRIES = 2 ** 21
 
 
-def _isometries(field, n, table, vals, rad):
-    """(iso, weak)[form, f - 1, map]: the maps of table that preserve each
-    form, by its values vals, and those that also move no x with Bx = 0 (its
-    radical mask rad).  The values at the e_i and e_i + e_j fix a form, as
+def _isometries(field, n, narrow, moved, vals, rad):
+    """(iso, weak)[form, f - 1, map]: the maps that preserve each form, by
+    its values vals, and those that also move no x with Bx = 0 (its radical
+    mask rad).  The values at the e_i and e_i + e_j fix a form, as
     B(e_i, e_j) = Q(e_i + e_j) - Q(e_i) - Q(e_j); a radical {o} is fixed."""
-    q, N = field.order, table.shape[2]
+    q = field.order
     S = [q ** i + q ** j * (j > i) for i in range(n) for j in range(i, n)]
-    narrow, moved = memo(("_isometries", field.name, n), lambda: (
-        table[..., S], (table != np.arange(N)).reshape(-1, N)))
     iso = (vals[:, narrow] == vals[:, np.newaxis, np.newaxis, S]).all(axis=3)
     weak, deg = iso.copy(), rad[:, 1:].any(axis=1)
     weak[deg] &= ~(rad[deg] @ moved.T).reshape(-1, *iso.shape[1:])
@@ -234,16 +236,16 @@ def _lemma_block(Q, budget):
     B(f, f) is -2 in odd characteristic and 0 in characteristic 2, never -1.
     """
     field, n = Q.field, Q.n
-    table, slot = _rank_one_maps(field, n, budget)
+    narrow, moved, slot = _rank_one_maps(field, n, budget)
     q, N, m = field.order, field.order ** n, n * (n + 1) // 2
-    size = max(1, _BLOCK_ENTRIES // (len(table) * table.shape[1] * m))
+    size = max(1, _BLOCK_ENTRIES // narrow.size)
     block, row = divmod(form_position(Q), size)
     start = block * size
     W = form_block_np(field, n, start, min(size, q ** m - start))
     vals = values_np(field, n, W)
     images = polar_images_np(field, n, W)                 # row x: B x
     rad = ~images.any(axis=2)
-    iso, weak = _isometries(field, n, table, vals, rad)
+    iso, weak = _isometries(field, n, narrow, moved, vals, rad)
     delta = N - N // q                                   # |Delta_f|
     neg_inv = mul_np(field, inverses_np(field), field.neg(field.one))
     dual = vector_index_np(field, mul_np(            # a, per form and f

@@ -431,6 +431,22 @@ def test_verify_quadric_out_of_scope(form_file, capsys):
     assert "char" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("text,status", [
+    ('{"dim": 2, "field": "GF(2)", "upper": [0, 1, 0]}\n', "char-2-excluded"),
+    (FORM_GF3_LINE, "dim-too-small"),
+    (FORM_DEGENERATE, "degenerate-polar")],
+    ids=["char-2", "dim-1", "degenerate"])
+def test_verify_quadric_out_of_scope_writes_no_stdout(text, status, fmt,
+                                                      form_file, capsys):
+    # an input error, like every other: no report and no record first
+    assert main(["--format", fmt, "verify", "quadric", form_file(text)]) \
+        == EXIT_INPUT
+    assert tuple(capsys.readouterr()) == (
+        "", "input error: quadric duality needs char != 2, dim >= 2 and a "
+        "non-degenerate polar form (got status: %s)\n" % status)
+
+
 # the budget is checked before every memo lookup, so these exits do not
 # depend on what earlier tests in the process memoised (tests/test_groups.py
 # checks each memoised function for that)

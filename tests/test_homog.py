@@ -13,15 +13,14 @@ from metric_affine.groups import (GroupSet, enumerate_gl, orthogonal_group,
                                   weak_orthogonal_group)
 from metric_affine.homog import (AffineMap, DegeneratePolarForm, NotDroppable,
                                  affine_reflection, drop, dual_matrix,
-                                 dual_matrix_preimage, homog_model, lift,
-                                 lift_np, motion_group_dual, point_matrix,
+                                 dual_matrix_preimage, lift, lift_np,
+                                 motion_group_dual, point_matrix,
                                  reflection_correspondence, roundtrip_checks)
-from metric_affine.linalg import Mat, mat_invert, vec
+from metric_affine.linalg import Mat, mat_invert, unit_vector, vec
 from metric_affine.quadform import (QForm, all_vectors, enumerate_forms,
                                     is_nondegenerate, polar, qf_eval,
                                     qf_scale)
 
-M5 = homog_model(GF5, 2)
 GL52 = [Mat(GF5, A.tolist()) for A in enumerate_gl(GF5, 2).as_np()]
 
 
@@ -32,34 +31,45 @@ def affine_maps(field, n, mats):
         st.sampled_from(mats))
 
 
-def test_model_embed_project():
-    m = homog_model(GF3, 2)
-    x = vec(GF3, (1, 2))
-    up = m.embed * x
-    assert up.entries() == (0, 1, 2)
-    assert m.project * up == x
-    assert m.e0.entries() == (1, 0, 0)
-
-
 def test_point_matrix_blocks():
     gamma = AffineMap(vec(GF3, (1, 2)), Mat(GF3, [[0, 1], [2, 0]]))
-    P = point_matrix(homog_model(GF3, 2), gamma)
+    P = point_matrix(gamma)
     assert P == Mat(GF3, [[1, 0, 0], [1, 0, 1], [2, 2, 0]])
 
 
 def test_dual_is_inverse_transpose_of_point():
-    m = homog_model(GF3, 2)
     gamma = AffineMap(vec(GF3, (1, 2)), Mat(GF3, [[0, 1], [2, 0]]))
-    assert dual_matrix(m, gamma) == mat_invert(point_matrix(m, gamma)).T
-    assert dual_matrix(m, gamma).col(0) == m.e0
+    assert dual_matrix(gamma) == mat_invert(point_matrix(gamma)).T
+    # the dual image fixes e0 = (1, o*)
+    assert dual_matrix(gamma).col(0).entries() == (1, 0, 0)
+
+
+@pytest.mark.parametrize("F,n", [(F, n) for F in (GF3, QQ) for n in range(3)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_matrices_take_the_dimension_from_their_argument(F, n):
+    # t = (1, .., 1) and A with 2 on the diagonal and 1 above it: F and n
+    # come from gamma (and from kappa for the preimage), nothing else
+    c = F.coerce
+    A = Mat(F, [[c(2 if i == j else int(j > i)) for j in range(n)]
+                for i in range(n)], (n, n))
+    gamma = AffineMap(vec(F, [c(1)] * n), A)
+    P, kappa = point_matrix(gamma), dual_matrix(gamma)
+    assert P.field is kappa.field is F
+    assert (P.nrows, P.ncols) == (kappa.nrows, kappa.ncols) == (n + 1, n + 1)
+    assert P.col(0).entries() == (F.one,) + gamma.t.entries()
+    assert kappa == mat_invert(P).T
+    assert kappa.col(0) == unit_vector(F, n + 1, 0)
+    assert dual_matrix_preimage(kappa) == gamma
+    assert dual_matrix_preimage(Mat.identity(F, n + 1)) \
+        == AffineMap.identity(F, n)
 
 
 @given(affine_maps(GF5, 2, GL52), affine_maps(GF5, 2, GL52))
 @settings(max_examples=50, deadline=None)
 def test_both_representations_are_homomorphisms(g1, g2):
     both = g1.compose(g2)
-    assert point_matrix(M5, both) == point_matrix(M5, g1) * point_matrix(M5, g2)
-    assert dual_matrix(M5, both) == dual_matrix(M5, g1) * dual_matrix(M5, g2)
+    assert point_matrix(both) == point_matrix(g1) * point_matrix(g2)
+    assert dual_matrix(both) == dual_matrix(g1) * dual_matrix(g2)
 
 
 @given(affine_maps(GF5, 2, GL52))
@@ -67,14 +77,14 @@ def test_both_representations_are_homomorphisms(g1, g2):
 def test_inverse_and_preimage_roundtrip(gamma):
     inv = gamma.inverse()
     assert gamma.compose(inv).apply(vec(GF5, (3, 4))) == vec(GF5, (3, 4))
-    assert dual_matrix(M5, inv) == mat_invert(dual_matrix(M5, gamma))
-    assert dual_matrix_preimage(M5, dual_matrix(M5, gamma)) == gamma
+    assert dual_matrix(inv) == mat_invert(dual_matrix(gamma))
+    assert dual_matrix_preimage(dual_matrix(gamma)) == gamma
 
 
 def test_preimage_rejects_maps_moving_the_marked_vector():
     # this matrix is invertible but its first column is not e0
     k = Mat(GF3, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    assert dual_matrix_preimage(homog_model(GF3, 2), k) is None
+    assert dual_matrix_preimage(k) is None
 
 
 def test_affine_map_basics():
@@ -94,7 +104,7 @@ def test_lift_known_values():
     up2 = lift(QForm.from_upper(GF2, 2, (0, 1, 0)))
     assert up2.upper_coeffs() == (0, 0, 0, 0, 1, 0)
     # the lifted form always vanishes on e0
-    assert qf_eval(up2, homog_model(GF2, 2).e0) == GF2.zero
+    assert qf_eval(up2, unit_vector(GF2, 3, 0)) == GF2.zero
 
 
 def test_lift_rational_quarter_rule():
@@ -208,13 +218,12 @@ def group_order_matches_weak(Q):
                          ids=lambda v: getattr(v, "name", v))
 def test_motion_group_matches_per_motion_dual_matrices(F, n):
     # the one-stack construction against dual_matrix of every motion (t, A)
-    model = homog_model(F, n)
     translations = [vec(F, t) for t in all_vectors(F, n)]
     for Q in enumerate_forms(F, n):
         for weak in (False, True):
             linear = (weak_orthogonal_group if weak else orthogonal_group)(Q)
             want = GroupSet.from_mats(F, n + 1, [
-                dual_matrix(model, AffineMap(t, A))
+                dual_matrix(AffineMap(t, A))
                 for A in (Mat(F, a.tolist(), (n, n)) for a in linear.as_np())
                 for t in translations])
             assert motion_group_dual(Q, weak) == want, (Q, weak)
@@ -249,9 +258,8 @@ def test_motion_group_matches_direct_stack(F, n, cold_memo):
 
 def test_motion_group_elements_fix_marked_vector():
     Q = QForm.from_upper(GF3, 1, (1,))
-    m = homog_model(GF3, 1)
     for A in motion_group_dual(Q, weak=False).as_np():
-        assert Mat(GF3, A.tolist()).col(0) == m.e0
+        assert Mat(GF3, A.tolist()).col(0) == unit_vector(GF3, 2, 0)
 
 
 def test_affine_reflection_fixes_axis_point():
@@ -271,7 +279,7 @@ def test_affine_reflection_rational_example():
                               vec(QQ, (Fraction(1),)))
     assert gamma.t.entries() == (Fraction(2),)
     assert gamma.A.entries() == (Fraction(-1),)
-    beta = dual_matrix(homog_model(QQ, 1), gamma)
+    beta = dual_matrix(gamma)
     assert beta == Mat(QQ, [[Fraction(1), Fraction(2)],
                             [Fraction(0), Fraction(-1)]])
 
@@ -339,13 +347,12 @@ _WRONG_INVERSE_CHILD = textwrap.dedent("""
     from metric_affine.groups import InvariantViolation
     from metric_affine.linalg import Mat, vec
 
-    model = homog.homog_model(GF3, 1)
     gamma = homog.AffineMap(vec(GF3, (1,)), Mat(GF3, [[2]]))
-    kappa = homog.dual_matrix(model, gamma)
+    kappa = homog.dual_matrix(gamma)
     # every matrix "inverts" to the identity, which is wrong for A = 2
     homog.mat_invert = lambda M: Mat.identity(M.field, M.nrows)
-    for call in (lambda: homog.dual_matrix(model, gamma),
-                 lambda: homog.dual_matrix_preimage(model, kappa)):
+    for call in (lambda: homog.dual_matrix(gamma),
+                 lambda: homog.dual_matrix_preimage(kappa)):
         try:
             call()
         except InvariantViolation:

@@ -27,10 +27,10 @@ EXPORTS = {
                 "qf_scale radical_basis reflection",
     "budget": "BudgetExceeded DEFAULT_BUDGET HARD_BUDGET_CEILING "
               "InvariantViolation group_budget order_gl",
-    "homog": "AffineMap DegeneratePolarForm HomogModel NotDroppable "
-             "RoundtripReport affine_reflection drop dual_matrix "
-             "dual_matrix_preimage homog_model lift motion_group_dual "
-             "point_matrix reflection_correspondence roundtrip_checks",
+    "homog": "AffineMap DegeneratePolarForm NotDroppable RoundtripReport "
+             "affine_reflection drop dual_matrix dual_matrix_preimage lift "
+             "motion_group_dual point_matrix reflection_correspondence "
+             "roundtrip_checks",
     "groups": "GroupSet ReflectionStatus closure enumerate_gl group_equal "
               "is_subgroup orthogonal_group reflection_generation_status "
               "weak_orthogonal_group",
@@ -168,7 +168,7 @@ def test_package_exports_every_name():
                           "star": sorted(k for k in star if k[0] != "_")}))
     """, json.dumps(EXPORTS)))
     names = sorted(n for names in EXPORTS.values() for n in names.split())
-    assert len(names) == 95 and out["wrong"] == []
+    assert len(names) == 93 and out["wrong"] == []
     assert out["all"] == names and out["star"] == names
     assert set(names) <= set(out["dir"])
     # listing the names loads nothing

@@ -461,13 +461,24 @@ def _map_rows(field, n):
     return np.array(table, dtype=np.int64)
 
 
+def _map_views(field, n, table):
+    """The two views of table that _rank_one_maps keeps: its columns at
+    e_i and e_i + e_j (i <= j), and per map the vectors it moves."""
+    V = all_vectors(field, n)
+    index = {x: i for i, x in enumerate(V)}
+    S = [index[tuple(field.one if k in (i, j) else field.zero
+                     for k in range(n))]
+         for i in range(n) for j in range(i, n)]
+    return table[..., S], (table != np.arange(len(V))).reshape(-1, len(V))
+
+
 @pytest.mark.parametrize("F,n", RECORD_SIZES,
                          ids=lambda v: getattr(v, "name", v))
 def test_map_table_is_int16_and_matches_an_int64_build(F, n):
-    table, _slot = transvect._rank_one_maps(F, n)
-    assert table.dtype == np.int16
-    want = _map_rows(F, n)
-    assert table.shape == want.shape and (table == want).all()
+    narrow, moved, _slot = transvect._rank_one_maps(F, n)
+    assert narrow.dtype == np.int16 and moved.dtype == bool
+    for got, want in zip((narrow, moved), _map_views(F, n, _map_rows(F, n))):
+        assert got.shape == want.shape and (got == want).all()
 
 
 @pytest.mark.parametrize("F", [GF2, GF3, GF4], ids=lambda F: F.name)
@@ -496,7 +507,8 @@ def _full_gather(field, n, table, vals, rad):
 def test_narrow_gather_matches_full_gather(F, n):
     # the maps are tested on the n(n+1)/2 vectors e_i, e_i + e_j only; on
     # every form and every map, that gives the masks of all q^n vectors
-    table, _slot = transvect._rank_one_maps(F, n)
+    table = _map_rows(F, n)
+    narrow, moved = _map_views(F, n, table)
     forms = F.order ** (n * (n + 1) // 2)
     step = max(1, 2 ** 21 // table.size)
     not_iso = iso_not_weak = 0
@@ -504,7 +516,7 @@ def test_narrow_gather_matches_full_gather(F, n):
         W = form_block_np(F, n, start, min(step, forms - start))
         vals = values_np(F, n, W)
         rad = ~polar_images_np(F, n, W).any(axis=2)
-        iso, weak = transvect._isometries(F, n, table, vals, rad)
+        iso, weak = transvect._isometries(F, n, narrow, moved, vals, rad)
         want_iso, want_weak = _full_gather(F, n, table, vals, rad)
         assert (iso == want_iso).all() and (weak == want_weak).all()
         not_iso += (~want_iso).sum()
@@ -525,9 +537,8 @@ def test_lemma_blocks_are_sized_by_the_narrow_gather(cold_memo, monkeypatch):
     real, builds = transvect.form_block_np, []
 
     def recording(field, n, start, k):
-        table, _slot = transvect._rank_one_maps(field, n)
-        builds.append((field.name, n, k, k * table.shape[0]
-                       * table.shape[1] * n * (n + 1) // 2))
+        narrow, _moved, _slot = transvect._rank_one_maps(field, n)
+        builds.append((field.name, n, k, k * narrow.size))
         return real(field, n, start, k)
     monkeypatch.setattr(transvect, "form_block_np", recording)
     for F, n in LEMMA_SWEEP_SIZES:
@@ -554,8 +565,10 @@ _OPTIMIZED_CHILD = textwrap.dedent("""
 
     def no_isometries(field, n, budget=None):
         # every map sends every vector to o, so none preserves a nonzero form
-        table, slot = real_table(field, n, budget)
-        return np.zeros_like(table), slot
+        narrow, moved, slot = real_table(field, n, budget)
+        return (np.zeros_like(narrow),
+                np.broadcast_to(np.arange(moved.shape[1]) > 0, moved.shape),
+                slot)
 
     def wrong_sign(field):
         # a = Q(f)^-1 Bf in place of -Q(f)^-1 Bf, so the reflection is
