@@ -1,7 +1,8 @@
 """The numpy-free head of the group engine: budget, exceptions, memo table.
 
-Every memoised reader that enumerates hands its requirement to memo, the
-one place that compares it with the budget, on every read."""
+Every memoised reader that enumerates hands its requirement to memo, which
+checks it on every read with require, the one place that compares a
+requirement with the budget."""
 
 import os
 
@@ -64,15 +65,22 @@ def order_gl(n, q):
 _MEMO = {}
 
 
+def require(required, budget=None):
+    """The budget (None: group_budget()) if required fits it, else
+    BudgetExceeded(required, budget)."""
+    budget = group_budget() if budget is None else budget
+    if required > budget:
+        raise BudgetExceeded(required, budget)
+    return budget
+
+
 def memo(key, build, required=None, budget=None):
     """The value memoised under key; build() makes it (never None) on the
     first call.  A required size (|GL_n|, say) must fit the budget (None:
     group_budget()) on every read, cached or cold, else BudgetExceeded, so
     no result depends on what ran earlier; without one, no budget is read."""
     if required is not None:
-        budget = group_budget() if budget is None else budget
-        if required > budget:
-            raise BudgetExceeded(required, budget)
+        require(required, budget)
     got = _MEMO.get(key)
     if got is None:
         got = _MEMO[key] = build()

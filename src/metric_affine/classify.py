@@ -15,10 +15,10 @@ All sweeps are exhaustive over every form on both sides; nothing is sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
+from .budget import require
 from .groups import (GroupSet, InvariantViolation, form_block_np,
                      form_values_np, group_budget, group_equal,
                      groups_by_orbit, inverses_np, is_subgroup, matmul_np,
@@ -94,13 +94,6 @@ def verify_main_prop(fld, n, budget=None):
     return MainPropReport(fld.name, n, checked, len(units), tuple(failures))
 
 
-def _exceptional_size(fld, n):
-    """The (dim, |F|) combinations where sporadic solutions exist."""
-    return ((n == 0 and fld.char == 2)
-            or (n == 1 and fld.order is not None and fld.order <= 3)
-            or (n == 2 and fld.order == 2))
-
-
 def weak_group_index(fld, m, budget=None):
     """Forms on F^m by weak orthogonal group: key -> tuple of the forms
     with that group, in enumerate_forms order.  Memoised, behind the
@@ -118,23 +111,33 @@ def weak_group_index(fld, m, budget=None):
 def solve_for_qtilde(Q, mode, budget=None):
     """All Qt on F x V* satisfying the (mode) equation against Q.
 
-    Outside the exceptional (dim, |F|) sizes the outcome is forced: exactly
-    {c lift(Q) : c != 0} when the polar form of Q is non-degenerate, and
-    nothing at all otherwise.  That consequence is checked here, and raises
-    InvariantViolation even under python -O; the small exceptional sizes
-    are handled by the table machinery instead.
+    Outside the (dim, field) sizes of the sporadic tables the outcome is
+    forced: exactly {c lift(Q) : c != 0} when the polar form of Q is
+    non-degenerate, and nothing at all otherwise.  That consequence is
+    checked here, and raises InvariantViolation even under python -O; at
+    the sizes of the tables, reproduce_table checks the solutions instead.
     """
     if mode not in MODES:
         raise ValueError("unknown mode %r, not one of %r" % (mode, MODES))
     fld, n = Q.field, Q.n
     target = motion_group_dual(Q, mode == MODE_WEAK, budget)
     sols = list(weak_group_index(fld, n + 1, budget).get(target.key, ()))
-    if not _exceptional_size(fld, n):
+    if (n, fld.name) not in _FIXTURES:
         expected = (set() if not is_nondegenerate(Q)
                     else {qf_scale(lift(Q), c) for c in fld.units()})
         if set(sols) != expected:
             raise InvariantViolation((Q, mode, sols))
     return sols
+
+
+def sweep_budget(fld, n, budget=None):
+    """Meet |GL_n| and then |GL_(n+1)|, the gates of a sweep over the pairs
+    (Q on F^n, Qt on F x V*) in the order its first pair meets them, and
+    return the budget (None: group_budget(), read once).  A sweep calls
+    this before it lists a form."""
+    for m in (n, n + 1):
+        budget = require(order_gl(m, fld.order), budget)
+    return budget
 
 
 # --- tables ----------------------------------------------------------------
@@ -201,21 +204,15 @@ class TableReport:
     dim: int
     field_name: str
     blocks: tuple          # computed ((lefts QForms), (rights QForms))
-    rows: tuple            # printed layout: (QForm | None, QForm | None)
+    rows: tuple            # printed rows block by block: (QForm | None,
+                           # QForm | None)
     row_pairs: tuple       # (Q, Qt) for rows with both cells
     expected_match: bool   # computed dyad structure == fixture
-    rows_ok: bool          # lift/drop claims row by row
-    motion_eq_ok: bool     # every sporadic pair satisfies the motion equation
-    shared_groups_ok: bool # per-block common O of the lefts
-    weak_proper_ok: bool   # proper-subgroup claims match the fixture
-    stabilizers_ok: bool   # named stabilizer vectors generate the block's O
-    mismatch: tuple        # human-readable diff lines when something failed
+    mismatch: tuple        # one human-readable line per failed claim
 
     @property
     def ok(self):
-        return (self.expected_match and self.rows_ok and self.motion_eq_ok
-                and self.shared_groups_ok and self.weak_proper_ok
-                and self.stabilizers_ok)
+        return not self.mismatch
 
 
 def _is_stabilizer(group, v):
@@ -250,7 +247,7 @@ def reproduce_table(dim, fld, budget=None):
     index = weak_group_index(fld, dim + 1, budget)  # the |GL_(dim+1)| gate
     expected_proper = {QForm.from_upper(fld, dim, u) for u in fx.weak_proper}
     lefts_of = {}
-    motion_eq_ok = True
+    weak_only = False
     proper_off = []
     for Q in enumerate_forms(fld, dim):
         ao = motion_group_dual(Q, False, budget)
@@ -262,23 +259,23 @@ def reproduce_table(dim, fld, budget=None):
             lefts_of.setdefault(key, set()).add(Q)
         proper = ao.order > aow.order
         if proper and aow.key in index:     # a pair of the weak equation only
-            motion_eq_ok = False
+            weak_only = True
         if proper != (Q in expected_proper):
             proper_off.append("proper-subgroup claim off for %s" % poly_str(Q))
 
-    if not motion_eq_ok:
+    if weak_only:
         mismatch.append("a sporadic pair satisfies only the weak equation")
 
     computed_blocks = {(frozenset(lefts), frozenset(index[key]))
                        for key, lefts in lefts_of.items()}
-    block_rows = tuple(
+    rows = tuple(
         tuple((None if lu is None else QForm.from_upper(fld, dim, lu),
                None if ru is None else QForm.from_upper(fld, dim + 1, ru))
-              for lu, ru in rows)
-        for rows in fx.blocks)
-    fixture_blocks = [(frozenset(Q for Q, _ in rows if Q is not None),
-                       frozenset(Qt for _, Qt in rows if Qt is not None))
-                      for rows in block_rows]
+              for lu, ru in block)
+        for block in fx.blocks)
+    fixture_blocks = [(frozenset(Q for Q, _ in block if Q is not None),
+                       frozenset(Qt for _, Qt in block if Qt is not None))
+                      for block in rows]
     expected_match = computed_blocks == set(fixture_blocks)
     if not expected_match:
         mismatch.append("computed blocks: %s" % _render_blocks(computed_blocks))
@@ -286,13 +283,10 @@ def reproduce_table(dim, fld, budget=None):
 
     # row claims: both cells <-> mutually inverse lift/drop; a single blank
     # cell <-> the lift (resp. drop) hypothesis genuinely fails
-    rows_ok = True
     row_pairs = []
-    rows_out = tuple(row for rows in block_rows for row in rows)
-    for Q, Qt in rows_out:
+    for Q, Qt in (row for block in rows for row in block):
         if Q is not None and Qt is not None:
             if lift(Q) != Qt or drop(Qt) != Q:
-                rows_ok = False
                 mismatch.append("row pair broken: %s | %s"
                                 % (poly_str(Q), poly_str(Qt, "a", 0)))
             else:
@@ -303,7 +297,6 @@ def reproduce_table(dim, fld, budget=None):
             except DegeneratePolarForm:
                 pass
             else:
-                rows_ok = False
                 mismatch.append("blank-right row is liftable: %s" % poly_str(Q))
         else:
             try:
@@ -311,28 +304,22 @@ def reproduce_table(dim, fld, budget=None):
             except NotDroppable:
                 pass
             else:
-                rows_ok = False
                 mismatch.append("blank-left row is droppable: %s"
                                 % poly_str(Qt, "a", 0))
 
     # the lefts of each computed block share O (its rights share O' by
     # construction: they are one entry of the index)
-    shared_groups_ok = True
     for lefts, _rights in computed_blocks:
         if len({orthogonal_group(Q, budget).key for Q in lefts}) != 1:
-            shared_groups_ok = False
             mismatch.append("block does not share its groups")
 
     # where is the weak motion group a proper subgroup?
-    weak_proper_ok = not proper_off
     mismatch.extend(proper_off)
 
     # named stabilizer vectors (and full-GL blocks)
-    stabilizers_ok = True
     for (lefts, _rights), stab in zip(fixture_blocks, fx.stabilizers):
         sample = next(iter(lefts))
         if not _is_stabilizer(orthogonal_group(sample, budget), stab):
-            stabilizers_ok = False
             mismatch.append("stabilizer claim off for block of %s"
                             % poly_str(sample))
 
@@ -343,11 +330,9 @@ def reproduce_table(dim, fld, budget=None):
             computed_blocks,
             key=lambda b: sorted(f.upper_coeffs() for f in b[0])))
     return TableReport(
-        dim=dim, field_name=fld.name, blocks=blocks_out, rows=rows_out,
+        dim=dim, field_name=fld.name, blocks=blocks_out, rows=rows,
         row_pairs=tuple(row_pairs), expected_match=expected_match,
-        rows_ok=rows_ok, motion_eq_ok=motion_eq_ok,
-        shared_groups_ok=shared_groups_ok, weak_proper_ok=weak_proper_ok,
-        stabilizers_ok=stabilizers_ok, mismatch=tuple(mismatch))
+        mismatch=tuple(mismatch))
 
 
 def _render_blocks(blocks):
@@ -363,11 +348,10 @@ def _render_blocks(blocks):
 def render_table_lines(report):
     """The block table as fixed-width text, a horizontal rule above each
     block."""
-    rows = iter(report.rows)
     blocks = [[("" if Q is None else poly_str(Q),
                 "" if Qt is None else poly_str(Qt, "a", 0))
-               for Q, Qt in islice(rows, len(block))]
-              for block in _FIXTURES[(report.dim, report.field_name)].blocks]
+               for Q, Qt in block]
+              for block in report.rows]
     cells = [cell for block in blocks for cell in block]
     head = ("Q on V", "Qt on F x V*")
     w0 = max(len(head[0]), *(len(a) for a, _ in cells))
@@ -434,9 +418,8 @@ def verify_projective_theorem(fld, n, budget=None):
     violations = []
     matches = exclusion_hits = 0
     witness = False
-    budget = group_budget() if budget is None else budget  # read env once
+    budget = sweep_budget(fld, n, budget)
     lefts = enumerate_forms(fld, n)
-    # the left motion groups first: the |GL_n| gate comes before |GL_(n+1)|
     motions = [(motion_group_dual(Q, False, budget),
                 motion_group_dual(Q, True, budget)) for Q in lefts]
     rights = enumerate_forms(fld, n + 1)

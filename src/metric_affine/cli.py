@@ -12,7 +12,7 @@ import json
 import sys
 
 from .budget import (BadBudgetVariable, BudgetExceeded, HARD_BUDGET_CEILING,
-                     clamp_budget, forget, group_budget, order_gl)
+                     clamp_budget, forget, group_budget, order_gl, require)
 from .fields import field_make
 from .homog import DegeneratePolarForm, NotDroppable, drop, lift
 from .linalg import vec
@@ -282,17 +282,18 @@ def cmd_verify_tables(args, em):
 
 
 def cmd_verify_theorem(args, em):
-    from .classify import (MODE_MOTION, MODE_WEAK, _exceptional_size,
-                           solve_for_qtilde)
+    from .classify import (MODE_MOTION, MODE_WEAK, SUPPORTED_TABLES,
+                           solve_for_qtilde, sweep_budget)
     fld = _finite_field(args.field_name)
     n = _require_dim(args)
     m = (n + 1) * (n + 2) // 2
+    budget = sweep_budget(fld, n, args.budget)
     lefts = enumerate_forms(fld, n)
     stats = {MODE_MOTION: 0, MODE_WEAK: 0}
     with_solutions = 0
     for Q in lefts:
-        sols_m = solve_for_qtilde(Q, MODE_MOTION, args.budget)
-        sols_w = solve_for_qtilde(Q, MODE_WEAK, args.budget)
+        sols_m = solve_for_qtilde(Q, MODE_MOTION, budget)
+        sols_w = solve_for_qtilde(Q, MODE_WEAK, budget)
         stats[MODE_MOTION] += len(sols_m)
         stats[MODE_WEAK] += len(sols_w)
         if sols_m or sols_w:
@@ -301,7 +302,7 @@ def cmd_verify_theorem(args, em):
             em.text("# %s: motion %d, weak %d"
                     % (poly_str(Q), len(sols_m), len(sols_w)))
     nondeg = sum(1 for Q in lefts if is_nondegenerate(Q))
-    exceptional = _exceptional_size(fld, n)
+    exceptional = (n, fld.name) in SUPPORTED_TABLES
     em.text("solution sweep over %s, dim %d" % (fld.name, n),
             "left forms: %d, candidates each: %d" % (len(lefts), fld.order ** m),
             "non-degenerate-polar left forms: %d" % nondeg,
@@ -354,6 +355,8 @@ def cmd_verify_quadric(args, em):
     if not Q.field.enumerable:
         raise InputError("the quadric check enumerates points; %s is not "
                          "a finite field" % Q.field.name)
+    if Q.field.char != 2 and Q.n >= 2:      # the check tabulates F^(n+1)
+        require(Q.field.order ** (Q.n + 1), args.budget)
     from .classify import quadric_duality_check
     rep = quadric_duality_check(Q)
     if not rep.ok and rep.status != "mismatch":

@@ -98,9 +98,6 @@ class Mat:
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def row(self, i):
-        return self.rows[i]
-
     def col(self, j):
         return Mat._trusted(self.field, tuple((r[j],) for r in self.rows),
                             self.nrows, 1)

@@ -152,7 +152,9 @@ def _rank_one_maps(field, n, budget=None):
 
 @dataclass(frozen=True)
 class DirectionCase:
-    """Where f sits (radical membership x isotropy) and the resulting sizes.
+    """Where f sits (radical membership x isotropy) and the sizes of
+    Delta_f ∩ O(Q) and ∩ O'(Q) it predicts, which _judge has checked
+    against the counted ones.
 
     letter: "a" f outside the radical, Q(f) != 0   -> sizes (2, 2)
             "b" f outside the radical, Q(f) == 0   -> sizes (1, 1)
@@ -162,10 +164,7 @@ class DirectionCase:
     """
 
     letter: str
-    in_radical: bool
-    isotropic: bool
     predicted: tuple
-    actual: tuple
 
 
 COND_RADICAL_LINE = "isotropic-f-spans-radical"
@@ -201,10 +200,8 @@ def _judge(Q, x, in_rad, isotropic, k, sizes, reflected, inside, scaled_ok):
     if inside != (tag is not None):
         raise InvariantViolation((Q, x, inside, tag))
     return memo(("_judge", letter, predicted, inside, tag or "", scaled_ok),
-                lambda: (DirectionCase(letter=letter, in_radical=in_rad,
-                                       isotropic=isotropic,
-                                       predicted=predicted, actual=sizes),
-                         (inside, tag), scaled_ok))
+                lambda: (DirectionCase(letter, predicted), (inside, tag),
+                         scaled_ok))
 
 
 # gathered entries (forms x maps x the n(n+1)/2 vectors e_i, e_i + e_j) per

@@ -268,6 +268,8 @@ QUADRIC_TALLIES = {
     ("GF(5)", 2): {"degenerate-polar": 25, "empty-quadric": 40, "ok": 60},
     ("GF(5)", 3): {"degenerate-polar": 3225, "ok": 12400},
     ("GF(7)", 2): {"degenerate-polar": 49, "empty-quadric": 126, "ok": 168},
+    # read from the table alone in tests/test_classify.py
+    ("GF(7)", 3): {"degenerate-polar": 17101, "ok": 100548},
     # GF(9) = GF(3)[t] / (t^2 + 1), built in tests/test_classify.py
     ("GF(9)", 2): {"degenerate-polar": 81, "empty-quadric": 288, "ok": 360},
 }

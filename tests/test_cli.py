@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from metric_affine import classify, cli
 from metric_affine.classify import SUPPORTED_TABLES
 from metric_affine.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_PASS,
                                _TABLE_CASES, main)
@@ -476,6 +477,57 @@ def test_table_and_projective_refusals(argv, need, capsys):
     assert main(argv) == EXIT_BUDGET
     assert ("need %d > budget %s" % (need, argv[1])
             in capsys.readouterr().err)
+
+
+def _refuse(*_args):
+    raise RuntimeError("built before the budget gate")
+
+
+def _refusal(need, budget=25000):
+    return ("budget exceeded: need %d > budget %d; raise --budget or "
+            "METRIC_AFFINE_BUDGET\n" % (need, budget))
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("argv,need", [
+    (["verify", "theorem", "--field", "2", "--dim", "7"],
+     163849992929280),  # |GL_7(2)|, met before |GL_8(2)|
+    (["verify", "projective", "--field", "3", "--dim", "5"],
+     475566474240)],    # |GL_5(3)|, met before |GL_6(3)|
+    ids=["theorem", "projective"])
+def test_sweeps_meet_the_budget_before_listing_forms(argv, need, fmt,
+                                                     capsys, monkeypatch):
+    monkeypatch.setattr(cli, "enumerate_forms", _refuse)
+    monkeypatch.setattr(classify, "enumerate_forms", _refuse)
+    assert main(["--format", fmt] + argv) == EXIT_BUDGET
+    assert tuple(capsys.readouterr()) == ("", _refusal(need))
+
+
+def _form_text(field, dim, coeff):
+    return json.dumps({"dim": dim, "field": field,
+                       "upper": [coeff] * (dim * (dim + 1) // 2)}) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("dim,need", [(14, 3 ** 15), (9, 3 ** 10)])
+def test_verify_quadric_meets_the_budget_before_its_table(
+        dim, need, fmt, form_file, capsys, monkeypatch):
+    # the check tabulates F^(n+1): 3^15 = 14,348,907 vectors at GF(3)^14
+    monkeypatch.setattr(classify, "_quadric_block", _refuse)
+    argv = ["--format", fmt, "verify", "quadric",
+            form_file(_form_text("GF(3)", dim, 1))]
+    assert main(argv) == EXIT_BUDGET
+    assert tuple(capsys.readouterr()) == ("", _refusal(need))
+
+
+@pytest.mark.parametrize("text,status", [
+    (_form_text("GF(2)", 20, 1), "char-2-excluded"),
+    (FORM_GF3_LINE, "dim-too-small")], ids=["char-2", "dim-1"])
+def test_verify_quadric_out_of_scope_is_refused_before_the_budget(
+        text, status, form_file, capsys):
+    assert main(["--budget", "1", "verify", "quadric", form_file(text)]) \
+        == EXIT_INPUT
+    assert "(got status: %s)" % status in capsys.readouterr().err
 
 
 def test_budget_env_exit(form_file, capsys):

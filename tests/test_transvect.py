@@ -367,9 +367,7 @@ def _per_pair_classify_direction(Q, fv):
     actual = (len(in_o), sum(c in w_keys for c in in_o))
     assert actual == predicted
     assert letter != "a" or _code(reflection(Q, f)) in in_o
-    return DirectionCase(letter=letter, in_radical=in_rad,
-                         isotropic=isotropic, predicted=predicted,
-                         actual=actual)
+    return DirectionCase(letter=letter, predicted=predicted)
 
 
 def _code(A):
