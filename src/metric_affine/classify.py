@@ -316,9 +316,10 @@ def reproduce_table(dim, fld, budget=None):
     # where is the weak motion group a proper subgroup?
     mismatch.extend(proper_off)
 
-    # named stabilizer vectors (and full-GL blocks)
-    for (lefts, _rights), stab in zip(fixture_blocks, fx.stabilizers):
-        sample = next(iter(lefts))
+    # named stabilizer vectors (and full-GL blocks), on each block's first
+    # printed left
+    for block, stab in zip(rows, fx.stabilizers):
+        sample = next(Q for Q, _ in block if Q is not None)
         if not _is_stabilizer(orthogonal_group(sample, budget), stab):
             mismatch.append("stabilizer claim off for block of %s"
                             % poly_str(sample))
