@@ -23,13 +23,14 @@ from .quadform import (NotReflectable, QForm, all_vectors, enumerate_forms,
                        radical_basis, reflection)
 from .budget import (BudgetExceeded, DEFAULT_BUDGET, HARD_BUDGET_CEILING,
                      InvariantViolation, group_budget, order_gl)
-from .homog import (AffineMap, DegeneratePolarForm, NotDroppable,
-                    RoundtripReport, affine_reflection, drop, dual_matrix,
-                    dual_matrix_preimage, lift, motion_group_dual,
-                    point_matrix, reflection_correspondence, roundtrip_checks)
 
-# the numpy group engine: its names load on first use (PEP 562)
+# the homogeneous model and the numpy group engine: their names load on
+# first use (PEP 562)
 _LAZY = {name: module for module, names in (
+    ("homog", "AffineMap DegeneratePolarForm NotDroppable RoundtripReport "
+     "affine_reflection drop dual_matrix dual_matrix_preimage lift "
+     "motion_group_dual point_matrix reflection_correspondence "
+     "roundtrip_checks"),
     ("groups", "GroupSet ReflectionStatus closure enumerate_gl group_equal "
      "is_subgroup orthogonal_group reflection_generation_status "
      "weak_orthogonal_group"),
@@ -43,13 +44,13 @@ _LAZY = {name: module for module, names in (
      "reproduce_table solve_for_qtilde verify_main_prop "
      "verify_projective_theorem")) for name in names.split()}
 __all__ = sorted(set(_LAZY) | {name for name in globals() if name[0] != "_"}
-                 - {"budget", "fields", "homog", "linalg", "quadform"})
+                 - {"budget", "fields", "linalg", "quadform"})
 __version__ = "0.1.0"
 
 
 def __getattr__(name):
     module = _LAZY.get(name, name)
-    if module not in ("groups", "transvect", "classify"):
+    if module not in ("homog", "groups", "transvect", "classify"):
         raise AttributeError("%s has no attribute %r" % (__name__, name))
     import importlib
     home = importlib.import_module("." + module, __name__)

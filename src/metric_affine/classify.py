@@ -14,7 +14,7 @@ All sweeps are exhaustive over every form on both sides; nothing is sampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ MODE_WEAK = "weak"           # weak motion group on the left
 MODES = (MODE_MOTION, MODE_WEAK)
 
 
-@dataclass(frozen=True)
-class DyadReport:
+class DyadReport(NamedTuple):
     Q: QForm
     Qt: QForm
     satisfies_motion: bool
@@ -64,8 +63,7 @@ def dyad_satisfies(Q, Qt, mode, budget=None):
     return group_equal(motion_group_dual(Q, mode == MODE_WEAK, budget), ow)
 
 
-@dataclass(frozen=True)
-class MainPropReport:
+class MainPropReport(NamedTuple):
     field_name: str
     n: int
     forms_checked: int
@@ -80,6 +78,7 @@ class MainPropReport:
 def verify_main_prop(fld, n, budget=None):
     """Every non-degenerate Q and every c != 0: (Q, c lift(Q)) satisfies the
     motion-group equation.  Exhaustive; failures collected, none expected."""
+    require(order_gl(n + 1, fld.order), budget)   # before listing forms
     failures = []
     checked = 0
     units = fld.units()
@@ -142,8 +141,7 @@ def sweep_budget(fld, n, budget=None):
 
 # --- tables ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TableFixture:
+class TableFixture(NamedTuple):
     """One sporadic-solution table, transcribed as upper-coefficient data.
 
     blocks: per block, its printed rows (left, right) in print order, None
@@ -199,8 +197,7 @@ _FIXTURES = {
 SUPPORTED_TABLES = tuple(sorted(_FIXTURES))
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(NamedTuple):
     dim: int
     field_name: str
     blocks: tuple          # computed ((lefts QForms), (rights QForms))
@@ -396,8 +393,7 @@ def projective_reduce(gs):
     return memo(("projective_reduce", fld.name, n, gs.key), build)
 
 
-@dataclass(frozen=True)
-class ProjectiveReport:
+class ProjectiveReport(NamedTuple):
     field_name: str
     n: int
     pairs_checked: int
@@ -475,8 +471,7 @@ def quadric_points(Q):
     return set(map(tuple, vectors_np(fld, n)[hit].tolist()))
 
 
-@dataclass(frozen=True)
-class QuadricReport:
+class QuadricReport(NamedTuple):
     field_name: str
     n: int
     status: str            # ok | empty-quadric | char-2-excluded |

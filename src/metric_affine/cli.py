@@ -12,9 +12,8 @@ import json
 import sys
 
 from .budget import (BadBudgetVariable, BudgetExceeded, HARD_BUDGET_CEILING,
-                     clamp_budget, forget, group_budget, order_gl, require)
+                     clamp_budget, forget, order_gl, require)
 from .fields import field_make
-from .homog import DegeneratePolarForm, NotDroppable, drop, lift
 from .linalg import vec
 from .quadform import (all_vectors, enumerate_forms, form_from_text,
                        form_to_text, is_nondegenerate, poly_str, qf_eval,
@@ -128,6 +127,7 @@ def _lift_or_drop(args, em, transform, refused, why, caption, here, there):
 
 
 def cmd_lift(args, em):
+    from .homog import DegeneratePolarForm, lift
     return _lift_or_drop(
         args, em, lift, DegeneratePolarForm,
         lambda Q, _e: "polar form of %s is degenerate; radical basis: %s"
@@ -136,6 +136,7 @@ def cmd_lift(args, em):
 
 
 def cmd_drop(args, em):
+    from .homog import NotDroppable, drop
     return _lift_or_drop(
         args, em, drop, NotDroppable,
         lambda Qt, e: "%s cannot be dropped (%s)"
@@ -201,12 +202,12 @@ def cmd_groups(args, em):
 # --- verification commands -------------------------------------------------
 
 def cmd_verify_lemmas(args, em):
-    from .transvect import lemma_record
+    from .transvect import _map_rows, lemma_record
     fld = _finite_field(args.field_name)
     n = _require_dim(args, low=1)
     counts = {"a": 0, "b": 0, "c": 0, "d": 0}
     inside = pairs = 0
-    budget = group_budget() if args.budget is None else args.budget
+    budget = require(_map_rows(fld, n), args.budget)  # before listing forms
     directions = all_vectors(fld, n)[1:]   # every x but o, in index order
     for Q in enumerate_forms(fld, n):
         # classify_direction, annihilator_transvections_in_weak and

@@ -36,7 +36,7 @@ step is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -547,8 +547,7 @@ def _reflections_np(Q, vals):
     return add_np(field, np.eye(n, dtype=np.uint8), rank_one)
 
 
-@dataclass(frozen=True)
-class ReflectionStatus:
+class ReflectionStatus(NamedTuple):
     generates: bool
     exceptional: str | None
     reflection_count: int

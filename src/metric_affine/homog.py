@@ -24,7 +24,7 @@ lift and drop run without them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .budget import InvariantViolation
 from .linalg import (Mat, Singular, mat_invert, span_contains, unit_vector,
@@ -49,16 +49,20 @@ class NotDroppable(Exception):
         super().__init__("%s%s" % (reason, (": " + detail) if detail else ""))
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """x |-> t + A x with invertible linear part A; (t, A) is unique."""
-
+class _AffineMapBase(NamedTuple):
     t: Mat
     A: Mat
 
-    def __post_init__(self):
-        assert self.t.ncols == 1 and self.t.nrows == self.A.nrows
-        assert self.A.nrows == self.A.ncols
+
+class AffineMap(_AffineMapBase):
+    """x |-> t + A x with invertible linear part A; (t, A) is unique."""
+
+    __slots__ = ()
+
+    def __new__(cls, t, A):
+        assert t.ncols == 1 and t.nrows == A.nrows
+        assert A.nrows == A.ncols
+        return super().__new__(cls, t, A)
 
     @classmethod
     def identity(cls, fld, n):
@@ -223,8 +227,7 @@ def drop(Qt):
     return out
 
 
-@dataclass(frozen=True)
-class RoundtripReport:
+class RoundtripReport(NamedTuple):
     field_name: str
     n: int
     lifted: int

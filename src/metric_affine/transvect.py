@@ -19,7 +19,7 @@ vector index of f.  The budget bounds the rows of the map table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ KIND_TRANSVECTION = "transvection"
 KIND_DILATATION = "dilatation"
 
 
-@dataclass(frozen=True)
-class DeltaMap:
+class DeltaMap(NamedTuple):
     """A map x |-> x + <cstar, x> f, stored with its matrix I + f cstar^T."""
 
     cstar: Mat
@@ -150,8 +149,7 @@ def _rank_one_maps(field, n, budget=None):
                 _map_rows(field, n), budget)
 
 
-@dataclass(frozen=True)
-class DirectionCase:
+class DirectionCase(NamedTuple):
     """Where f sits (radical membership x isotropy) and the sizes of
     Delta_f ∩ O(Q) and ∩ O'(Q) it predicts, which _judge has checked
     against the counted ones.

@@ -1,6 +1,5 @@
 """Classification sweeps: dyads, tables, projective view, quadric duality."""
 
-import dataclasses
 import textwrap
 from collections import Counter
 
@@ -329,8 +328,7 @@ def test_each_broken_table_claim_is_one_mismatch_line(change, want,
     key = (1, "GF(3)")
     fx = classify._FIXTURES[key]
     assert fx.blocks == (_LINE_ROWS,)
-    monkeypatch.setitem(classify._FIXTURES, key,
-                        dataclasses.replace(fx, **change))
+    monkeypatch.setitem(classify._FIXTURES, key, fx._replace(**change))
     rep = reproduce_table(1, GF3)
     assert rep.expected_match and rep.mismatch == want
 

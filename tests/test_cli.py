@@ -493,8 +493,12 @@ def _refusal(need, budget=25000):
     (["verify", "theorem", "--field", "2", "--dim", "7"],
      163849992929280),  # |GL_7(2)|, met before |GL_8(2)|
     (["verify", "projective", "--field", "3", "--dim", "5"],
-     475566474240)],    # |GL_5(3)|, met before |GL_6(3)|
-    ids=["theorem", "projective"])
+     475566474240),     # |GL_5(3)|, met before |GL_6(3)|
+    (["verify", "proposition", "--field", "2", "--dim", "6"],
+     163849992929280),  # |GL_7(2)|, the weak groups on F x V*
+    (["verify", "lemmas", "--field", "3", "--dim", "5"],
+     78166)],           # the rows of the rank-one map table
+    ids=["theorem", "projective", "proposition", "lemmas"])
 def test_sweeps_meet_the_budget_before_listing_forms(argv, need, fmt,
                                                      capsys, monkeypatch):
     monkeypatch.setattr(cli, "enumerate_forms", _refuse)

@@ -73,7 +73,9 @@ def test_cli_import_leaves_numpy_out():
     out = _child("""
         import sys
         import metric_affine.cli
-        print(sorted(m for m in ("numpy", "metric_affine.groups",
+        print(sorted(m for m in ("numpy", "dataclasses",
+                                 "metric_affine.homog",
+                                 "metric_affine.groups",
                                  "metric_affine.transvect",
                                  "metric_affine.classify")
                      if m in sys.modules))
@@ -87,8 +89,9 @@ _RUN_COMMAND = """
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = main(sys.argv[1:])
     print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
-                      "engine": sorted(m.split(".")[1] for m in sys.modules
-                                       if m in ("metric_affine.groups",
+                      "loaded": sorted(m.split(".")[1] for m in sys.modules
+                                       if m in ("metric_affine.homog",
+                                                "metric_affine.groups",
                                                 "metric_affine.transvect",
                                                 "metric_affine.classify")),
                       "last": out.getvalue().splitlines()[-1:]}))
@@ -101,37 +104,38 @@ def _run(tmp_path, argv, form, *extra):
     return json.loads(_child(_RUN_COMMAND, *argv, str(path), *extra))
 
 
-@pytest.mark.parametrize("argv,form,extra,code,last", [
-    (["eval"], "gf3", ["1,2"], 0, "Q(1, 2) = 2"),
-    (["eval"], "gf4", ["1,2"], 0, "Q(1, 2) = 2"),
-    (["eval"], "q", ["1,2"], 0, "Q(1, 2) = 9/2"),
-    (["lift"], "gf3", [], 0, FORMS["gf3-lifted"].rstrip()),
-    (["lift"], "gf4", [], 0, FORMS["gf4-lifted"].rstrip()),
-    (["lift"], "q", [], 0, FORMS["q-lifted"].rstrip()),
-    (["drop"], "gf3-lifted", [], 0, FORMS["gf3"].rstrip()),
-    (["drop"], "gf4-lifted", [], 0, FORMS["gf4"].rstrip()),
-    (["drop"], "q-lifted", [], 0, FORMS["q"].rstrip()),
-    (["--format", "records", "drop"], "q-lifted", [], 0, None),
-    (["groups"], "q", [], 2, None),               # over Q: an input error
-    (["verify", "quadric"], "q", [], 2, None),    # over Q: an input error
+# eval loads no homog; lift and drop load it, on first use
+@pytest.mark.parametrize("argv,form,extra,code,loaded,last", [
+    (["eval"], "gf3", ["1,2"], 0, [], "Q(1, 2) = 2"),
+    (["eval"], "gf4", ["1,2"], 0, [], "Q(1, 2) = 2"),
+    (["eval"], "q", ["1,2"], 0, [], "Q(1, 2) = 9/2"),
+    (["lift"], "gf3", [], 0, ["homog"], FORMS["gf3-lifted"].rstrip()),
+    (["lift"], "gf4", [], 0, ["homog"], FORMS["gf4-lifted"].rstrip()),
+    (["lift"], "q", [], 0, ["homog"], FORMS["q-lifted"].rstrip()),
+    (["drop"], "gf3-lifted", [], 0, ["homog"], FORMS["gf3"].rstrip()),
+    (["drop"], "gf4-lifted", [], 0, ["homog"], FORMS["gf4"].rstrip()),
+    (["drop"], "q-lifted", [], 0, ["homog"], FORMS["q"].rstrip()),
+    (["--format", "records", "drop"], "q-lifted", [], 0, ["homog"], None),
+    (["groups"], "q", [], 2, [], None),             # over Q: an input error
+    (["verify", "quadric"], "q", [], 2, [], None),  # over Q: an input error
 ])
 def test_scalar_commands_run_without_numpy(tmp_path, argv, form, extra, code,
-                                           last):
+                                           loaded, last):
     got = _run(tmp_path, argv, form, *extra)
-    assert (got["code"], got["numpy"], got["engine"]) == (code, False, [])
+    assert (got["code"], got["numpy"], got["loaded"]) == (code, False, loaded)
     if last is not None:
         assert got["last"] == [last]
 
 
-@pytest.mark.parametrize("argv,form,engine,last", [
+@pytest.mark.parametrize("argv,form,loaded,last", [
     (["groups"], "gf3", ["groups"], "exceptional case: none"),
-    (["verify", "quadric"], "gf3", ["classify", "groups"], "PASS"),
+    (["verify", "quadric"], "gf3", ["classify", "groups", "homog"], "PASS"),
 ])
-def test_group_commands_load_what_they_use(tmp_path, argv, form, engine,
+def test_group_commands_load_what_they_use(tmp_path, argv, form, loaded,
                                            last):
     # the check above would see numpy if a command loaded it
     got = _run(tmp_path, argv, form)
-    assert got == {"code": 0, "numpy": True, "engine": engine,
+    assert got == {"code": 0, "numpy": True, "loaded": loaded,
                    "last": [last]}
 
 
@@ -139,7 +143,7 @@ def test_lemma_sweep_loads_no_classify():
     got = json.loads(_child(_RUN_COMMAND, "verify", "lemmas", "--field", "3",
                             "--dim", "1"))
     assert got == {"code": 0, "numpy": True,
-                   "engine": ["groups", "transvect"], "last": ["PASS"]}
+                   "loaded": ["groups", "transvect"], "last": ["PASS"]}
 
 
 def test_package_exports_every_name():
