@@ -94,6 +94,16 @@ def test_affine_map_basics():
     assert AffineMap.identity(GF3, 2).apply(vec(GF3, (1, 2))).entries() == (1, 2)
 
 
+@pytest.mark.parametrize("t,A", [
+    (vec(GF3, (1, 0, 2)), Mat.identity(GF3, 2)),           # t too long
+    (Mat(GF3, [[1, 0]]), Mat.identity(GF3, 1)),            # t not a column
+    (vec(GF3, (1, 0)), Mat(GF3, [[1, 0, 0], [0, 1, 0]]))],  # A not square
+    ids=["length", "row", "non-square"])
+def test_affine_map_refuses_mismatched_shapes(t, A):
+    with pytest.raises(AssertionError):
+        AffineMap(t, A)
+
+
 # --- lifting ---------------------------------------------------------------
 
 def test_lift_known_values():
