@@ -208,6 +208,9 @@ def cmd_verify_lemmas(args, em):
     counts = {"a": 0, "b": 0, "c": 0, "d": 0}
     inside = pairs = 0
     budget = require(_map_rows(fld, n), args.budget)  # before listing forms
+    # the (Q, f) pairs meet the hard ceiling: the budget bounds the map rows
+    q = fld.order
+    require(q ** (n * (n + 1) // 2) * (q ** n - 1), HARD_BUDGET_CEILING)
     directions = all_vectors(fld, n)[1:]   # every x but o, in index order
     for Q in enumerate_forms(fld, n):
         # classify_direction, annihilator_transvections_in_weak and

@@ -160,6 +160,7 @@ def test_c5_weak_membership_rules():
 ROUNDTRIP_COUNTS = {
     ("GF(2)", 1): (0, 1), ("GF(2)", 2): (4, 0), ("GF(2)", 3): (0, 4),
     ("GF(3)", 1): (2, 1), ("GF(3)", 2): (18, 2), ("GF(3)", 3): (468, 18),
+    ("GF(5)", 1): (4, 1),
 }
 
 

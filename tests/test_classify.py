@@ -1,12 +1,12 @@
 """Classification sweeps: dyads, tables, projective view, quadric duality."""
 
-import textwrap
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from metric_affine import classify, fields
+from metric_affine import classify, fields, groups
+from metric_affine.budget import InvariantViolation
 from metric_affine.classify import (MODE_MOTION, MODE_WEAK, MODES,
                                     SUPPORTED_TABLES, ProjectiveReport,
                                     QuadricReport, _projective_canon_np,
@@ -719,147 +719,85 @@ def test_quadric_duality_three_vars():
     assert (rep.base_points, rep.lifted_points, rep.hyperplane_points) == (4, 13, 13)
 
 
-_WRONG_BLOCK_CHILD = textwrap.dedent("""
-    import sys
-    import numpy as np
-    from metric_affine import classify, groups, homog
-    from metric_affine.fields import GF5
-    from metric_affine.groups import InvariantViolation
-    from metric_affine.quadform import QForm
+def _zero_inverse(real):
+    """Every stacked B "inverts" to the zero matrix."""
+    return lambda field, stack: (np.ones(len(stack), dtype=bool),
+                                 np.zeros_like(stack))
 
-    lift_np = homog.lift_np
 
-    def lift_nonzero_at_e0(field, n, W):
-        ok, up = lift_np(field, n, W)
+def _lift_nonzero_at_e0(real):
+    def wrong(field, n, W):
+        ok, up = real(field, n, W)
         up = up.copy()
         up[:, 0] = 1        # the coefficient of a0^2
         return ok, up
-
-    # a zero "inverse" of every B, then lifts that are nonzero at e0
-    patches = ((groups, "invert_np", lambda field, stack: (
-                   np.ones(len(stack), dtype=bool), np.zeros_like(stack))),
-               (classify, "lift_np", lift_nonzero_at_e0))
-    for module, name, wrong in patches:
-        saved = getattr(module, name)
-        setattr(module, name, wrong)
-        try:
-            classify.quadric_duality_check(
-                QForm.from_upper(GF5, 3, (1, 0, 0, 1, 0, 1)))
-        except InvariantViolation:
-            print("optimize=%d raised" % sys.flags.optimize)
-        else:
-            print("optimize=%d passed" % sys.flags.optimize)
-        finally:
-            setattr(module, name, saved)
-""")
+    return wrong
 
 
-def test_quadric_block_checks_survive_optimized_interpreter(run_optimized):
-    assert (run_optimized(_WRONG_BLOCK_CHILD)
-            == "optimize=1 raised\noptimize=1 raised\n")
+@pytest.mark.invariant
+@pytest.mark.parametrize("module,name,wrong,match", [
+    (groups, "invert_np", _zero_inverse, "fails polar block"),
+    (classify, "lift_np", _lift_nonzero_at_e0, "is nonzero at e0")],
+    ids=["zero-inverse", "lift-nonzero-at-e0"])
+def test_quadric_block_checks_raise(module, name, wrong, match, cold_memo,
+                                    monkeypatch):
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    with pytest.raises(InvariantViolation, match=match):
+        quadric_duality_check(QForm.from_upper(GF5, 3, (1, 0, 0, 1, 0, 1)))
 
 
-_WRONG_SOLUTIONS_CHILD = textwrap.dedent("""
-    import sys
-    from metric_affine import classify
-    from metric_affine.fields import GF5
-    from metric_affine.groups import InvariantViolation
-    from metric_affine.quadform import QForm
-
-    def index_giving(sols):
-        class Index(dict):
-            def get(self, key, default=None):
-                return sols
-        return lambda fld, m, budget=None: Index()
-
-    # GF(5)^1 is not an exceptional size: x1^2 must have its four unit
-    # scalings of the lift as solutions, and the zero form none at all
-    for coeffs, sols in (((1,), ()),
-                         ((0,), (QForm.from_upper(GF5, 2, (0, 0, 1)),))):
-        classify.weak_group_index = index_giving(sols)
-        try:
-            classify.solve_for_qtilde(QForm.from_upper(GF5, 1, coeffs),
-                                      classify.MODE_MOTION)
-        except InvariantViolation:
-            print("optimize=%d raised" % sys.flags.optimize)
-        else:
-            print("optimize=%d passed" % sys.flags.optimize)
-""")
+# GF(5)^1 is not a sporadic size: x1^2 must have its four unit scalings of
+# the lift as solutions, and the zero form none at all
+@pytest.mark.invariant
+@pytest.mark.parametrize("coeffs,sols", [((1,), ()), ((0,), ((0, 0, 1),))],
+                         ids=["lifts-missing", "zero-form-solved"])
+def test_forced_solution_check_raises(coeffs, sols, monkeypatch):
+    Q = QForm.from_upper(GF5, 1, coeffs)
+    forms = tuple(QForm.from_upper(GF5, 2, u) for u in sols)
+    key = motion_group_dual(Q, False).key
+    monkeypatch.setattr(classify, "weak_group_index",
+                        lambda fld, m, budget=None: {key: forms})
+    with pytest.raises(InvariantViolation) as raised:
+        solve_for_qtilde(Q, MODE_MOTION)
+    assert raised.value.args == ((Q, MODE_MOTION, list(forms)),)
 
 
-def test_forced_solution_check_survives_optimized_interpreter(run_optimized):
-    assert (run_optimized(_WRONG_SOLUTIONS_CHILD)
-            == "optimize=1 raised\noptimize=1 raised\n")
-
-
-_BROKEN_TABLE_CHILD = textwrap.dedent("""
-    import sys
-    from metric_affine import classify
-    from metric_affine.fields import GF3
-    from metric_affine.groups import InvariantViolation
-
+@pytest.mark.invariant
+def test_table_missing_a_right_is_reported(monkeypatch):
+    # a1^2 goes missing from the entry it shares with 2*a1^2, the rights of
+    # the 3 x 2 block of the GF(3)^1 table
     real_index = classify.weak_group_index
-
-    def without_one_right(fld, m, budget=None):
-        # a1^2 goes missing from the entry it shares with 2*a1^2, the
-        # rights of the 3 x 2 block of the GF(3)^1 table
-        return {key: tuple(Qt for Qt in forms
-                           if Qt.upper_coeffs() != (0, 0, 1))
-                for key, forms in real_index(fld, m, budget).items()}
-
-    patches = (("weak_group_index", without_one_right),
-               ("is_subgroup", lambda g1, g2: False))
-    for name, wrong in patches:
-        saved = getattr(classify, name)
-        setattr(classify, name, wrong)
-        try:
-            rep = classify.reproduce_table(1, GF3)
-        except InvariantViolation as e:
-            print("optimize=%d raised %s"
-                  % (sys.flags.optimize, e.args[0].split(" of ")[0]))
-        else:
-            print("optimize=%d ok=%s %s"
-                  % (sys.flags.optimize, rep.ok,
-                     [line.split(":")[0] for line in rep.mismatch]))
-        finally:
-            setattr(classify, name, saved)
-""")
+    monkeypatch.setattr(classify, "weak_group_index", lambda fld, m, b=None: {
+        key: tuple(Qt for Qt in forms if Qt.upper_coeffs() != (0, 0, 1))
+        for key, forms in real_index(fld, m, b).items()})
+    rep = reproduce_table(1, GF3)
+    assert not rep.ok
+    assert [ln.split(":")[0] for ln in rep.mismatch] == ["computed blocks",
+                                                         "fixture blocks"]
 
 
-def test_table_checks_survive_optimized_interpreter(run_optimized):
-    assert (run_optimized(_BROKEN_TABLE_CHILD)
-            == "optimize=1 ok=False ['computed blocks', 'fixture blocks']\n"
-            "optimize=1 raised weak motion group\n")
+@pytest.mark.invariant
+def test_table_refuses_a_weak_group_outside_the_motion_group(monkeypatch):
+    monkeypatch.setattr(classify, "is_subgroup", lambda g1, g2: False)
+    with pytest.raises(InvariantViolation, match="^weak motion group of "):
+        reproduce_table(1, GF3)
 
 
-_BAD_INPUT_CHILD = textwrap.dedent("""
-    import sys
-    from metric_affine import classify
-    from metric_affine.fields import GF3, GF5
-    from metric_affine.homog import lift
-    from metric_affine.quadform import QForm
-
-    Q = QForm.from_upper(GF3, 1, (1,))
-    calls = (lambda: classify.solve_for_qtilde(Q, "bogus"),
-             lambda: classify.dyad_satisfies(Q, lift(Q), "bogus"),
-             lambda: classify.dyad_report(Q, Q),
-             lambda: classify.dyad_satisfies(
-                 Q, QForm.from_upper(GF5, 2, (0, 0, 1)), classify.MODE_WEAK))
-    for call in calls:
-        try:
-            got = call()
-        except ValueError as e:
-            print("optimize=%d %s" % (sys.flags.optimize, e))
-        else:
-            print("optimize=%d returned %r" % (sys.flags.optimize, got))
-""")
+_LINE = QForm.from_upper(GF3, 1, (1,))
+_BAD_MODE = "unknown mode 'bogus', not one of ('motion', 'weak')"
 
 
-def test_bad_mode_and_right_form_survive_optimized_interpreter(run_optimized):
-    assert run_optimized(_BAD_INPUT_CHILD) == (
-        "optimize=1 unknown mode 'bogus', not one of ('motion', 'weak')\n"
-        "optimize=1 unknown mode 'bogus', not one of ('motion', 'weak')\n"
-        "optimize=1 the right form a0^2 lives on GF(3)^1, not on F x V* = "
-        "GF(3)^2\n"
-        "optimize=1 the right form a1^2 lives on GF(5)^2, not on F x V* = "
-        "GF(3)^2\n")
+@pytest.mark.invariant
+@pytest.mark.parametrize("call,message", [
+    (lambda: solve_for_qtilde(_LINE, "bogus"), _BAD_MODE),
+    (lambda: dyad_satisfies(_LINE, lift(_LINE), "bogus"), _BAD_MODE),
+    (lambda: dyad_report(_LINE, _LINE),
+     "the right form a0^2 lives on GF(3)^1, not on F x V* = GF(3)^2"),
+    (lambda: dyad_satisfies(_LINE, QForm.from_upper(GF5, 2, (0, 0, 1)),
+                            MODE_WEAK),
+     "the right form a1^2 lives on GF(5)^2, not on F x V* = GF(3)^2")],
+    ids=["solve-mode", "dyad-mode", "dyad-right-dim", "dyad-right-field"])
+def test_bad_mode_and_right_form_are_refused(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message

@@ -2,8 +2,6 @@
 
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
@@ -221,28 +219,7 @@ def test_gf4_refuses_other_ints(form_file, capsys, coeff):
                             % (path, coeff))
 
 
-def test_optimized_interpreter_gives_the_same_output():
-    # -O strips assert statements; every verified invariant raises instead,
-    # so a run under -O prints and exits as one without it
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    for argv in (["verify", "lemmas", "--field", "3", "--dim", "2"],
-                 ["verify", "tables", "--case", "t4"]):
-        plain, optimized = (
-            subprocess.run([sys.executable] + flags
-                           + ["-m", "metric_affine.cli"] + argv,
-                           capture_output=True, text=True, env=env,
-                           timeout=120)
-            for flags in ([], ["-O"]))
-        assert plain.returncode == EXIT_PASS
-        assert plain.stdout.endswith("PASS\n")
-        assert (optimized.returncode, optimized.stdout) == (plain.returncode,
-                                                            plain.stdout)
-
-
+@pytest.mark.invariant
 def test_verify_lemmas(form_file, capsys):
     assert main(["verify", "lemmas", "--field", "GF(2)", "--dim", "2"]) \
         == EXIT_PASS
@@ -394,6 +371,7 @@ TABLE_TEXT = {
 }
 
 
+@pytest.mark.invariant
 @pytest.mark.parametrize("case", sorted(TABLE_TEXT))
 def test_verify_tables_frozen_text(case, capsys):
     assert main(["verify", "tables", "--case", case]) == EXIT_PASS
@@ -489,22 +467,36 @@ def _refusal(need, budget=25000):
 
 
 @pytest.mark.parametrize("fmt", ["text", "records"])
-@pytest.mark.parametrize("argv,need", [
+@pytest.mark.parametrize("argv,need,budget", [
     (["verify", "theorem", "--field", "2", "--dim", "7"],
-     163849992929280),  # |GL_7(2)|, met before |GL_8(2)|
+     163849992929280, 25000),   # |GL_7(2)|, met before |GL_8(2)|
     (["verify", "projective", "--field", "3", "--dim", "5"],
-     475566474240),     # |GL_5(3)|, met before |GL_6(3)|
+     475566474240, 25000),      # |GL_5(3)|, met before |GL_6(3)|
     (["verify", "proposition", "--field", "2", "--dim", "6"],
-     163849992929280),  # |GL_7(2)|, the weak groups on F x V*
+     163849992929280, 25000),   # |GL_7(2)|, the weak groups on F x V*
     (["verify", "lemmas", "--field", "3", "--dim", "5"],
-     78166)],           # the rows of the rank-one map table
-    ids=["theorem", "projective", "proposition", "lemmas"])
-def test_sweeps_meet_the_budget_before_listing_forms(argv, need, fmt,
+     78166, 25000),             # the rows of the rank-one map table
+    # the 2^28 (2^7 - 1) pairs (Q, f), against the hard ceiling
+    (["verify", "lemmas", "--field", "2", "--dim", "7"],
+     34091302912, 10000000)],
+    ids=["theorem", "projective", "proposition", "lemmas", "lemma-pairs"])
+def test_sweeps_meet_the_budget_before_listing_forms(argv, need, budget, fmt,
                                                      capsys, monkeypatch):
     monkeypatch.setattr(cli, "enumerate_forms", _refuse)
     monkeypatch.setattr(classify, "enumerate_forms", _refuse)
     assert main(["--format", fmt] + argv) == EXIT_BUDGET
-    assert tuple(capsys.readouterr()) == ("", _refusal(need))
+    assert tuple(capsys.readouterr()) == ("", _refusal(need, budget))
+
+
+def test_lemma_sweep_under_the_pair_ceiling_lists_forms(capsys, monkeypatch):
+    # GF(3)^4 has 4,723,920 (Q, f) pairs, under the 10^7 ceiling, and 8,560
+    # map rows, under the default budget: the sweep goes on to list forms
+    listed = []
+    monkeypatch.setattr(cli, "enumerate_forms",
+                        lambda fld, n: listed.append((fld.name, n)) or ())
+    assert main(["verify", "lemmas", "--field", "3", "--dim", "4"]) \
+        == EXIT_PASS
+    assert listed == [("GF(3)", 4)]
 
 
 def _form_text(field, dim, coeff):

@@ -1,7 +1,6 @@
 """Group enumeration: GL, orthogonal, weak orthogonal, closures, budgets."""
 
 import os
-import textwrap
 
 import numpy as np
 import pytest
@@ -355,6 +354,7 @@ def test_bad_budget_variable_is_rejected(monkeypatch):
         assert group_budget() == want
 
 
+@pytest.mark.invariant
 def test_memo_gates_every_read(cold_memo, monkeypatch):
     builds = []
 
@@ -373,23 +373,6 @@ def test_memo_gates_every_read(cold_memo, monkeypatch):
     with pytest.raises(BadBudgetVariable):
         budget.memo(key, build, required=48)
     assert builds == [1, 1]
-
-
-def test_memo_gate_survives_optimized_interpreter(run_optimized):
-    child = textwrap.dedent("""
-        import sys
-        from metric_affine import budget
-
-        budget.memo(("k",), lambda: 1, required=48, budget=48)
-        try:
-            budget.memo(("k",), lambda: 1, required=48, budget=5)
-        except budget.BudgetExceeded as e:
-            print("optimize=%d refused %d > %d"
-                  % (sys.flags.optimize, e.required, e.budget))
-        else:
-            print("optimize=%d passed" % sys.flags.optimize)
-    """)
-    assert run_optimized(child) == "optimize=1 refused 48 > 5\n"
 
 
 def test_budget_checked_before_memo_lookup():
@@ -485,6 +468,7 @@ def _overlapping_orbits(codes):
     return coder
 
 
+@pytest.mark.invariant
 @pytest.mark.parametrize("wrong", [_one_member_orbits, _overlapping_orbits])
 def test_orbit_walk_rejects_a_wrong_orbit(wrong, monkeypatch, cold_memo):
     # an orbit that comes out wrong raises instead of building a wrong
@@ -493,38 +477,6 @@ def test_orbit_walk_rejects_a_wrong_orbit(wrong, monkeypatch, cold_memo):
                         wrong(groups.congruence_codes))
     with pytest.raises(groups.InvariantViolation, match="orbit-stabiliser"):
         groups_by_orbit(GF3, 2, orthogonal_group)
-
-
-def test_orbit_walk_checks_survive_optimized_interpreter(run_optimized):
-    # python -O strips assert statements; both wrong coders of the test
-    # above must still make the walk raise
-    child = textwrap.dedent("""
-        import sys
-        from metric_affine import groups
-        from metric_affine.fields import GF3
-
-        codes = groups.congruence_codes
-
-        def one_member(field, W, G):
-            return codes(field, W, G[:1]).repeat(len(G))
-
-        def overlapping(field, W, G):
-            got = codes(field, W, G)
-            got[got == got.max()] = 0
-            return got
-
-        for coder in (one_member, overlapping):
-            groups.congruence_codes = coder
-            try:
-                groups.groups_by_orbit(GF3, 2, groups.orthogonal_group)
-            except groups.InvariantViolation as e:
-                print("optimize=%d raised %s"
-                      % (sys.flags.optimize, e.args[0].split(" fails ")[1]))
-            else:
-                print("optimize=%d passed" % sys.flags.optimize)
-    """)
-    assert run_optimized(child) == (
-        "optimize=1 raised the orbit-stabiliser count\n" * 2)
 
 
 # The GL filter, the route orthogonal_group took before the isometry
@@ -593,48 +545,30 @@ def test_reflection_exceptional_cases():
     assert st4.generates and st4.exceptional is None
 
 
-def test_taxonomy_check_survives_optimized_interpreter(run_optimized):
-    # python -O strips assert statements; with a taxonomy that never names
-    # an exceptional shape, x1x2 over GF(2)^3 (closure 4 inside O' of
-    # order 8) must still raise
-    child = textwrap.dedent("""
-        import sys
-        from metric_affine import groups
-        from metric_affine.fields import GF2
-        from metric_affine.quadform import QForm
-
-        groups._exceptional_shape = lambda Q, budget=None: None
-        try:
-            groups.reflection_generation_status(
-                QForm.from_upper(GF2, 3, (0, 1, 0, 0, 0, 0)))
-        except groups.InvariantViolation as e:
-            print("optimize=%d raised %s"
-                  % (sys.flags.optimize, e.args[0].split(" for ")[0]))
-        else:
-            print("optimize=%d passed" % sys.flags.optimize)
-    """)
-    assert run_optimized(child) == "optimize=1 raised taxonomy mismatch\n"
+@pytest.mark.invariant
+@pytest.mark.parametrize("name,wrong,match", [
+    ("_exceptional_shape", lambda Q, budget=None: None, "^taxonomy mismatch "),
+    ("closure", lambda field, n, gens, budget=None: enumerate_gl(field, n),
+     "^reflection closure escaped O'$")], ids=["taxonomy", "closure-escapes"])
+def test_reflection_status_checks_raise(name, wrong, match, monkeypatch):
+    # x1x2 over GF(2)^3: closure 4 inside O' of order 8.  A taxonomy that
+    # never names an exceptional shape, or a closure that is all of GL,
+    # must make the status raise
+    monkeypatch.setattr(groups, name, wrong)
+    with pytest.raises(groups.InvariantViolation, match=match):
+        reflection_generation_status(
+            QForm.from_upper(GF2, 3, (0, 1, 0, 0, 0, 0)))
 
 
-def test_gl_count_check_survives_optimized_interpreter(run_optimized):
-    # python -O strips assert statements; with a product formula that is
-    # one off, the GL build must still raise
-    child = textwrap.dedent("""
-        import sys
-        from metric_affine import groups
-        from metric_affine.fields import GF3
-
-        real_order = groups.order_gl
-        groups.order_gl = lambda n, q: real_order(n, q) + 1
-        try:
-            groups._gl_arrays(GF3, 2)
-        except groups.InvariantViolation as e:
-            print("optimize=%d raised %s" % (sys.flags.optimize, e.args[0]))
-        else:
-            print("optimize=%d passed" % sys.flags.optimize)
-    """)
-    assert (run_optimized(child)
-            == "optimize=1 raised GL_2(GF(3)) has 48 elements, not 49\n")
+@pytest.mark.invariant
+def test_gl_count_check_raises(cold_memo, monkeypatch):
+    # a product formula that is one off: the GL build must raise
+    real_order = groups.order_gl
+    monkeypatch.setattr(groups, "order_gl",
+                        lambda n, q: real_order(n, q) + 1)
+    with pytest.raises(groups.InvariantViolation,
+                       match=r"^GL_2\(GF\(3\)\) has 48 elements, not 49$"):
+        _gl_arrays(GF3, 2)
 
 
 def test_weak_group_fixes_radical_pointwise():

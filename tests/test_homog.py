@@ -1,6 +1,5 @@
 """Homogeneous model: point/dual matrices, form lifting, reflections."""
 
-import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metric_affine import groups, homog
+from metric_affine.budget import InvariantViolation
 from metric_affine.fields import GF2, GF3, GF4, GF5, GF7, QQ
 from metric_affine.groups import (GroupSet, enumerate_gl, orthogonal_group,
                                   weak_orthogonal_group)
@@ -20,6 +21,7 @@ from metric_affine.linalg import Mat, mat_invert, unit_vector, vec
 from metric_affine.quadform import (QForm, all_vectors, enumerate_forms,
                                     is_nondegenerate, polar, qf_eval,
                                     qf_scale)
+from test_acceptance import ROUNDTRIP_COUNTS
 
 GL52 = [Mat(GF5, A.tolist()) for A in enumerate_gl(GF5, 2).as_np()]
 
@@ -186,15 +188,6 @@ def test_drop_known_value():
     assert down.n == 1 and down.upper_coeffs() == (1,)
 
 
-# frozen exhaustive counts: (field, n) -> (forms lifted, forms dropped)
-ROUNDTRIP_COUNTS = {
-    (GF3.name, 1): (2, 1),
-    (GF3.name, 2): (18, 2),
-    (GF2.name, 2): (4, 0),   # no droppable binary form in two variables
-    (GF5.name, 1): (4, 1),
-}
-
-
 @pytest.mark.parametrize("F,n", [(GF3, 1), (GF3, 2), (GF2, 2), (GF5, 1)])
 def test_roundtrips_exhaustive(F, n):
     rep = roundtrip_checks(F, n)
@@ -326,52 +319,57 @@ def test_nondegenerate_forms_round_trip_via_scaling():
         assert lhs == rhs
 
 
-_WRONG_LIFT_CHILD = textwrap.dedent("""
-    import sys
-    from metric_affine import homog
-    from metric_affine.fields import GF3
-    from metric_affine.groups import InvariantViolation
-    from metric_affine.linalg import Mat
-    from metric_affine.quadform import QForm
-
+@pytest.mark.invariant
+def test_lift_check_raises(monkeypatch):
     # a zero "inverse" of B lifts x1^2 to the zero form, whose radical is
     # all of F x V*, not the line F e0
-    homog.mat_invert = lambda M: Mat.zeros(M.field, M.nrows, M.ncols)
-    try:
-        homog.lift(QForm.from_upper(GF3, 1, (1,)))
-    except InvariantViolation:
-        print("optimize=%d raised" % sys.flags.optimize)
-    else:
-        print("optimize=%d passed" % sys.flags.optimize)
-""")
+    monkeypatch.setattr(homog, "mat_invert",
+                        lambda M: Mat.zeros(M.field, M.nrows, M.ncols))
+    with pytest.raises(InvariantViolation, match="must vanish at e0"):
+        lift(QForm.from_upper(GF3, 1, (1,)))
 
 
-def test_lift_check_survives_optimized_interpreter(run_optimized):
-    assert run_optimized(_WRONG_LIFT_CHILD) == "optimize=1 raised\n"
-
-
-_WRONG_INVERSE_CHILD = textwrap.dedent("""
-    import sys
-    from metric_affine import homog
-    from metric_affine.fields import GF3
-    from metric_affine.groups import InvariantViolation
-    from metric_affine.linalg import Mat, vec
-
-    gamma = homog.AffineMap(vec(GF3, (1,)), Mat(GF3, [[2]]))
-    kappa = homog.dual_matrix(gamma)
+@pytest.mark.invariant
+def test_dual_matrix_checks_raise(monkeypatch):
+    gamma = AffineMap(vec(GF3, (1,)), Mat(GF3, [[2]]))
+    kappa = dual_matrix(gamma)
     # every matrix "inverts" to the identity, which is wrong for A = 2
-    homog.mat_invert = lambda M: Mat.identity(M.field, M.nrows)
-    for call in (lambda: homog.dual_matrix(gamma),
-                 lambda: homog.dual_matrix_preimage(kappa)):
-        try:
-            call()
-        except InvariantViolation:
-            print("optimize=%d raised" % sys.flags.optimize)
-        else:
-            print("optimize=%d passed" % sys.flags.optimize)
-""")
+    monkeypatch.setattr(homog, "mat_invert",
+                        lambda M: Mat.identity(M.field, M.nrows))
+    with pytest.raises(InvariantViolation, match="is not the inverse"):
+        dual_matrix(gamma)
+    with pytest.raises(InvariantViolation, match="is not the preimage of"):
+        dual_matrix_preimage(kappa)
 
 
-def test_dual_matrix_checks_survive_optimized_interpreter(run_optimized):
-    assert (run_optimized(_WRONG_INVERSE_CHILD)
-            == "optimize=1 raised\noptimize=1 raised\n")
+@pytest.mark.invariant
+def test_drop_check_raises(monkeypatch):
+    monkeypatch.setattr(homog, "is_nondegenerate", lambda Q: False)
+    with pytest.raises(InvariantViolation, match="^drop of a1\\^2 is "):
+        drop(QForm.from_upper(GF3, 2, (0, 0, 1)))
+
+
+@pytest.mark.invariant
+def test_motion_group_check_raises(monkeypatch):
+    # the translations read two equal vectors, so the stack repeats rows.
+    # The orbit table is built first, from the true vectors
+    Q = QForm.from_upper(GF3, 1, (1,))
+    motion_group_dual(Q, False)
+    real = groups.vectors_np
+    monkeypatch.setattr(groups, "vectors_np",
+                        lambda field, n: real(field, n)[[0, 0, 2]])
+    with pytest.raises(InvariantViolation, match="has repeated elements"):
+        motion_group_dual(Q, False)
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("name,wrong,match", [
+    ("is_isometry", lambda Q, A: False, "is no isometry"),
+    ("radical_basis", lambda Q: [vec(Q.field, (1, 0))], "moves the radical"),
+    ("polar_apply", lambda Q, r, p: Q.field.one, "must stay fixed")],
+    ids=["isometry", "radical", "axis-point"])
+def test_affine_reflection_checks_raise(name, wrong, match, monkeypatch):
+    # x1^2 + x2^2 over GF(3), the axis point o and the direction e1
+    monkeypatch.setattr(homog, name, wrong)
+    with pytest.raises(InvariantViolation, match=match):
+        affine_reflection(QForm.from_upper(GF3, 2, (1, 0, 1)), (0, 0), (1, 0))

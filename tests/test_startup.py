@@ -1,6 +1,7 @@
 """What a fresh interpreter loads: the CLI and the scalar algebra start
 without numpy, and the package still exports every name it did when it
-imported the group engine eagerly.
+imported the group engine eagerly.  And the tests marked invariant pass
+under python -O.
 
 Each check runs in a child interpreter, since the test process itself has
 long since loaded numpy."""
@@ -13,8 +14,8 @@ import textwrap
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 # every name the package exports, with the module that defines it
 EXPORTS = {
@@ -56,17 +57,30 @@ FORMS = {
 }
 
 
-def _child(code, *args):
-    """Run code in a fresh interpreter with this checkout's package on its
-    path; returns its stdout."""
+def _run_child(argv, timeout=120):
+    """Run a fresh interpreter with these arguments and this checkout's
+    package on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)]
-                          + list(args), capture_output=True, text=True,
-                          env=env, timeout=120)
+    return subprocess.run([sys.executable] + argv, capture_output=True,
+                          text=True, env=env, timeout=timeout)
+
+
+def _child(code, *args):
+    """Run code in a fresh interpreter; returns its stdout."""
+    done = _run_child(["-c", textwrap.dedent(code)] + list(args))
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def test_invariant_tests_pass_under_python_O():
+    # python -O strips assert statements; each test marked invariant checks
+    # a verification that raises explicitly, so it must pass under -O too.
+    # pytest exits 5 when it selects no test, so an empty selection fails
+    done = _run_child(["-O", "-m", "pytest", "-m", "invariant", "-q",
+                       "-p", "no:cacheprovider", TESTS], timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_cli_import_leaves_numpy_out():

@@ -2,7 +2,6 @@
 
 import functools
 import re
-import textwrap
 from collections import Counter
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metric_affine import transvect
+from metric_affine.budget import InvariantViolation
 from metric_affine.fields import GF2, GF3, GF4, GF5, GF7, QQ
 from metric_affine.groups import (BudgetExceeded, GroupSet, _reflections_np,
                                   form_block_np, form_values_np, mat_to_np,
@@ -85,6 +85,7 @@ BAD_DIRECTIONS = [((0, 0), (0, 0)), ((3, 0), (0, 0)),
                   ((1, 0, 0), (1, 0, 0)), ((1,), (1,))]
 
 
+@pytest.mark.invariant
 def test_delta_group_rejects_zero_direction():
     # the same check, and message, as the lemma functions below
     for bad, read in BAD_DIRECTIONS:
@@ -94,41 +95,7 @@ def test_delta_group_rejects_zero_direction():
                                       "vector of F^2, got %r" % (read,))
 
 
-def test_delta_group_refusal_survives_optimized_interpreter(run_optimized):
-    child = textwrap.dedent("""
-        from metric_affine.fields import GF3
-        from metric_affine.transvect import delta_group
-        for bad in ((1,), (1, 0, 0), (0, 0)):
-            try:
-                delta_group(GF3, 2, bad)
-            except ValueError as e:
-                print(e)
-    """)
-    assert run_optimized(child) == "".join(
-        "the direction must be a non-zero vector of F^2, got %r\n" % (bad,)
-        for bad in ((1,), (1, 0, 0), (0, 0)))
-
-
-# per (field, dim): how many of the form x direction pairs land in each of
-# the four position cases, exhaustively (the size predictions themselves are
-# asserted inside classify_direction on every call)
-LETTER_TALLIES = {
-    (GF2.name, 1): {"c": 1, "d": 1},
-    (GF2.name, 2): {"a": 6, "b": 6, "c": 6, "d": 6},
-    (GF3.name, 1): {"a": 4, "d": 2},
-    (GF3.name, 2): {"a": 144, "b": 48, "d": 24},  # no case c in odd char
-}
-
-
-@pytest.mark.parametrize("F,n", [(GF2, 1), (GF2, 2), (GF3, 1), (GF3, 2)])
-def test_direction_case_tallies(F, n):
-    tally = Counter()
-    for Q in enumerate_forms(F, n):
-        for fv in nonzero_vectors(F, n):
-            tally[classify_direction(Q, fv).letter] += 1
-    assert dict(tally) == LETTER_TALLIES[(F.name, n)]
-
-
+@pytest.mark.invariant
 @pytest.mark.parametrize("budget", [None, 1])
 def test_lemma_functions_reject_a_zero_or_misshapen_direction(budget):
     # the direction is checked before the budget, so a budget the map
@@ -209,25 +176,6 @@ def test_case_a_intersection_is_identity_and_reflection():
     assert go.order == 2 and gw.order == 2
     refl = Mat(GF3, [[2, 0], [0, 1]])  # negate e1, fix its perp
     assert refl in go
-
-
-# exhaustive sufficient-condition tallies for the annihilator transvections:
-# (answer, tag) -> count over all nonzero (Q, f) pairs
-ANNIH_TALLIES = {
-    (GF2.name, 1): {(True, COND_DIM_ONE): 1, (True, COND_RADICAL_LINE): 1},
-    (GF2.name, 2): {(False, None): 18, (True, COND_BINARY_PLANE): 6},
-    (GF3.name, 1): {(True, COND_DIM_ONE): 4, (True, COND_RADICAL_LINE): 2},
-    (GF3.name, 2): {(False, None): 200, (True, COND_RADICAL_LINE): 16},
-}
-
-
-@pytest.mark.parametrize("F,n", [(GF2, 1), (GF2, 2), (GF3, 1), (GF3, 2)])
-def test_annihilator_condition_tallies(F, n):
-    tally = Counter()
-    for Q in enumerate_forms(F, n):
-        for fv in nonzero_vectors(F, n):
-            tally[annihilator_transvections_in_weak(Q, fv)] += 1
-    assert dict(tally) == ANNIH_TALLIES[(F.name, n)]
 
 
 def test_annihilator_spot_cases():
@@ -550,58 +498,57 @@ def test_lemma_blocks_are_sized_by_the_narrow_gather(cold_memo, monkeypatch):
     assert max(build[3] for build in builds) <= 2 ** 21
 
 
-_OPTIMIZED_CHILD = textwrap.dedent("""
-    import sys
-    import numpy as np
-    from metric_affine import transvect
-    from metric_affine.fields import GF3
-    from metric_affine.groups import InvariantViolation
-    from metric_affine.quadform import QForm
-
-    real_table = transvect._rank_one_maps
-    real_inverses = transvect.inverses_np
-
-    def no_isometries(field, n, budget=None):
+def _no_isometries(real):
+    def wrong(field, n, budget=None):
         # every map sends every vector to o, so none preserves a nonzero form
-        narrow, moved, slot = real_table(field, n, budget)
+        narrow, moved, slot = real(field, n, budget)
         return (np.zeros_like(narrow),
                 np.broadcast_to(np.arange(moved.shape[1]) > 0, moved.shape),
                 slot)
-
-    def wrong_sign(field):
-        # a = Q(f)^-1 Bf in place of -Q(f)^-1 Bf, so the reflection is
-        # looked up as I + Q(f)^-1 f (Bf)^T
-        return (field.order - real_inverses(field)) % field.order
-
-    transvect.NAME = PATCH
-    try:
-        transvect.classify_direction(QForm.from_upper(GF3, 2, COEFFS), (1, 0))
-    except InvariantViolation as e:
-        print("optimize=%d raised %s" % (sys.flags.optimize, e.args[0][0]))
-    else:
-        print("optimize=%d passed" % sys.flags.optimize)
-""")
+    return wrong
 
 
-def _optimized_child(name, patch, coeffs):
-    """The child above with transvect.name replaced by patch, run on the
-    GF(3) plane form with these upper coefficients and f = e1."""
-    return (_OPTIMIZED_CHILD.replace("NAME", name).replace("PATCH", patch)
-            .replace("COEFFS", repr(coeffs)))
+def _wrong_sign(real):
+    # a = Q(f)^-1 Bf in place of -Q(f)^-1 Bf, so the reflection is looked up
+    # as I + Q(f)^-1 f (Bf)^T
+    return lambda field: (field.order - real(field)) % field.order
 
 
-def test_size_check_survives_optimized_interpreter(run_optimized):
-    # python -O strips assert statements; the lemma checks raise explicitly.
-    # The query on x1 x2 builds the records of all of GF(3)^2 in order, and
-    # the first pair is the zero form's with f = e1: case "d", predicted
-    # sizes (6, 1), where no map fixes the radical any more
-    child = _optimized_child("_rank_one_maps", "no_isometries", (0, 1, 0))
-    assert run_optimized(child) == "optimize=1 raised d\n"
+def _annihilators_outside_weak(real):
+    def wrong(field, n, narrow, moved, vals, rad):
+        iso, weak = real(field, n, narrow, moved, vals, rad)
+        N = field.order ** n
+        weak = weak.copy()
+        weak[..., N - N // field.order:N] = False   # the annihilator maps
+        return iso, weak
+    return wrong
 
 
-def test_reflection_check_survives_optimized_interpreter(run_optimized):
-    # x1^2 + x2^2 and the anisotropic f = e1: case "a", whose two maps are
-    # the identity and the reflection along f
-    child = _optimized_child("inverses_np", "wrong_sign", (1, 0, 1))
-    assert (run_optimized(child) == "optimize=1 raised reflection along f "
-            "not in Delta ∩ O(Q)\n")
+_ZERO_PLANE = QForm.zero(GF3, 2)
+_X2_SQUARED = QForm.from_upper(GF3, 2, (0, 0, 1))
+_ZERO_LINE = QForm.zero(GF3, 1)
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("name,wrong,Q,f,raised", [
+    # a query builds the records of its block of forms in enumerate_forms
+    # order, so each case queries the first pair that fails.  The zero form
+    # with f = e1 is case "d", predicted sizes (6, 1), where no map fixes
+    # the radical any more
+    ("_rank_one_maps", _no_isometries, _ZERO_PLANE, (1, 0),
+     ("d", (6, 1), (6, 0), _ZERO_PLANE, (1, 0))),
+    # x2^2 and the anisotropic f = e2: case "a", whose two maps are the
+    # identity and the reflection along f
+    ("inverses_np", _wrong_sign, _X2_SQUARED, (0, 1),
+     ("reflection along f not in Delta ∩ O(Q)", _X2_SQUARED, (0, 1))),
+    # f spans the radical line of the zero form on a line, so every
+    # annihilator transvection must be in O'
+    ("_isometries", _annihilators_outside_weak, _ZERO_LINE, (1,),
+     (_ZERO_LINE, (1,), False, COND_RADICAL_LINE))],
+    ids=["sizes", "reflection", "condition-tag"])
+def test_lemma_checks_raise(name, wrong, Q, f, raised, cold_memo,
+                            monkeypatch):
+    monkeypatch.setattr(transvect, name, wrong(getattr(transvect, name)))
+    with pytest.raises(InvariantViolation) as exc:
+        classify_direction(Q, f)
+    assert exc.value.args == (raised,)
