@@ -85,8 +85,3 @@ def memo(key, build, required=None, budget=None):
     if got is None:
         got = _MEMO[key] = build()
     return got
-
-
-def forget(key):
-    """Drop the value memoised under key, if there is one."""
-    _MEMO.pop(key, None)

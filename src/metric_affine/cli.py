@@ -12,7 +12,7 @@ import json
 import sys
 
 from .budget import (BadBudgetVariable, BudgetExceeded, HARD_BUDGET_CEILING,
-                     clamp_budget, forget, order_gl, require)
+                     clamp_budget, order_gl, require)
 from .fields import field_make
 from .linalg import vec
 from .quadform import (all_vectors, enumerate_forms, form_from_text,
@@ -202,30 +202,24 @@ def cmd_groups(args, em):
 # --- verification commands -------------------------------------------------
 
 def cmd_verify_lemmas(args, em):
-    from .transvect import _map_rows, lemma_record
+    from .transvect import lemma_records
     fld = _finite_field(args.field_name)
     n = _require_dim(args, low=1)
     counts = {"a": 0, "b": 0, "c": 0, "d": 0}
     inside = pairs = 0
-    budget = require(_map_rows(fld, n), args.budget)  # before listing forms
-    # the (Q, f) pairs meet the hard ceiling: the budget bounds the map rows
-    q = fld.order
-    require(q ** (n * (n + 1) // 2) * (q ** n - 1), HARD_BUDGET_CEILING)
-    directions = all_vectors(fld, n)[1:]   # every x but o, in index order
-    for Q in enumerate_forms(fld, n):
+    for Q, record in lemma_records(fld, n, args.budget):
         # classify_direction, annihilator_transvections_in_weak and
-        # scaled_transvection_never_weak for every x, from Q's record
-        for x, (case, (ok, _tag), scaled_ok) in zip(
-                directions, lemma_record(Q, budget)[1:]):
+        # scaled_transvection_never_weak for every x != o, by vector index
+        for idx, (case, (ok, _tag), scaled_ok) in enumerate(record[1:], 1):
             counts[case.letter] += 1
             inside += ok
             if not scaled_ok:
+                f = vec(fld, all_vectors(fld, n)[idx])
                 em.text("FAIL: scaled transvection inside weak group: Q=%s f=%s"
-                        % (poly_str(Q), _vec_str(vec(fld, x))))
+                        % (poly_str(Q), _vec_str(f)))
                 em.record({"record": "lemma-sweep", "ok": False})
                 return EXIT_FAIL
             pairs += 1
-        forget(("_lemma_record", fld.name, n, Q.gram.rows))  # Q is done
     em.text("lemma sweep over %s, dim %d" % (fld.name, n),
             "pairs (Q, f): %d" % pairs,
             "direction cases: a=%d b=%d c=%d d=%d"

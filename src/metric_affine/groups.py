@@ -18,9 +18,9 @@ column at a time, by every vector outside its span (the product of the
 coefficient table of F^k with its k columns) that meets the next column's
 constraints; np.nonzero keeps the result in lexicographic order of the
 columns' vector indices.  For the zero form the constraints are empty, and
-the frontier is all of GL_n.  The readable one-vector-at-a-time route
-lives in quadform.is_isometry, and the tests check the frontier against a
-filter of all of GL.
+the frontier is all of GL_n.  The readable route is quadform.is_isometry,
+which compares the pullback A^T W A with W, and the tests check the
+frontier against a filter of all of GL by it.
 
 Forms in one congruence orbit have conjugate groups, so the groups of
 every form on F^n take one frontier per orbit.  groups_by_orbit walks the
@@ -40,8 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import (BudgetExceeded, InvariantViolation, group_budget, memo,
-                     order_gl)
+from .budget import InvariantViolation, group_budget, memo, order_gl, require
 from .quadform import QForm, form_position, polar, radical_basis
 
 
@@ -346,9 +345,6 @@ class GroupSet:
     def order(self):
         return len(self.elems)
 
-    def __len__(self):
-        return len(self.elems)
-
     @property
     def key(self):
         """The sorted codes as bytes: a plain dict and memo key for the set."""
@@ -486,8 +482,7 @@ def closure(field, n, generators, budget=None):
         new = ~np.isin(codes, seen, assume_unique=True)
         frontier = prods[first[new]]
         seen = np.concatenate([seen, codes[new]])
-        if len(seen) > budget:
-            raise BudgetExceeded(len(seen), budget)
+        require(len(seen), budget)
     return GroupSet(field, n, seen)
 
 

@@ -66,19 +66,6 @@ class Mat:
         z, o = field.zero, field.one
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def column(cls, field, entries):
-        entries = list(entries)
-        return cls(field, [[x] for x in entries], (len(entries), 1))
-
-    @classmethod
-    def from_cols(cls, field, cols, nrows=None):
-        cols = [list(c) for c in cols]
-        if nrows is None:
-            nrows = len(cols[0]) if cols else 0
-        return cls(field, [[c[i] for c in cols] for i in range(nrows)],
-                   (nrows, len(cols)))
-
     # --- basics ------------------------------------------------------------
 
     def __eq__(self, other):
@@ -102,21 +89,15 @@ class Mat:
         return Mat._trusted(self.field, tuple((r[j],) for r in self.rows),
                             self.nrows, 1)
 
-    def col_entries(self, j):
-        return tuple(self.rows[i][j] for i in range(self.nrows))
-
     def entries(self):
         """Column-vector convenience: the entries of an n x 1 matrix."""
         assert self.ncols == 1, self.shape
         return tuple(r[0] for r in self.rows)
 
-    def transpose(self):
-        rows = tuple(zip(*self.rows)) if self.nrows else ((),) * self.ncols
-        return Mat._trusted(self.field, rows, self.ncols, self.nrows)
-
     @property
     def T(self):
-        return self.transpose()
+        rows = tuple(zip(*self.rows)) if self.nrows else ((),) * self.ncols
+        return Mat._trusted(self.field, rows, self.ncols, self.nrows)
 
     def is_zero(self):
         z = self.field.zero
@@ -175,7 +156,8 @@ class Mat:
 
 
 def vec(field, entries):
-    return Mat.column(field, entries)
+    entries = list(entries)
+    return Mat(field, [[x] for x in entries], (len(entries), 1))
 
 
 def unit_vector(field, n, i):
@@ -288,7 +270,7 @@ def span_contains(basis, v):
     """Is column v in the span of the given columns?"""
     if not basis:
         return v.is_zero()
-    F = v.field
-    M = Mat.from_cols(F, [b.entries() for b in basis] + [v.entries()])
+    cols = [b.entries() for b in basis] + [v.entries()]
+    M = Mat(v.field, zip(*cols), (v.nrows, len(cols)))
     return rank(M) == rank(M.submatrix(range(M.nrows), range(len(basis))))
 

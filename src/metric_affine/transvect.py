@@ -13,8 +13,9 @@ The lemmas need no group larger than the maps they are about.  One build
 per (field, n) holds every rank-one map they test (_rank_one_maps).  The
 records of a block of consecutive forms are built at once from the block's
 coefficient stack (_lemma_block), testing each map on the n(n+1)/2 vectors
-whose values fix a form; each (Q, f) query is a lookup in Q's record by the
-vector index of f.  The budget bounds the rows of the map table.
+whose values fix a form.  lemma_record memoises them, and each (Q, f) query
+is a lookup in Q's record by the vector index of f; lemma_records hands
+them out in form order and keeps none.  The budget bounds the map rows.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .groups import (GroupSet, InvariantViolation, add_np, form_block_np,
-                     inverses_np, matmul_np, memo, mul_np, polar_images_np,
-                     values_np, vector_index_np, vectors_np)
+from .budget import HARD_BUDGET_CEILING, InvariantViolation, memo, require
+from .groups import (GroupSet, add_np, form_block_np, inverses_np, matmul_np,
+                     mul_np, polar_images_np, values_np, vector_index_np,
+                     vectors_np)
 from .linalg import Mat, outer, pairing, vec
 from .quadform import QForm, all_vectors, form_position
 
@@ -202,9 +204,10 @@ def _judge(Q, x, in_rad, isotropic, k, sizes, reflected, inside, scaled_ok):
                          scaled_ok))
 
 
-# gathered entries (forms x maps x the n(n+1)/2 vectors e_i, e_i + e_j) per
-# block of forms, so that one build pays for a bounded block
-_BLOCK_ENTRIES = 2 ** 21
+def _block_forms(maps):
+    """Forms per block, so that forms x maps x the n(n+1)/2 vectors e_i,
+    e_i + e_j of one build stay within 2^21 gathered entries."""
+    return max(1, 2 ** 21 // maps[0].size)
 
 
 def _isometries(field, n, narrow, moved, vals, rad):
@@ -220,23 +223,20 @@ def _isometries(field, n, narrow, moved, vals, rad):
     return iso, weak
 
 
-def _lemma_block(Q, budget):
-    """The lemma record of every form in Q's block of consecutive positions
-    in enumerate_forms order, built on the block's coefficient stack and
-    memoised per form; returns Q's.  A record is _judge's answer for every
-    direction f, by vector index of f (slot 0 is None).
+def _lemma_block(field, n, maps, start):
+    """(R, R's lemma record) for every form R in the block that begins at
+    position start of enumerate_forms order, built on the block's
+    coefficient stack with the map table maps.  A record is _judge's answer
+    for every direction f, by vector index of f (slot 0 is None).
 
     The reflection along f is the map of Delta_f with a = -Q(f)^-1 Bf (a = o,
     the identity, where Q(f) = 0), which is in Delta_f: <a, f> = -Q(f)^-1
     B(f, f) is -2 in odd characteristic and 0 in characteristic 2, never -1.
     """
-    field, n = Q.field, Q.n
-    narrow, moved, slot = _rank_one_maps(field, n, budget)
+    narrow, moved, slot = maps
     q, N, m = field.order, field.order ** n, n * (n + 1) // 2
-    size = max(1, _BLOCK_ENTRIES // narrow.size)
-    block, row = divmod(form_position(Q), size)
-    start = block * size
-    W = form_block_np(field, n, start, min(size, q ** m - start))
+    W = form_block_np(field, n, start,
+                      min(_block_forms(maps), q ** m - start))
     vals = values_np(field, n, W)
     images = polar_images_np(field, n, W)                 # row x: B x
     rad = ~images.any(axis=2)
@@ -254,27 +254,46 @@ def _lemma_block(Q, budget):
                 weak[..., delta:N].all(axis=2).tolist(),
                 (~weak[..., N:].any(axis=2)).tolist())
     xs = all_vectors(field, n)[1:]
-    records = []
+    block = []
     for coeffs, k, per_form in zip(W.tolist(), rad.sum(axis=1).tolist(),
                                    facts):
         R = QForm.from_upper(field, n, coeffs)
-        record = (None,) + tuple(
+        block.append((R, (None,) + tuple(
             _judge(R, x, in_rad, isotropic, dims[k], (o, w), refl, inside,
                    scaled_ok)
             for x, in_rad, isotropic, o, w, refl, inside, scaled_ok
-            in zip(xs, *per_form))
-        # ungated: a block is built only inside lemma_record's gated read
-        records.append(memo(("_lemma_record", field.name, n, R.gram.rows),
-                            lambda: record))
-    return records[row]
+            in zip(xs, *per_form))))
+    return block
 
 
 def lemma_record(Q, budget=None):
     """Q's lemma record, _judge's answer for every direction f by the vector
-    index of f (slot 0 is None), behind the gate of the map rows."""
-    return memo(("_lemma_record", Q.field.name, Q.n, Q.gram.rows),
-                lambda: _lemma_block(Q, budget), _map_rows(Q.field, Q.n),
-                budget)
+    index of f (slot 0 is None), behind the gate of the map rows.  A cold
+    read builds Q's block and memoises the record of every form in it."""
+    def build():
+        field, n = Q.field, Q.n
+        maps = _rank_one_maps(field, n, budget)
+        row = form_position(Q) % _block_forms(maps)
+        block = _lemma_block(field, n, maps, form_position(Q) - row)
+        for R, record in block:
+            # ungated: a block is built only inside this gated read
+            memo(("_lemma_record", field.name, n, R.gram.rows),
+                 lambda: record)
+        return block[row][1]
+    return memo(("_lemma_record", Q.field.name, Q.n, Q.gram.rows), build,
+                _map_rows(Q.field, Q.n), budget)
+
+
+def lemma_records(field, n, budget=None):
+    """(Q, Q's lemma record) for every form Q on F^n in enumerate_forms
+    order, a block at a time, memoising none; the map rows meet the budget
+    and the (Q, f) pairs the hard ceiling before the first block."""
+    budget = require(_map_rows(field, n), budget)
+    forms = field.order ** (n * (n + 1) // 2)
+    require(forms * (field.order ** n - 1), HARD_BUDGET_CEILING)
+    maps = _rank_one_maps(field, n, budget)
+    for start in range(0, forms, _block_forms(maps)):
+        yield from _lemma_block(field, n, maps, start)
 
 
 def _answers(Q, f, budget):

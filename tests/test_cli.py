@@ -1,11 +1,12 @@
 """End-to-end command-line behaviour, driven through main(argv) in-process."""
 
+import ast
 import json
 import os
 
 import pytest
 
-from metric_affine import classify, cli
+from metric_affine import classify, cli, transvect
 from metric_affine.classify import SUPPORTED_TABLES
 from metric_affine.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_PASS,
                                _TABLE_CASES, main)
@@ -251,8 +252,8 @@ def test_verify_lemmas_frozen_tallies(capsys, field, dim):
 
 
 def test_verify_lemmas_leaves_no_record_memoised(capsys, cold_memo):
-    # each form's record is dropped after its last direction, so the sweep
-    # does not hold every record at once
+    # the sweep takes each block's records from lemma_records and memoises
+    # none, so it does not hold every record at once
     assert main(["verify", "lemmas", "--field", "3", "--dim", "2"]) \
         == EXIT_PASS
     assert "_rank_one_maps" in {key[0] for key in cold_memo}
@@ -484,19 +485,24 @@ def test_sweeps_meet_the_budget_before_listing_forms(argv, need, budget, fmt,
                                                      capsys, monkeypatch):
     monkeypatch.setattr(cli, "enumerate_forms", _refuse)
     monkeypatch.setattr(classify, "enumerate_forms", _refuse)
+    monkeypatch.setattr(transvect, "_rank_one_maps", _refuse)
+    monkeypatch.setattr(transvect, "_lemma_block", _refuse)
     assert main(["--format", fmt] + argv) == EXIT_BUDGET
     assert tuple(capsys.readouterr()) == ("", _refusal(need, budget))
 
 
 def test_lemma_sweep_under_the_pair_ceiling_lists_forms(capsys, monkeypatch):
     # GF(3)^4 has 4,723,920 (Q, f) pairs, under the 10^7 ceiling, and 8,560
-    # map rows, under the default budget: the sweep goes on to list forms
-    listed = []
-    monkeypatch.setattr(cli, "enumerate_forms",
-                        lambda fld, n: listed.append((fld.name, n)) or ())
+    # map rows, under the default budget: the sweep goes on to build the
+    # blocks of all 3^10 forms, in order
+    starts = []
+    monkeypatch.setattr(
+        transvect, "_lemma_block",
+        lambda fld, n, _maps, start: starts.append((fld.name, n, start)) or ())
     assert main(["verify", "lemmas", "--field", "3", "--dim", "4"]) \
         == EXIT_PASS
-    assert listed == [("GF(3)", 4)]
+    step = starts[1][2]
+    assert starts == [("GF(3)", 4, start) for start in range(0, 3 ** 10, step)]
 
 
 def _form_text(field, dim, coeff):
@@ -572,3 +578,15 @@ def test_output_is_deterministic(form_file, capsys):
     first = capsys.readouterr().out
     main(["verify", "quadric", path])
     assert capsys.readouterr().out == first
+
+
+def test_cli_imports_no_private_name():
+    # the front end reaches the package through its public names only
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.level or node.module.startswith("metric_affine"))
+                for alias in node.names]
+    assert [name for name in imported if name.startswith("_")] == []
+    assert {"field_make", "lemma_records"} <= set(imported)

@@ -328,6 +328,22 @@ def test_closure_of_nothing_is_identity():
     assert closure(GF3, 2, []).order == 1
 
 
+@pytest.mark.parametrize("budget,required,charged", [
+    (1, 3, 1), (10, 15, 10), (47, 48, 47), (None, 10, 7)])
+def test_closure_refuses_past_the_budget(budget, required, charged,
+                                         monkeypatch):
+    # <[[1,1],[0,1]], [[0,1],[1,0]]> is GL_2(3), of order 48; the search
+    # stops at the first round that leaves more elements than the budget,
+    # which is METRIC_AFFINE_BUDGET when none is given
+    monkeypatch.setenv("METRIC_AFFINE_BUDGET", "7")
+    gens = [mat_to_np(Mat(GF3, [[1, 1], [0, 1]])),
+            mat_to_np(Mat(GF3, [[0, 1], [1, 0]]))]
+    assert closure(GF3, 2, gens, 48).order == 48
+    with pytest.raises(BudgetExceeded) as exc:
+        closure(GF3, 2, gens, budget)
+    assert (exc.value.required, exc.value.budget) == (required, charged)
+
+
 def test_budget_guard():
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_gl(GF5, 4, budget=1000)  # |GL_4(5)| is astronomically over

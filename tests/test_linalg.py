@@ -70,7 +70,7 @@ def test_rref_and_rank():
     assert rank(A) == 2
     # pivot columns hold unit vectors
     for k, j in enumerate(pivots):
-        assert R.col_entries(j) == tuple(
+        assert R.col(j).entries() == tuple(
             GF3.one if i == k else GF3.zero for i in range(3))
 
 

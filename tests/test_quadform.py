@@ -38,8 +38,8 @@ def test_canonicalization_preserves_values(entries):
 
 def test_eval_accepts_sequences():
     Q = QForm.from_upper(GF2, 2, [1, 1, 0])  # x1^2 + x1x2
-    assert Q((1, 1)) == 0
-    assert Q((1, 0)) == 1
+    assert qf_eval(Q, (1, 1)) == 0
+    assert qf_eval(Q, (1, 0)) == 1
     assert qf_eval(Q, vec(GF2, (0, 1))) == 0
 
 
@@ -165,18 +165,21 @@ def test_pullback_composes():
         assert qf_eval(qf_pullback(Q, A), xv) == qf_eval(Q, A * xv)
 
 
-def test_is_isometry_two_routes_agree():
-    # value-table route vs pullback route: equivalent because polarization
-    # recovers every canonical coefficient from the value table
-    Q = QForm.from_upper(GF3, 2, [1, 0, 1])
-    for rows in itertools.product(itertools.product(range(3), repeat=2),
-                                  repeat=2):
-        A = Mat(GF3, rows)
-        by_enum = all(qf_eval(Q, A * vec(GF3, x)) == qf_eval(Q, vec(GF3, x))
-                      for x in all_vectors(GF3, 2))
-        by_pullback = qf_pullback(Q, A) == Q
-        assert by_enum == by_pullback
-        assert is_isometry(Q, A) == by_enum
+@pytest.mark.parametrize("F,n", [(GF2, 2), (GF3, 2), (GF4, 1)],
+                         ids=["GF2^2", "GF3^2", "GF4^1"])
+def test_is_isometry_two_routes_agree(F, n):
+    # the pullback route against Q(Ax) = Q(x) at every vector x, on every
+    # form and every n x n matrix, singular ones included: equivalent
+    # because polarization recovers every canonical coefficient from values
+    xs = [vec(F, x) for x in all_vectors(F, n)]
+    verdicts = set()
+    for Q in enumerate_forms(F, n):
+        for rows in itertools.product(all_vectors(F, n), repeat=n):
+            A = Mat(F, rows)
+            by_vectors = all(qf_eval(Q, A * x) == qf_eval(Q, x) for x in xs)
+            assert is_isometry(Q, A) == by_vectors, (Q, A)
+            verdicts.add(by_vectors)
+    assert verdicts == {True, False}
 
 
 def test_is_isometry_rational():

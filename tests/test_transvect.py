@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metric_affine import transvect
-from metric_affine.budget import InvariantViolation
+from metric_affine.budget import BudgetExceeded, InvariantViolation
 from metric_affine.fields import GF2, GF3, GF4, GF5, GF7, QQ
-from metric_affine.groups import (BudgetExceeded, GroupSet, _reflections_np,
-                                  form_block_np, form_values_np, mat_to_np,
-                                  matrix_codes, orthogonal_group,
-                                  polar_images_np, values_np,
+from metric_affine.groups import (GroupSet, _reflections_np, form_block_np,
+                                  form_values_np, mat_to_np, matrix_codes,
+                                  orthogonal_group, polar_images_np, values_np,
                                   weak_orthogonal_group)
 from metric_affine.linalg import Mat, pairing, span_contains, vec
 from metric_affine.quadform import (QForm, all_vectors, enumerate_forms,
