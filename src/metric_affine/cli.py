@@ -51,6 +51,15 @@ class Emitter:
         if self.fmt == "records":
             print(json.dumps(rec, sort_keys=True))
 
+    def verdict(self, ok, failures=()):
+        """The tail of a verification: PASS, or one FAIL line per failure;
+        returns the exit code."""
+        if ok:
+            self.text("PASS")
+            return EXIT_PASS
+        self.text(*("FAIL: " + line for line in failures))
+        return EXIT_FAIL
+
 
 def _form_rec(Q, var="x", start=1):
     return {"field": Q.field.name, "dim": Q.n,
@@ -215,23 +224,22 @@ def cmd_verify_lemmas(args, em):
             inside += ok
             if not scaled_ok:
                 f = vec(fld, all_vectors(fld, n)[idx])
-                em.text("FAIL: scaled transvection inside weak group: Q=%s f=%s"
-                        % (poly_str(Q), _vec_str(f)))
                 em.record({"record": "lemma-sweep", "ok": False})
-                return EXIT_FAIL
+                return em.verdict(False, [
+                    "scaled transvection inside weak group: Q=%s f=%s"
+                    % (poly_str(Q), _vec_str(f))])
             pairs += 1
     em.text("lemma sweep over %s, dim %d" % (fld.name, n),
             "pairs (Q, f): %d" % pairs,
             "direction cases: a=%d b=%d c=%d d=%d"
             % (counts["a"], counts["b"], counts["c"], counts["d"]),
             "pairs with all annihilator transvections weak: %d" % inside,
-            "scaled transvections outside weak group: verified",
-            "PASS")
+            "scaled transvections outside weak group: verified")
     em.record({"record": "lemma-sweep", "field": fld.name, "dim": n,
                "pairs": pairs, "cases": counts,
                "annihilator_weak_pairs": inside,
                "scaled_checked": True, "ok": True})
-    return EXIT_PASS
+    return em.verdict(True)
 
 
 def cmd_verify_proposition(args, em):
@@ -246,12 +254,8 @@ def cmd_verify_proposition(args, em):
     em.text("motion-group identity over %s, dim %d" % (fld.name, n),
             "non-degenerate-polar forms: %d" % rep.forms_checked,
             "scalars each: %d" % rep.scalars_each)
-    if not rep.ok:
-        for Q, c in rep.failures:
-            em.text("FAIL: Q=%s, c=%s" % (poly_str(Q), fld.to_json(c)))
-        return EXIT_FAIL
-    em.text("PASS")
-    return EXIT_PASS
+    return em.verdict(rep.ok, ["Q=%s, c=%s" % (poly_str(Q), fld.to_json(c))
+                               for Q, c in rep.failures])
 
 
 def cmd_verify_tables(args, em):
@@ -270,12 +274,7 @@ def cmd_verify_tables(args, em):
                                [list(Qt.upper_coeffs()) for Qt in rights]]
                               for lefts, rights in rep.blocks],
                    "mismatch": list(rep.mismatch)})
-        if rep.ok:
-            em.text("PASS")
-        else:
-            for line in rep.mismatch:
-                em.text("FAIL: " + line)
-            code = EXIT_FAIL
+        code = em.verdict(rep.ok, rep.mismatch) or code
     return code
 
 
@@ -312,7 +311,6 @@ def cmd_verify_theorem(args, em):
                 "no uniqueness asserted here")
     else:
         em.text("every solution is a unit scaling of the lift: verified")
-    em.text("PASS")
     em.record({"record": "theorem", "field": fld.name, "dim": n,
                "left_forms": len(lefts), "candidates_each": fld.order ** m,
                "nondegenerate_lefts": nondeg,
@@ -320,7 +318,7 @@ def cmd_verify_theorem(args, em):
                "pairs_motion": stats[MODE_MOTION],
                "pairs_weak": stats[MODE_WEAK],
                "sporadic_size": exceptional, "ok": True})
-    return EXIT_PASS
+    return em.verdict(True)
 
 
 def cmd_verify_projective(args, em):
@@ -339,13 +337,9 @@ def cmd_verify_projective(args, em):
                "exclusion_hits": rep.exclusion_hits,
                "witness_confirmed": rep.witness_confirmed,
                "violations": len(rep.violations), "ok": rep.ok})
-    if not rep.ok:
-        for Q, Qt in rep.violations:
-            em.text("FAIL: projective match without linear match: Q=%s Qt=%s"
-                    % (poly_str(Q), poly_str(Qt, "a", 0)))
-        return EXIT_FAIL
-    em.text("PASS")
-    return EXIT_PASS
+    return em.verdict(rep.ok, [
+        "projective match without linear match: Q=%s Qt=%s"
+        % (poly_str(Q), poly_str(Qt, "a", 0)) for Q, Qt in rep.violations])
 
 
 def cmd_verify_quadric(args, em):
@@ -373,12 +367,8 @@ def cmd_verify_quadric(args, em):
                "hyperplane_points": rep.hyperplane_points,
                "details": [[tag, list(map(str, pt))]
                            for tag, pt in rep.details]})
-    if rep.ok:
-        em.text("PASS")
-        return EXIT_PASS
-    for tag, pt in rep.details:
-        em.text("FAIL: %s at %s" % (tag, tuple(map(str, pt))))
-    return EXIT_FAIL
+    return em.verdict(rep.ok, ["%s at %s" % (tag, tuple(map(str, pt)))
+                               for tag, pt in rep.details])
 
 
 def _build_parser():
@@ -435,8 +425,9 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     if args.budget is not None:
         args.budget = clamp_budget(args.budget)
+    em = Emitter(args.format)
     try:
-        return args.run(args, Emitter(args.format))
+        return args.run(args, em)
     except (InputError, BadBudgetVariable) as e:
         print("input error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
@@ -445,8 +436,10 @@ def main(argv=None):
               "METRIC_AFFINE_BUDGET" % (e.required, e.budget), file=sys.stderr)
         return EXIT_BUDGET
     except AssertionError as e:
-        print("FAIL: verified invariant violated: %r" % (e.args,))
-        return EXIT_FAIL
+        detail = "%r" % (e.args,)
+        em.record({"record": "invariant-violation", "detail": detail,
+                   "ok": False})
+        return em.verdict(False, ["verified invariant violated: " + detail])
 
 
 if __name__ == "__main__":

@@ -2,13 +2,14 @@
 
 Field elements are plain Python values (small ints for the finite fields,
 `fractions.Fraction` for the rationals); a Field object supplies the
-arithmetic.  For the finite fields the raw value of an element *is* its
-enumeration index, which keeps the table-driven group code simple: over
-GF(p) it is the integer mod p, and over GF(p^k) the polynomial in t of
-degree < k whose coefficients are its base-p digits, the constant term
-least significant; so GF(4) = F_2[t]/(t^2+t+1) codes 0, 1, t, t+1 as
-0, 1, 2, 3.  The one float is in groups.matmul_np: GF(p) products run in
-float32 on integers below 2^16, where every step is exact.
+arithmetic.  Every finite field is a PrimePowerField, GF(p^k) =
+F_p[t]/(modulus) for k >= 1, and the raw value of an element *is* its
+enumeration index, which keeps the table-driven group code simple: the
+polynomial in t of degree < k whose coefficients are its base-p digits,
+the constant term least significant.  So GF(p) = F_p[t]/(t) codes the
+integers mod p as themselves, and GF(4) = F_2[t]/(t^2+t+1) codes 0, 1, t,
+t+1 as 0, 1, 2, 3.  The one float is in groups.matmul_np: GF(p) products
+run in float32 on integers below 2^16, where every step is exact.
 """
 
 from __future__ import annotations
@@ -89,50 +90,13 @@ class Field:
         return self.name
 
 
-class PrimeField(Field):
-    enumerable = True
-    zero = 0
-    one = 1
-
-    def __init__(self, p):
-        self.name = "GF(%d)" % p
-        self.char = p
-        self.order = p
-        self.p = p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of 0 in %s" % self.name)
-        # Fermat: a**(p-2) is the inverse for prime p.
-        return pow(a, self.p - 2, self.p)
-
-    def coerce(self, x):
-        return int(x) % self.p
-
-    def dot(self, xs, ys):
-        return sum(map(operator.mul, xs, ys)) % self.p
-
-    def elements(self):
-        return list(range(self.p))
-
-
 class PrimePowerField(Field):
     """GF(p^k) = F_p[t] / (modulus), for a monic irreducible modulus of
-    degree k, its coefficients given constant term first (Lidl and
-    Niederreiter, *Finite Fields*, ch. 2).  Every operation is a lookup in
-    tables built here once; a reducible modulus is refused."""
+    degree k >= 1, its coefficients given constant term first (Lidl and
+    Niederreiter, *Finite Fields*, ch. 2); GF(p) is the degree-one case,
+    the modulus t, given as (0, 1).  Every operation is a lookup in tables
+    built here once; a reducible modulus is refused.  Over GF(p), coerce
+    also reads any int mod p, and dot sums before it reduces once."""
 
     enumerable = True
     zero = 0
@@ -161,6 +125,7 @@ class PrimePowerField(Field):
         self._add = tuple(tuple(code(map(operator.add, poly[a], poly[b]))
                                 for b in els) for a in els)
         self._neg = tuple(code(-c for c in poly[a]) for a in els)
+        self._sub = tuple(tuple(r[n] for n in self._neg) for r in self._add)
         self._mul = tuple(tuple(times(a, b) for b in els) for a in els)
         if any(1 not in row for row in self._mul[1:]):
             raise ValueError("%r is not irreducible over GF(%d)"
@@ -173,6 +138,9 @@ class PrimePowerField(Field):
     def neg(self, a):
         return self._neg[a]
 
+    def sub(self, a, b):
+        return self._sub[a][b]
+
     def mul(self, a, b):
         return self._mul[a][b]
 
@@ -183,10 +151,17 @@ class PrimePowerField(Field):
 
     def coerce(self, x):
         x = int(x)
-        if not 0 <= x < self.order:
-            raise ValueError("%s elements are coded 0..%d, got %r"
-                             % (self.name, self.order - 1, x))
-        return x
+        if 0 <= x < self.order:
+            return x
+        if self.order == self.char:
+            return x % self.char
+        raise ValueError("%s elements are coded 0..%d, got %r"
+                         % (self.name, self.order - 1, x))
+
+    def dot(self, xs, ys):
+        if self.order == self.char:
+            return sum(map(operator.mul, xs, ys)) % self.char
+        return super().dot(xs, ys)
 
     def elements(self):
         return list(range(self.order))
@@ -232,11 +207,11 @@ class RationalField(Field):
         return Fraction(s)
 
 
-GF2 = PrimeField(2)
-GF3 = PrimeField(3)
+GF2 = PrimePowerField(2, (0, 1))         # t
+GF3 = PrimePowerField(3, (0, 1))
 GF4 = PrimePowerField(2, (1, 1, 1))      # t^2 + t + 1
-GF5 = PrimeField(5)
-GF7 = PrimeField(7)
+GF5 = PrimePowerField(5, (0, 1))
+GF7 = PrimePowerField(7, (0, 1))
 QQ = RationalField()
 
 _BY_NAME = {f.name: f for f in (GF2, GF3, GF4, GF5, GF7, QQ)}

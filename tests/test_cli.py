@@ -7,6 +7,7 @@ import os
 import pytest
 
 from metric_affine import classify, cli, transvect
+from metric_affine.budget import InvariantViolation
 from metric_affine.classify import SUPPORTED_TABLES
 from metric_affine.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_PASS,
                                _TABLE_CASES, main)
@@ -425,6 +426,91 @@ def test_verify_quadric_out_of_scope_writes_no_stdout(text, status, fmt,
     assert tuple(capsys.readouterr()) == (
         "", "input error: quadric duality needs char != 2, dim >= 2 and a "
         "non-degenerate polar form (got status: %s)\n" % status)
+
+
+def _scaled_maps_weak(real):
+    """lemma_records with every scaled transvection reported weak."""
+    def wrong(fld, n, budget=None):
+        for Q, record in real(fld, n, budget):
+            yield Q, record[:1] + tuple((case, inside, False)
+                                        for case, inside, _ in record[1:])
+    return wrong
+
+
+def _a1_missing(real):
+    """weak_group_index without a1^2, as in tests/test_classify.py."""
+    return lambda fld, m, b=None: {
+        key: tuple(Qt for Qt in forms if Qt.upper_coeffs() != (0, 0, 1))
+        for key, forms in real(fld, m, b).items()}
+
+
+def _a1_squared_bumped(real):
+    """lift_np with the coefficient of a1^2 raised by one."""
+    def wrong(field, dim, W):
+        ok, up = real(field, dim, W)
+        up = up.copy()
+        up[:, dim + 1] = (up[:, dim + 1] + 1) % field.order
+        return ok, up
+    return wrong
+
+
+def _unforced(Q, mode, budget=None):
+    raise InvariantViolation((Q, mode, []))
+
+
+# each verify command, with one patch that makes its check fail
+FAIL_PATHS = {
+    "lemmas": (["lemmas", "--field", "3", "--dim", "1"],
+               transvect, "lemma_records", _scaled_maps_weak),
+    "proposition": (["proposition", "--field", "3", "--dim", "1"],
+                    classify, "dyad_satisfies",
+                    lambda real: lambda Q, Qt, mode, budget=None: False),
+    "tables": (["tables", "--case", "t3"],
+               classify, "weak_group_index", _a1_missing),
+    "projective": (["projective", "--field", "3", "--dim", "1"],
+                   classify, "group_equal", lambda real: lambda g, h: False),
+    "quadric": (["quadric", FORM_GF5_HYPERBOLIC],
+                classify, "lift_np", _a1_squared_bumped),
+    "theorem": (["theorem", "--field", "3", "--dim", "1"],
+                classify, "solve_for_qtilde", lambda real: _unforced),
+}
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("command", sorted(FAIL_PATHS))
+def test_verify_fail_paths_exit_1_without_pass(command, fmt, form_file,
+                                               capsys, cold_memo, monkeypatch):
+    argv, module, name, wrong = FAIL_PATHS[command]
+    if command == "quadric":
+        argv = ["quadric", form_file(argv[1])]
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    assert main(["--format", fmt, "verify"] + argv) == EXIT_FAIL
+    lines = capsys.readouterr().out.splitlines()
+    if fmt == "text":
+        assert any(ln.startswith("FAIL: ") for ln in lines)
+        assert "PASS" not in lines
+    else:
+        recs = [json.loads(ln) for ln in lines]
+        assert recs
+        for rec in recs:
+            assert (rec["status"] == "mismatch" if command == "quadric"
+                    else rec["ok"] is False)
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("fmt,out", [
+    ("text", "FAIL: verified invariant violated: "
+             "((QForm(GF(3), dim=1, 0), 'motion', []),)\n"),
+    ("records", '{"detail": "((QForm(GF(3), dim=1, 0), \'motion\', []),)", '
+                '"ok": false, "record": "invariant-violation"}\n')],
+    ids=["text", "records"])
+def test_invariant_violation_is_one_line_in_either_format(fmt, out, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(classify, "solve_for_qtilde", _unforced)
+    assert main(["--format", fmt, "verify", "theorem", "--field", "3",
+                 "--dim", "1"]) == EXIT_FAIL
+    assert tuple(capsys.readouterr()) == (out, "")
 
 
 # the budget is checked before every memo lookup, so these exits do not

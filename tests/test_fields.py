@@ -1,10 +1,12 @@
 """Field axioms and serialization, exhaustively over the finite fields."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from metric_affine import fields
 from metric_affine.fields import (GF2, GF3, GF4, GF5, GF7, QQ,
                                   PrimePowerField, field_make)
 
@@ -37,6 +39,30 @@ def test_inverses(F):
         assert F.mul(a, F.inv(a)) == F.one
     with pytest.raises(ZeroDivisionError):
         F.inv(F.zero)
+
+
+@pytest.mark.parametrize("F", (GF2, GF3, GF5, GF7), ids=lambda F: F.name)
+def test_degree_one_tables_match_arithmetic_mod_p(F):
+    # GF(p) = F_p[t]/(t) runs the tables; the integers mod p are the oracle
+    p = F.char
+    assert (F.name, F.order) == ("GF(%d)" % p, p)
+    for a in range(p):
+        assert F.neg(a) == -a % p
+        if a:
+            assert F.inv(a) == pow(a, p - 2, p)
+        for b in range(p):
+            assert (F.add(a, b), F.sub(a, b), F.mul(a, b)) == (
+                (a + b) % p, (a - b) % p, a * b % p)
+    for xs, ys in product(product(range(p), repeat=2), repeat=2):
+        assert F.dot(xs, ys) == (xs[0] * ys[0] + xs[1] * ys[1]) % p
+    ints = range(-2 * p, 2 * p + 1)
+    assert [F.coerce(x) for x in ints] == [x % p for x in ints]
+
+
+def test_every_finite_field_is_a_prime_power_field():
+    finite = {F for F in fields._BY_NAME.values() if F.enumerable}
+    assert finite == set(FINITE)
+    assert all(type(F) is PrimePowerField for F in finite)
 
 
 def test_gf4_is_not_z4():

@@ -195,6 +195,25 @@ def test_roundtrips_exhaustive(F, n):
     assert (rep.lifted, rep.dropped) == ROUNDTRIP_COUNTS[(F.name, n)]
 
 
+_PLANE = QForm.from_upper(GF3, 2, (1, 0, 1))
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("name,wrong,tag", [
+    ("drop", lambda real: lambda Qt: qf_scale(real(Qt), 2), "drop-lift"),
+    ("lift", lambda real: lambda Q: qf_scale(real(Q), 2), "lift-drop"),
+    ("lift", lambda real: lambda Q: real(_PLANE), "scaling")],
+    ids=["drop-doubled", "lift-doubled", "lift-constant"])
+def test_roundtrip_checks_report_each_violation(name, wrong, tag,
+                                                monkeypatch):
+    # a doubled drop or lift breaks both round trips over GF(3); a lift
+    # that ignores its argument breaks the scaling law lift(cQ) = c^-1 lift(Q)
+    monkeypatch.setattr(homog, name, wrong(getattr(homog, name)))
+    rep = roundtrip_checks(GF3, 2)
+    assert tag in {v[0] for v in rep.violations}
+    assert not rep.ok
+
+
 def test_scaling_law_spot():
     Q = QForm.from_upper(GF5, 2, (1, 1, 1))
     up = lift(Q)
