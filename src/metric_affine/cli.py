@@ -274,7 +274,8 @@ def cmd_verify_tables(args, em):
                                [list(Qt.upper_coeffs()) for Qt in rights]]
                               for lefts, rights in rep.blocks],
                    "mismatch": list(rep.mismatch)})
-        code = em.verdict(rep.ok, rep.mismatch) or code
+        if em.verdict(rep.ok, rep.mismatch) != EXIT_PASS:
+            code = EXIT_FAIL
     return code
 
 

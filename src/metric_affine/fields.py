@@ -96,7 +96,7 @@ class PrimePowerField(Field):
     Niederreiter, *Finite Fields*, ch. 2); GF(p) is the degree-one case,
     the modulus t, given as (0, 1).  Every operation is a lookup in tables
     built here once; a reducible modulus is refused.  Over GF(p), coerce
-    also reads any int mod p, and dot sums before it reduces once."""
+    also reads any int mod p."""
 
     enumerable = True
     zero = 0
@@ -157,11 +157,6 @@ class PrimePowerField(Field):
             return x % self.char
         raise ValueError("%s elements are coded 0..%d, got %r"
                          % (self.name, self.order - 1, x))
-
-    def dot(self, xs, ys):
-        if self.order == self.char:
-            return sum(map(operator.mul, xs, ys)) % self.char
-        return super().dot(xs, ys)
 
     def elements(self):
         return list(range(self.order))
