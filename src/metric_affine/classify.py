@@ -122,8 +122,8 @@ def solve_for_qtilde(Q, mode, budget=None):
     target = motion_group_dual(Q, mode == MODE_WEAK, budget)
     sols = list(weak_group_index(fld, n + 1, budget).get(target.key, ()))
     if (n, fld.name) not in _FIXTURES:
-        expected = (set() if not is_nondegenerate(Q)
-                    else {qf_scale(lift(Q), c) for c in fld.units()})
+        expected = (set() if not is_nondegenerate(Q) else    # lift once
+                    {qf_scale(L, c) for L in [lift(Q)] for c in fld.units()})
         if set(sols) != expected:
             raise InvariantViolation((Q, mode, sols))
     return sols

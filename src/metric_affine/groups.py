@@ -25,8 +25,11 @@ frontier against a filter of all of GL by it.
 Forms in one congruence orbit have conjugate groups, so the groups of
 every form on F^n take one frontier per orbit.  groups_by_orbit walks the
 forms in enumerate_forms order; the first form R that no earlier orbit
-holds codes its orbit R o A over all of GL_n (congruence_codes), and its
-group is conjugated onto every member at once.  Nothing is kept per orbit.
+holds codes its orbit R o A over all of GL_n (congruence_codes), each A
+held as the vector indices of its columns, so that every coefficient
+R(A e_i) or B(A e_i, A e_j) of R o A is one gather from R's value or polar
+table.  R's group is conjugated onto every member at once, and nothing is
+kept per orbit.
 
 Every stack holds integer element codes.  The one float is inside
 matmul_np over GF(p): a float32 product of integers below 2^16, where every
@@ -307,6 +310,23 @@ def form_values_np(Q):
     return values_np(Q.field, Q.n, np.array([Q.upper_coeffs()], np.uint8))[0]
 
 
+def polar_table_np(Q):
+    """Polar table: entry [v, w] is the raw code of B(vector_v, vector_w)."""
+    V = vectors_np(Q.field, Q.n)
+    BV = matmul_np(Q.field, V, mat_to_np(polar(Q)))     # row v: (B v)^T
+    return matmul_np(Q.field, BV, V.T)
+
+
+def column_indices_np(field, stack):
+    """(m, n) vector indices of the columns of a (m, n, n) stack, in the
+    narrowest unsigned type, one column at a time (no int64 copy of it)."""
+    n = stack.shape[-1]
+    cols = np.empty((len(stack), n), np.min_scalar_type(field.order ** n - 1))
+    for i in range(n):
+        cols[:, i] = vector_index_np(field, stack[:, :, i])
+    return cols
+
+
 # --- GroupSet --------------------------------------------------------------
 
 class GroupSet:
@@ -323,13 +343,21 @@ class GroupSet:
     def __init__(self, field, n, codes):
         self.field = field
         self.n = n
-        # sort and drop repeats; np.unique would be slower here, and its
-        # first call imports numpy.ma (tens of ms in a fresh process)
+        # sort and drop repeats, faster than np.unique from 48 codes on
         codes = np.sort(np.asarray(codes, dtype=np.int64))
         fresh = np.ones(len(codes), dtype=bool)
         fresh[1:] = codes[1:] != codes[:-1]
         self.elems = codes[fresh]
         self.elems.setflags(write=False)
+
+    @classmethod
+    def from_sorted(cls, field, n, elems):
+        """The GroupSet of an int64 array of codes already sorted and free
+        of repeats, kept as it is."""
+        self = cls.__new__(cls)
+        self.field, self.n, self.elems = field, n, elems
+        elems.setflags(write=False)
+        return self
 
     @classmethod
     def from_np(cls, field, n, arr):
@@ -393,11 +421,8 @@ def orthogonal_group(Q, budget=None):
     """All GL elements preserving Q: the isometry frontier of Q's value and
     polar tables.  Memoised, behind the |GL_n| gate."""
     def build():
-        field, n = Q.field, Q.n
-        V = vectors_np(field, n)
-        BV = matmul_np(field, V, mat_to_np(polar(Q)))     # row v: (B v)^T
-        return GroupSet.from_np(field, n, _isometries_np(
-            field, n, form_values_np(Q), matmul_np(field, BV, V.T)))
+        return GroupSet.from_np(Q.field, Q.n, _isometries_np(
+            Q.field, Q.n, form_values_np(Q), polar_table_np(Q)))
     return memo(("orthogonal_group", Q.field.name, Q.n, Q.gram.rows), build,
                 order_gl(Q.n, Q.field.order), budget)
 
@@ -414,51 +439,65 @@ def weak_orthogonal_group(Q, budget=None):
         rad = np.array(basis, dtype=np.uint8).reshape(len(basis), n).T
         # as_np() is in code order, so fixed lines up with o.elems
         fixed = (matmul_np(field, o.as_np(), rad) == rad).all(axis=(1, 2))
-        return GroupSet(field, n, o.elems[fixed])
+        return GroupSet.from_sorted(field, n, o.elems[fixed])
     return memo(("weak_orthogonal_group", Q.field.name, Q.n, Q.gram.rows),
                 build, order_gl(Q.n, Q.field.order), budget)
 
 
-def congruence_codes(field, W, G):
-    """The form x |-> Q(A x) (Gram A^T W A) for every A in the stack G, coded
-    as its position in enumerate_forms order: the canonical upper
-    coefficients read as base-q digits, the first one most significant."""
-    q = field.order
-    S = matmul_np(field, matmul_np(field, G.transpose(0, 2, 1), W), G)
-    coeffs = upper_coeffs_np(field, S).astype(np.int64)
-    return coeffs @ q ** np.arange(coeffs.shape[-1] - 1, -1, -1,
-                                   dtype=np.int64)
+def congruence_codes(field, R, cols):
+    """The position in enumerate_forms order of x |-> R(A x) for every A
+    whose columns have the vector indices in a row of cols: the upper
+    coefficients R(A e_i) and B(A e_i, A e_j), i < j, read as base-q
+    digits, each gathered from R's value or polar table."""
+    q, N = field.order, field.order ** R.n
+    vals, B = form_values_np(R), polar_table_np(R).ravel()
+    codes = np.zeros(len(cols), dtype=np.int64)
+    for i in range(R.n):
+        codes *= q
+        codes += vals.take(cols[:, i])
+        row = cols[:, i].astype(np.intp) * N        # B's row of A e_i
+        for j in range(i + 1, R.n):
+            codes *= q
+            codes += B.take(row + cols[:, j])
+    return codes
 
 
 def groups_by_orbit(field, n, group, budget=None):
     """group(Q) for every form Q on F^n, in enumerate_forms order, where
     group is orthogonal_group or weak_orthogonal_group, by the orbit walk of
     the module docstring: for Q = R o A, B |-> A^-1 B A carries O(R) onto
-    O(Q), and O'(R) onto O'(Q) since A^-1 carries rad(R) onto rad(Q).  The
-    orbit-stabiliser count |orbit| |O(R)| = |GL| checks the frontier's O(R)
-    against the congruence codes, and the orbits must not overlap; a
-    failure raises even under -O.  Memoised, as a tuple, behind the |GL_n|
-    gate that every reader of the table meets first."""
+    O(Q), and O'(R) onto O'(Q) since A^-1 carries rad(R) onto rad(Q).  By
+    orbit-stabiliser, the congruence codes must hit every member exactly
+    |O(R)| times, which checks the frontier's O(R), and the orbits must not
+    overlap; a failure raises even under -O.  Memoised, as a tuple, behind
+    the |GL_n| gate that every reader of the table meets first."""
     def build():
         G = _gl_arrays(field, n, budget)
+        cols = column_indices_np(field, G)
         out = [None] * field.order ** (n * (n + 1) // 2)
         for r in range(len(out)):
             if out[r] is not None:
                 continue
             R = QForm.from_upper(field, n,
                                  form_block_np(field, n, r, 1)[0].tolist())
-            codes = congruence_codes(field, mat_to_np(R.gram), G)
-            members, first = np.unique(codes, return_index=True)
-            if (len(members) * orthogonal_group(R, budget).order != len(G)
+            codes = congruence_codes(field, R, cols)
+            hits = np.bincount(codes, minlength=len(out))
+            members = np.flatnonzero(hits)
+            if ((hits[members] != orthogonal_group(R, budget).order).any()
                     or any(out[k] is not None for k in members.tolist())):
                 raise InvariantViolation("congruence orbit of %r fails the "
                                          "orbit-stabiliser count" % (R,))
-            A = G[first]                # member k = R o A[k]
+            first = np.empty(len(out), dtype=np.intp)
+            first[codes] = np.arange(len(G))
+            A = G[first[members]]       # member k = R o A[k], any such A
             conj = matmul_np(field, matmul_np(
                 field, invert_np(field, A)[1][:, np.newaxis],
                 group(R, budget).as_np()), A[:, np.newaxis])
-            for k, elems in zip(members.tolist(), matrix_codes(field, conj)):
-                out[k] = GroupSet(field, n, elems)
+            conj = np.sort(matrix_codes(field, conj), axis=1)   # one batch
+            if (conj[:, 1:] == conj[:, :-1]).any():
+                raise InvariantViolation("repeated conjugates of %r" % (R,))
+            for k, elems in zip(members.tolist(), conj):
+                out[k] = GroupSet.from_sorted(field, n, elems)
         return tuple(out)
     return memo(("groups_by_orbit", field.name, n, group.__name__), build,
                 order_gl(n, field.order), budget)
@@ -520,10 +559,10 @@ def _exceptional_shape(Q, budget=None):
     here = form_position(Q)
     for tag, coeffs in shapes:
         # the congruence orbit of the shape, coded once per (n, shape)
-        W = mat_to_np(QForm.from_upper(field, n, coeffs).gram)
+        R = QForm.from_upper(field, n, coeffs)
         orbit = memo(("_exceptional_shape", field.name, n, tag),
-                     lambda: congruence_codes(field, W,
-                                              _gl_arrays(field, n, budget)),
+                     lambda: congruence_codes(field, R, column_indices_np(
+                         field, _gl_arrays(field, n, budget))),
                      order_gl(n, field.order), budget)
         if (orbit == here).any():
             return tag

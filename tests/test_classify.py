@@ -749,8 +749,10 @@ def test_quadric_block_checks_raise(module, name, wrong, match, cold_memo,
 # GF(5)^1 is not a sporadic size: x1^2 must have its four unit scalings of
 # the lift as solutions, and the zero form none at all
 @pytest.mark.invariant
-@pytest.mark.parametrize("coeffs,sols", [((1,), ()), ((0,), ((0, 0, 1),))],
-                         ids=["lifts-missing", "zero-form-solved"])
+@pytest.mark.parametrize("coeffs,sols", [
+    ((1,), ()), ((1,), ((0, 0, 4), (0, 0, 3), (0, 0, 2))),
+    ((0,), ((0, 0, 1),))],
+    ids=["lifts-missing", "one-lift-missing", "zero-form-solved"])
 def test_forced_solution_check_raises(coeffs, sols, monkeypatch):
     Q = QForm.from_upper(GF5, 1, coeffs)
     forms = tuple(QForm.from_upper(GF5, 2, u) for u in sols)

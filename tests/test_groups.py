@@ -24,7 +24,8 @@ from metric_affine.homog import (DegeneratePolarForm, lift, lift_np,
                                  motion_group_dual)
 from metric_affine.linalg import Mat, Singular, mat_invert, rank, vec
 from metric_affine.quadform import (QForm, all_vectors, enumerate_forms,
-                                    form_position, is_isometry, qf_eval,
+                                    form_position, is_isometry,
+                                    is_nondegenerate, qf_eval,
                                     qf_pullback, radical_basis)
 from metric_affine.transvect import _rank_one_maps, classify_direction
 
@@ -493,6 +494,58 @@ def test_orbit_walk_rejects_a_wrong_orbit(wrong, monkeypatch, cold_memo):
                         wrong(groups.congruence_codes))
     with pytest.raises(groups.InvariantViolation, match="orbit-stabiliser"):
         groups_by_orbit(GF3, 2, orthogonal_group)
+
+
+@pytest.mark.invariant
+def test_orbit_walk_rejects_repeated_conjugates(monkeypatch, cold_memo):
+    # a zero "inverse" conjugates every element of a group onto 0
+    monkeypatch.setattr(groups, "invert_np", lambda field, stack: (
+        np.ones(len(stack), dtype=bool), np.zeros_like(stack)))
+    with pytest.raises(groups.InvariantViolation,
+                       match="^repeated conjugates of "):
+        groups_by_orbit(GF3, 2, orthogonal_group)
+
+
+def _congruence_cases():
+    """(F, n) for every finite field offered at dims 1-2, plus GF(2)^3 and
+    GF(3)^3."""
+    finite = sorted({F.name: F for F in fields._BY_NAME.values()
+                     if F.enumerable}.items())
+    return [(F, n) for _, F in finite for n in (1, 2)] + [(GF2, 3), (GF3, 3)]
+
+
+@pytest.mark.parametrize("F,n", _congruence_cases(),
+                         ids=lambda x: getattr(x, "name", x))
+def test_congruence_codes_match_mat_pullbacks(F, n):
+    # the gathered codes, element by element in GL order, against
+    # form_position of the Mat pullback, for the zero form, the first
+    # degenerate nonzero form and the last non-degenerate form in
+    # enumerate_forms order.  Every nonzero form on F^1 is non-degenerate
+    # in odd characteristic, and none is on F^odd in characteristic 2.
+    forms = enumerate_forms(F, n)
+    degenerate = [R for R in forms[1:] if not is_nondegenerate(R)]
+    nondegenerate = [R for R in forms if is_nondegenerate(R)]
+    assert (bool(degenerate), bool(nondegenerate)) == (
+        F.char == 2 or n > 1, F.char != 2 or n % 2 == 0)
+    leaders = forms[:1] + degenerate[:1] + nondegenerate[-1:]
+    G = _gl_arrays(F, n)
+    cols = groups.column_indices_np(F, G)
+    assert cols.dtype == np.min_scalar_type(F.order ** n - 1)
+    mats = [Mat(F, A.tolist(), (n, n)) for A in G]
+    for R in leaders:
+        assert groups.congruence_codes(F, R, cols).tolist() == [
+            form_position(qf_pullback(R, A)) for A in mats], R
+
+
+def test_exceptional_shapes_are_tagged():
+    x1x2 = (0, 1) + (0,) * 4                                # on GF(2)^3
+    pair = (0, 1, 0, 0, 0, 0, 0, 0, 1, 0)                   # x1x2 + x3x4
+    assert _exceptional_shape(QForm.from_upper(GF2, 3, x1x2)) == (
+        groups.CASE_HYPERBOLIC_RADICAL)
+    assert _exceptional_shape(QForm.from_upper(GF2, 4, pair)) == (
+        groups.CASE_HYPERBOLIC_PAIR)
+    # x1x2 + x3^2: the radical line of its polar form is anisotropic
+    assert _exceptional_shape(QForm.from_upper(GF2, 3, x1x2[:5] + (1,))) is None
 
 
 # The GL filter, the route orthogonal_group took before the isometry
