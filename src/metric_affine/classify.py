@@ -501,8 +501,8 @@ def _quadric_block(fld, n, block):
     """quadric_duality_check for every form of one block of consecutive
     positions in enumerate_forms order, on the block's coefficient stack.
 
-    Returns every row's QuadricReport; rows with equal status, counts and
-    details (listed on mismatching rows only) share one report object.
+    Returns every row's QuadricReport; rows with equal status and counts
+    share one report object, except mismatching rows, which list details.
     """
     q, m = fld.order, n * (n + 1) // 2
     size = _block_size(fld, n)
@@ -543,22 +543,24 @@ def _quadric_block(fld, n, block):
     counts = np.stack([base, np.count_nonzero(lifted, axis=1),
                        np.count_nonzero(rhs, axis=1)], axis=1)
     counts[(status == 1) | (status == 2)] = 0
-    details = {}
+    _, first, inverse = np.unique(np.ravel_multi_index(
+        (status, *counts.T), (len(_BLOCK_STATUSES),) + (len(reps) + 1,) * 3),
+        return_index=True, return_inverse=True)
+    made = [QuadricReport(fld.name, n, _BLOCK_STATUSES[status[r]],
+                          *counts[r].tolist(), ()) for r in first.tolist()]
+    reports = [made[i] for i in inverse.tolist()]
     points = vectors_np(fld, n + 1)[reps]
     for r in np.flatnonzero(status == 3).tolist():
         missed = lifted[r] & ~rhs[r]
         missed[0] = False
-        details[r] = tuple(
+        reports[r] = reports[r]._replace(details=tuple(
             [("hyperplane-annihilator-off-quadric", a)
              for a in sorted(map(tuple, points[rhs[r] & ~lifted[r]].tolist()))]
             + [("quadric-point-not-an-annihilator", a)
                for a in sorted(map(tuple, points[missed].tolist()))]
             + ([("vertex-missing-from-annihilators",
-                 tuple(points[0].tolist()))] if not rhs[r, 0] else []))
-    keys = [(_BLOCK_STATUSES[s], *c, details.get(r, ()))
-            for r, (s, c) in enumerate(zip(status.tolist(), counts.tolist()))]
-    made = {key: QuadricReport(fld.name, n, *key) for key in set(keys)}
-    return tuple(map(made.__getitem__, keys))
+                 tuple(points[0].tolist()))] if not rhs[r, 0] else [])))
+    return tuple(reports)
 
 
 def quadric_duality_check(Q):

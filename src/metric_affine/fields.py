@@ -95,8 +95,8 @@ class PrimePowerField(Field):
     degree k >= 1, its coefficients given constant term first (Lidl and
     Niederreiter, *Finite Fields*, ch. 2); GF(p) is the degree-one case,
     the modulus t, given as (0, 1).  Every operation is a lookup in tables
-    built here once; a reducible modulus is refused.  Over GF(p), coerce
-    also reads any int mod p."""
+    built here once; a reducible modulus is refused.  coerce reads integers
+    only (numpy ints too), and over GF(p) any integer mod p."""
 
     enumerable = True
     zero = 0
@@ -150,7 +150,11 @@ class PrimePowerField(Field):
         return self._inv[a]
 
     def coerce(self, x):
-        x = int(x)
+        try:
+            x = operator.index(x)
+        except TypeError:
+            raise ValueError("%s elements are integers, got %r"
+                             % (self.name, x)) from None
         if 0 <= x < self.order:
             return x
         if self.order == self.char:

@@ -13,9 +13,11 @@ The lemmas need no group larger than the maps they are about.  One build
 per (field, n) holds every rank-one map they test (_rank_one_maps).  The
 records of a block of consecutive forms are built at once from the block's
 coefficient stack (_lemma_block), testing each map on the n(n+1)/2 vectors
-whose values fix a form.  lemma_record memoises them, and each (Q, f) query
-is a lookup in Q's record by the vector index of f; lemma_records hands
-them out in form order and keeps none.  The budget bounds the map rows.
+whose values fix a form, and judged once per distinct set of facts.
+lemma_record memoises them; each (Q, f) query checks the budget and reads
+Q's record at the vector index of f, one dict read for a tuple of ints.
+lemma_records hands them out in form order and keeps none.  The budget
+bounds the map rows.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import HARD_BUDGET_CEILING, InvariantViolation, memo, require
+from .budget import (_MEMO, HARD_BUDGET_CEILING, InvariantViolation, memo,
+                     require)
 from .groups import (GroupSet, add_np, form_block_np, inverses_np, matmul_np,
                      mul_np, polar_images_np, values_np, vector_index_np,
                      vectors_np)
@@ -172,11 +175,11 @@ COND_DIM_ONE = "dim-1"
 COND_BINARY_PLANE = "gf2-anisotropic-nondegenerate-plane"
 
 
-def _judge(Q, x, in_rad, isotropic, k, sizes, reflected, inside, scaled_ok):
-    """Verify the lemmas on the pair (Q, f = x) from its facts: the sizes of
-    Delta_f ∩ O(Q) and ∩ O'(Q), whether the reflection along f is one of
-    them, and whether every annihilator transvection of f lies in O'(Q).
-    Returns the shared (DirectionCase, (inside, tag), scaled_ok)."""
+def _judge(Q, x, in_rad, isotropic, k, o, w, reflected, inside, scaled_ok):
+    """Verify the lemmas on the pair (Q, f = x) from its facts: the sizes o
+    and w of Delta_f ∩ O(Q) and ∩ O'(Q), whether the reflection along f is
+    one of them, and whether every annihilator transvection of f lies in
+    O'(Q).  Returns (DirectionCase, (inside, tag), scaled_ok)."""
     q, n = Q.field.order, Q.n
     if not in_rad:
         letter, predicted = ("b", (1, 1)) if isotropic else ("a", (2, 2))
@@ -184,8 +187,8 @@ def _judge(Q, x, in_rad, isotropic, k, sizes, reflected, inside, scaled_ok):
         letter, predicted = "d", ((q - 1) * q ** (n - 1), q ** (n - k))
     else:
         letter, predicted = "c", (1, 1)
-    if sizes != predicted:
-        raise InvariantViolation((letter, predicted, sizes, Q, x))
+    if (o, w) != predicted:
+        raise InvariantViolation((letter, predicted, (o, w), Q, x))
     # for "a" the two elements are the identity and the reflection along f
     if letter == "a" and not reflected:
         raise InvariantViolation(("reflection along f not in Delta ∩ O(Q)",
@@ -199,9 +202,7 @@ def _judge(Q, x, in_rad, isotropic, k, sizes, reflected, inside, scaled_ok):
         tag = COND_BINARY_PLANE
     if inside != (tag is not None):
         raise InvariantViolation((Q, x, inside, tag))
-    return memo(("_judge", letter, predicted, inside, tag or "", scaled_ok),
-                lambda: (DirectionCase(letter, predicted), (inside, tag),
-                         scaled_ok))
+    return DirectionCase(letter, predicted), (inside, tag), scaled_ok
 
 
 def _block_forms(maps):
@@ -223,11 +224,10 @@ def _isometries(field, n, narrow, moved, vals, rad):
     return iso, weak
 
 
-def _lemma_block(field, n, maps, start):
-    """(R, R's lemma record) for every form R in the block that begins at
-    position start of enumerate_forms order, built on the block's
-    coefficient stack with the map table maps.  A record is _judge's answer
-    for every direction f, by vector index of f (slot 0 is None).
+def _block_facts(field, n, maps, start):
+    """(W, facts): the coefficient stack W of the block that begins at
+    position start of enumerate_forms order, and _judge's facts after
+    (Q, x), each a (form, f - 1) array by row of W and vector index of f.
 
     The reflection along f is the map of Delta_f with a = -Q(f)^-1 Bf (a = o,
     the identity, where Q(f) = 0), which is in Delta_f: <a, f> = -Q(f)^-1
@@ -247,41 +247,52 @@ def _lemma_block(field, n, maps, start):
         field, neg_inv[vals][:, 1:, np.newaxis], images[:, 1:]))
     reflected = iso[np.arange(len(W))[:, np.newaxis], np.arange(N - 1),
                     slot[np.arange(N - 1), dual]]
-    dims = {q ** i: i for i in range(n + 1)}
-    facts = zip(rad[:, 1:].tolist(), (vals[:, 1:] == 0).tolist(),
-                iso[..., :delta].sum(axis=2).tolist(),
-                weak[..., :delta].sum(axis=2).tolist(), reflected.tolist(),
-                weak[..., delta:N].all(axis=2).tolist(),
-                (~weak[..., N:].any(axis=2)).tolist())
-    xs = all_vectors(field, n)[1:]
-    block = []
-    for coeffs, k, per_form in zip(W.tolist(), rad.sum(axis=1).tolist(),
-                                   facts):
-        R = QForm.from_upper(field, n, coeffs)
-        block.append((R, (None,) + tuple(
-            _judge(R, x, in_rad, isotropic, dims[k], (o, w), refl, inside,
-                   scaled_ok)
-            for x, in_rad, isotropic, o, w, refl, inside, scaled_ok
-            in zip(xs, *per_form))))
-    return block
+    dims = np.searchsorted(q ** np.arange(n + 1), rad.sum(axis=1))
+    return W, (rad[:, 1:], vals[:, 1:] == 0,
+               np.broadcast_to(dims[:, np.newaxis], reflected.shape),
+               iso[..., :delta].sum(axis=2), weak[..., :delta].sum(axis=2),
+               reflected, weak[..., delta:N].all(axis=2),
+               ~weak[..., N:].any(axis=2))
+
+
+def _lemma_block(field, n, maps, start):
+    """(R, R's lemma record) for every form R in the block that begins at
+    position start of enumerate_forms order: _judge's answer for every
+    direction f, by vector index of f (slot 0 is None), shared by the pairs
+    with one code of facts.  _judge runs once per code, on its first pair
+    in form and direction order, so the first failing pair raises."""
+    W, facts = _block_facts(field, n, maps, start)
+    N = field.order ** n
+    _, first, inverse = np.unique(np.ravel_multi_index(
+        facts, (2, 2, n + 1, N, N, 2, 2, 2)), return_index=True,
+        return_inverse=True)
+    forms = [QForm.from_upper(field, n, coeffs) for coeffs in W.tolist()]
+    xs, answers = all_vectors(field, n)[1:], [None] * len(first)
+    for j in np.argsort(first).tolist():
+        row, x = divmod(int(first[j]), N - 1)
+        answers[j] = _judge(forms[row], xs[x],
+                            *(fact[row, x].item() for fact in facts))
+    return [(R, (None,) + tuple(map(answers.__getitem__, row)))
+            for R, row in zip(forms, inverse.reshape(len(W), -1).tolist())]
 
 
 def lemma_record(Q, budget=None):
-    """Q's lemma record, _judge's answer for every direction f by the vector
-    index of f (slot 0 is None), behind the gate of the map rows.  A cold
-    read builds Q's block and memoises the record of every form in it."""
-    def build():
-        field, n = Q.field, Q.n
+    """Q's lemma record (_lemma_block), behind the gate of the map rows on
+    every read.  A cold read memoises the record of every form in Q's
+    block, and the index of every vector of F^n (_answers)."""
+    field, n = Q.field, Q.n
+    budget = require(_map_rows(field, n), budget)
+    key = ("_lemma_record", field.name, n, Q.gram.rows)
+    record = _MEMO.get(key)
+    if record is None:
         maps = _rank_one_maps(field, n, budget)
         row = form_position(Q) % _block_forms(maps)
-        block = _lemma_block(field, n, maps, form_position(Q) - row)
-        for R, record in block:
-            # ungated: a block is built only inside this gated read
-            memo(("_lemma_record", field.name, n, R.gram.rows),
-                 lambda: record)
-        return block[row][1]
-    return memo(("_lemma_record", Q.field.name, Q.n, Q.gram.rows), build,
-                _map_rows(Q.field, Q.n), budget)
+        for R, got in _lemma_block(field, n, maps, form_position(Q) - row):
+            _MEMO[key[:3] + (R.gram.rows,)] = got
+        memo(("_direction_index", field.name, n),
+             lambda: {x: i for i, x in enumerate(all_vectors(field, n))})
+        record = _MEMO[key]
+    return record
 
 
 def lemma_records(field, n, budget=None):
@@ -298,15 +309,17 @@ def lemma_records(field, n, budget=None):
 
 def _answers(Q, f, budget):
     """(DirectionCase, (inside, tag), scaled_ok) for the pair (Q, f): Q's
-    record at sum_i f_i q^i, coerced and summed in one pass, first to last."""
+    record at the vector index of f, sum_i f_i q^i, which a tuple of ints
+    finds by one read of the index a lemma record leaves."""
     field, n = Q.field, Q.n
-    idx, place, q, coerce = 0, 1, field.order, field.coerce
-    if field.enumerable:
-        for c in (f.entries() if isinstance(f, Mat) else f):
-            idx += coerce(c) * place
-            place *= q
-    if not idx or place != q ** n:
-        _direction(field, n, f)         # raises for a zero or misshapen f
+    index = _MEMO.get(("_direction_index", field.name, n))
+    idx = index.get(f, 0) if index and type(f) is tuple else 0
+    for c in f if idx else ():  # (1.0, 0) finds (1, 0); coerce refuses it
+        idx *= type(c) is int
+    if not idx:     # raises for a zero or misshapen f, before the budget
+        x = _direction(field, n, f)
+        idx = sum(c * field.order ** i for i, c in enumerate(x)) \
+            if field.enumerable else 0
     return lemma_record(Q, budget)[idx]
 
 

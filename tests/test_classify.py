@@ -593,18 +593,21 @@ def _lift_with_a1_squared_bumped(Q):
     return QForm.from_upper(Q.field, Q.n + 1, coeffs)
 
 
-@pytest.mark.parametrize("F,n", [(GF3, 2), (GF5, 2), (GF3, 3)],
-                         ids=lambda v: getattr(v, "name", v))
-def test_quadric_table_reports_a_perturbed_lift(F, n, cold_memo,
-                                                monkeypatch):
-    lift_np = classify.lift_np
-
-    def bumped_lift_np(field, dim, W):
+def _bumped_lift_np(lift_np):
+    """lift_np with the coefficient of a1^2 raised by one in every lift."""
+    def bumped(field, dim, W):
         ok, up = lift_np(field, dim, W)
         up = up.copy()
         up[:, dim + 1] = (up[:, dim + 1] + 1) % field.order
         return ok, up
-    monkeypatch.setattr(classify, "lift_np", bumped_lift_np)
+    return bumped
+
+
+@pytest.mark.parametrize("F,n", [(GF3, 2), (GF5, 2), (GF3, 3)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_quadric_table_reports_a_perturbed_lift(F, n, cold_memo,
+                                                monkeypatch):
+    monkeypatch.setattr(classify, "lift_np", _bumped_lift_np(classify.lift_np))
     tags = ("hyperplane-annihilator-off-quadric",
             "quadric-point-not-an-annihilator",
             "vertex-missing-from-annihilators")
@@ -620,6 +623,25 @@ def test_quadric_table_reports_a_perturbed_lift(F, n, cold_memo,
             assert list(rep.details) == sorted(
                 rep.details, key=lambda d: (tags.index(d[0]), d[1]))
     assert mismatches > 0
+
+
+def test_quadric_block_shares_a_report_per_code(cold_memo, monkeypatch):
+    # rows with equal status and counts share one report object
+    reports = classify._quadric_block(GF5, 3, 0)
+    shared = {}
+    for rep in reports:
+        assert shared.setdefault(rep, rep) is rep, rep
+    assert len(shared) < len(reports)
+    # with a1^2 bumped in every lift, each mismatching row has a report of
+    # its own, with its details
+    monkeypatch.setattr(classify, "lift_np", _bumped_lift_np(classify.lift_np))
+    reports = classify._quadric_block(GF3, 2, 0)
+    mismatches = [(Q, rep) for Q, rep in zip(enumerate_forms(GF3, 2), reports)
+                  if rep.status == "mismatch"]
+    assert len({id(rep) for _Q, rep in mismatches}) == len(mismatches) > 1
+    for Q, rep in mismatches:
+        assert rep == _per_form_quadric_check(
+            Q, lift=_lift_with_a1_squared_bumped) and rep.details, Q
 
 
 def _zero_lift(Q):

@@ -3,6 +3,7 @@
 import functools
 import re
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -127,15 +128,79 @@ def _lemma_answers(Q, f, budget):
 
 @pytest.mark.parametrize("budget", [None, 1])
 def test_every_spelling_of_a_direction_gets_the_same_answers(budget):
-    # a tuple, a list, a vec column and an alias read modulo 3, such as
-    # (4, -1) for (1, 2), name the same f; budget 1 refuses every spelling
+    # a tuple, a list, a vec column, an alias read modulo 3, such as (4, -1)
+    # for (1, 2), numpy ints and, for 0/1 entries, bools name the same f;
+    # budget 1 refuses every spelling
     for Q in enumerate_forms(GF3, 2):
         for x in nonzero_vectors(GF3, 2):
-            spellings = (x, list(x), vec(GF3, x), (x[0] + 3, x[1] - 3))
+            spellings = [x, list(x), vec(GF3, x), (x[0] + 3, x[1] - 3),
+                         tuple(map(np.int64, x)), tuple(map(np.uint8, x))]
+            if max(x) == 1:
+                spellings.append(tuple(map(bool, x)))
             got = [_lemma_answers(Q, f, budget) for f in spellings]
             assert got == got[:1] * len(spellings), (Q, x)
             refused = [a for a in got[0] if isinstance(a, str)]
             assert len(refused) == (0 if budget is None else 3), (Q, x)
+
+
+# (1.0, 0) and (Fraction(1), 0) compare and hash like (1, 0), the index
+# key of a vector of F^2
+REFUSED_DIRECTIONS = [(GF3, (1.0, 0)), (GF3, (Fraction(1), 0)),
+                      (GF3, ("1", 0)), (GF3, (0, 0)), (GF3, (1, 0, 0)),
+                      (GF4, (5, 4))]
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("budget", [None, 1])
+def test_refused_directions_raise_alike_on_a_cold_and_a_warm_memo(budget,
+                                                                  cold_memo):
+    for F, bad in REFUSED_DIRECTIONS:
+        Q = QForm.from_upper(F, 2, (1, 0, 1))
+        with pytest.raises(ValueError) as want:   # the coerce route
+            transvect._direction(F, 2, bad)
+        for warm in (False, True):
+            cold_memo.clear()
+            if warm:
+                classify_direction(Q, (1, 0))
+            for check in LEMMA_FUNCTIONS:
+                with pytest.raises(Exception) as got:
+                    check(Q, bad, budget)
+                assert type(got.value) is ValueError, (bad, warm)
+                assert str(got.value) == str(want.value), (bad, warm)
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("bad", [Fraction(7, 2), Fraction(1), 2.9, 1.0, "1"],
+                         ids=repr)
+def test_finite_fields_refuse_entries_that_are_not_integers(bad):
+    # int() used to read these as 3, 1, 2, 1 and 1
+    Q = QForm.from_upper(GF3, 2, (1, 0, 1))
+    classify_direction(Q, (1, 0))       # the direction index is built
+    reads = [functools.partial(vec, GF3, (bad, 0)),
+             functools.partial(QForm.from_upper, GF3, 2, (bad, 0, 1))]
+    for call in reads + [functools.partial(check, Q, (bad, 0))
+                         for check in LEMMA_FUNCTIONS]:
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == ("GF(3) elements are integers, got %r"
+                                      % (bad,))
+    # numpy ints and bools are integers
+    assert vec(GF5, (np.uint8(7), True)) == vec(GF5, (2, 1))
+    assert QForm.from_upper(GF5, 1, [np.int64(-1)]).upper_coeffs() == (4,)
+
+
+@pytest.mark.invariant
+def test_the_budget_gate_holds_on_warm_reads(cold_memo, monkeypatch):
+    # a cold read at the default budget memoises Q's record; a budget the
+    # 88 map rows of GF(3)^2 do not fit still refuses every warm read
+    Q, f = QForm.from_upper(GF3, 2, (1, 0, 1)), (1, 2)
+    monkeypatch.delenv("METRIC_AFFINE_BUDGET", raising=False)
+    assert classify_direction(Q, f).letter == "a"
+    monkeypatch.setenv("METRIC_AFFINE_BUDGET", "5")
+    for check in LEMMA_FUNCTIONS:
+        with pytest.raises(BudgetExceeded) as refused:
+            check(Q, f)
+        assert (refused.value.required, refused.value.budget) == (88, 5)
 
 
 @pytest.mark.parametrize("budget", [None, 1])
@@ -251,33 +316,34 @@ def _per_map_inputs(Q, fv):
 
     def weak(A):
         return is_isometry(Q, A) and _fixes_radical(rad, A)
-    return (in_rad, isotropic, len(rad), (go.order, gw.order),
+    return (in_rad, isotropic, len(rad), go.order, gw.order,
             isotropic or in_rad or reflection(Q, f) in go,
             all(weak(A) for _a, A in trans), not any(map(weak, scaled)))
 
 
 @pytest.mark.parametrize("F,n", [(GF2, 1), (GF2, 2), (GF2, 3), (GF3, 1),
                                  (GF3, 2), (GF4, 1), (GF5, 1)])
-def test_table_route_matches_brute_force(F, n, cold_memo, monkeypatch):
-    # every input the table route hands to _judge, built cold, against the
-    # same facts from each map tested alone, and the answers against
-    # _judge's on the per-map facts
-    judge, seen = transvect._judge, {}
-
-    def recording(Q, x, *facts):
-        seen[Q, x] = facts
-        return judge(Q, x, *facts)
-    monkeypatch.setattr(transvect, "_judge", recording)
-    pairs = [(Q, fv) for Q in enumerate_forms(F, n)
-             for fv in nonzero_vectors(F, n)]
-    for Q, fv in pairs:
-        answers = (classify_direction(Q, fv),
-                   annihilator_transvections_in_weak(Q, fv),
-                   scaled_transvection_never_weak(Q, fv))
-        facts = _per_map_inputs(Q, fv)
-        assert seen[Q, fv] == facts
-        assert answers == judge(Q, fv, *facts)
-    assert len(seen) == len(pairs)
+def test_table_route_matches_brute_force(F, n, cold_memo):
+    # every pair's facts, as the table route packs them for _judge, against
+    # the same facts from each map tested alone, and every pair's answers,
+    # built cold, against _judge's on the per-map facts
+    maps = transvect._rank_one_maps(F, n)
+    forms = F.order ** (n * (n + 1) // 2)
+    pairs = 0
+    for start in range(0, forms, transvect._block_forms(maps)):
+        W, facts = transvect._block_facts(F, n, maps, start)
+        for coeffs, *per_form in zip(W.tolist(),
+                                     *(fact.tolist() for fact in facts)):
+            Q = QForm.from_upper(F, n, coeffs)
+            for fv, *got in zip(nonzero_vectors(F, n), *per_form):
+                want = _per_map_inputs(Q, fv)
+                assert tuple(got) == want, (Q, fv)
+                assert (classify_direction(Q, fv),
+                        annihilator_transvections_in_weak(Q, fv),
+                        scaled_transvection_never_weak(Q, fv)) \
+                    == transvect._judge(Q, fv, *want)
+                pairs += 1
+    assert pairs == forms * (F.order ** n - 1)
 
 
 # The lemma functions as they were before the per-form record: every pair
