@@ -313,9 +313,10 @@ def _answers(Q, f, budget):
     finds by one read of the index a lemma record leaves."""
     field, n = Q.field, Q.n
     index = _MEMO.get(("_direction_index", field.name, n))
-    idx = index.get(f, 0) if index and type(f) is tuple else 0
-    for c in f if idx else ():  # (1.0, 0) finds (1, 0); coerce refuses it
-        idx *= type(c) is int
+    ints = index is not None and type(f) is tuple
+    for c in f if ints else ():  # before the read: 1.0 finds 1, [1] won't hash
+        ints = ints and type(c) is int
+    idx = index.get(f, 0) if ints else 0
     if not idx:     # raises for a zero or misshapen f, before the budget
         x = _direction(field, n, f)
         idx = sum(c * field.order ** i for i, c in enumerate(x)) \

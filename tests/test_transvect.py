@@ -144,10 +144,10 @@ def test_every_spelling_of_a_direction_gets_the_same_answers(budget):
 
 
 # (1.0, 0) and (Fraction(1), 0) compare and hash like (1, 0), the index
-# key of a vector of F^2
+# key of a vector of F^2, and ([1], 0) cannot be hashed
 REFUSED_DIRECTIONS = [(GF3, (1.0, 0)), (GF3, (Fraction(1), 0)),
-                      (GF3, ("1", 0)), (GF3, (0, 0)), (GF3, (1, 0, 0)),
-                      (GF4, (5, 4))]
+                      (GF3, ("1", 0)), (GF3, ([1], 0)), (GF3, (0, 0)),
+                      (GF3, (1, 0, 0)), (GF4, (5, 4))]
 
 
 @pytest.mark.invariant
