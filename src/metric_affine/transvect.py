@@ -247,7 +247,8 @@ def _block_facts(field, n, maps, start):
         field, neg_inv[vals][:, 1:, np.newaxis], images[:, 1:]))
     reflected = iso[np.arange(len(W))[:, np.newaxis], np.arange(N - 1),
                     slot[np.arange(N - 1), dual]]
-    dims = np.searchsorted(q ** np.arange(n + 1), rad.sum(axis=1))
+    # a radical of dimension k has q^k vectors, more than q^i for i < k only
+    dims = (rad.sum(axis=1)[:, np.newaxis] > q ** np.arange(n)).sum(axis=1)
     return W, (rad[:, 1:], vals[:, 1:] == 0,
                np.broadcast_to(dims[:, np.newaxis], reflected.shape),
                iso[..., :delta].sum(axis=2), weak[..., :delta].sum(axis=2),
@@ -268,7 +269,7 @@ def _lemma_block(field, n, maps, start):
         return_inverse=True)
     forms = [QForm.from_upper(field, n, coeffs) for coeffs in W.tolist()]
     xs, answers = all_vectors(field, n)[1:], [None] * len(first)
-    for j in np.argsort(first).tolist():
+    for j in sorted(range(len(first)), key=first.tolist().__getitem__):
         row, x = divmod(int(first[j]), N - 1)
         answers[j] = _judge(forms[row], xs[x],
                             *(fact[row, x].item() for fact in facts))
@@ -278,8 +279,7 @@ def _lemma_block(field, n, maps, start):
 
 def lemma_record(Q, budget=None):
     """Q's lemma record (_lemma_block), behind the gate of the map rows on
-    every read.  A cold read memoises the record of every form in Q's
-    block, and the index of every vector of F^n (_answers)."""
+    every read; a cold read memoises its block's records and F^n's index."""
     field, n = Q.field, Q.n
     budget = require(_map_rows(field, n), budget)
     key = ("_lemma_record", field.name, n, Q.gram.rows)
