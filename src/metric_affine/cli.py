@@ -166,7 +166,7 @@ def cmd_eval(args, em):
         raise InputError("expected %d coordinates, got %d" % (Q.n, len(toks)))
     try:
         entries = tuple(F.parse(t) for t in toks)
-    except (ValueError, ZeroDivisionError) as e:
+    except ValueError as e:
         raise InputError("bad coordinate for %s: %s" % (F.name, e)) from None
     x = vec(F, entries)
     val = qf_eval(Q, x)

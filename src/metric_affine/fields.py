@@ -15,6 +15,7 @@ run in float32 on integers below 2^16, where every step is exact.
 from __future__ import annotations
 
 import operator
+import re
 from fractions import Fraction
 
 
@@ -82,9 +83,18 @@ class Field:
                              % (self.name, x))
         return self.coerce(x)
 
+    spelling = re.compile(r"-?[0-9]+")
+
     def parse(self, s):
-        """Parse a CLI/file token.  Accepts an int literal (or p/q over Q)."""
-        return self.from_json(int(s))
+        """Parse a CLI token (over Q, a form-file string too) spelt as
+        self.spelling; any other spelling or a zero denominator is refused."""
+        if not self.spelling.fullmatch(s):
+            raise ValueError("%s numbers are spelt %s, got %r"
+                             % (self.name, self.spelling.pattern, s))
+        num, _, den = s.partition("/")
+        if den and not int(den):
+            raise ValueError("zero denominator in %r" % s)
+        return self.from_json(Fraction(s) if den else int(num))
 
     def __repr__(self):
         return self.name
@@ -195,15 +205,14 @@ class RationalField(Field):
             return int(a)
         return "%d/%d" % (a.numerator, a.denominator)
 
+    spelling = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
     def from_json(self, x):
         if isinstance(x, str):
-            return Fraction(x)
+            return self.parse(x)
         if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
             return Fraction(x)
         raise ValueError("cannot read %r as a rational" % (x,))
-
-    def parse(self, s):
-        return Fraction(s)
 
 
 GF2 = PrimePowerField(2, (0, 1))         # t

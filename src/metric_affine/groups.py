@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .budget import InvariantViolation, group_budget, memo, order_gl, require
-from .quadform import QForm, form_position, polar, radical_basis
+from .quadform import QForm, polar, qf_rank, radical_basis
 
 
 def _table_np(field, op):
@@ -544,28 +544,18 @@ CASE_HYPERBOLIC_RADICAL = "hyperbolic-plane-plus-radical"   # x1x2, dim > 2
 CASE_HYPERBOLIC_PAIR = "hyperbolic-pair"                    # x1x2+x3x4, dim >= 4
 
 
-def _exceptional_shape(Q, budget=None):
-    """The literal two-case taxonomy, detected up to change of basis: is Q
-    over GF(2) congruent to x1x2 (n > 2) or to x1x2 + x3x4 (n >= 4)?"""
-    field, n = Q.field, Q.n
-    if field.order != 2 or n <= 2:
-        return None
-    m = n * (n + 1) // 2
-    # upper coefficients, row-major: x1*x2 sits at 1 and x3*x4 at 2n
-    shapes = [(CASE_HYPERBOLIC_RADICAL, (0, 1) + (0,) * (m - 2))]
-    if n >= 4:
-        shapes.append((CASE_HYPERBOLIC_PAIR, (0, 1) + (0,) * (2 * n - 2)
-                       + (1,) + (0,) * (m - 2 * n - 1)))
-    here = form_position(Q)
-    for tag, coeffs in shapes:
-        # the congruence orbit of the shape, coded once per (n, shape)
-        R = QForm.from_upper(field, n, coeffs)
-        orbit = memo(("_exceptional_shape", field.name, n, tag),
-                     lambda: congruence_codes(field, R, column_indices_np(
-                         field, _gl_arrays(field, n, budget))),
-                     order_gl(n, field.order), budget)
-        if (orbit == here).any():
-            return tag
+def _exceptional_shape(Q, vals):
+    """The literal two-case taxonomy, read from Q's invariants: is Q over
+    GF(2) congruent to x1x2 (n > 2) or to x1x2 + x3x4 (n >= 4)?  Over GF(2)
+    a form with value table vals, polar rank k and radical dimension n - k
+    is congruent to x1x2 + ... + x(k-1)xk, zero on the radical, exactly
+    when it has 2^(n-k) (2^(k-1) + 2^(k/2-1)) zeros: one nonzero on the
+    radical has 2^(n-1), and the other Arf class fewer (Lidl and
+    Niederreiter, *Finite Fields*, ch. 6)."""
+    k = qf_rank(Q) if Q.field.order == 2 and Q.n > 2 else None
+    if k in (2, 4) and np.count_nonzero(vals == 0) == 2 ** (Q.n - k) * (
+            2 ** (k - 1) + 2 ** (k // 2 - 1)):
+        return CASE_HYPERBOLIC_RADICAL if k == 2 else CASE_HYPERBOLIC_PAIR
     return None
 
 
@@ -593,8 +583,8 @@ def reflection_generation_status(Q, budget=None):
     """Do the reflections of Q generate the weak orthogonal group?
 
     Computes the closure of all reflections and compares it with O'(Q),
-    then independently matches Q against the two exceptional shapes (only
-    over the two-element field); the two verdicts must agree, and a
+    then independently reads the exceptional shape from Q's invariants
+    (only over the two-element field); the two verdicts must agree, and a
     disagreement raises instead of being swallowed.
     """
     field, n = Q.field, Q.n
@@ -605,7 +595,7 @@ def reflection_generation_status(Q, budget=None):
     if not is_subgroup(gen, weak):
         raise InvariantViolation("reflection closure escaped O'")
     generates = group_equal(gen, weak)
-    exceptional = _exceptional_shape(Q, budget)
+    exceptional = _exceptional_shape(Q, vals)
     if generates != (exceptional is None):
         raise InvariantViolation(
             "taxonomy mismatch for %r: closure order %d, weak order %d, "

@@ -7,10 +7,13 @@ import os
 import pytest
 
 from metric_affine import classify, cli, transvect
-from metric_affine.budget import InvariantViolation
+from metric_affine.budget import InvariantViolation, order_gl
 from metric_affine.classify import SUPPORTED_TABLES
 from metric_affine.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_PASS,
                                _TABLE_CASES, main)
+from metric_affine.fields import GF2
+from metric_affine.groups import orthogonal_group
+from metric_affine.quadform import QForm
 
 FORM_GF3_LINE = '{"dim": 1, "field": "GF(3)", "upper": [1]}\n'
 FORM_GF3_PLANE = '{"dim": 2, "field": "GF(3)", "upper": [1, 0, 1]}\n'
@@ -111,6 +114,13 @@ def test_eval_dimension_zero_takes_the_empty_vector(form_file, capsys,
     assert capsys.readouterr().out.endswith("Q() = 0\n")
 
 
+FORM_RATIONAL_LINE = '{"dim": 1, "field": "Q", "upper": ["-7/2"]}\n'
+# spellings that int() or Fraction() read but the README does not document;
+# the last costs seconds to parse as a Fraction
+REFUSED_SPELLINGS = ["1_0", "+1", "\u0663", "1e3", "1.5", "0x1", "1/-2",
+                     "1e10000000"]
+
+
 @pytest.mark.parametrize("form,vector", [
     (FORM_GF3_PLANE, "1,,2"), (FORM_GF3_PLANE, "1,1,"),
     (FORM_GF3_PLANE, ",1,1"), (FORM_GF3_PLANE, "1, ,1"),
@@ -123,13 +133,36 @@ def test_eval_dimension_zero_takes_the_empty_vector(form_file, capsys,
     (FORM_GF3_PLANE, ""), (FORM_RATIONAL, "1/2,,"), (FORM_RATIONAL, "(1/2,1"),
     (FORM_GF3_POINT, ","), (FORM_GF3_POINT, "("), (FORM_GF3_POINT, "[)"),
     (FORM_GF3_POINT, "(())"),
-])
+] + [(form, token) for form in (FORM_GF3_LINE, FORM_RATIONAL_LINE)
+     for token in REFUSED_SPELLINGS + ["1/0"]])
 def test_eval_rejects_malformed_vectors(form_file, capsys, form, vector):
     assert main(["eval", form_file(form), vector]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("form,vector,out", [
+    (FORM_GF3_LINE, "-1", "Q(2) = 1"), (FORM_GF3_LINE, " 2 ", "Q(2) = 1"),
+    (FORM_RATIONAL_LINE, "1/3", "Q(1/3) = -7/18"),
+    (FORM_RATIONAL_LINE, "[-7/2]", "Q(-7/2) = -343/8")],
+    ids=["GF(3)--1", "GF(3)- 2 ", "Q-1/3", "Q-[-7/2]"])
+def test_eval_takes_the_documented_spellings(form_file, capsys, form, vector,
+                                            out):
+    # a lone -7/2 would read as an option, so it sits in brackets
+    assert main(["eval", form_file(form), vector]) == EXIT_PASS
+    assert capsys.readouterr().out.endswith(out + "\n")
+
+
+@pytest.mark.parametrize("command", ["eval", "lift", "drop"])
+def test_zero_denominator_in_a_form_file_is_input_error(form_file, capsys,
+                                                        command):
+    path = form_file('{"dim": 1, "field": "Q", "upper": ["1/0"]}\n')
+    argv = [command, path] + (["1"] if command == "eval" else [])
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr() == ("", "input error: %s: bad coefficient for "
+                                   "Q: zero denominator in '1/0'\n" % path)
 
 
 def test_groups_frozen_output(form_file, capsys):
@@ -142,6 +175,59 @@ def test_groups_frozen_output(form_file, capsys):
         "reflection closure order: 2\n"
         "reflections generate weak group: yes\n"
         "exceptional case: none\n")
+
+
+# (upper, k, the upper coefficients of Q0 on GF(2)^k, text, record) for two
+# forms on GF(2)^5, each Q0 of polar rank k plus zero on a radical of dim
+# 5 - k.  GF(2)^5 runs at the hard ceiling: |GL_5(2)| = 9,999,360.
+GF2_DIM5 = {
+    "x1x2": ((0, 1) + (0,) * 13, 2, (0, 1, 0), (
+        "# form: x1*x2 [GF(2), dim 5]\n"
+        "|GL|: 9999360\n|O|: 21504\n|O'|: 128\n"
+        "radical dim: 3\n"
+        "reflections: 8\n"
+        "reflection closure order: 16\n"
+        "reflections generate weak group: no\n"
+        "exceptional case: hyperbolic-plane-plus-radical\n"), (
+        '{"closure_order": 16, "exceptional": '
+        '"hyperbolic-plane-plus-radical", "form": {"dim": 5, "field": '
+        '"GF(2)", "poly": "x1*x2", "upper": [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, '
+        '0, 0, 0, 0, 0]}, "generates": false, "gl_order": 9999360, '
+        '"o_order": 21504, "ow_order": 128, "radical_dim": 3, "record": '
+        '"groups", "reflections": 8}')),
+    "x1x2+x3x4": ((0, 1) + (0,) * 8 + (1,) + (0,) * 4, 4,
+                  (0, 1, 0, 0, 0, 0, 0, 0, 1, 0), (
+        "# form: x1*x2 + x3*x4 [GF(2), dim 5]\n"
+        "|GL|: 9999360\n|O|: 1152\n|O'|: 1152\n"
+        "radical dim: 1\n"
+        "reflections: 12\n"
+        "reflection closure order: 576\n"
+        "reflections generate weak group: no\n"
+        "exceptional case: hyperbolic-pair\n"), (
+        '{"closure_order": 576, "exceptional": "hyperbolic-pair", "form": '
+        '{"dim": 5, "field": "GF(2)", "poly": "x1*x2 + x3*x4", "upper": '
+        '[0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0]}, "generates": false, '
+        '"gl_order": 9999360, "o_order": 1152, "ow_order": 1152, '
+        '"radical_dim": 1, "record": "groups", "reflections": 12}')),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GF2_DIM5))
+def test_groups_at_gf2_dim5(name, form_file, capsys):
+    # the orders meet the closed forms |O'| = |O(Q0)| 2^(k r) and
+    # |O| = |O'| |GL_r(2)|, r = 5 - k: 128 and 21,504 for x1x2
+    upper, k, q0, text, record = GF2_DIM5[name]
+    path = form_file(json.dumps({"dim": 5, "field": "GF(2)",
+                                 "upper": list(upper)}))
+    argv = ["--budget", "10000000", "groups", path]
+    assert main(argv) == EXIT_PASS
+    assert capsys.readouterr() == (text, "")
+    assert main(["--format", "records"] + argv) == EXIT_PASS
+    assert capsys.readouterr() == (record + "\n", "")
+    rec = json.loads(record)
+    o_q0 = orthogonal_group(QForm.from_upper(GF2, k, q0)).order
+    assert rec["ow_order"] == o_q0 * 2 ** (k * (5 - k))
+    assert rec["o_order"] == rec["ow_order"] * order_gl(5 - k, 2)
 
 
 def test_groups_rejects_rational_field(form_file, capsys):
@@ -184,10 +270,11 @@ def test_form_file_bad_field_is_input_error(form_file, capsys, field):
     '{"dim": 1, "field": "GF(4)", "upper": [false]}',
     '{"dim": 1, "field": "GF(4)", "upper": [2.0]}',
     '{"dim": 1, "field": "Q", "upper": [true]}',
-])
+] + ['{"dim": 1, "field": "Q", "upper": [%s]}' % json.dumps(coeff)
+     for coeff in REFUSED_SPELLINGS + [" 1/2 ", "1/0"]])
 def test_form_file_takes_only_documented_values(form_file, capsys, text):
     # booleans are not dimensions; finite-field coefficients are JSON ints,
-    # rational ones are ints or strings
+    # rational ones are ints or strings spelt as the README gives them
     assert main(["eval", form_file(text), "1"]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,5 +1,6 @@
 """Field axioms and serialization, exhaustively over the finite fields."""
 
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -103,6 +104,30 @@ def test_rational_to_json_prefers_ints():
     assert QQ.to_json(Fraction(4, 2)) == 2
     assert QQ.to_json(Fraction(1, 3)) == "1/3"
     assert QQ.parse("-7/2") == Fraction(-7, 2)
+
+
+@pytest.mark.parametrize("F,token,value", [
+    (GF3, "-1", 2), (GF3, "007", 1), (GF4, "3", 3), (QQ, "-1", Fraction(-1)),
+    (QQ, "1/3", Fraction(1, 3)), (QQ, "-7/2", Fraction(-7, 2))])
+def test_parse_reads_ascii_integers_and_fractions(F, token, value):
+    assert F.parse(token) == value
+
+
+@pytest.mark.parametrize("F", [GF3, QQ])
+@pytest.mark.parametrize("token", ["1_0", "+1", "\u0663", "1e3", "1.5", " 2 ",
+                                   "2\n", "", "-", "1/-2", "1e10000000"])
+def test_parse_refuses_every_other_spelling(F, token):
+    with pytest.raises(ValueError,
+                       match=re.escape(F.name) + " numbers are spelt "):
+        F.parse(token)
+
+
+def test_rational_zero_denominator_is_a_value_error():
+    for read in (QQ.parse, QQ.from_json):
+        with pytest.raises(ValueError, match="^zero denominator in '1/0'$"):
+            read("1/0")
+    with pytest.raises(ValueError, match="^GF.3. numbers are spelt "):
+        GF3.parse("1/3")
 
 
 def test_field_make():

@@ -393,12 +393,10 @@ def test_memo_gates_every_read(cold_memo, monkeypatch):
 
 
 def test_budget_checked_before_memo_lookup():
-    # |GL_2(3)| = 48, |GL_3(2)| = 168, and the rank-one map table of GF(3)^2
-    # has 88 rows: a memoised result must not slip past a smaller budget.
-    # motion_group_dual memoises nothing; it meets the gate of the orbit
-    # table it reads.
+    # |GL_2(3)| = 48, and the rank-one map table of GF(3)^2 has 88 rows: a
+    # memoised result must not slip past a smaller budget.  motion_group_dual
+    # memoises nothing; it meets the gate of the orbit table it reads.
     Q = QForm.from_upper(GF3, 2, (1, 0, 1))
-    hyperbolic = QForm.from_upper(GF2, 3, (0, 1, 0, 0, 0, 0))      # x1x2
     calls = ((48, lambda b: _gl_arrays(GF3, 2, budget=b)),
              (48, lambda b: groups_by_orbit(GF3, 2, orthogonal_group,
                                             budget=b)),
@@ -408,8 +406,7 @@ def test_budget_checked_before_memo_lookup():
              (48, lambda b: motion_group_dual(Q, True, budget=b)),
              (48, lambda b: weak_group_index(GF3, 2, budget=b)),
              (88, lambda b: _rank_one_maps(GF3, 2, budget=b)),
-             (88, lambda b: classify_direction(Q, (1, 0), budget=b)),
-             (168, lambda b: _exceptional_shape(hyperbolic, budget=b)))
+             (88, lambda b: classify_direction(Q, (1, 0), budget=b)))
     for required, call in calls:
         call(required)
         with pytest.raises(BudgetExceeded) as exc:
@@ -540,12 +537,58 @@ def test_congruence_codes_match_mat_pullbacks(F, n):
 def test_exceptional_shapes_are_tagged():
     x1x2 = (0, 1) + (0,) * 4                                # on GF(2)^3
     pair = (0, 1, 0, 0, 0, 0, 0, 0, 1, 0)                   # x1x2 + x3x4
-    assert _exceptional_shape(QForm.from_upper(GF2, 3, x1x2)) == (
-        groups.CASE_HYPERBOLIC_RADICAL)
-    assert _exceptional_shape(QForm.from_upper(GF2, 4, pair)) == (
-        groups.CASE_HYPERBOLIC_PAIR)
+
+    def tag(n, upper):
+        Q = QForm.from_upper(GF2, n, upper)
+        return _exceptional_shape(Q, form_values_np(Q))
+    assert tag(3, x1x2) == groups.CASE_HYPERBOLIC_RADICAL
+    assert tag(4, pair) == groups.CASE_HYPERBOLIC_PAIR
     # x1x2 + x3^2: the radical line of its polar form is anisotropic
-    assert _exceptional_shape(QForm.from_upper(GF2, 3, x1x2[:5] + (1,))) is None
+    assert tag(3, x1x2[:5] + (1,)) is None
+    # x1x2 + x3^2 + x3x4 + x4^2, of polar rank 4 but the other Arf class
+    assert tag(4, pair[:7] + (1, 1, 1)) is None
+    assert tag(2, (0, 1, 0)) is None                        # no radical
+    # x1x2 + x3x4 + x5x6, of polar rank 6: not one of the two shapes
+    assert tag(6, tuple(int(i in (1, 12, 19)) for i in range(21))) is None
+
+
+def _shape_orbits(n):
+    """The congruence orbit of each exceptional shape on GF(2)^n, as a set
+    of enumerate_forms positions, coded over all of GL_n(2): the reference
+    that the tags read from invariants are checked against."""
+    m = n * (n + 1) // 2
+    # upper coefficients, row-major: x1*x2 sits at 1 and x3*x4 at 2n
+    shapes = {groups.CASE_HYPERBOLIC_RADICAL: (0, 1) + (0,) * (m - 2)}
+    if n >= 4:
+        shapes[groups.CASE_HYPERBOLIC_PAIR] = ((0, 1) + (0,) * (2 * n - 2)
+                                               + (1,) + (0,) * (m - 2 * n - 1))
+    cols = groups.column_indices_np(GF2, _gl_arrays(GF2, n))
+    return {tag: set(groups.congruence_codes(
+        GF2, QForm.from_upper(GF2, n, upper), cols).tolist())
+        for tag, upper in shapes.items()}
+
+
+@pytest.mark.parametrize("n,sizes", [
+    (3, {groups.CASE_HYPERBOLIC_RADICAL: 21}),
+    (4, {groups.CASE_HYPERBOLIC_RADICAL: 105,
+         groups.CASE_HYPERBOLIC_PAIR: 280})])
+def test_exceptional_tags_match_gl_orbits(n, sizes):
+    # the invariant test against the GL-coded orbits, on every form
+    orbits = _shape_orbits(n)
+    assert {tag: len(orbit) for tag, orbit in orbits.items()} == sizes
+    for Q in enumerate_forms(GF2, n):
+        members = [tag for tag, orbit in orbits.items()
+                   if form_position(Q) in orbit]
+        assert [_exceptional_shape(Q, form_values_np(Q))] == (
+            members or [None]), Q
+
+
+def test_reflection_status_builds_no_gl(cold_memo):
+    # the tags come from the form itself: no GL_4(2) stack is built
+    for Q in enumerate_forms(GF2, 4):
+        reflection_generation_status(Q)
+    assert not [key for key in cold_memo
+                if key[0] in ("_gl_arrays", "_exceptional_shape")]
 
 
 # The GL filter, the route orthogonal_group took before the isometry
@@ -615,18 +658,25 @@ def test_reflection_exceptional_cases():
 
 
 @pytest.mark.invariant
-@pytest.mark.parametrize("name,wrong,match", [
-    ("_exceptional_shape", lambda Q, budget=None: None, "^taxonomy mismatch "),
+@pytest.mark.parametrize("name,wrong,upper,match", [
+    ("_exceptional_shape", lambda Q, vals: None, (0, 1, 0, 0, 0, 0),
+     "^taxonomy mismatch "),
+    ("_exceptional_shape", lambda Q, vals: groups.CASE_HYPERBOLIC_RADICAL,
+     (0, 1, 0, 0, 0, 1), "^taxonomy mismatch "),
     ("closure", lambda field, n, gens, budget=None: enumerate_gl(field, n),
-     "^reflection closure escaped O'$")], ids=["taxonomy", "closure-escapes"])
-def test_reflection_status_checks_raise(name, wrong, match, monkeypatch):
-    # x1x2 over GF(2)^3: closure 4 inside O' of order 8.  A taxonomy that
-    # never names an exceptional shape, or a closure that is all of GL,
-    # must make the status raise
+     (0, 1, 0, 0, 0, 0), "^reflection closure escaped O'$")],
+    ids=["taxonomy", "taxonomy-tags-generating", "closure-escapes"])
+def test_reflection_status_checks_raise(name, wrong, upper, match,
+                                        monkeypatch):
+    # x1x2 over GF(2)^3: closure 4 inside O' of order 8; x1x2 + x3^2: the
+    # reflections generate O'.  A taxonomy that never names an exceptional
+    # shape, one that names a shape where the reflections generate, or a
+    # closure that is all of GL, must make the status raise
+    Q = QForm.from_upper(GF2, 3, upper)
+    assert reflection_generation_status(Q).generates == (upper[-1] == 1)
     monkeypatch.setattr(groups, name, wrong)
     with pytest.raises(groups.InvariantViolation, match=match):
-        reflection_generation_status(
-            QForm.from_upper(GF2, 3, (0, 1, 0, 0, 0, 0)))
+        reflection_generation_status(Q)
 
 
 @pytest.mark.invariant
