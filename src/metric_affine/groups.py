@@ -3,9 +3,9 @@
 The public objects here are GroupSets: immutable, canonically-encoded sets
 of invertible matrices over one of the finite fields.  Group comparisons in
 the classification code happen thousands of times, so a GroupSet keeps one
-sorted int64 array of matrix codes (matrix_codes: the row-major raw values
-read as base-q digits) and set equality is equality of those arrays.  This
-module is the only one that knows how an element is coded.
+sorted int64 array of matrix codes (matrix_codes: the vector indices of
+the columns read as base-q^n digits) and set equality is equality of those
+arrays.  This module is the only one that knows how an element is coded.
 
 Under the hood the module keeps, per (field, n), the table of all q^n
 vectors (row idx -> vector, idx = sum x_i q^i) as a small numpy integer
@@ -17,19 +17,19 @@ characteristic.  So _isometries_np extends every partial basis at once, one
 column at a time, by every vector outside its span (the product of the
 coefficient table of F^k with its k columns) that meets the next column's
 constraints; np.nonzero keeps the result in lexicographic order of the
-columns' vector indices.  For the zero form the constraints are empty, and
-the frontier is all of GL_n.  The readable route is quadform.is_isometry,
-which compares the pullback A^T W A with W, and the tests check the
-frontier against a filter of all of GL by it.
+columns' vector indices, the order of their codes.  For the zero form the
+constraints are empty, and the frontier is all of GL_n (enumerate_gl).
+The readable route is quadform.is_isometry, which compares the pullback
+A^T W A with W, and the tests check the frontier against a GL filter.
 
 Forms in one congruence orbit have conjugate groups, so the groups of
 every form on F^n take one frontier per orbit.  groups_by_orbit walks the
 forms in enumerate_forms order; the first form R that no earlier orbit
 holds codes its orbit R o A over all of GL_n (congruence_codes), each A
-held as the vector indices of its columns, so that every coefficient
-R(A e_i) or B(A e_i, A e_j) of R o A is one gather from R's value or polar
-table.  R's group is conjugated onto every member at once, and nothing is
-kept per orbit.
+read off its code as the vector indices of its columns, so that every
+coefficient R(A e_i) or B(A e_i, A e_j) of R o A is one gather from R's
+value or polar table.  R's group is conjugated onto every member at once,
+and nothing is kept per orbit.
 
 Every stack holds integer element codes.  The one float is inside
 matmul_np over GF(p): a float32 product of integers below 2^16, where every
@@ -159,17 +159,21 @@ def mat_to_np(A):
 
 
 def _code_powers(field, n):
-    """q^(n*n - 1), ..., q, 1: the place values of a matrix code."""
+    """The place values of a matrix code by row-major entry, memoised: entry
+    (j, i) is digit j of column i's vector index, which is base-q^n digit
+    n - 1 - i of the code, so its place value is q^(n (n - 1 - i) + j)."""
     if field.order ** (n * n) > 2 ** 63:
         raise ValueError("%d x %d matrices over %s do not fit an int64 code"
                          % (n, n, field.name))
-    return field.order ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+    return memo(("_code_powers", field.name, n), lambda: field.order ** (
+        n * np.arange(n - 1, -1, -1, dtype=np.int64)
+        + np.arange(n)[:, np.newaxis]).ravel())
 
 
 def matrix_codes(field, stack):
-    """The code of every matrix in a (..., n, n) integer-coded stack: its
-    row-major entries read as base-q digits, the first one most significant,
-    so codes sort as the row-major entry tuples do."""
+    """The code of every matrix in a (..., n, n) integer-coded stack: the
+    vector indices of its columns read as base-q^n digits, column 1 most
+    significant, so codes sort as the frontier's rows of column indices."""
     stack = np.asarray(stack)
     n = stack.shape[-1]
     flat = stack.reshape(stack.shape[:-2] + (n * n,)).astype(np.int64)
@@ -215,9 +219,9 @@ def upper_coeffs_np(field, S):
 
 def _isometries_np(field, n, vals, B):
     """The isometries of the form with values vals[v] = Q(v) and polar
-    products B[v, w] = B(v, w), by vector index, as an (m, n, n) uint8
-    stack: the frontier of the module docstring, each partial basis held
-    as the vector indices of its columns."""
+    products B[v, w] = B(v, w), by vector index, as (m, n) rows of the
+    vector indices of their columns, in lexicographic order: the frontier
+    of the module docstring."""
     V = vectors_np(field, n)
     units = field.order ** np.arange(n)        # vector indices of e_1 .. e_n
     # uint8 wherever |GL_n| fits the budget ceiling: there q^n <= 125.
@@ -235,27 +239,7 @@ def _isometries_np(field, n, vals, B):
         parts = parts.take(rows, axis=0)
         parts[:, k] = vecs
         del ok, rows, vecs      # freed before the next gathers
-    out = np.empty((len(parts), n, n), dtype=np.uint8)
-    for i in range(n):          # column by column, to gather without an
-        out[:, :, i] = V.take(parts[:, i], axis=0)     # intp copy of parts
-    return out
-
-
-def _gl_arrays(field, n, budget=None):
-    """The full GL_n stack as a (m, n, n) uint8 array: the isometries of
-    the zero form.  Memoised, behind the |GL_n| gate."""
-    def build():
-        N = field.order ** n
-        G = _isometries_np(field, n, np.zeros(N, dtype=np.uint8),
-                           np.zeros((N, N), dtype=np.uint8))
-        if len(G) != order_gl(n, field.order):
-            raise InvariantViolation("GL_%d(%s) has %d elements, not %d"
-                                     % (n, field.name, len(G),
-                                        order_gl(n, field.order)))
-        G.setflags(write=False)
-        return G
-    return memo(("_gl_arrays", field.name, n), build,
-                order_gl(n, field.order), budget)
+    return parts
 
 
 def _monomials_np(field, n):
@@ -317,16 +301,6 @@ def polar_table_np(Q):
     return matmul_np(Q.field, BV, V.T)
 
 
-def column_indices_np(field, stack):
-    """(m, n) vector indices of the columns of a (m, n, n) stack, in the
-    narrowest unsigned type, one column at a time (no int64 copy of it)."""
-    n = stack.shape[-1]
-    cols = np.empty((len(stack), n), np.min_scalar_type(field.order ** n - 1))
-    for i in range(n):
-        cols[:, i] = vector_index_np(field, stack[:, :, i])
-    return cols
-
-
 # --- GroupSet --------------------------------------------------------------
 
 class GroupSet:
@@ -379,7 +353,8 @@ class GroupSet:
         return self.elems.tobytes()
 
     def __contains__(self, A):
-        return matrix_codes(self.field, mat_to_np(A)) in self.elems
+        return (A.field is self.field and A.nrows == A.ncols == self.n
+                and matrix_codes(self.field, mat_to_np(A)) in self.elems)
 
     def __eq__(self, other):
         return (isinstance(other, GroupSet) and self.field is other.field
@@ -397,6 +372,15 @@ class GroupSet:
         digits = self.elems[:, np.newaxis] // _code_powers(self.field, n) % q
         return digits.astype(np.uint8).reshape(len(self.elems), n, n)
 
+    def columns(self):
+        """The vector indices of the elements' columns, as an (order, n)
+        array in the narrowest unsigned type, decoded one column at a time."""
+        N = self.field.order ** self.n
+        cols = np.empty((self.order, self.n), np.min_scalar_type(N - 1))
+        for i in range(self.n):
+            cols[:, i] = self.elems // N ** (self.n - 1 - i) % N
+        return cols
+
     def verify_axioms(self):
         """Check identity, closure under product, closure under inverse."""
         ident = matrix_codes(self.field, np.eye(self.n, dtype=np.uint8))
@@ -413,16 +397,28 @@ class GroupSet:
 
 
 def enumerate_gl(field, n, budget=None):
-    """All of GL_n(F) as a GroupSet."""
-    return GroupSet.from_np(field, n, _gl_arrays(field, n, budget))
+    """All of GL_n(F) as a GroupSet: the zero form's orthogonal_group, its
+    order checked against the product formula on every call."""
+    G = orthogonal_group(QForm.zero(field, n), budget)
+    if G.order != order_gl(n, field.order):
+        raise InvariantViolation("GL_%d(%s) has %d elements, not %d"
+                                 % (n, field.name, G.order,
+                                    order_gl(n, field.order)))
+    return G
 
 
 def orthogonal_group(Q, budget=None):
     """All GL elements preserving Q: the isometry frontier of Q's value and
-    polar tables.  Memoised, behind the |GL_n| gate."""
+    polar tables, its rows of column indices read as codes.  Memoised,
+    behind the |GL_n| gate."""
     def build():
-        return GroupSet.from_np(Q.field, Q.n, _isometries_np(
-            Q.field, Q.n, form_values_np(Q), polar_table_np(Q)))
+        field, N = Q.field, Q.field.order ** Q.n
+        cols = _isometries_np(field, Q.n, form_values_np(Q), polar_table_np(Q))
+        codes = np.zeros(len(cols), dtype=np.int64)
+        for i in range(Q.n):        # Horner's rule, column 1 first
+            codes *= N
+            codes += cols[:, i]
+        return GroupSet.from_sorted(field, Q.n, codes)
     return memo(("orthogonal_group", Q.field.name, Q.n, Q.gram.rows), build,
                 order_gl(Q.n, Q.field.order), budget)
 
@@ -472,8 +468,8 @@ def groups_by_orbit(field, n, group, budget=None):
     overlap; a failure raises even under -O.  Memoised, as a tuple, behind
     the |GL_n| gate that every reader of the table meets first."""
     def build():
-        G = _gl_arrays(field, n, budget)
-        cols = column_indices_np(field, G)
+        G = enumerate_gl(field, n, budget)
+        cols, V = G.columns(), vectors_np(field, n)
         out = [None] * field.order ** (n * (n + 1) // 2)
         for r in range(len(out)):
             if out[r] is not None:
@@ -488,8 +484,9 @@ def groups_by_orbit(field, n, group, budget=None):
                 raise InvariantViolation("congruence orbit of %r fails the "
                                          "orbit-stabiliser count" % (R,))
             first = np.empty(len(out), dtype=np.intp)
-            first[codes] = np.arange(len(G))
-            A = G[first[members]]       # member k = R o A[k], any such A
+            first[codes] = np.arange(G.order)
+            # member k = R o A[k], any such A, C-contiguous for the products
+            A = np.ascontiguousarray(V[cols[first[members]]].swapaxes(1, 2))
             conj = matmul_np(field, matmul_np(
                 field, invert_np(field, A)[1][:, np.newaxis],
                 group(R, budget).as_np()), A[:, np.newaxis])

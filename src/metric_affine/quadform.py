@@ -48,6 +48,8 @@ class QForm:
         self._set_rows(field, n, tuple(rows))
 
     def _set_rows(self, field, n, rows):
+        if n < 0:
+            raise ValueError("dim must be a non-negative integer, got %r" % (n,))
         self.field = field
         self.n = n
         self.gram = Mat._trusted(field, rows, n, n)
@@ -65,7 +67,7 @@ class QForm:
 
     @classmethod
     def zero(cls, field, n):
-        return cls(field, Mat.zeros(field, n, n))
+        return cls._trusted(field, n, ((field.zero,) * n,) * n)
 
     @classmethod
     def from_upper(cls, field, n, coeffs):

@@ -19,9 +19,8 @@ from metric_affine.classify import (MODE_MOTION, MODE_WEAK, MODES,
                                     verify_projective_theorem,
                                     weak_group_index)
 from metric_affine.fields import GF2, GF3, GF4, GF5, GF7, QQ, PrimePowerField
-from metric_affine.groups import (GroupSet, _gl_arrays, enumerate_gl,
-                                  form_values_np, group_equal,
-                                  groups_by_orbit, matmul_np,
+from metric_affine.groups import (GroupSet, enumerate_gl, form_values_np,
+                                  group_equal, groups_by_orbit, matmul_np,
                                   orthogonal_group, vectors_np,
                                   weak_orthogonal_group)
 from metric_affine.homog import (DegeneratePolarForm, lift,
@@ -252,7 +251,7 @@ def _pairwise_blocks(F, dim):
 def _gl_stabilizer(F, n, v):
     """The matrices of GL_n fixing the vector with entries v, all of GL_n
     for v None: a filter of all of GL_n."""
-    G = _gl_arrays(F, n)
+    G = enumerate_gl(F, n).as_np()
     if v is not None:
         x = np.array(v, dtype=np.uint8).reshape(n, 1)
         G = G[(matmul_np(F, G, x) == x).all(axis=(1, 2))]

@@ -11,14 +11,15 @@ from metric_affine.budget import (DEFAULT_BUDGET, HARD_BUDGET_CEILING,
                                   group_budget, order_gl)
 from metric_affine.classify import weak_group_index
 from metric_affine.fields import GF2, GF3, GF4, GF5, GF7
-from metric_affine.groups import (GroupSet, _exceptional_shape, _gl_arrays,
-                                  add_np, closure, enumerate_gl,
+from metric_affine.groups import (GroupSet, _exceptional_shape, add_np,
+                                  closure, enumerate_gl,
                                   form_values_np, group_equal,
                                   groups_by_orbit, inverses_np, invert_np,
                                   is_subgroup, matmul_np, mat_to_np,
                                   matrix_codes, mul_np, orthogonal_group,
                                   reflection_generation_status,
-                                  upper_coeffs_np, values_np, vectors_np,
+                                  upper_coeffs_np, values_np,
+                                  vector_index_np, vectors_np,
                                   weak_orthogonal_group)
 from metric_affine.homog import (DegeneratePolarForm, lift, lift_np,
                                  motion_group_dual)
@@ -84,9 +85,12 @@ def _sizes(fits):
     "F,n", _sizes(lambda q, n: order_gl(n, q) <= DEFAULT_BUDGET),
     ids=lambda v: getattr(v, "name", v))
 def test_gl_matches_recursive_build_bytewise(F, n, cold_memo):
-    got, want = _gl_arrays(F, n), _recursive_gl(F, n)
+    # the frontier's order is the depth-first order, and so is code order
+    G = enumerate_gl(F, n)
+    got, want = G.as_np(), _recursive_gl(F, n)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    assert (G.columns() == vector_index_np(F, want.transpose(0, 2, 1))).all()
 
 
 @pytest.mark.parametrize("F,n", _sizes(lambda q, n: q ** (n * n) <= 65536),
@@ -143,6 +147,30 @@ def test_small_binary_groups_are_stabilizers():
                        orthogonal_group(QForm.from_upper(GF2, 2, (1, 0, 1))))
 
 
+@pytest.mark.parametrize("A,member", [
+    (Mat(GF2, [[0, 1], [1, 0]]), True),
+    (Mat(GF2, [[0, 0], [0, 0]]), False),
+    (Mat(GF2, [[0, 0, 0], [0, 0, 0], [1, 1, 0]]), False),
+    (Mat(GF2, [[1, 0, 0], [0, 1, 0]]), False),
+    (Mat(GF2, [[1]]), False),
+    (Mat(GF3, [[0, 1], [1, 0]]), False)],
+    ids=["swap", "zero", "3x3", "2x3", "1x1", "GF(3)-swap"])
+def test_membership_needs_the_groups_field_and_shape(A, member):
+    # a matrix of another field or shape is not coded as if it were one
+    # of the group's own: it is not a member, as it is not equal to one
+    assert (A in enumerate_gl(GF2, 2)) is member
+
+
+@pytest.mark.parametrize("build", [
+    lambda: QForm.zero(GF3, -1), lambda: QForm.from_upper(GF3, -1, []),
+    lambda: enumerate_forms(GF3, -1), lambda: enumerate_gl(GF3, -1)],
+    ids=["zero", "from_upper", "enumerate_forms", "enumerate_gl"])
+def test_negative_dims_are_refused(build):
+    with pytest.raises(ValueError, match=r"^dim must be a non-negative "
+                       r"integer, got -1$"):
+        build()
+
+
 def test_group_containments():
     for Q in enumerate_forms(GF3, 2):
         o = orthogonal_group(Q)
@@ -169,17 +197,22 @@ def test_mask_route_matches_literal_filter():
                                  (GF7, 2)],
                          ids=lambda v: getattr(v, "name", v))
 def test_codes_round_trip_in_lexicographic_order(F, n):
-    # as_np decodes the codes back to the stack they came from, in the
-    # lexicographic order of the row-major entries
+    # as_np and columns decode the codes back to the matrices they came
+    # from, in the lexicographic order of their columns' vector indices,
+    # the order of the isometry frontier
     g = enumerate_gl(F, n)
-    arr = g.as_np()
+    arr, cols = g.as_np(), g.columns()
     assert GroupSet.from_np(F, n, arr) == g
     assert arr.dtype == np.uint8 and arr.shape == (g.order, n, n)
-    rows = [tuple(A.ravel().tolist()) for A in arr]
-    assert rows == sorted(set(rows))
-    assert rows == sorted(tuple(A.ravel().tolist())
-                          for A in _gl_arrays(F, n))
+    assert cols.dtype == np.min_scalar_type(F.order ** n - 1)
+    rows = [tuple(vector_index_np(F, A.T).tolist()) for A in arr]
+    assert rows == sorted(set(rows)) == [tuple(c) for c in cols.tolist()]
     assert (matrix_codes(F, arr) == g.elems).all()
+    # a code is the column indices read as base-q^n digits, column 1 first
+    N = F.order ** n
+    assert g.elems.tolist() == [sum(c * N ** (n - 1 - i)
+                                    for i, c in enumerate(row))
+                                for row in rows]
 
 
 def test_groupset_equality_and_hash():
@@ -397,7 +430,7 @@ def test_budget_checked_before_memo_lookup():
     # memoised result must not slip past a smaller budget.  motion_group_dual
     # memoises nothing; it meets the gate of the orbit table it reads.
     Q = QForm.from_upper(GF3, 2, (1, 0, 1))
-    calls = ((48, lambda b: _gl_arrays(GF3, 2, budget=b)),
+    calls = ((48, lambda b: enumerate_gl(GF3, 2, budget=b)),
              (48, lambda b: groups_by_orbit(GF3, 2, orthogonal_group,
                                             budget=b)),
              (48, lambda b: orthogonal_group(Q, budget=b)),
@@ -525,10 +558,10 @@ def test_congruence_codes_match_mat_pullbacks(F, n):
     assert (bool(degenerate), bool(nondegenerate)) == (
         F.char == 2 or n > 1, F.char != 2 or n % 2 == 0)
     leaders = forms[:1] + degenerate[:1] + nondegenerate[-1:]
-    G = _gl_arrays(F, n)
-    cols = groups.column_indices_np(F, G)
+    G = enumerate_gl(F, n)
+    cols = G.columns()
     assert cols.dtype == np.min_scalar_type(F.order ** n - 1)
-    mats = [Mat(F, A.tolist(), (n, n)) for A in G]
+    mats = [Mat(F, A.tolist(), (n, n)) for A in G.as_np()]
     for R in leaders:
         assert groups.congruence_codes(F, R, cols).tolist() == [
             form_position(qf_pullback(R, A)) for A in mats], R
@@ -562,7 +595,7 @@ def _shape_orbits(n):
     if n >= 4:
         shapes[groups.CASE_HYPERBOLIC_PAIR] = ((0, 1) + (0,) * (2 * n - 2)
                                                + (1,) + (0,) * (m - 2 * n - 1))
-    cols = groups.column_indices_np(GF2, _gl_arrays(GF2, n))
+    cols = enumerate_gl(GF2, n).columns()
     return {tag: set(groups.congruence_codes(
         GF2, QForm.from_upper(GF2, n, upper), cols).tolist())
         for tag, upper in shapes.items()}
@@ -583,12 +616,37 @@ def test_exceptional_tags_match_gl_orbits(n, sizes):
             members or [None]), Q
 
 
+def _gl_order_keys(memo, F, n):
+    """The memo keys whose value is a group or stack of order |GL_n(F)|."""
+    return [key for key, value in memo.items()
+            if isinstance(value, (GroupSet, np.ndarray))
+            and len(getattr(value, "elems", value)) == order_gl(n, F.order)]
+
+
 def test_reflection_status_builds_no_gl(cold_memo):
-    # the tags come from the form itself: no GL_4(2) stack is built
-    for Q in enumerate_forms(GF2, 4):
+    # the tags come from the form itself: no form but the zero form, whose
+    # O is GL_4(2), leaves a group of order |GL_4(2)| in the memo
+    zero, *forms = enumerate_forms(GF2, 4)
+    for Q in forms:
         reflection_generation_status(Q)
-    assert not [key for key in cold_memo
-                if key[0] in ("_gl_arrays", "_exceptional_shape")]
+    assert _gl_order_keys(cold_memo, GF2, 4) == []
+    assert "_exceptional_shape" not in {key[0] for key in cold_memo}
+    reflection_generation_status(zero)
+    assert _gl_order_keys(cold_memo, GF2, 4) == [
+        ("orthogonal_group", "GF(2)", 4, zero.gram.rows)]
+
+
+@pytest.mark.parametrize("F,n", [(GF2, 3), (GF3, 2), (GF4, 2)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_gl_is_the_zero_forms_isometry_group(F, n, cold_memo):
+    # one GL per (field, n): enumerate_gl is the zero form's O, and an
+    # orbit table, which reads GL and the zero form's O, adds no other
+    assert enumerate_gl(F, n) is orthogonal_group(QForm.zero(F, n))
+    cold_memo.clear()
+    groups_by_orbit(F, n, weak_orthogonal_group)
+    groups_by_orbit(F, n, orthogonal_group)
+    assert _gl_order_keys(cold_memo, F, n) == [
+        ("orthogonal_group", F.name, n, QForm.zero(F, n).gram.rows)]
 
 
 # The GL filter, the route orthogonal_group took before the isometry
@@ -599,7 +657,7 @@ _PERM = {}
 
 def _perm_table(field, n):
     if (field.name, n) not in _PERM:
-        images = matmul_np(field, _gl_arrays(field, n),
+        images = matmul_np(field, enumerate_gl(field, n).as_np(),
                            vectors_np(field, n).T)          # (g, n, q^n)
         _PERM[field.name, n] = groups.vector_index_np(
             field, images.transpose(0, 2, 1))
@@ -630,7 +688,7 @@ def _gl_weak_mask(Q):
                          ids=lambda v: getattr(v, "name", v))
 def test_groups_match_gl_filter(F, n):
     # 2,410 forms in all
-    G = _gl_arrays(F, n)
+    G = enumerate_gl(F, n).as_np()
     for Q in enumerate_forms(F, n):
         assert orthogonal_group(Q) == GroupSet.from_np(
             F, n, G[_isometry_mask(Q)]), Q
@@ -687,7 +745,7 @@ def test_gl_count_check_raises(cold_memo, monkeypatch):
                         lambda n, q: real_order(n, q) + 1)
     with pytest.raises(groups.InvariantViolation,
                        match=r"^GL_2\(GF\(3\)\) has 48 elements, not 49$"):
-        _gl_arrays(GF3, 2)
+        enumerate_gl(GF3, 2)
 
 
 def test_weak_group_fixes_radical_pointwise():

@@ -222,9 +222,10 @@ def test_lemma_functions_refuse_a_form_over_the_rationals(budget):
 
 
 def test_lemmas_enumerate_no_gl(cold_memo):
-    # the lemmas need no group larger than the rank-one maps they are about
+    # the lemmas need no group larger than the rank-one maps they are about:
+    # no orthogonal group at all, so not GL, the zero form's
     classify_direction(QForm.from_upper(GF3, 3, (1, 0, 0, 1, 0, 1)), (1, 0, 0))
-    assert "_gl_arrays" not in {key[0] for key in cold_memo}
+    assert "orthogonal_group" not in {key[0] for key in cold_memo}
 
 
 def test_case_c_impossible_in_odd_characteristic():
