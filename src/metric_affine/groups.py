@@ -424,18 +424,25 @@ def orthogonal_group(Q, budget=None):
 
 
 def weak_orthogonal_group(Q, budget=None):
-    """Isometries of Q fixing the radical of the polar form pointwise: the
-    rows of O(Q) that fix every radical basis vector.  Memoised, behind the
-    |GL_n| gate: `groups` takes O'(Q) twice, and `verify proposition` meets
-    each c lift(Q) once for every scaling of Q."""
+    """Isometries of Q fixing the radical of the polar form pointwise: the g
+    in O(Q) with g r = r for each radical basis vector r, where g r = sum_i
+    r_i (column i of g) is gathered from O(Q)'s columns() (O(Q) itself if
+    there is no r).  Memoised, behind the |GL_n| gate: `groups` takes O'(Q)
+    twice, and `verify proposition` meets each c lift(Q) for each scaling."""
     def build():
         field, n = Q.field, Q.n
-        o = orthogonal_group(Q, budget)
-        basis = [r.entries() for r in radical_basis(Q)]
-        rad = np.array(basis, dtype=np.uint8).reshape(len(basis), n).T
-        # as_np() is in code order, so fixed lines up with o.elems
-        fixed = (matmul_np(field, o.as_np(), rad) == rad).all(axis=(1, 2))
-        return GroupSet.from_sorted(field, n, o.elems[fixed])
+        o, basis = orthogonal_group(Q, budget), radical_basis(Q)
+        if not basis:
+            return o
+        V, cols, elems = vectors_np(field, n), o.columns(), o.elems
+        for r in basis:         # on the rows that fix every earlier r
+            image = 0
+            for c, col in zip(r.entries(), cols.T):
+                if c:
+                    image = add_np(field, image, mul_np(field, V[col], c))
+            fixed = (image == r.entries()).all(axis=1)
+            cols, elems = cols[fixed], elems[fixed]
+        return GroupSet.from_sorted(field, n, elems)
     return memo(("weak_orthogonal_group", Q.field.name, Q.n, Q.gram.rows),
                 build, order_gl(Q.n, Q.field.order), budget)
 

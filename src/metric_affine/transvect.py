@@ -14,10 +14,10 @@ per (field, n) holds every rank-one map they test (_rank_one_maps).  The
 records of a block of consecutive forms are built at once from the block's
 coefficient stack (_lemma_block), testing each map on the n(n+1)/2 vectors
 whose values fix a form, and judged once per distinct set of facts.
-lemma_record memoises them; each (Q, f) query checks the budget and reads
-Q's record at the vector index of f, one dict read for a tuple of ints.
-lemma_records hands them out in form order and keeps none.  The budget
-bounds the map rows.
+lemma_record keeps them in one memo table per (field, n), with the index
+of F^n: a warm (Q, f) query finds f's index there (one dict read for a
+tuple of ints), checks the budget, then reads Q's record.  lemma_records
+hands them out in form order and keeps none.  The budget bounds the map rows.
 """
 
 from __future__ import annotations
@@ -267,7 +267,10 @@ def _lemma_block(field, n, maps, start):
     _, first, inverse = np.unique(np.ravel_multi_index(
         facts, (2, 2, n + 1, N, N, 2, 2, 2)), return_index=True,
         return_inverse=True)
-    forms = [QForm.from_upper(field, n, coeffs) for coeffs in W.tolist()]
+    G = np.zeros((len(W), n, n), dtype=np.uint8)     # upper rows, cut from W
+    G[(slice(None),) + np.triu_indices(n)] = W
+    forms = [QForm._trusted(field, n, tuple(map(tuple, rows)))
+             for rows in G.tolist()]
     xs, answers = all_vectors(field, n)[1:], [None] * len(first)
     for j in sorted(range(len(first)), key=first.tolist().__getitem__):
         row, x = divmod(int(first[j]), N - 1)
@@ -279,19 +282,21 @@ def _lemma_block(field, n, maps, start):
 
 def lemma_record(Q, budget=None):
     """Q's lemma record (_lemma_block), behind the gate of the map rows on
-    every read; a cold read memoises its block's records and F^n's index."""
+    every read.  The lemma table of (field, n), memoised, is (map rows,
+    vector index of F^n, records by Q.gram.rows); a cold read adds its
+    block's records to it."""
     field, n = Q.field, Q.n
-    budget = require(_map_rows(field, n), budget)
-    key = ("_lemma_record", field.name, n, Q.gram.rows)
-    record = _MEMO.get(key)
+    rows = _map_rows(field, n)
+    records = memo(("_lemma_table", field.name, n), lambda: (
+        rows, {x: i for i, x in enumerate(all_vectors(field, n))}, {}),
+        rows, budget)[2]
+    record = records.get(Q.gram.rows)
     if record is None:
         maps = _rank_one_maps(field, n, budget)
         row = form_position(Q) % _block_forms(maps)
-        for R, got in _lemma_block(field, n, maps, form_position(Q) - row):
-            _MEMO[key[:3] + (R.gram.rows,)] = got
-        memo(("_direction_index", field.name, n),
-             lambda: {x: i for i, x in enumerate(all_vectors(field, n))})
-        record = _MEMO[key]
+        records.update((R.gram.rows, got) for R, got in _lemma_block(
+            field, n, maps, form_position(Q) - row))
+        record = records[Q.gram.rows]
     return record
 
 
@@ -309,19 +314,23 @@ def lemma_records(field, n, budget=None):
 
 def _answers(Q, f, budget):
     """(DirectionCase, (inside, tag), scaled_ok) for the pair (Q, f): Q's
-    record at the vector index of f, sum_i f_i q^i, which a tuple of ints
-    finds by one read of the index a lemma record leaves."""
+    record at the vector index of f, sum_i f_i q^i.  A warm read is one
+    read of the lemma table: a tuple of ints finds its index there, the
+    budget is read and checked, then the record is read once."""
     field, n = Q.field, Q.n
-    index = _MEMO.get(("_direction_index", field.name, n))
-    ints = index is not None and type(f) is tuple
+    table = _MEMO.get(("_lemma_table", field.name, n))
+    ints = table is not None and type(f) is tuple
     for c in f if ints else ():  # before the read: 1.0 finds 1, [1] won't hash
         ints = ints and type(c) is int
-    idx = index.get(f, 0) if ints else 0
+    idx = table[1].get(f, 0) if ints else 0
     if not idx:     # raises for a zero or misshapen f, before the budget
         x = _direction(field, n, f)
         idx = sum(c * field.order ** i for i, c in enumerate(x)) \
             if field.enumerable else 0
-    return lemma_record(Q, budget)[idx]
+    if table is None:
+        return lemma_record(Q, budget)[idx]
+    require(table[0], budget)           # on every read, before the lookup
+    return (table[2].get(Q.gram.rows) or lemma_record(Q, budget))[idx]
 
 
 def classify_direction(Q, f, budget=None):

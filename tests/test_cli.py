@@ -11,7 +11,7 @@ from metric_affine.budget import InvariantViolation, order_gl
 from metric_affine.classify import SUPPORTED_TABLES
 from metric_affine.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_PASS,
                                _TABLE_CASES, main)
-from metric_affine.fields import GF2
+from metric_affine.fields import GF2, GF3
 from metric_affine.groups import orthogonal_group
 from metric_affine.quadform import QForm
 
@@ -341,11 +341,14 @@ def test_verify_lemmas_frozen_tallies(capsys, field, dim):
 
 def test_verify_lemmas_leaves_no_record_memoised(capsys, cold_memo):
     # the sweep takes each block's records from lemma_records and memoises
-    # none, so it does not hold every record at once
+    # none, so it does not hold every record at once; one query afterwards
+    # memoises its block in the lemma table, which names the key to miss
     assert main(["verify", "lemmas", "--field", "3", "--dim", "2"]) \
         == EXIT_PASS
     assert "_rank_one_maps" in {key[0] for key in cold_memo}
-    assert "_lemma_record" not in {key[0] for key in cold_memo}
+    assert ("_lemma_table", "GF(3)", 2) not in cold_memo
+    transvect.classify_direction(QForm.from_upper(GF3, 2, (1, 0, 1)), (1, 0))
+    assert ("_lemma_table", "GF(3)", 2) in cold_memo
 
 
 def test_verify_proposition(capsys):

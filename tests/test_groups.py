@@ -696,6 +696,28 @@ def test_groups_match_gl_filter(F, n):
             F, n, G[_gl_weak_mask(Q)]), Q
 
 
+@pytest.mark.parametrize("F,n", [(GF2, 4), (GF3, 3), (GF4, 2), (GF5, 2),
+                                 (GF7, 2)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_weak_groups_are_filtered_on_columns(F, n, cold_memo, monkeypatch):
+    # O'(Q) is cut from O(Q)'s columns, with no matrix stack decoded, and a
+    # form with no radical has O(Q) itself; both match the GL filter
+    G = enumerate_gl(F, n).as_np()
+    _perm_table(F, n)
+
+    def refused(self):
+        raise AssertionError("as_np decoded %r" % (self,))
+    monkeypatch.setattr(GroupSet, "as_np", refused)
+    degenerate = 0
+    for Q in enumerate_forms(F, n):
+        w = weak_orthogonal_group(Q)
+        assert w == GroupSet.from_np(F, n, G[_gl_weak_mask(Q)]), Q
+        if is_nondegenerate(Q):
+            assert w is orthogonal_group(Q)
+        degenerate += not is_nondegenerate(Q)
+    assert degenerate
+
+
 def test_reflection_exceptional_cases():
     # hyperbolic plane plus a radical line: reflections give a proper part
     Q = QForm.from_upper(GF2, 3, (0, 1, 0, 0, 0, 0))

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metric_affine import transvect
-from metric_affine.budget import BudgetExceeded, InvariantViolation
+from metric_affine import groups, transvect
+from metric_affine.budget import (BadBudgetVariable, BudgetExceeded,
+                                  InvariantViolation)
 from metric_affine.fields import GF2, GF3, GF4, GF5, GF7, QQ
 from metric_affine.groups import (GroupSet, _reflections_np, form_block_np,
                                   form_values_np, mat_to_np, matrix_codes,
@@ -192,7 +193,8 @@ def test_finite_fields_refuse_entries_that_are_not_integers(bad):
 @pytest.mark.invariant
 def test_the_budget_gate_holds_on_warm_reads(cold_memo, monkeypatch):
     # a cold read at the default budget memoises Q's record; a budget the
-    # 88 map rows of GF(3)^2 do not fit still refuses every warm read
+    # 88 map rows of GF(3)^2 do not fit still refuses every warm read, and
+    # the variable is read on each, so a malformed one is refused too
     Q, f = QForm.from_upper(GF3, 2, (1, 0, 1)), (1, 2)
     monkeypatch.delenv("METRIC_AFFINE_BUDGET", raising=False)
     assert classify_direction(Q, f).letter == "a"
@@ -201,6 +203,23 @@ def test_the_budget_gate_holds_on_warm_reads(cold_memo, monkeypatch):
         with pytest.raises(BudgetExceeded) as refused:
             check(Q, f)
         assert (refused.value.required, refused.value.budget) == (88, 5)
+    monkeypatch.setenv("METRIC_AFFINE_BUDGET", "ten")
+    for check in LEMMA_FUNCTIONS:
+        with pytest.raises(BadBudgetVariable, match="got 'ten'"):
+            check(Q, f)
+
+
+def test_lemma_queries_memoise_one_table_per_field_and_dim(cold_memo):
+    # the records of every form of GF(3)^2 and the index of its vectors
+    # share one memo entry, next to the map table and the groups helpers
+    for Q in enumerate_forms(GF3, 2):
+        for x in nonzero_vectors(GF3, 2):
+            classify_direction(Q, x)
+    lemma_keys = [key for key in cold_memo if key[1:3] == ("GF(3)", 2)
+                  and key[0] != "_rank_one_maps"
+                  and not hasattr(groups, key[0])]
+    assert lemma_keys == [("_lemma_table", "GF(3)", 2)]
+    assert len(cold_memo[lemma_keys[0]][2]) == 27     # the records
 
 
 @pytest.mark.parametrize("budget", [None, 1])
@@ -502,6 +521,22 @@ def test_lemma_record_refuses_dimension_zero(F, cold_memo):
         transvect.lemma_record(QForm.from_upper(F, 0, ()))
     with pytest.raises(ValueError, match="dimension 0"):
         transvect._rank_one_maps(F, 0)
+
+
+@pytest.mark.parametrize("F,n", RECORD_SIZES,
+                         ids=lambda v: getattr(v, "name", v))
+def test_block_forms_match_from_upper(F, n):
+    # the block builds its forms from the coefficient stack, uncoerced: each
+    # equals the from_upper form, hashes alike and holds plain ints
+    maps = transvect._rank_one_maps(F, n)
+    forms, step = F.order ** (n * (n + 1) // 2), transvect._block_forms(maps)
+    for start in range(0, forms, step):
+        got = [R for R, _ in transvect._lemma_block(F, n, maps, start)]
+        W = form_block_np(F, n, start, min(step, forms - start)).tolist()
+        assert got == [QForm.from_upper(F, n, coeffs) for coeffs in W]
+        for R, coeffs in zip(got, W):
+            assert hash(R) == hash(QForm.from_upper(F, n, coeffs))
+            assert {type(c) for row in R.gram.rows for c in row} == {int}
 
 
 def _full_gather(field, n, table, vals, rad):
