@@ -23,13 +23,9 @@ The readable route is quadform.is_isometry, which compares the pullback
 A^T W A with W, and the tests check the frontier against a GL filter.
 
 Forms in one congruence orbit have conjugate groups, so the groups of
-every form on F^n take one frontier per orbit.  groups_by_orbit walks the
-forms in enumerate_forms order; the first form R that no earlier orbit
-holds codes its orbit R o A over all of GL_n (congruence_codes), each A
-read off its code as the vector indices of its columns, so that every
-coefficient R(A e_i) or B(A e_i, A e_j) of R o A is one gather from R's
-value or polar table.  R's group is conjugated onto every member at once,
-and nothing is kept per orbit.
+every form on F^n take one frontier per orbit.  _orbit_walk finds the
+orbits once for both orbit tables, and groups_by_orbit conjugates each
+leader's group onto runs of its members by their Kronecker rows.
 
 Every stack holds integer element codes.  The one float is inside
 matmul_np over GF(p): a float32 product of integers below 2^16, where every
@@ -45,6 +41,8 @@ import numpy as np
 
 from .budget import InvariantViolation, group_budget, memo, order_gl, require
 from .quadform import QForm, polar, qf_rank, radical_basis
+
+_RUN_ENTRIES = 2 ** 22      # the most entries of one groups_by_orbit product
 
 
 def _table_np(field, op):
@@ -465,43 +463,65 @@ def congruence_codes(field, R, cols):
     return codes
 
 
-def groups_by_orbit(field, n, group, budget=None):
-    """group(Q) for every form Q on F^n, in enumerate_forms order, where
-    group is orthogonal_group or weak_orthogonal_group, by the orbit walk of
-    the module docstring: for Q = R o A, B |-> A^-1 B A carries O(R) onto
-    O(Q), and O'(R) onto O'(Q) since A^-1 carries rad(R) onto rad(Q).  By
-    orbit-stabiliser, the congruence codes must hit every member exactly
-    |O(R)| times, which checks the frontier's O(R), and the orbits must not
-    overlap; a failure raises even under -O.  Memoised, as a tuple, behind
-    the |GL_n| gate that every reader of the table meets first."""
+def _orbit_walk(field, n, budget=None):
+    """The congruence orbits of the forms on F^n, as (R, members, K): R the
+    first form no earlier orbit holds, members the positions of the R o A
+    (congruence_codes), and K[k][(a, b), (c, d)] = A^-1[a, c] A[d, b] for
+    member k's A, so K[k] vec(g) = vec(A^-1 g A), row-major.  The codes must
+    hit each member |O(R)| times (orbit-stabiliser, a check of O(R)), and
+    the orbits must not overlap; a failure raises even under -O.  Memoised,
+    behind the |GL_n| gate."""
     def build():
-        G = enumerate_gl(field, n, budget)
-        cols, V = G.columns(), vectors_np(field, n)
-        out = [None] * field.order ** (n * (n + 1) // 2)
-        for r in range(len(out)):
-            if out[r] is not None:
-                continue
-            R = QForm.from_upper(field, n,
-                                 form_block_np(field, n, r, 1)[0].tolist())
+        cols = enumerate_gl(field, n, budget).columns()
+        seen, orbits = np.zeros(field.order ** (n * (n + 1) // 2), bool), []
+        while not seen.all():
+            R = QForm.from_upper(field, n, form_block_np(
+                field, n, int(seen.argmin()), 1)[0].tolist())
             codes = congruence_codes(field, R, cols)
-            hits = np.bincount(codes, minlength=len(out))
+            hits = np.bincount(codes, minlength=len(seen))
             members = np.flatnonzero(hits)
             if ((hits[members] != orthogonal_group(R, budget).order).any()
-                    or any(out[k] is not None for k in members.tolist())):
+                    or seen[members].any()):
                 raise InvariantViolation("congruence orbit of %r fails the "
                                          "orbit-stabiliser count" % (R,))
-            first = np.empty(len(out), dtype=np.intp)
-            first[codes] = np.arange(G.order)
-            # member k = R o A[k], any such A, C-contiguous for the products
-            A = np.ascontiguousarray(V[cols[first[members]]].swapaxes(1, 2))
-            conj = matmul_np(field, matmul_np(
-                field, invert_np(field, A)[1][:, np.newaxis],
-                group(R, budget).as_np()), A[:, np.newaxis])
-            conj = np.sort(matrix_codes(field, conj), axis=1)   # one batch
-            if (conj[:, 1:] == conj[:, :-1]).any():
-                raise InvariantViolation("repeated conjugates of %r" % (R,))
-            for k, elems in zip(members.tolist(), conj):
-                out[k] = GroupSet.from_sorted(field, n, elems)
+            seen[members] = True
+            first = np.empty(len(seen), dtype=np.intp)
+            first[codes] = np.arange(len(cols))
+            At = vectors_np(field, n)[cols[first[members]]]  # members' A^T
+            inv = invert_np(field, At.swapaxes(1, 2))[1]
+            K = mul_np(field, inv[:, :, np.newaxis, :, np.newaxis],
+                       At[:, np.newaxis, :, np.newaxis])
+            orbits.append((R, members, K.reshape(len(members), n * n, n * n)))
+        return tuple(orbits)
+    return memo(("_orbit_walk", field.name, n), build,
+                order_gl(n, field.order), budget)
+
+
+def groups_by_orbit(field, n, group, budget=None):
+    """group(Q) for every form Q on F^n, in enumerate_forms order, where
+    group is orthogonal_group or weak_orthogonal_group: for Q = R o A,
+    A^-1 O(R) A = O(Q), and A^-1 O'(R) A = O'(Q) as A^-1 rad(R) = rad(Q).
+    A member's conjugates must be distinct, and the least must be I (the
+    least code of GL_n), which checks its A^-1; a failure raises even under
+    -O.  Memoised, as a tuple, behind the |GL_n| gate."""
+    def build():
+        out = [None] * field.order ** (n * (n + 1) // 2)
+        powers = _code_powers(field, n)
+        for R, members, K in _orbit_walk(field, n, budget):
+            g = group(R, budget).as_np()
+            run = max(1, _RUN_ENTRIES // max(1, g.size))   # members per run
+            for s in range(0, len(members), run):
+                conj = matmul_np(field, K[s:s + run],       # one GEMM
+                                 g.reshape(len(g), n * n).T)
+                codes = np.sort(np.einsum("e,keo->ko", powers, conj), axis=1)
+                if (codes[:, 1:] == codes[:, :-1]).any():
+                    raise InvariantViolation("repeated conjugates of %r"
+                                             % (R,))
+                if (codes[:, 0] != powers[::n + 1].sum()).any():   # I's code
+                    raise InvariantViolation("the least conjugate of %r is "
+                                             "not I" % (R,))
+                for k, elems in zip(members[s:s + run].tolist(), codes):
+                    out[k] = GroupSet.from_sorted(field, n, elems)
         return tuple(out)
     return memo(("groups_by_orbit", field.name, n, group.__name__), build,
                 order_gl(n, field.order), budget)

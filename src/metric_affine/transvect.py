@@ -28,9 +28,9 @@ import numpy as np
 
 from .budget import (_MEMO, HARD_BUDGET_CEILING, InvariantViolation, memo,
                      require)
-from .groups import (GroupSet, add_np, form_block_np, inverses_np, matmul_np,
-                     mul_np, polar_images_np, values_np, vector_index_np,
-                     vectors_np)
+from .groups import (GroupSet, _gemm_f32, add_np, form_block_np, inverses_np,
+                     matmul_np, mul_np, polar_images_np, values_np,
+                     vector_index_np, vectors_np)
 from .linalg import Mat, outer, pairing, vec
 from .quadform import QForm, all_vectors, form_position
 
@@ -220,7 +220,7 @@ def _isometries(field, n, narrow, moved, vals, rad):
     S = [q ** i + q ** j * (j > i) for i in range(n) for j in range(i, n)]
     iso = (vals[:, narrow] == vals[:, np.newaxis, np.newaxis, S]).all(axis=3)
     weak, deg = iso.copy(), rad[:, 1:].any(axis=1)
-    weak[deg] &= ~(rad[deg] @ moved.T).reshape(-1, *iso.shape[1:])
+    weak[deg] &= _gemm_f32(rad[deg], moved.T).reshape(-1, *iso.shape[1:]) == 0
     return iso, weak
 
 

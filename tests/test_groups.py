@@ -536,6 +536,64 @@ def test_orbit_walk_rejects_repeated_conjugates(monkeypatch, cold_memo):
         groups_by_orbit(GF3, 2, orthogonal_group)
 
 
+@pytest.mark.invariant
+def test_orbit_walk_rejects_a_wrong_inverse(monkeypatch, cold_memo):
+    # an "inverse" that returns A itself conjugates g to A g A: an injective
+    # map, so no conjugate repeats, but the identity goes to A^2
+    monkeypatch.setattr(groups, "invert_np", lambda field, stack: (
+        np.ones(len(stack), dtype=bool), np.array(stack)))
+    with pytest.raises(groups.InvariantViolation,
+                       match="^the least conjugate of .* is not I$"):
+        groups_by_orbit(GF3, 2, orthogonal_group)
+
+
+def _conjugation_runs(monkeypatch, F, n):
+    """The members per product of a Kronecker run, recorded from every
+    matmul_np call whose left side is a stack of (n^2, n^2) blocks."""
+    real, runs = groups.matmul_np, []
+
+    def recording(field, A, B):
+        if A.ndim == 3 and A.shape[1:] == (n * n, n * n):
+            runs.append(len(A))
+        return real(field, A, B)
+    monkeypatch.setattr(groups, "matmul_np", recording)
+    return runs
+
+
+@pytest.mark.parametrize("F,n", [(GF2, 3), (GF3, 2), (GF4, 2), (GF5, 2)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_runs_of_one_member_build_the_same_tables(F, n, cold_memo,
+                                                  monkeypatch):
+    # the members of an orbit are conjugated in runs that _RUN_ENTRIES
+    # bounds: one run per orbit here, and one member per run with the bound
+    # at 1, and both give the same O and O' tables
+    forms = F.order ** (n * (n + 1) // 2)
+    runs, kinds = _conjugation_runs(monkeypatch, F, n), (
+        weak_orthogonal_group, orthogonal_group)
+    tables = [groups_by_orbit(F, n, group) for group in kinds]
+    orbits = len(groups._orbit_walk(F, n))
+    assert sum(runs) == 2 * forms and len(runs) == 2 * orbits < 2 * forms
+    cold_memo.clear()
+    runs.clear()
+    monkeypatch.setattr(groups, "_RUN_ENTRIES", 1)
+    assert [groups_by_orbit(F, n, group) for group in kinds] == tables
+    assert runs == [1] * (2 * forms)
+
+
+@pytest.mark.parametrize("F,n", [(GF2, 3), (GF3, 2), (GF4, 2)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_both_tables_share_one_orbit_walk(F, n, cold_memo, monkeypatch):
+    # the O' table walks the orbits, one congruence coding per orbit, and
+    # the O table built after it codes none
+    real, calls = groups.congruence_codes, []
+    monkeypatch.setattr(groups, "congruence_codes",
+                        lambda *args: calls.append(1) or real(*args))
+    groups_by_orbit(F, n, weak_orthogonal_group)
+    assert len(calls) == len(groups._orbit_walk(F, n))
+    groups_by_orbit(F, n, orthogonal_group)
+    assert len(calls) == len(groups._orbit_walk(F, n))
+
+
 def _congruence_cases():
     """(F, n) for every finite field offered at dims 1-2, plus GF(2)^3 and
     GF(3)^3."""

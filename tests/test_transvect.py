@@ -572,6 +572,27 @@ def test_narrow_gather_matches_full_gather(F, n):
     assert n == 1 or (not_iso and iso_not_weak)
 
 
+@pytest.mark.parametrize("F,n", [(GF2, 3), (GF3, 2), (GF3, 3)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_weak_mask_matches_the_boolean_product(F, n, monkeypatch):
+    # _isometries counts the radical vectors each map moves by one float32
+    # GEMM; on every block of a sweep, its weak mask equals the mask from
+    # numpy's boolean product of the same tables
+    real, forms = transvect._isometries, []
+
+    def checked(field, n, narrow, moved, vals, rad):
+        iso, weak = real(field, n, narrow, moved, vals, rad)
+        want, deg = iso.copy(), rad[:, 1:].any(axis=1)
+        want[deg] &= ~(rad[deg] @ moved.T).reshape(-1, *iso.shape[1:])
+        assert weak.dtype == bool and (weak == want).all()
+        forms.append(len(vals))
+        return iso, weak
+    monkeypatch.setattr(transvect, "_isometries", checked)
+    for _ in transvect.lemma_records(F, n):
+        pass
+    assert sum(forms) == F.order ** (n * (n + 1) // 2)
+
+
 # the (field, dim) sizes of perfbench's lemma-sweep
 LEMMA_SWEEP_SIZES = [(GF2, 1), (GF2, 2), (GF2, 3), (GF3, 1), (GF3, 2),
                      (GF3, 3), (GF5, 1), (GF5, 2)]
