@@ -8,6 +8,7 @@ import os
 
 DEFAULT_BUDGET = 25_000
 HARD_BUDGET_CEILING = 10_000_000
+_BUDGET_KEY = os.environ.encodekey("METRIC_AFFINE_BUDGET")
 
 
 class BudgetExceeded(Exception):
@@ -32,10 +33,13 @@ class BadBudgetVariable(ValueError):
 
 
 def group_budget():
-    """Budget on enumerated group orders; env-tunable, hard-clamped."""
-    raw = os.environ.get("METRIC_AFFINE_BUDGET")
+    """METRIC_AFFINE_BUDGET, clamped, else DEFAULT_BUDGET.  Read on every call
+    from os.environ._data, the dict behind os.environ[...], where an unset
+    variable is one dict miss, not os.environ.get's raised KeyError."""
+    raw = os.environ._data.get(_BUDGET_KEY)
     if raw is None:
         return DEFAULT_BUDGET
+    raw = os.environ.decodevalue(raw)
     try:
         value = int(raw)
     except ValueError:

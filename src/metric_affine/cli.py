@@ -154,14 +154,16 @@ def cmd_drop(args, em):
 
 
 def cmd_eval(args, em):
+    if len(args.vector) != 1:
+        raise InputError("expected 1 vector, got %d" % len(args.vector))
     Q = _load_form(args.form_file)
     F = Q.field
-    raw = args.vector.strip()
+    raw = args.vector[0].strip()
     if raw[:1] + raw[-1:] in ("()", "[]"):  # any other bracket fails F.parse
         raw = raw[1:-1]
     toks = [t.strip() for t in raw.split(",")] if raw.strip() else []
     if "" in toks:
-        raise InputError("empty coordinate in vector %r" % args.vector)
+        raise InputError("empty coordinate in vector %r" % args.vector[0])
     if len(toks) != Q.n:
         raise InputError("expected %d coordinates, got %d" % (Q.n, len(toks)))
     try:
@@ -395,7 +397,10 @@ def _build_parser():
         sp = sub.add_parser(name, help=hint)
         sp.add_argument("form_file")
         sp.set_defaults(run=run)
-    sub.choices["eval"].add_argument("vector", help="coordinates, e.g. 1,0,2")
+    # VECTOR is all after form_file, so -1,2 is no option; usage names it
+    sub.choices["eval"].usage = "%(prog)s [-h] form_file vector"
+    sub.choices["eval"].add_argument("vector", nargs=argparse.REMAINDER,
+                                     help="coordinates, e.g. 1,0,2")
 
     pv = sub.add_parser("verify", help="run a verification sweep")
     vsub = pv.add_subparsers(dest="vcmd", required=True)

@@ -25,7 +25,7 @@ A^T W A with W, and the tests check the frontier against a GL filter.
 Forms in one congruence orbit have conjugate groups, so the groups of
 every form on F^n take one frontier per orbit.  _orbit_walk finds the
 orbits once for both orbit tables, and groups_by_orbit conjugates each
-leader's group onto runs of its members by their Kronecker rows.
+leader's group onto runs of its other members by their Kronecker rows.
 
 Every stack holds integer element codes.  The one float is inside
 matmul_np over GF(p): a float32 product of integers below 2^16, where every
@@ -307,7 +307,7 @@ class GroupSet:
     Elements are kept as `elems`, a sorted, duplicate-free int64 array of
     matrix codes; two GroupSets over the same (field, n) are equal iff their
     `key`s, the arrays' bytes, are equal.  Group axioms are not assumed by
-    the container; `verify_axioms` checks them on demand.
+    the container.
     """
 
     __slots__ = ("field", "n", "elems")
@@ -378,20 +378,6 @@ class GroupSet:
         for i in range(self.n):
             cols[:, i] = self.elems // N ** (self.n - 1 - i) % N
         return cols
-
-    def verify_axioms(self):
-        """Check identity, closure under product, closure under inverse."""
-        ident = matrix_codes(self.field, np.eye(self.n, dtype=np.uint8))
-        if ident not in self.elems:
-            return False
-        arr = self.as_np()
-        for a in arr:
-            prods = matrix_codes(self.field, matmul_np(self.field, arr, a))
-            # closure + identity + finiteness already force inverses, but
-            # check anyway: every row of the product table hits the identity
-            if not np.isin(prods, self.elems).all() or ident not in prods:
-                return False
-        return True
 
 
 def enumerate_gl(field, n, budget=None):
@@ -501,16 +487,20 @@ def groups_by_orbit(field, n, group, budget=None):
     """group(Q) for every form Q on F^n, in enumerate_forms order, where
     group is orthogonal_group or weak_orthogonal_group: for Q = R o A,
     A^-1 O(R) A = O(Q), and A^-1 O'(R) A = O'(Q) as A^-1 rad(R) = rad(Q).
-    A member's conjugates must be distinct, and the least must be I (the
-    least code of GL_n), which checks its A^-1; a failure raises even under
-    -O.  Memoised, as a tuple, behind the |GL_n| gate."""
+    R, its orbit's first member, takes group(R) itself.  Another member's
+    conjugates must be distinct, and the least must be I (the least code of
+    GL_n), which checks its A^-1; a failure raises even under -O.
+    Memoised, as a tuple, behind the |GL_n| gate."""
     def build():
         out = [None] * field.order ** (n * (n + 1) // 2)
         powers = _code_powers(field, n)
         for R, members, K in _orbit_walk(field, n, budget):
-            g = group(R, budget).as_np()
+            out[members[0]] = G = group(R, budget)
+            if len(members) == 1:       # a lone form, such as zero
+                continue
+            g = G.as_np()
             run = max(1, _RUN_ENTRIES // max(1, g.size))   # members per run
-            for s in range(0, len(members), run):
+            for s in range(1, len(members), run):
                 conj = matmul_np(field, K[s:s + run],       # one GEMM
                                  g.reshape(len(g), n * n).T)
                 codes = np.sort(np.einsum("e,keo->ko", powers, conj), axis=1)

@@ -150,9 +150,44 @@ def test_eval_rejects_malformed_vectors(form_file, capsys, form, vector):
     ids=["GF(3)--1", "GF(3)- 2 ", "Q-1/3", "Q-[-7/2]"])
 def test_eval_takes_the_documented_spellings(form_file, capsys, form, vector,
                                             out):
-    # a lone -7/2 would read as an option, so it sits in brackets
+    # -7/2 in brackets; test_eval_takes_a_leading_minus has it alone
     assert main(["eval", form_file(form), vector]) == EXIT_PASS
     assert capsys.readouterr().out.endswith(out + "\n")
+
+
+@pytest.mark.parametrize("form,vector,out", [
+    (FORM_GF3_PLANE, "-1,2", "# form: x1^2 + x2^2 [GF(3), dim 2]\n"
+                             "Q(2, 2) = 2\n"),
+    (FORM_RATIONAL_LINE, "-7/2", "# form: -7/2*x1^2 [Q, dim 1]\n"
+                                 "Q(-7/2) = -343/8\n")],
+    ids=["GF(3)--1,2", "Q--7/2"])
+def test_eval_takes_a_leading_minus(form_file, capsys, form, vector, out):
+    # the argument after FORMFILE is the VECTOR, even when it starts with a
+    # minus; after -- or in brackets it prints the same bytes
+    path = form_file(form)
+    for args in ([vector], ["--", vector], ["(%s)" % vector]):
+        assert main(["eval", path] + args) == EXIT_PASS, args
+        assert capsys.readouterr() == (out, ""), args
+
+
+@pytest.mark.parametrize("args", [[], ["1", "2"], ["-1,2", "-7/2"],
+                                  ["1,2", "--format", "records"]])
+def test_eval_takes_exactly_one_vector(form_file, capsys, args):
+    # every argument after FORMFILE is read as the VECTOR, so a missing or
+    # extra one, a global option there among them, is an input error
+    assert main(["eval", form_file(FORM_GF3_PLANE)] + args) == EXIT_INPUT
+    assert capsys.readouterr() == (
+        "", "input error: expected 1 vector, got %d\n" % len(args))
+
+
+def test_eval_help_names_the_vector(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["eval", "-h"])
+    assert exited.value.code == 0
+    # the usage line names VECTOR, as it did when it was a plain positional
+    out = capsys.readouterr().out
+    assert out.startswith("usage: metric-affine eval [-h] form_file vector\n")
+    assert "  vector      coordinates, e.g. 1,0,2\n" in out
 
 
 @pytest.mark.parametrize("command", ["eval", "lift", "drop"])

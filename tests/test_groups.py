@@ -5,10 +5,11 @@ import os
 import numpy as np
 import pytest
 
+from conftest import verify_axioms
 from metric_affine import budget, fields, groups
 from metric_affine.budget import (DEFAULT_BUDGET, HARD_BUDGET_CEILING,
                                   BadBudgetVariable, BudgetExceeded,
-                                  group_budget, order_gl)
+                                  clamp_budget, group_budget, order_gl)
 from metric_affine.classify import weak_group_index
 from metric_affine.fields import GF2, GF3, GF4, GF5, GF7
 from metric_affine.groups import (GroupSet, _exceptional_shape, add_np,
@@ -178,8 +179,8 @@ def test_group_containments():
         assert is_subgroup(w, o)
         assert order_gl(2, 3) % o.order == 0   # Lagrange
         assert o.order % w.order == 0
-        assert o.verify_axioms()
-        assert w.verify_axioms()
+        assert verify_axioms(o)
+        assert verify_axioms(w)
 
 
 def test_mask_route_matches_literal_filter():
@@ -349,7 +350,7 @@ def test_closure_generates_subgroup():
     neg = Mat(GF3, [[2, 0], [0, 2]])
     g = closure(GF3, 2, [mat_to_np(swap), mat_to_np(neg)])
     assert g.order == 4  # klein four-group here
-    assert g.verify_axioms()
+    assert verify_axioms(g)
     # closure is idempotent
     assert group_equal(closure(GF3, 2, g.as_np()), g)
     # and the orthogonal group of x1^2+x2^2 is generated by its reflections
@@ -402,6 +403,41 @@ def test_bad_budget_variable_is_rejected(monkeypatch):
                       (" 48 ", 48)):
         monkeypatch.setenv("METRIC_AFFINE_BUDGET", raw)
         assert group_budget() == want
+
+
+def _environ_reading():
+    """The budget as os.environ.get reads the variable, parsed and clamped,
+    or BadBudgetVariable."""
+    raw = os.environ.get("METRIC_AFFINE_BUDGET")
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        return clamp_budget(int(raw))
+    except ValueError:
+        return BadBudgetVariable
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("raw,want", [
+    (None, DEFAULT_BUDGET), ("7", 7), (" 48 ", 48), ("0", 1), ("-7", 1),
+    ("99999999999", HARD_BUDGET_CEILING), ("1_0", 10),
+    ("abc", BadBudgetVariable), ("", BadBudgetVariable)])
+def test_group_budget_reads_the_variable_as_os_environ_does(raw, want,
+                                                            monkeypatch):
+    # group_budget reads the dict behind os.environ; it must give what
+    # os.environ.get gives, and see every change made through os.environ
+    monkeypatch.delenv("METRIC_AFFINE_BUDGET", raising=False)
+    assert group_budget() == DEFAULT_BUDGET
+    if raw is not None:
+        monkeypatch.setenv("METRIC_AFFINE_BUDGET", raw)
+    assert _environ_reading() == want
+    if want is BadBudgetVariable:
+        with pytest.raises(BadBudgetVariable, match="got %r$" % (raw,)):
+            group_budget()
+    else:
+        assert group_budget() == want
+    monkeypatch.delenv("METRIC_AFFINE_BUDGET", raising=False)
+    assert group_budget() == DEFAULT_BUDGET
 
 
 @pytest.mark.invariant
@@ -564,20 +600,49 @@ def _conjugation_runs(monkeypatch, F, n):
                          ids=lambda v: getattr(v, "name", v))
 def test_runs_of_one_member_build_the_same_tables(F, n, cold_memo,
                                                   monkeypatch):
-    # the members of an orbit are conjugated in runs that _RUN_ENTRIES
-    # bounds: one run per orbit here, and one member per run with the bound
-    # at 1, and both give the same O and O' tables
+    # the members of an orbit after its leader are conjugated in runs that
+    # _RUN_ENTRIES bounds: one run per orbit of two or more forms here, and
+    # one member per run with the bound at 1, and both give the same O and
+    # O' tables
     forms = F.order ** (n * (n + 1) // 2)
     runs, kinds = _conjugation_runs(monkeypatch, F, n), (
         weak_orthogonal_group, orthogonal_group)
     tables = [groups_by_orbit(F, n, group) for group in kinds]
-    orbits = len(groups._orbit_walk(F, n))
-    assert sum(runs) == 2 * forms and len(runs) == 2 * orbits < 2 * forms
+    walk = groups._orbit_walk(F, n)
+    conjugated = forms - len(walk)
+    shared = sum(len(members) > 1 for _, members, _ in walk)
+    assert sum(runs) == 2 * conjugated
+    assert len(runs) == 2 * shared < 2 * conjugated
     cold_memo.clear()
     runs.clear()
     monkeypatch.setattr(groups, "_RUN_ENTRIES", 1)
     assert [groups_by_orbit(F, n, group) for group in kinds] == tables
-    assert runs == [1] * (2 * forms)
+    assert runs == [1] * (2 * conjugated)
+
+
+@pytest.mark.parametrize("F,n", [(GF2, 1), (GF2, 3), (GF3, 2), (GF4, 2),
+                                 (GF2, 4)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_leaders_take_their_own_group(F, n, cold_memo, monkeypatch):
+    # an orbit's first form takes group(R) itself, and only the leaders of
+    # orbits with other members are decoded and conjugated: a lone form,
+    # such as zero, whose O is all of GL_n, is neither
+    walk = groups._orbit_walk(F, n)
+    real, decoded = GroupSet.as_np, []
+    monkeypatch.setattr(GroupSet, "as_np",
+                        lambda self: decoded.append(self) or real(self))
+    runs = _conjugation_runs(monkeypatch, F, n)
+    for group in (weak_orthogonal_group, orthogonal_group):
+        decoded.clear()
+        runs.clear()
+        table = groups_by_orbit(F, n, group)
+        for R, members, _ in walk:
+            assert members[0] == form_position(R)
+            assert table[members[0]] is group(R)
+        assert [id(g) for g in decoded] == [
+            id(group(R)) for R, members, _ in walk if len(members) > 1]
+        assert sum(runs) == sum(len(members) - 1 for _, members, _ in walk)
+    assert len(walk[0][1]) == 1 and walk[0][0] == QForm.zero(F, n)
 
 
 @pytest.mark.parametrize("F,n", [(GF2, 3), (GF3, 2), (GF4, 2)],

@@ -1,6 +1,7 @@
 """Rank-one maps x |-> x + <a*,x> f and their orthogonal intersections."""
 
 import functools
+import os
 import re
 from collections import Counter
 from fractions import Fraction
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import verify_axioms
 from metric_affine import groups, transvect
-from metric_affine.budget import (BadBudgetVariable, BudgetExceeded,
-                                  InvariantViolation)
+from metric_affine.budget import (DEFAULT_BUDGET, BadBudgetVariable,
+                                  BudgetExceeded, InvariantViolation)
 from metric_affine.fields import GF2, GF3, GF4, GF5, GF7, QQ
 from metric_affine.groups import (GroupSet, _reflections_np, form_block_np,
                                   form_values_np, mat_to_np, matrix_codes,
@@ -79,7 +81,7 @@ def test_delta_group_order_and_axioms(F, n):
     g = delta_group(F, n, f)
     q = F.order
     assert g.order == q ** n - q ** (n - 1)
-    assert g.verify_axioms()
+    assert verify_axioms(g)
 
 
 BAD_DIRECTIONS = [((0, 0), (0, 0)), ((3, 0), (0, 0)),
@@ -207,6 +209,38 @@ def test_the_budget_gate_holds_on_warm_reads(cold_memo, monkeypatch):
     for check in LEMMA_FUNCTIONS:
         with pytest.raises(BadBudgetVariable, match="got 'ten'"):
             check(Q, f)
+
+
+@pytest.mark.invariant
+def test_warm_lemma_reads_see_every_change_to_the_variable(cold_memo,
+                                                           monkeypatch):
+    # the variable is read on every warm read, however it was changed
+    # since the last: monkeypatch.setenv, os.environ[...] = or del
+    Q, f = QForm.from_upper(GF3, 2, (1, 0, 1)), (1, 2)
+
+    def reads(budget):
+        """Each lemma query on (Q, f) answers if its 88 map rows fit the
+        budget, and is refused at that budget if not."""
+        for check in LEMMA_FUNCTIONS:
+            if budget >= 88:
+                check(Q, f)
+                continue
+            with pytest.raises(BudgetExceeded) as refused:
+                check(Q, f)
+            assert (refused.value.required, refused.value.budget) == (
+                88, budget)
+    monkeypatch.delenv("METRIC_AFFINE_BUDGET", raising=False)
+    reads(DEFAULT_BUDGET)                   # cold, then warm
+    monkeypatch.setenv("METRIC_AFFINE_BUDGET", "87")
+    reads(87)
+    os.environ["METRIC_AFFINE_BUDGET"] = "5"
+    reads(5)
+    del os.environ["METRIC_AFFINE_BUDGET"]
+    reads(DEFAULT_BUDGET)
+    monkeypatch.setenv("METRIC_AFFINE_BUDGET", "88")
+    reads(88)
+    monkeypatch.delenv("METRIC_AFFINE_BUDGET")
+    reads(DEFAULT_BUDGET)
 
 
 def test_lemma_queries_memoise_one_table_per_field_and_dim(cold_memo):
