@@ -54,7 +54,9 @@ def clamp_budget(value):
 
 
 def order_gl(n, q):
-    """|GL_n(F_q)| = prod_i (q^n - q^i)."""
+    """|GL_n(F_q)| = prod_i (q^n - q^i); NotImplementedError if q is None."""
+    if q is None:
+        raise NotImplementedError("an infinite field is not enumerable")
     N = q ** n
     order = 1
     for i in range(n):

@@ -18,13 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import require
-from .groups import (GroupSet, InvariantViolation, form_block_np,
-                     form_values_np, group_budget, group_equal,
+from .budget import InvariantViolation, group_budget, memo, order_gl, require
+from .groups import (GroupSet, form_block_np, form_values_np, group_equal,
                      groups_by_orbit, inverses_np, is_subgroup, matmul_np,
-                     memo, mul_np, order_gl, polar_images_np, values_np,
-                     vector_index_np, vectors_np, weak_orthogonal_group,
-                     orthogonal_group)
+                     mul_np, orthogonal_group, polar_images_np, values_np,
+                     vector_index_np, vectors_np, weak_orthogonal_group)
 from .homog import (DegeneratePolarForm, NotDroppable, drop, lift, lift_np,
                     motion_group_dual)
 from .quadform import (QForm, enumerate_forms, form_position,

@@ -178,9 +178,6 @@ class PrimePowerField(Field):
 
 class RationalField(Field):
     name = "Q"
-    char = 0
-    order = None
-    enumerable = False
 
     def add(self, a, b):
         return a + b

@@ -27,9 +27,11 @@ every form on F^n take one frontier per orbit.  _orbit_walk finds the
 orbits once for both orbit tables, and groups_by_orbit conjugates each
 leader's group onto runs of its other members by their Kronecker rows.
 
-Every stack holds integer element codes.  The one float is inside
-matmul_np over GF(p): a float32 product of integers below 2^16, where every
-step is exact.
+Every stack holds integer element codes.  A form's tables come from its
+row of upper coefficients (QForm.upper_coeffs): gram_polar_np alone turns
+rows into Gram and polar stacks.  The add, mul and inverse tables are the
+field's own (fields.PrimePowerField).  The one float is inside matmul_np
+over GF(p): a float32 product of integers below 2^16, every step exact.
 """
 
 from __future__ import annotations
@@ -40,17 +42,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .budget import InvariantViolation, group_budget, memo, order_gl, require
-from .quadform import QForm, polar, qf_rank, radical_basis
+from .quadform import QForm, qf_rank, radical_basis
 
 _RUN_ENTRIES = 2 ** 22      # the most entries of one groups_by_orbit product
 
 
-def _table_np(field, op):
-    """The q x q uint8 table of op, field.add or field.mul, over a field
-    that is not prime.  Memoised."""
-    els = range(field.order)
-    return memo(("_table_np", field.name, op.__name__), lambda: np.array(
-        [[op(a, b) for b in els] for a in els], dtype=np.uint8))
+def _table_np(field, name):
+    """The field's own q x q table name, "_add" or "_mul", as uint8, over a
+    field that is not prime.  Memoised."""
+    return memo(("_table_np", field.name, name),
+                lambda: np.array(getattr(field, name), dtype=np.uint8))
 
 
 # Field arithmetic on uint8 stacks of element codes, broadcast as numpy's own
@@ -62,26 +63,27 @@ def _table_np(field, op):
 def add_np(field, a, b):
     if field.order == field.char:
         return (a + b) % field.order
-    return _table_np(field, field.add)[a, b]
+    return _table_np(field, "_add")[a, b]
 
 
 def mul_np(field, a, b):
     if field.order == field.char:
         return (a * b) % field.order
-    return _table_np(field, field.mul)[a, b]
+    return _table_np(field, "_mul")[a, b]
 
 
 def inverses_np(field):
-    """uint8 table c |-> c^-1 (and 0 |-> 0), read off the products of every
-    pair of elements.  Memoised."""
-    els = np.arange(field.order, dtype=np.uint8)
-    return memo(("inverses_np", field.name), lambda: (mul_np(
-        field, els[:, np.newaxis], els) == 1).argmax(axis=1).astype(np.uint8))
+    """uint8 table c |-> c^-1 (and 0 |-> 0), the field's _inv.  Memoised."""
+    return memo(("inverses_np", field.name), lambda: np.array(
+        (0,) + field._inv[1:], dtype=np.uint8))
 
 
 def vectors_np(field, n):
-    """(q^n, n) uint8 table; row idx holds the vector with index idx."""
+    """(q^n, n) uint8 table; row idx holds the vector with index idx.
+    NotImplementedError over an infinite field."""
     def build():
+        if not field.enumerable:
+            raise NotImplementedError("%s is not enumerable" % field.name)
         q = field.order
         idx = np.arange(q ** n, dtype=np.int64)
         cols = [(idx // q ** i) % q for i in range(n)]
@@ -159,7 +161,10 @@ def mat_to_np(A):
 def _code_powers(field, n):
     """The place values of a matrix code by row-major entry, memoised: entry
     (j, i) is digit j of column i's vector index, which is base-q^n digit
-    n - 1 - i of the code, so its place value is q^(n (n - 1 - i) + j)."""
+    n - 1 - i of the code, so its place value is q^(n (n - 1 - i) + j).
+    NotImplementedError over an infinite field."""
+    if not field.enumerable:
+        raise NotImplementedError("%s is not enumerable" % field.name)
     if field.order ** (n * n) > 2 ** 63:
         raise ValueError("%d x %d matrices over %s do not fit an int64 code"
                          % (n, n, field.name))
@@ -276,14 +281,20 @@ def values_np(field, n, C, cols=slice(None)):
     return matmul_np(field, C, _monomials_np(field, n)[cols].T)
 
 
+def gram_polar_np(field, n, C):
+    """(W, B) for the forms on F^n with upper coefficients C (a (k,
+    n(n+1)/2) uint8 stack): the (k, n, n) stacks of their Gram matrices W,
+    as Q.gram, and polar matrices B = W + W^T, as polar(Q)."""
+    W = np.zeros((len(C), n, n), dtype=np.uint8)
+    W[(slice(None),) + np.triu_indices(n)] = C
+    return W, add_np(field, W, W.transpose(0, 2, 1))
+
+
 def polar_images_np(field, n, C):
     """B v for every form on F^n with upper coefficients C (a (k,
-    n(n+1)/2) uint8 stack), B = W + W^T its polar matrix, and every vector
-    v: a (k, q^n, n) uint8 stack, row v of form r holding B v."""
-    iu, ju = np.triu_indices(n)
-    W = np.zeros((len(C), n, n), dtype=np.uint8)
-    W[:, iu, ju] = C
-    B = add_np(field, W, W.transpose(0, 2, 1))      # symmetric: v^T B = (Bv)^T
+    n(n+1)/2) uint8 stack), B its polar matrix (gram_polar_np), and every
+    vector v: a (k, q^n, n) uint8 stack, row v of form r holding B v."""
+    B = gram_polar_np(field, n, C)[1]       # symmetric: v^T B = (Bv)^T
     return matmul_np(field, vectors_np(field, n), B)
 
 
@@ -294,9 +305,8 @@ def form_values_np(Q):
 
 def polar_table_np(Q):
     """Polar table: entry [v, w] is the raw code of B(vector_v, vector_w)."""
-    V = vectors_np(Q.field, Q.n)
-    BV = matmul_np(Q.field, V, mat_to_np(polar(Q)))     # row v: (B v)^T
-    return matmul_np(Q.field, BV, V.T)
+    BV = polar_images_np(Q.field, Q.n, np.array([Q.upper_coeffs()], np.uint8))
+    return matmul_np(Q.field, BV[0], vectors_np(Q.field, Q.n).T)
 
 
 # --- GroupSet --------------------------------------------------------------
@@ -579,7 +589,7 @@ def _reflections_np(Q, vals):
     field, n = Q.field, Q.n
     V = vectors_np(field, n)
     neg_inv = mul_np(field, inverses_np(field), field.neg(field.one))
-    Bf = matmul_np(field, V, mat_to_np(polar(Q)).T)         # row f: (Bf)^T
+    Bf = polar_images_np(field, n, np.array([Q.upper_coeffs()], np.uint8))[0]
     scaled = mul_np(field, neg_inv[vals][:, np.newaxis], Bf)
     rank_one = mul_np(field, V[:, :, np.newaxis], scaled[:, np.newaxis, :])
     return add_np(field, np.eye(n, dtype=np.uint8), rank_one)

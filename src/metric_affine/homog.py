@@ -180,23 +180,17 @@ def lift_np(field, n, W):
     otherwise), on every row of ok.
     """
     import numpy as np
-    from .groups import add_np, invert_np, matmul_np, upper_coeffs_np
-    k = len(W)
-    iu, ju = np.triu_indices(n)
-    G = np.zeros((k, n, n), dtype=np.uint8)
-    G[:, iu, ju] = W
-    B = add_np(field, G, G.transpose(0, 2, 1))
+    from .groups import gram_polar_np, invert_np, matmul_np, upper_coeffs_np
+    G, B = gram_polar_np(field, n, W)
     ok, Binv = invert_np(field, B)
     core = upper_coeffs_np(field, matmul_np(field, matmul_np(field, Binv, G),
                                             Binv))
-    C = np.zeros((k, n, n), dtype=np.uint8)
-    C[:, iu, ju] = core
-    block = add_np(field, C, C.transpose(0, 2, 1))
+    block = gram_polar_np(field, n, core)[1]
     if (matmul_np(field, block[ok], B[ok]) != np.eye(n, dtype=np.uint8)).any():
         raise InvariantViolation("a stacked lift over %s, dim %d, fails "
                                  "polar block * B = I" % (field.name, n))
-    return ok, np.concatenate([np.zeros((k, n + 1), dtype=np.uint8), core],
-                              axis=1)
+    return ok, np.concatenate([np.zeros((len(W), n + 1), dtype=np.uint8),
+                               core], axis=1)
 
 
 def drop(Qt):

@@ -28,9 +28,9 @@ import numpy as np
 
 from .budget import (_MEMO, HARD_BUDGET_CEILING, InvariantViolation, memo,
                      require)
-from .groups import (GroupSet, _gemm_f32, add_np, form_block_np, inverses_np,
-                     matmul_np, mul_np, polar_images_np, values_np,
-                     vector_index_np, vectors_np)
+from .groups import (GroupSet, _gemm_f32, add_np, form_block_np,
+                     gram_polar_np, inverses_np, matmul_np, mul_np,
+                     polar_images_np, values_np, vector_index_np, vectors_np)
 from .linalg import Mat, outer, pairing, vec
 from .quadform import QForm, all_vectors, form_position
 
@@ -216,9 +216,8 @@ def _isometries(field, n, narrow, moved, vals, rad):
     its values vals, and those that also move no x with Bx = 0 (its radical
     mask rad).  The values at the e_i and e_i + e_j fix a form, as
     B(e_i, e_j) = Q(e_i + e_j) - Q(e_i) - Q(e_j); a radical {o} is fixed."""
-    q = field.order
-    S = [q ** i + q ** j * (j > i) for i in range(n) for j in range(i, n)]
-    iso = (vals[:, narrow] == vals[:, np.newaxis, np.newaxis, S]).all(axis=3)
+    # narrow[0, 0], the identity (f = e_1, a = o), holds e_i and e_i + e_j
+    iso = (vals[:, narrow] == vals[:, narrow[:1, :1]]).all(axis=3)
     weak, deg = iso.copy(), rad[:, 1:].any(axis=1)
     weak[deg] &= _gemm_f32(rad[deg], moved.T).reshape(-1, *iso.shape[1:]) == 0
     return iso, weak
@@ -267,10 +266,8 @@ def _lemma_block(field, n, maps, start):
     _, first, inverse = np.unique(np.ravel_multi_index(
         facts, (2, 2, n + 1, N, N, 2, 2, 2)), return_index=True,
         return_inverse=True)
-    G = np.zeros((len(W), n, n), dtype=np.uint8)     # upper rows, cut from W
-    G[(slice(None),) + np.triu_indices(n)] = W
     forms = [QForm._trusted(field, n, tuple(map(tuple, rows)))
-             for rows in G.tolist()]
+             for rows in gram_polar_np(field, n, W)[0].tolist()]
     xs, answers = all_vectors(field, n)[1:], [None] * len(first)
     for j in sorted(range(len(first)), key=first.tolist().__getitem__):
         row, x = divmod(int(first[j]), N - 1)

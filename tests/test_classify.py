@@ -710,6 +710,30 @@ def test_quadric_duality_worked_example():
     assert rep.lifted_points == rep.hyperplane_points
 
 
+_Q_PLANE = QForm.from_upper(QQ, 2, (1, 0, 1))
+
+
+# every engine call that enumerates, on a form or a space over Q
+@pytest.mark.parametrize("call", [
+    lambda: orthogonal_group(_Q_PLANE),
+    lambda: weak_orthogonal_group(_Q_PLANE),
+    lambda: enumerate_gl(QQ, 2),
+    lambda: groups.reflection_generation_status(_Q_PLANE),
+    lambda: motion_group_dual(_Q_PLANE, False),
+    lambda: solve_for_qtilde(_Q_PLANE, MODE_MOTION),
+    lambda: verify_main_prop(QQ, 2),
+    lambda: verify_projective_theorem(QQ, 2),
+    lambda: groups.closure(QQ, 1, [])],
+    ids=["orthogonal_group", "weak_orthogonal_group", "enumerate_gl",
+         "reflection_generation_status", "motion_group_dual",
+         "solve_for_qtilde", "verify_main_prop", "verify_projective_theorem",
+         "closure"])
+def test_the_engine_refuses_the_rationals_by_name(call):
+    # the lemma functions' refusal, not a TypeError from q = None
+    with pytest.raises(NotImplementedError, match="is not enumerable"):
+        call()
+
+
 def test_quadric_duality_statuses():
     assert quadric_duality_check(QForm.from_upper(GF2, 2, (0, 1, 0))).status \
         == "char-2-excluded"

@@ -14,10 +14,11 @@ from metric_affine.classify import weak_group_index
 from metric_affine.fields import GF2, GF3, GF4, GF5, GF7
 from metric_affine.groups import (GroupSet, _exceptional_shape, add_np,
                                   closure, enumerate_gl,
-                                  form_values_np, group_equal,
+                                  form_values_np, gram_polar_np, group_equal,
                                   groups_by_orbit, inverses_np, invert_np,
                                   is_subgroup, matmul_np, mat_to_np,
                                   matrix_codes, mul_np, orthogonal_group,
+                                  polar_table_np,
                                   reflection_generation_status,
                                   upper_coeffs_np, values_np,
                                   vector_index_np, vectors_np,
@@ -27,8 +28,8 @@ from metric_affine.homog import (DegeneratePolarForm, lift, lift_np,
 from metric_affine.linalg import Mat, Singular, mat_invert, rank, vec
 from metric_affine.quadform import (QForm, all_vectors, enumerate_forms,
                                     form_position, is_isometry,
-                                    is_nondegenerate, qf_eval,
-                                    qf_pullback, radical_basis)
+                                    is_nondegenerate, polar, polar_apply,
+                                    qf_eval, qf_pullback, radical_basis)
 from metric_affine.transvect import _rank_one_maps, classify_direction
 
 # group orders from the product formula, |GL_n(q)| = prod (q^n - q^i)
@@ -343,6 +344,33 @@ def test_gf4_stacks_agree_with_mat():
             else:
                 assert nondegenerate and tuple(coeffs) == want, Q
     assert ok.sum() == 48       # a x1^2 + b x1x2 + c x2^2 with b != 0
+
+
+@pytest.mark.parametrize("F,n", [(GF2, 3), (GF3, 2), (GF4, 2), (GF5, 2)],
+                         ids=["GF(2)-3", "GF(3)-2", "GF(4)-2", "GF(5)-2"])
+def test_gram_polar_np_matches_the_form(F, n):
+    # every form's coefficient row, against its Gram matrix and polar(Q)
+    forms = enumerate_forms(F, n)
+    W, B = gram_polar_np(F, n, np.array([Q.upper_coeffs() for Q in forms],
+                                        dtype=np.uint8))
+    assert W.dtype == B.dtype == np.uint8
+    assert W.shape == B.shape == (len(forms), n, n)
+    for Q, w, b in zip(forms, W.tolist(), B.tolist()):
+        assert w == [list(r) for r in Q.gram.rows], Q
+        assert b == [list(r) for r in polar(Q).rows], Q
+
+
+@pytest.mark.parametrize("F", [GF2, GF3, GF4], ids=lambda F: F.name)
+def test_polar_table_np_matches_polar_apply(F):
+    # entry [v, w] against B(v, w) from the polar matrix, on every pair of
+    # vectors of every form of F^0, F^1 and F^2
+    for n in range(3):
+        V = [vec(F, v) for v in all_vectors(F, n)]
+        for Q in enumerate_forms(F, n):
+            got = polar_table_np(Q)
+            assert got.dtype == np.uint8, Q
+            assert got.tolist() == [[polar_apply(Q, v, w) for w in V]
+                                    for v in V], Q
 
 
 def test_closure_generates_subgroup():
