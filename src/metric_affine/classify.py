@@ -443,16 +443,19 @@ def verify_projective_theorem(fld, n, budget=None):
 
 # --- the absolute quadric and its dual description -------------------------
 
+def rep_of(fld, n):
+    """The vector index of the projective representative of every vector of
+    F^n (n >= 1), by vector index; the zero vector keeps 0.  Memoised."""
+    V = vectors_np(fld, n)      # _projective_canon_np drops the zero row
+    return memo(("rep_of", fld.name, n), lambda: vector_index_np(
+        fld, np.concatenate([V[:1], _projective_canon_np(fld, V[1:])])))
+
+
 def _rep_mask(fld, n):
-    """Mask over the vector table of F^n (n >= 1): the vectors that are
-    their own projective representative, nonzero with first nonzero entry 1."""
-    def build():
-        V = vectors_np(fld, n)
-        lead = V[np.arange(len(V)), (V != 0).argmax(axis=1)]
-        mask = lead == 1
-        mask.setflags(write=False)
-        return mask
-    return memo(("_rep_mask", fld.name, n), build)
+    """Mask over the vector table of F^n (n >= 1): the projective points,
+    the nonzero vectors that rep_of fixes."""
+    tab = rep_of(fld, n)
+    return (tab == np.arange(len(tab))) & (tab > 0)
 
 
 def quadric_points(Q):
@@ -497,7 +500,8 @@ def _block_size(fld, n):
 
 def _quadric_block(fld, n, block):
     """quadric_duality_check for every form of one block of consecutive
-    positions in enumerate_forms order, on the block's coefficient stack.
+    positions in enumerate_forms order, on the block's coefficient stack:
+    every side at the projective points only, by narrow vector indices.
 
     Returns every row's QuadricReport; rows with equal status and counts
     share one report object, except mismatching rows, which list details.
@@ -509,10 +513,10 @@ def _quadric_block(fld, n, block):
     k = len(W)
     ok, up = lift_np(fld, n, W)
 
-    # base side, over all of F^n: the null cone without 0
-    null = values_np(fld, n, W) == 0
-    null[:, 0] = False
-    base = np.count_nonzero(null[:, _rep_mask(fld, n)], axis=1)
+    # base side, over the representatives of F^n
+    xs = np.flatnonzero(_rep_mask(fld, n))
+    null = values_np(fld, n, W, xs) == 0
+    base = np.count_nonzero(null, axis=1)
 
     # lifted side, over the representatives of F^(n+1); the first of them
     # is the vertex e0 = (1, 0, ..., 0), the vector with index 1
@@ -524,12 +528,13 @@ def _quadric_block(fld, n, block):
 
     # hyperplane side: the annihilators of the hyperplanes through the
     # tangent space at x at infinity are span(e0, (0, Bx)), so rhs holds
-    # (a0 : y) for y in F* Bx, x a base point, and e0.  B maps the null
-    # cone without 0 one-to-one onto those y on every non-degenerate row.
-    codes = vector_index_np(fld, polar_images_np(fld, n, W))  # index of B v
-    marked = np.zeros_like(null)
+    # (a0 : y) for y in F* Bx, x a base point, and e0: as the null cone is
+    # closed under F*, the y with rep(y) = rep(Bx), Bx != 0 where ok.
+    rep = rep_of(fld, n)
+    codes = rep[vector_index_np(fld, polar_images_np(fld, n, W, xs))]
+    marked = np.zeros((k, q ** n), dtype=bool)
     marked[np.arange(k)[:, np.newaxis], codes] = null & ok[:, np.newaxis]
-    rhs = marked[:, reps // q]      # the index of (a0, y) is a0 + q idx(y)
+    rhs = marked[:, rep[reps // q]]  # the index of (a0, y) is a0 + q idx(y)
     rhs[:, 0] = base > 0
 
     # where the base quadric is nonempty, both sides hold e0, so a form

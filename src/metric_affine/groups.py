@@ -54,21 +54,27 @@ def _table_np(field, name):
                 lambda: np.array(getattr(field, name), dtype=np.uint8))
 
 
+def _mod(x, p):
+    """x mod p for a fresh unsigned stack: numpy's % below 512 entries, else
+    x - (x // p) p in place, which numpy runs in SIMD and % does not."""
+    return x % p if x.size < 512 else np.subtract(x, x // p * p, out=x)
+
+
 # Field arithmetic on uint8 stacks of element codes, broadcast as numpy's own
-# operators are: mod p over GF(p), exact in uint8 for p <= 16 and about twice
-# as fast as a table gather, and the add/mul tables over any other field.
-# These and matmul_np, a float32 product mod p over GF(p), are the one place
-# that tells them apart.
+# operators are: _mod of a sum or product over GF(p), exact in uint8 for p <=
+# 16 (on one Xeon core, a (2048, 3, 6) product over GF(5) takes 6 us, against
+# 64 us with % and 150 us from the p x p table), and the add/mul tables over
+# any other field.  These and matmul_np alone tell the two apart.
 
 def add_np(field, a, b):
     if field.order == field.char:
-        return (a + b) % field.order
+        return _mod(a + b, field.order)
     return _table_np(field, "_add")[a, b]
 
 
 def mul_np(field, a, b):
     if field.order == field.char:
-        return (a * b) % field.order
+        return _mod(a * b, field.order)
     return _table_np(field, "_mul")[a, b]
 
 
@@ -76,6 +82,17 @@ def inverses_np(field):
     """uint8 table c |-> c^-1 (and 0 |-> 0), the field's _inv.  Memoised."""
     return memo(("inverses_np", field.name), lambda: np.array(
         (0,) + field._inv[1:], dtype=np.uint8))
+
+
+def neg_inverses_np(field):
+    """uint8 table c |-> -c^-1 (and 0 |-> 0).  Memoised."""
+    return memo(("neg_inverses_np", field.name), lambda: mul_np(
+        field, inverses_np(field), field.neg(field.one)))
+
+
+def triu_np(n):
+    """np.triu_indices(n), memoised: a call takes about 12 us at n = 3."""
+    return memo(("triu_np", n), lambda: np.triu_indices(n))
 
 
 def vectors_np(field, n):
@@ -96,10 +113,11 @@ def vectors_np(field, n):
 
 def vector_index_np(field, X):
     """Indices of the rows of X (shape (..., n)) in the vector table:
-    sum_i X[..., i] q^i, by Horner's rule in place, so that no int64 copy
-    of X is made."""
-    idx = np.zeros(X.shape[:-1], dtype=np.int64)
-    for i in reversed(range(X.shape[-1])):
+    sum_i X[..., i] q^i, by Horner's rule in place, in the narrowest
+    unsigned type that holds q^n - 1, so that no wider copy of X is made."""
+    n = X.shape[-1]
+    idx = np.zeros(X.shape[:-1], np.min_scalar_type(field.order ** n - 1))
+    for i in reversed(range(n)):
         idx *= field.order
         idx += X[..., i]
     return idx
@@ -131,8 +149,7 @@ def matmul_np(field, A, B):
     entry is below p, so a partial sum is at most k (p - 1)^2 for inner
     dimension k; below 2^16 (ValueError otherwise) float32 holds every step
     exactly, whatever order BLAS adds in.  The product is cast to the
-    narrowest unsigned type that holds k (p - 1)^2 and reduced in place, as
-    x - (x // p) p: numpy divides by a scalar in SIMD, but its % does not.
+    narrowest unsigned type that holds k (p - 1)^2 and reduced by _mod.
     Over any other field it is a sum of add_np/mul_np terms."""
     lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
     (r, k), c = A.shape[-2:], B.shape[-1]
@@ -148,8 +165,7 @@ def matmul_np(field, A, B):
                          "reach %d, past the exact range below 2^16"
                          % (field.name, k, top))
     out = _gemm_f32(A, B).astype(np.uint8 if top < 2 ** 8 else np.uint16)
-    out = out.reshape(lead + (r, c))
-    out -= out // p * p
+    out = _mod(out.reshape(lead + (r, c)), p)
     return out.astype(np.uint8, copy=False)
 
 
@@ -216,7 +232,7 @@ def upper_coeffs_np(field, S):
     """The canonical upper coefficients (as in QForm.upper_coeffs) of every
     Gram matrix in a (..., n, n) stack: the diagonal kept, the strictly-lower
     part folded onto the upper one."""
-    iu, ju = np.triu_indices(S.shape[-1])
+    iu, ju = triu_np(S.shape[-1])
     return add_np(field, S[..., iu, ju], np.where(iu == ju, 0, S[..., ju, iu]))
 
 
@@ -250,7 +266,7 @@ def _monomials_np(field, n):
     (i <= j, row-major) of vector idx, in the order of QForm.upper_coeffs."""
     def build():
         V = vectors_np(field, n)
-        iu, ju = np.triu_indices(n)
+        iu, ju = triu_np(n)
         tab = mul_np(field, V[:, iu], V[:, ju])
         tab.setflags(write=False)
         return tab
@@ -286,16 +302,16 @@ def gram_polar_np(field, n, C):
     n(n+1)/2) uint8 stack): the (k, n, n) stacks of their Gram matrices W,
     as Q.gram, and polar matrices B = W + W^T, as polar(Q)."""
     W = np.zeros((len(C), n, n), dtype=np.uint8)
-    W[(slice(None),) + np.triu_indices(n)] = C
+    W[(slice(None),) + triu_np(n)] = C
     return W, add_np(field, W, W.transpose(0, 2, 1))
 
 
-def polar_images_np(field, n, C):
+def polar_images_np(field, n, C, cols=slice(None)):
     """B v for every form on F^n with upper coefficients C (a (k,
     n(n+1)/2) uint8 stack), B its polar matrix (gram_polar_np), and every
-    vector v: a (k, q^n, n) uint8 stack, row v of form r holding B v."""
+    vector v with index in cols: a (k, len(cols), n) uint8 stack."""
     B = gram_polar_np(field, n, C)[1]       # symmetric: v^T B = (Bv)^T
-    return matmul_np(field, vectors_np(field, n), B)
+    return matmul_np(field, vectors_np(field, n)[cols], B)
 
 
 def form_values_np(Q):
@@ -588,9 +604,8 @@ def _reflections_np(Q, vals):
     the value table vals of Q (the identity where Q(f) = 0)."""
     field, n = Q.field, Q.n
     V = vectors_np(field, n)
-    neg_inv = mul_np(field, inverses_np(field), field.neg(field.one))
     Bf = polar_images_np(field, n, np.array([Q.upper_coeffs()], np.uint8))[0]
-    scaled = mul_np(field, neg_inv[vals][:, np.newaxis], Bf)
+    scaled = mul_np(field, neg_inverses_np(field)[vals][:, np.newaxis], Bf)
     rank_one = mul_np(field, V[:, :, np.newaxis], scaled[:, np.newaxis, :])
     return add_np(field, np.eye(n, dtype=np.uint8), rank_one)
 

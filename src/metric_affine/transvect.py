@@ -29,7 +29,7 @@ import numpy as np
 from .budget import (_MEMO, HARD_BUDGET_CEILING, InvariantViolation, memo,
                      require)
 from .groups import (GroupSet, _gemm_f32, add_np, form_block_np,
-                     gram_polar_np, inverses_np, matmul_np, mul_np,
+                     gram_polar_np, matmul_np, mul_np, neg_inverses_np,
                      polar_images_np, values_np, vector_index_np, vectors_np)
 from .linalg import Mat, outer, pairing, vec
 from .quadform import QForm, all_vectors, form_position
@@ -241,9 +241,9 @@ def _block_facts(field, n, maps, start):
     rad = ~images.any(axis=2)
     iso, weak = _isometries(field, n, narrow, moved, vals, rad)
     delta = N - N // q                                   # |Delta_f|
-    neg_inv = mul_np(field, inverses_np(field), field.neg(field.one))
     dual = vector_index_np(field, mul_np(            # a, per form and f
-        field, neg_inv[vals][:, 1:, np.newaxis], images[:, 1:]))
+        field, neg_inverses_np(field)[vals][:, 1:, np.newaxis],
+        images[:, 1:]))
     reflected = iso[np.arange(len(W))[:, np.newaxis], np.arange(N - 1),
                     slot[np.arange(N - 1), dual]]
     # a radical of dimension k has q^k vectors, more than q^i for i < k only

@@ -673,6 +673,41 @@ def test_quadric_table_reports_a_zero_lift(F, n, cold_memo, monkeypatch):
         "mismatch": want["empty-quadric"] + want["ok"]}
 
 
+@pytest.mark.parametrize("F,n", [(GF3, 3), (GF4, 2), (GF5, 3), (GF7, 2),
+                                 (GF9, 2)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_rep_of_matches_projective_rep(F, n, cold_memo):
+    # every vector, zero included, against the scaling one entry at a time;
+    # _rep_mask marks the representatives, the zero vector not among them
+    vecs = [tuple(v) for v in vectors_np(F, n).tolist()]
+    table = classify.rep_of(F, n)
+    assert table.dtype == np.min_scalar_type(len(vecs) - 1)
+    assert [vecs[i] for i in table.tolist()] == [projective_rep(F, v)
+                                                 for v in vecs]
+    mask = classify._rep_mask(F, n)
+    assert mask.tolist() == _projective_reps(F, n)[1].tolist()
+
+
+def test_quadric_table_needs_the_representative_table(cold_memo,
+                                                      monkeypatch):
+    # with rep_of the identity on the hyperplane side (the masks of the
+    # projective points kept), a scaled B x no longer finds its point: rows
+    # that pass on the real table miss lifted points, and no other row moves
+    honest = Counter(rep.status for rep in classify._quadric_block(GF5, 2, 0))
+    assert "mismatch" not in honest
+    masks = {m: classify._rep_mask(GF5, m) for m in (2, 3)}
+    monkeypatch.setattr(classify, "_rep_mask", lambda fld, m: masks[m])
+    monkeypatch.setattr(classify, "rep_of",
+                        lambda fld, m: np.arange(fld.order ** m))
+    reports = classify._quadric_block(GF5, 2, 0)
+    broken = Counter(rep.status for rep in reports)
+    assert 0 < broken["mismatch"] <= honest["ok"]
+    for status in ("degenerate-polar", "empty-quadric"):
+        assert broken[status] == honest[status]
+    assert {tag for rep in reports for tag, _a in rep.details} == {
+        "quadric-point-not-an-annihilator"}
+
+
 def test_gf7_cube_quadric_tally_from_the_table():
     # the 117,649 forms of GF(7)^3, block by block from the table alone:
     # the per-form route, too slow to run here, gave the same tally once

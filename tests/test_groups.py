@@ -17,9 +17,9 @@ from metric_affine.groups import (GroupSet, _exceptional_shape, add_np,
                                   form_values_np, gram_polar_np, group_equal,
                                   groups_by_orbit, inverses_np, invert_np,
                                   is_subgroup, matmul_np, mat_to_np,
-                                  matrix_codes, mul_np, orthogonal_group,
-                                  polar_table_np,
-                                  reflection_generation_status,
+                                  matrix_codes, mul_np, neg_inverses_np,
+                                  orthogonal_group, polar_table_np,
+                                  reflection_generation_status, triu_np,
                                   upper_coeffs_np, values_np,
                                   vector_index_np, vectors_np,
                                   weak_orthogonal_group)
@@ -248,6 +248,72 @@ def test_engine_arithmetic_matches_the_field(F):
     inv = inverses_np(F)
     assert inv.dtype == np.uint8
     assert inv.tolist() == [0] + [F.inv(x) for x in els[1:]]
+
+
+PRIMES = [F for F in ENGINE_FIELDS if F.order == F.char]
+
+
+@pytest.mark.parametrize("F", PRIMES, ids=lambda F: F.name)
+def test_mod_matches_python_on_both_sides_of_its_threshold(F):
+    # every uint8 value below 512 entries (%) and tiled past them (x - (x //
+    # p) p in place), and every uint16 value, as matmul_np reduces
+    p = F.order
+    for x in (np.arange(256, dtype=np.uint8),
+              np.tile(np.arange(256, dtype=np.uint8), 4),
+              np.arange(2 ** 16, dtype=np.uint16)):
+        want = [v % p for v in x.tolist()]
+        got = groups._mod(x.copy(), p)
+        assert got.dtype == x.dtype and got.tolist() == want
+
+
+@pytest.mark.parametrize("F", ENGINE_FIELDS, ids=lambda F: F.name)
+def test_engine_arithmetic_on_large_stacks(F):
+    # the q x q tables of add_np and mul_np, repeated past 512 entries so
+    # that the sum or product takes _mod's in-place route over GF(p)
+    els = F.elements()
+    codes = np.arange(F.order, dtype=np.uint8)
+    reps = -(-512 // F.order ** 2)
+    a = np.broadcast_to(codes[:, np.newaxis], (reps, F.order, F.order))
+    b = codes[np.newaxis, :]
+    for got, op in ((add_np(F, a, b), F.add), (mul_np(F, a, b), F.mul)):
+        assert got.dtype == np.uint8 and got.size >= 512
+        want = [[op(x, y) for y in els] for x in els]
+        assert all(table == want for table in got.tolist())
+
+
+@pytest.mark.parametrize("F", ENGINE_FIELDS, ids=lambda F: F.name)
+def test_neg_inverses_np_matches_the_field(F):
+    els = F.elements()
+    tab = neg_inverses_np(F)
+    assert tab.dtype == np.uint8
+    assert tab.tolist() == [0] + [F.neg(F.inv(x)) for x in els[1:]]
+
+
+def test_triu_np_is_numpy_triu_indices_read_once():
+    for n in range(5):
+        iu = triu_np(n)
+        assert [part.tolist() for part in iu] == [
+            part.tolist() for part in np.triu_indices(n)]
+        assert triu_np(n) is iu
+
+
+# q^n of 256, 256 and 512 on either side of the uint8 limit, and two odd sizes
+@pytest.mark.parametrize("F,n", [(GF2, 8), (GF4, 4), (GF2, 9), (GF5, 3),
+                                 (GF7, 3)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_vector_index_np_matches_an_int64_dot(F, n):
+    N = F.order ** n
+    V = vectors_np(F, n)
+    want = V.astype(np.int64) @ F.order ** np.arange(n, dtype=np.int64)
+    assert want.tolist() == list(range(N))
+    got = vector_index_np(F, V)
+    assert got.dtype == np.min_scalar_type(N - 1)
+    assert got.dtype.kind == "u" and np.iinfo(got.dtype).max >= N - 1
+    assert got.tolist() == want.tolist()
+    # a shuffled stack with two leading axes, as the quadric blocks pass
+    order = np.random.default_rng(n).permutation(N)
+    stack = V[order].reshape(1, N, n)
+    assert vector_index_np(F, stack).tolist() == [order.tolist()]
 
 
 # (A shape, B shape) for each way matmul_np lays out a product: stack @

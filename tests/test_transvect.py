@@ -665,8 +665,8 @@ def _no_isometries(real):
 
 
 def _wrong_sign(real):
-    # a = Q(f)^-1 Bf in place of -Q(f)^-1 Bf, so the reflection is looked up
-    # as I + Q(f)^-1 f (Bf)^T
+    # the table c |-> c^-1 in place of c |-> -c^-1 over GF(p), so a = Q(f)^-1
+    # Bf and the reflection is looked up as I + Q(f)^-1 f (Bf)^T
     return lambda field: (field.order - real(field)) % field.order
 
 
@@ -695,7 +695,7 @@ _ZERO_LINE = QForm.zero(GF3, 1)
      ("d", (6, 1), (6, 0), _ZERO_PLANE, (1, 0))),
     # x2^2 and the anisotropic f = e2: case "a", whose two maps are the
     # identity and the reflection along f
-    ("inverses_np", _wrong_sign, _X2_SQUARED, (0, 1),
+    ("neg_inverses_np", _wrong_sign, _X2_SQUARED, (0, 1),
      ("reflection along f not in Delta ∩ O(Q)", _X2_SQUARED, (0, 1))),
     # f spans the radical line of the zero form on a line, so every
     # annihilator transvection must be in O'
