@@ -19,9 +19,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .budget import InvariantViolation, group_budget, memo, order_gl, require
-from .groups import (GroupSet, form_block_np, form_values_np, group_equal,
-                     groups_by_orbit, inverses_np, is_subgroup, matmul_np,
-                     mul_np, orthogonal_group, polar_images_np, values_np,
+from .groups import (GroupSet, _monomials_np, form_block_np, form_values_np,
+                     group_equal, groups_by_orbit, inverses_np, is_subgroup,
+                     matmul_np, mul_np, orthogonal_group, polar_images_np,
                      vector_index_np, vectors_np, weak_orthogonal_group)
 from .homog import (DegeneratePolarForm, NotDroppable, drop, lift, lift_np,
                     motion_group_dual)
@@ -501,7 +501,8 @@ def _block_size(fld, n):
 def _quadric_block(fld, n, block):
     """quadric_duality_check for every form of one block of consecutive
     positions in enumerate_forms order, on the block's coefficient stack:
-    every side at the projective points only, by narrow vector indices.
+    each side a (point, form) mask over the projective points only, read
+    by vector indices in the narrowest unsigned type (vector_index_np).
 
     Returns every row's QuadricReport; rows with equal status and counts
     share one report object, except mismatching rows, which list details.
@@ -515,14 +516,14 @@ def _quadric_block(fld, n, block):
 
     # base side, over the representatives of F^n
     xs = np.flatnonzero(_rep_mask(fld, n))
-    null = values_np(fld, n, W, xs) == 0
-    base = np.count_nonzero(null, axis=1)
+    null = matmul_np(fld, _monomials_np(fld, n)[xs], W.T) == 0
+    base = np.count_nonzero(null, axis=0)
 
     # lifted side, over the representatives of F^(n+1); the first of them
     # is the vertex e0 = (1, 0, ..., 0), the vector with index 1
     reps = np.flatnonzero(_rep_mask(fld, n + 1))
-    lifted = values_np(fld, n + 1, up, reps) == 0
-    if not lifted[ok, 0].all():
+    lifted = matmul_np(fld, _monomials_np(fld, n + 1)[reps], up.T) == 0
+    if not lifted[0, ok].all():
         raise InvariantViolation("a stacked lift over %s, dim %d, is nonzero "
                                  "at e0" % (fld.name, n))
 
@@ -532,19 +533,19 @@ def _quadric_block(fld, n, block):
     # closed under F*, the y with rep(y) = rep(Bx), Bx != 0 where ok.
     rep = rep_of(fld, n)
     codes = rep[vector_index_np(fld, polar_images_np(fld, n, W, xs))]
-    marked = np.zeros((k, q ** n), dtype=bool)
-    marked[np.arange(k)[:, np.newaxis], codes] = null & ok[:, np.newaxis]
-    rhs = marked[:, rep[reps // q]]  # the index of (a0, y) is a0 + q idx(y)
-    rhs[:, 0] = base > 0
+    marked = np.zeros((q ** n, k), dtype=bool)
+    marked[codes.T, np.arange(k)] = null & ok
+    rhs = marked[rep[reps // q]]  # the index of (a0, y) is a0 + q idx(y)
+    rhs[0] = base > 0
 
     # where the base quadric is nonempty, both sides hold e0, so a form
     # matches when its two masks agree; where it is empty, there is no
     # tangent hyperplane, and the lifted quadric must be e0 alone
-    status = np.where((rhs != lifted).any(axis=1), 3, 0)
-    status[(base == 0) & ~lifted[:, 1:].any(axis=1)] = 1
+    status = np.where((rhs != lifted).any(axis=0), 3, 0)
+    status[(base == 0) & ~lifted[1:].any(axis=0)] = 1
     status[~ok] = 2
-    counts = np.stack([base, np.count_nonzero(lifted, axis=1),
-                       np.count_nonzero(rhs, axis=1)], axis=1)
+    counts = np.stack([base, np.count_nonzero(lifted, axis=0),
+                       np.count_nonzero(rhs, axis=0)], axis=1)
     counts[(status == 1) | (status == 2)] = 0
     _, first, inverse = np.unique(np.ravel_multi_index(
         (status, *counts.T), (len(_BLOCK_STATUSES),) + (len(reps) + 1,) * 3),
@@ -552,6 +553,7 @@ def _quadric_block(fld, n, block):
     made = [QuadricReport(fld.name, n, _BLOCK_STATUSES[status[r]],
                           *counts[r].tolist(), ()) for r in first.tolist()]
     reports = [made[i] for i in inverse.tolist()]
+    lifted, rhs = lifted.T, rhs.T       # by form, for the mismatching rows
     points = vectors_np(fld, n + 1)[reps]
     for r in np.flatnonzero(status == 3).tolist():
         missed = lifted[r] & ~rhs[r]

@@ -165,8 +165,7 @@ def matmul_np(field, A, B):
                          "reach %d, past the exact range below 2^16"
                          % (field.name, k, top))
     out = _gemm_f32(A, B).astype(np.uint8 if top < 2 ** 8 else np.uint16)
-    out = _mod(out.reshape(lead + (r, c)), p)
-    return out.astype(np.uint8, copy=False)
+    return _mod(out.reshape(lead + (r, c)), p).astype(np.uint8, copy=False)
 
 
 def mat_to_np(A):
@@ -206,19 +205,17 @@ def invert_np(field, stack):
     once."""
     k, n = stack.shape[:2]
     inv, minus_one = inverses_np(field), field.neg(field.one)
-    aug = np.concatenate([np.asarray(stack, dtype=np.uint8),
-                          np.broadcast_to(np.eye(n, dtype=np.uint8),
-                                          (k, n, n))], axis=2)
+    aug = np.zeros((k, n, 2 * n), dtype=np.uint8)
+    aug[:, :, :n], aug[:, range(n), range(n, 2 * n)] = stack, 1
     ok = np.ones(k, dtype=bool)
     rows = np.arange(k)
     for c in range(n):
         # pivot on the first row at or below c with a nonzero entry in
         # column c; a matrix without one is singular, and its pivot row
         # is scaled to zero, which leaves the other rows as they are
-        nonzero = aug[:, c:, c] != 0
-        ok &= nonzero.any(axis=1)
-        piv = c + nonzero.argmax(axis=1)
+        piv = c + (aug[:, c:, c] != 0).argmax(axis=1)
         top = aug[rows, piv]
+        ok &= top[:, c] != 0
         aug[rows, piv] = aug[:, c]
         aug[:, c] = mul_np(field, top, inv[top[:, c]][:, np.newaxis])
         factor = mul_np(field, aug[:, :, c], minus_one)
@@ -290,11 +287,10 @@ def form_block_np(field, n, start, k):
     return W.astype(np.uint8)
 
 
-def values_np(field, n, C, cols=slice(None)):
+def values_np(field, n, C):
     """The values of the forms on F^n with upper coefficients C (a (k,
-    n(n+1)/2) uint8 stack) at the vectors with indices cols, as a (k,
-    len(cols)) uint8 table."""
-    return matmul_np(field, C, _monomials_np(field, n)[cols].T)
+    n(n+1)/2) uint8 stack) at every vector, as a (k, q^n) uint8 table."""
+    return matmul_np(field, C, _monomials_np(field, n).T)
 
 
 def gram_polar_np(field, n, C):
