@@ -19,10 +19,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .budget import InvariantViolation, group_budget, memo, order_gl, require
-from .groups import (GroupSet, _monomials_np, form_block_np, form_values_np,
-                     group_equal, groups_by_orbit, inverses_np, is_subgroup,
-                     matmul_np, mul_np, orthogonal_group, polar_images_np,
-                     vector_index_np, vectors_np, weak_orthogonal_group)
+from .groups import (GroupSet, form_block_np, form_values_np, group_equal,
+                     groups_by_orbit, inverses_np, is_subgroup, matmul_np,
+                     mul_np, orthogonal_group, point_values_np,
+                     polar_images_np, vector_index_np, vectors_np,
+                     weak_orthogonal_group)
 from .homog import (DegeneratePolarForm, NotDroppable, drop, lift, lift_np,
                     motion_group_dual)
 from .quadform import (QForm, enumerate_forms, form_position,
@@ -452,8 +453,7 @@ def rep_of(fld, n):
 
 
 def _rep_mask(fld, n):
-    """Mask over the vector table of F^n (n >= 1): the projective points,
-    the nonzero vectors that rep_of fixes."""
+    """Mask of the projective points of F^n: nonzero vectors rep_of fixes."""
     tab = rep_of(fld, n)
     return (tab == np.arange(len(tab))) & (tab > 0)
 
@@ -501,8 +501,7 @@ def _block_size(fld, n):
 def _quadric_block(fld, n, block):
     """quadric_duality_check for every form of one block of consecutive
     positions in enumerate_forms order, on the block's coefficient stack:
-    each side a (point, form) mask over the projective points only, read
-    by vector indices in the narrowest unsigned type (vector_index_np).
+    each side a (point, form) mask over the projective points only.
 
     Returns every row's QuadricReport; rows with equal status and counts
     share one report object, except mismatching rows, which list details.
@@ -516,21 +515,21 @@ def _quadric_block(fld, n, block):
 
     # base side, over the representatives of F^n
     xs = np.flatnonzero(_rep_mask(fld, n))
-    null = matmul_np(fld, _monomials_np(fld, n)[xs], W.T) == 0
+    null = point_values_np(fld, n, W, xs) == 0
     base = np.count_nonzero(null, axis=0)
 
     # lifted side, over the representatives of F^(n+1); the first of them
     # is the vertex e0 = (1, 0, ..., 0), the vector with index 1
     reps = np.flatnonzero(_rep_mask(fld, n + 1))
-    lifted = matmul_np(fld, _monomials_np(fld, n + 1)[reps], up.T) == 0
+    lifted = point_values_np(fld, n + 1, up, reps) == 0
     if not lifted[0, ok].all():
         raise InvariantViolation("a stacked lift over %s, dim %d, is nonzero "
                                  "at e0" % (fld.name, n))
 
     # hyperplane side: the annihilators of the hyperplanes through the
-    # tangent space at x at infinity are span(e0, (0, Bx)), so rhs holds
-    # (a0 : y) for y in F* Bx, x a base point, and e0: as the null cone is
-    # closed under F*, the y with rep(y) = rep(Bx), Bx != 0 where ok.
+    # tangent space at x at infinity are span(e0, (0, Bx)), so rhs holds e0
+    # and (a0 : y) for rep(y) = rep(Bx), x a base point (the null cone is F*
+    # closed).  B is invertible where ok: no two points x share a rep(Bx).
     rep = rep_of(fld, n)
     codes = rep[vector_index_np(fld, polar_images_np(fld, n, W, xs))]
     marked = np.zeros((q ** n, k), dtype=bool)

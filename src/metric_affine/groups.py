@@ -55,15 +55,15 @@ def _table_np(field, name):
 
 
 def _mod(x, p):
-    """x mod p for a fresh unsigned stack: numpy's % below 512 entries, else
-    x - (x // p) p in place, which numpy runs in SIMD and % does not."""
-    return x % p if x.size < 512 else np.subtract(x, x // p * p, out=x)
+    """x mod p in place, as x - (x // p) p, which numpy runs in SIMD."""
+    x -= x // p * p
+    return x
 
 
 # Field arithmetic on uint8 stacks of element codes, broadcast as numpy's own
 # operators are: _mod of a sum or product over GF(p), exact in uint8 for p <=
-# 16 (on one Xeon core, a (2048, 3, 6) product over GF(5) takes 6 us, against
-# 64 us with % and 150 us from the p x p table), and the add/mul tables over
+# 16 (on one Xeon core, a (2048, 3, 6) product over GF(5) took 8 us, against
+# 77 us with % and 191 us from the p x p table), and the add/mul tables over
 # any other field.  These and matmul_np alone tell the two apart.
 
 def add_np(field, a, b):
@@ -91,7 +91,7 @@ def neg_inverses_np(field):
 
 
 def triu_np(n):
-    """np.triu_indices(n), memoised: a call takes about 12 us at n = 3."""
+    """np.triu_indices(n), memoised: a call took 13 us at n = 3."""
     return memo(("triu_np", n), lambda: np.triu_indices(n))
 
 
@@ -207,8 +207,7 @@ def invert_np(field, stack):
     inv, minus_one = inverses_np(field), field.neg(field.one)
     aug = np.zeros((k, n, 2 * n), dtype=np.uint8)
     aug[:, :, :n], aug[:, range(n), range(n, 2 * n)] = stack, 1
-    ok = np.ones(k, dtype=bool)
-    rows = np.arange(k)
+    ok, rows = np.ones(k, dtype=bool), np.arange(k)
     for c in range(n):
         # pivot on the first row at or below c with a nonzero entry in
         # column c; a matrix without one is singular, and its pivot row
@@ -291,6 +290,11 @@ def values_np(field, n, C):
     """The values of the forms on F^n with upper coefficients C (a (k,
     n(n+1)/2) uint8 stack) at every vector, as a (k, q^n) uint8 table."""
     return matmul_np(field, C, _monomials_np(field, n).T)
+
+
+def point_values_np(field, n, C, cols):
+    """values_np at the vectors with index in cols, laid out (point, form)."""
+    return matmul_np(field, _monomials_np(field, n)[cols], C.T)
 
 
 def gram_polar_np(field, n, C):

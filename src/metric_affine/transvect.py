@@ -242,8 +242,7 @@ def _block_facts(field, n, maps, start):
     iso, weak = _isometries(field, n, narrow, moved, vals, rad)
     delta = N - N // q                                   # |Delta_f|
     dual = vector_index_np(field, mul_np(            # a, per form and f
-        field, neg_inverses_np(field)[vals][:, 1:, np.newaxis],
-        images[:, 1:]))
+        field, neg_inverses_np(field)[vals[:, 1:, np.newaxis]], images[:, 1:]))
     reflected = iso[np.arange(len(W))[:, np.newaxis], np.arange(N - 1),
                     slot[np.arange(N - 1), dual]]
     # a radical of dimension k has q^k vectors, more than q^i for i < k only

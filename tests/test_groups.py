@@ -254,31 +254,16 @@ PRIMES = [F for F in ENGINE_FIELDS if F.order == F.char]
 
 
 @pytest.mark.parametrize("F", PRIMES, ids=lambda F: F.name)
-def test_mod_matches_python_on_both_sides_of_its_threshold(F):
-    # every uint8 value below 512 entries (%) and tiled past them (x - (x //
-    # p) p in place), and every uint16 value, as matmul_np reduces
+def test_mod_matches_python(F):
+    # every uint8 value, every uint16 value as matmul_np reduces, and a
+    # numpy scalar, which x - (x // p) p rebinds instead of writing into
     p = F.order
     for x in (np.arange(256, dtype=np.uint8),
-              np.tile(np.arange(256, dtype=np.uint8), 4),
               np.arange(2 ** 16, dtype=np.uint16)):
         want = [v % p for v in x.tolist()]
         got = groups._mod(x.copy(), p)
         assert got.dtype == x.dtype and got.tolist() == want
-
-
-@pytest.mark.parametrize("F", ENGINE_FIELDS, ids=lambda F: F.name)
-def test_engine_arithmetic_on_large_stacks(F):
-    # the q x q tables of add_np and mul_np, repeated past 512 entries so
-    # that the sum or product takes _mod's in-place route over GF(p)
-    els = F.elements()
-    codes = np.arange(F.order, dtype=np.uint8)
-    reps = -(-512 // F.order ** 2)
-    a = np.broadcast_to(codes[:, np.newaxis], (reps, F.order, F.order))
-    b = codes[np.newaxis, :]
-    for got, op in ((add_np(F, a, b), F.add), (mul_np(F, a, b), F.mul)):
-        assert got.dtype == np.uint8 and got.size >= 512
-        want = [[op(x, y) for y in els] for x in els]
-        assert all(table == want for table in got.tolist())
+    assert groups._mod(np.uint8(255), p) == 255 % p
 
 
 @pytest.mark.parametrize("F", ENGINE_FIELDS, ids=lambda F: F.name)
