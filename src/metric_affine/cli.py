@@ -226,7 +226,9 @@ def cmd_verify_lemmas(args, em):
             inside += ok
             if not scaled_ok:
                 f = vec(fld, all_vectors(fld, n)[idx])
-                em.record({"record": "lemma-sweep", "ok": False})
+                em.record({"record": "lemma-sweep", "field": fld.name,
+                           "dim": n, "form": _form_rec(Q), "ok": False,
+                           "direction": [fld.to_json(x) for x in f.entries()]})
                 return em.verdict(False, [
                     "scaled transvection inside weak group: Q=%s f=%s"
                     % (poly_str(Q), _vec_str(f))])

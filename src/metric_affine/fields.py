@@ -20,41 +20,19 @@ from fractions import Fraction
 
 
 class Field:
-    """Common interface; concrete subclasses below are singletons."""
+    """Common interface.  Each concrete subclass below is a singleton that
+    supplies add, neg, mul, inv, coerce, zero, one and, if finite, elements."""
 
     name = "?"
     char = 0
     order = None  # None means infinite
     enumerable = False
 
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    @property
-    def zero(self):
-        return self.coerce(0)
-
-    @property
-    def one(self):
-        return self.coerce(1)
-
-    def coerce(self, x):
-        raise NotImplementedError
 
     def elements(self):
         """All field elements in canonical order (finite fields only)."""
@@ -178,6 +156,8 @@ class PrimePowerField(Field):
 
 class RationalField(Field):
     name = "Q"
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def add(self, a, b):
         return a + b

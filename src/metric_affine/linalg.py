@@ -21,7 +21,7 @@ class Singular(Exception):
 class Mat:
     """Immutable matrix over `field`; entries are raw field values."""
 
-    __slots__ = ("field", "rows", "nrows", "ncols", "_key", "_hash")
+    __slots__ = ("field", "rows", "nrows", "ncols")
 
     def __init__(self, field, rows, shape=None):
         rows = tuple(tuple(field.coerce(x) for x in row) for row in rows)
@@ -37,8 +37,6 @@ class Mat:
         self.rows = rows
         self.nrows = nrows
         self.ncols = ncols
-        self._key = (field.name, nrows, ncols, rows)
-        self._hash = hash(self._key)
 
     @classmethod
     def _trusted(cls, field, rows, nrows, ncols):
@@ -50,8 +48,6 @@ class Mat:
         self.rows = rows
         self.nrows = nrows
         self.ncols = ncols
-        self._key = (field.name, nrows, ncols, rows)
-        self._hash = hash(self._key)
         return self
 
     # --- constructors ------------------------------------------------------
@@ -69,10 +65,12 @@ class Mat:
     # --- basics ------------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Mat) and self._key == other._key
+        return (isinstance(other, Mat) and self.rows == other.rows
+                and self.shape == other.shape
+                and self.field.name == other.field.name)
 
     def __hash__(self):
-        return self._hash
+        return hash(self.rows)
 
     def __getitem__(self, ij):
         i, j = ij

@@ -4,9 +4,9 @@ Two Gram matrices describe the same form iff they agree on the diagonal and
 on the sums w_ij + w_ji of opposite off-diagonal entries, so we normalise
 once in the constructor: keep the diagonal, fold everything strictly below
 the diagonal into the upper part, and store that upper-triangular matrix.
-Form equality is then plain matrix equality.  Forms given by their upper
-coefficients (`from_upper`, `enumerate_forms`) are canonical already and
-skip the fold.
+Form equality is then plain matrix equality, and a form hashes by its Gram
+rows, the key the group memos use.  Forms given by their upper coefficients
+(`from_upper`, `enumerate_forms`) are canonical already and skip the fold.
 
 The polar form is B = W + W^T (always symmetric; alternating in
 characteristic 2), and D: V -> V* with matrix B is the induced linear map.
@@ -28,7 +28,7 @@ class NotReflectable(Exception):
 class QForm:
     """A quadratic form on F^n, held as its canonical Gram matrix."""
 
-    __slots__ = ("field", "n", "gram", "_hash", "_polar")
+    __slots__ = ("field", "n", "gram", "_polar")
 
     def __init__(self, field, gram):
         """From any Gram matrix: fold the part below the diagonal into the
@@ -53,7 +53,6 @@ class QForm:
         self.field = field
         self.n = n
         self.gram = Mat._trusted(field, rows, n, n)
-        self._hash = hash(("QForm", self.gram))
         self._polar = None
 
     @classmethod
@@ -94,7 +93,7 @@ class QForm:
         return isinstance(other, QForm) and self.gram == other.gram
 
     def __hash__(self):
-        return self._hash
+        return hash(self.gram.rows)
 
     def __repr__(self):
         return "QForm(%s, dim=%d, %s)" % (self.field.name, self.n, poly_str(self))

@@ -623,6 +623,18 @@ def test_verify_fail_paths_exit_1_without_pass(command, fmt, form_file,
                     else rec["ok"] is False)
 
 
+def test_failing_lemma_record_names_its_pair(capsys, cold_memo, monkeypatch):
+    # every pair fails under the patch, so the first one is named: the zero
+    # form and the direction (1), as the text FAIL line says
+    argv, module, name, wrong = FAIL_PATHS["lemmas"]
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    assert main(["--format", "records", "verify"] + argv) == EXIT_FAIL
+    assert json.loads(capsys.readouterr().out) == {
+        "record": "lemma-sweep", "field": "GF(3)", "dim": 1, "ok": False,
+        "form": {"dim": 1, "field": "GF(3)", "poly": "0", "upper": [0]},
+        "direction": [1]}
+
+
 @pytest.mark.invariant
 @pytest.mark.parametrize("fmt,out", [
     ("text", "FAIL: verified invariant violated: "

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metric_affine.fields import GF2, GF3, GF4, GF5, GF7, QQ
+from metric_affine.fields import GF2, GF3, GF4, GF5, GF7, QQ, PrimePowerField
 from metric_affine.linalg import Mat, vec
 from metric_affine.quadform import (QForm, all_vectors, enumerate_forms,
                                     form_from_text, form_position,
@@ -119,10 +119,37 @@ def test_enumerated_forms_match_general_route(F, n):
     for k, (Q, (coeffs, R)) in enumerate(zip(forms, general)):
         assert Q == R, (Q, R)
         assert hash(Q) == hash(R)
-        assert Q.gram._key == R.gram._key
+        assert ((Q.gram.field.name, Q.gram.shape, Q.gram.rows)
+                == (R.gram.field.name, R.gram.shape, R.gram.rows))
         assert Q.upper_coeffs() == R.upper_coeffs() == coeffs
         assert QForm.from_upper(F, n, Q.upper_coeffs()) == Q
         assert form_position(Q) == k
+
+
+def test_equality_and_hash_read_field_name_shape_and_rows():
+    assert Mat(GF2, [], (0, 2)) != Mat(GF2, [], (0, 3))
+    assert Mat(GF2, [[1, 0], [1, 1]]) != Mat(GF3, [[1, 0], [1, 1]])
+    assert QForm.from_upper(GF2, 2, (1, 1, 0)) \
+        != QForm.from_upper(GF3, 2, (1, 1, 0))
+    Q = QForm.from_upper(GF3, 2, (1, 1, 0))
+    assert Q != Q.gram and Q.gram != Q
+    # a field is named by its name: a second GF(3) gives equal matrices
+    A, B = Mat(PrimePowerField(3, (0, 1)), [[1, 2]]), Mat(GF3, [[1, 2]])
+    assert A == B and hash(A) == hash(B)
+    # one form by every route, over a finite field and over Q
+    Q5 = QForm.from_upper(GF5, 2, (1, 4, 2))
+    Qr = QForm.from_upper(QQ, 2, (Fraction(1, 2), 3, -3))
+    for routes in ([QForm(GF5, Mat(GF5, [[1, 1], [3, 2]])), Q5,
+                    next(R for R in enumerate_forms(GF5, 2)
+                         if R.upper_coeffs() == (1, 4, 2)), qf_scale(Q5, 1)],
+                   [QForm(QQ, Mat(QQ, [[Fraction(1, 2), 1], [2, -3]])), Qr,
+                    qf_scale(Qr, 1)]):
+        assert all(R == routes[0] for R in routes)
+        assert len({hash(R) for R in routes}) == 1
+    assert (type(QQ.zero), QQ.zero, type(QQ.one), QQ.one) \
+        == (Fraction, 0, Fraction, 1)
+    for F in (GF2, GF3, GF4, GF5, GF7, PrimePowerField(3, (1, 0, 1))):
+        assert (type(F.zero), F.zero, type(F.one), F.one) == (int, 0, int, 1)
 
 
 def test_form_position_past_int64():
