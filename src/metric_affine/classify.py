@@ -85,8 +85,9 @@ def verify_main_prop(fld, n, budget=None):
         if not is_nondegenerate(Q):
             continue
         checked += 1
+        lifted = lift(Q)
         for c in units:
-            Qt = qf_scale(lift(Q), c)
+            Qt = qf_scale(lifted, c)
             if not dyad_satisfies(Q, Qt, MODE_MOTION, budget):
                 failures.append((Q, c))
     return MainPropReport(fld.name, n, checked, len(units), tuple(failures))

@@ -31,12 +31,12 @@ Every stack holds integer element codes.  A form's tables come from its
 row of upper coefficients (QForm.upper_coeffs): gram_polar_np alone turns
 rows into Gram and polar stacks.  The add, mul and inverse tables are the
 field's own (fields.PrimePowerField).  The one float is inside matmul_np
-over GF(p): a float32 product of integers below 2^16, every step exact.
+over GF(p): numpy's @ on float32 integers, every partial sum below 2^16
+and so exact.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -123,38 +123,20 @@ def vector_index_np(field, X):
     return idx
 
 
-def _gemm_f32(A, B):
-    """A @ B in float32, as one BLAS product wherever one side is a single
-    matrix (its stack dimensions all 1): the other side's stack folds into
-    the rows, (..., r, k) @ (k, c), or the columns, (r, k) @ (k, ... c), of
-    the GEMM.  Only stack @ stack runs numpy's batched @.  The matrix @
-    stack result is a view in the GEMM's layout, not a contiguous copy."""
-    (r, k), c = A.shape[-2:], B.shape[-1]
-    a = np.ascontiguousarray(A, dtype=np.float32)
-    if math.prod(B.shape[:-2]) == 1:
-        return (a.reshape(math.prod(A.shape[:-1]), k)
-                @ np.ascontiguousarray(B, dtype=np.float32).reshape(k, c))
-    if math.prod(A.shape[:-2]) == 1:
-        b = np.ascontiguousarray(np.moveaxis(B, -2, 0), dtype=np.float32)
-        prod = a.reshape(r, k) @ b.reshape(k, math.prod(B.shape[:-2]) * c)
-        return np.moveaxis(prod.reshape((r,) + B.shape[:-2] + (c,)), 0, -2)
-    return a @ B.astype(np.float32)
-
-
 def matmul_np(field, A, B):
     """Exact matrix product of integer-coded stacks over a finite field, as
-    a uint8 stack broadcast as numpy's @ is.
+    a new C-contiguous uint8 stack broadcast as numpy's @ is.
 
-    Over GF(p) it is one float32 product (_gemm_f32), reduced mod p.  Every
+    Over GF(p) it is numpy's @ on float32 operands, reduced mod p.  Every
     entry is below p, so a partial sum is at most k (p - 1)^2 for inner
     dimension k; below 2^16 (ValueError otherwise) float32 holds every step
     exactly, whatever order BLAS adds in.  The product is cast to the
     narrowest unsigned type that holds k (p - 1)^2 and reduced by _mod.
     Over any other field it is a sum of add_np/mul_np terms."""
-    lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
-    (r, k), c = A.shape[-2:], B.shape[-1]
+    k = A.shape[-1]
     if field.order != field.char:
-        out = np.zeros(lead + (r, c), dtype=np.uint8)
+        lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+        out = np.zeros(lead + (A.shape[-2], B.shape[-1]), dtype=np.uint8)
         for i in range(k):
             out = add_np(field, out, mul_np(field, A[..., :, i, np.newaxis],
                                             B[..., np.newaxis, i, :]))
@@ -164,8 +146,9 @@ def matmul_np(field, A, B):
         raise ValueError("a product over %s with inner dimension %d can "
                          "reach %d, past the exact range below 2^16"
                          % (field.name, k, top))
-    out = _gemm_f32(A, B).astype(np.uint8 if top < 2 ** 8 else np.uint16)
-    return _mod(out.reshape(lead + (r, c)), p).astype(np.uint8, copy=False)
+    out = np.matmul(A.astype(np.float32), B.astype(np.float32))
+    out = out.astype(np.uint8 if top < 2 ** 8 else np.uint16)
+    return _mod(out, p).astype(np.uint8, copy=False)
 
 
 def mat_to_np(A):
@@ -527,7 +510,7 @@ def groups_by_orbit(field, n, group, budget=None):
             g = G.as_np()
             run = max(1, _RUN_ENTRIES // max(1, g.size))   # members per run
             for s in range(1, len(members), run):
-                conj = matmul_np(field, K[s:s + run],       # one GEMM
+                conj = matmul_np(field, K[s:s + run],   # K vec(g), all g
                                  g.reshape(len(g), n * n).T)
                 codes = np.sort(np.einsum("e,keo->ko", powers, conj), axis=1)
                 if (codes[:, 1:] == codes[:, :-1]).any():
@@ -626,11 +609,10 @@ def reflection_generation_status(Q, budget=None):
     (only over the two-element field); the two verdicts must agree, and a
     disagreement raises instead of being swallowed.
     """
-    field, n = Q.field, Q.n
+    weak = weak_orthogonal_group(Q, budget)     # the budget, before any table
     vals = form_values_np(Q)
     refs = _reflections_np(Q, vals)[vals != 0]
-    gen = closure(field, n, refs, budget)
-    weak = weak_orthogonal_group(Q, budget)
+    gen = closure(Q.field, Q.n, refs, budget)
     if not is_subgroup(gen, weak):
         raise InvariantViolation("reflection closure escaped O'")
     generates = group_equal(gen, weak)

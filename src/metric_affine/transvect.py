@@ -28,9 +28,9 @@ import numpy as np
 
 from .budget import (_MEMO, HARD_BUDGET_CEILING, InvariantViolation, memo,
                      require)
-from .groups import (GroupSet, _gemm_f32, add_np, form_block_np,
-                     gram_polar_np, matmul_np, mul_np, neg_inverses_np,
-                     polar_images_np, values_np, vector_index_np, vectors_np)
+from .groups import (GroupSet, add_np, form_block_np, gram_polar_np,
+                     matmul_np, mul_np, neg_inverses_np, polar_images_np,
+                     values_np, vector_index_np, vectors_np)
 from .linalg import Mat, outer, pairing, vec
 from .quadform import QForm, all_vectors, form_position
 
@@ -211,15 +211,18 @@ def _block_forms(maps):
     return max(1, 2 ** 21 // maps[0].size)
 
 
-def _isometries(field, n, narrow, moved, vals, rad):
+def _isometries(narrow, moved, vals, rad):
     """(iso, weak)[form, f - 1, map]: the maps that preserve each form, by
     its values vals, and those that also move no x with Bx = 0 (its radical
     mask rad).  The values at the e_i and e_i + e_j fix a form, as
-    B(e_i, e_j) = Q(e_i + e_j) - Q(e_i) - Q(e_j); a radical {o} is fixed."""
+    B(e_i, e_j) = Q(e_i + e_j) - Q(e_i) - Q(e_j); a radical {o} is fixed.
+    The moved radical vectors are counted by a float32 @, exact as a count
+    is at most q^n < 2^15 (narrow's int16)."""
     # narrow[0, 0], the identity (f = e_1, a = o), holds e_i and e_i + e_j
     iso = (vals[:, narrow] == vals[:, narrow[:1, :1]]).all(axis=3)
     weak, deg = iso.copy(), rad[:, 1:].any(axis=1)
-    weak[deg] &= _gemm_f32(rad[deg], moved.T).reshape(-1, *iso.shape[1:]) == 0
+    weak[deg] &= (rad[deg].astype(np.float32) @ moved.T.astype(np.float32)
+                  ).reshape(-1, *iso.shape[1:]) == 0
     return iso, weak
 
 
@@ -239,7 +242,7 @@ def _block_facts(field, n, maps, start):
     vals = values_np(field, n, W)
     images = polar_images_np(field, n, W)                 # row x: B x
     rad = ~images.any(axis=2)
-    iso, weak = _isometries(field, n, narrow, moved, vals, rad)
+    iso, weak = _isometries(narrow, moved, vals, rad)
     delta = N - N // q                                   # |Delta_f|
     dual = vector_index_np(field, mul_np(            # a, per form and f
         field, neg_inverses_np(field)[vals[:, 1:, np.newaxis]], images[:, 1:]))
@@ -288,10 +291,9 @@ def lemma_record(Q, budget=None):
         rows, budget)[2]
     record = records.get(Q.gram.rows)
     if record is None:
-        maps = _rank_one_maps(field, n, budget)
-        row = form_position(Q) % _block_forms(maps)
+        maps, position = _rank_one_maps(field, n, budget), form_position(Q)
         records.update((R.gram.rows, got) for R, got in _lemma_block(
-            field, n, maps, form_position(Q) - row))
+            field, n, maps, position - position % _block_forms(maps)))
         record = records[Q.gram.rows]
     return record
 

@@ -337,6 +337,7 @@ def test_matmul_np_agrees_with_mat(F):
         got = matmul_np(F, a, b)
         want = _mat_product(F, a, b)
         assert got.dtype == np.uint8 and got.shape == want.shape, (sa, sb)
+        assert got.flags.c_contiguous, (sa, sb)
         assert (got == want).all(), (sa, sb)
     # transposed (non-contiguous) operands on each side, as congruence_codes
     # passes G^T
@@ -543,13 +544,16 @@ def test_memo_gates_every_read(cold_memo, monkeypatch):
 def test_budget_checked_before_memo_lookup():
     # |GL_2(3)| = 48, and the rank-one map table of GF(3)^2 has 88 rows: a
     # memoised result must not slip past a smaller budget.  motion_group_dual
-    # memoises nothing; it meets the gate of the orbit table it reads.
+    # memoises nothing; it meets the gate of the orbit table it reads, and
+    # reflection_generation_status meets O'(Q)'s before its closure (of
+    # order 8) runs.
     Q = QForm.from_upper(GF3, 2, (1, 0, 1))
     calls = ((48, lambda b: enumerate_gl(GF3, 2, budget=b)),
              (48, lambda b: groups_by_orbit(GF3, 2, orthogonal_group,
                                             budget=b)),
              (48, lambda b: orthogonal_group(Q, budget=b)),
              (48, lambda b: weak_orthogonal_group(Q, budget=b)),
+             (48, lambda b: reflection_generation_status(Q, budget=b)),
              (48, lambda b: motion_group_dual(Q, False, budget=b)),
              (48, lambda b: motion_group_dual(Q, True, budget=b)),
              (48, lambda b: weak_group_index(GF3, 2, budget=b)),

@@ -597,7 +597,7 @@ def test_narrow_gather_matches_full_gather(F, n):
         W = form_block_np(F, n, start, min(step, forms - start))
         vals = values_np(F, n, W)
         rad = ~polar_images_np(F, n, W).any(axis=2)
-        iso, weak = transvect._isometries(F, n, narrow, moved, vals, rad)
+        iso, weak = transvect._isometries(narrow, moved, vals, rad)
         want_iso, want_weak = _full_gather(F, n, table, vals, rad)
         assert (iso == want_iso).all() and (weak == want_weak).all()
         not_iso += (~want_iso).sum()
@@ -610,12 +610,12 @@ def test_narrow_gather_matches_full_gather(F, n):
                          ids=lambda v: getattr(v, "name", v))
 def test_weak_mask_matches_the_boolean_product(F, n, monkeypatch):
     # _isometries counts the radical vectors each map moves by one float32
-    # GEMM; on every block of a sweep, its weak mask equals the mask from
+    # product; on every block of a sweep, its weak mask equals the mask from
     # numpy's boolean product of the same tables
     real, forms = transvect._isometries, []
 
-    def checked(field, n, narrow, moved, vals, rad):
-        iso, weak = real(field, n, narrow, moved, vals, rad)
+    def checked(narrow, moved, vals, rad):
+        iso, weak = real(narrow, moved, vals, rad)
         want, deg = iso.copy(), rad[:, 1:].any(axis=1)
         want[deg] &= ~(rad[deg] @ moved.T).reshape(-1, *iso.shape[1:])
         assert weak.dtype == bool and (weak == want).all()
@@ -671,11 +671,11 @@ def _wrong_sign(real):
 
 
 def _annihilators_outside_weak(real):
-    def wrong(field, n, narrow, moved, vals, rad):
-        iso, weak = real(field, n, narrow, moved, vals, rad)
-        N = field.order ** n
+    def wrong(narrow, moved, vals, rad):
+        iso, weak = real(narrow, moved, vals, rad)
+        N = vals.shape[1]                           # q^n, over GF(3) here
         weak = weak.copy()
-        weak[..., N - N // field.order:N] = False   # the annihilator maps
+        weak[..., N - N // 3:N] = False             # the annihilator maps
         return iso, weak
     return wrong
 
