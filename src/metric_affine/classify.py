@@ -21,7 +21,7 @@ import numpy as np
 from .budget import InvariantViolation, group_budget, memo, order_gl, require
 from .groups import (GroupSet, form_block_np, form_values_np, group_equal,
                      groups_by_orbit, inverses_np, is_subgroup, matmul_np,
-                     mul_np, orthogonal_group, point_values_np,
+                     matrix_codes, mul_np, orthogonal_group, point_values_np,
                      polar_images_np, vector_index_np, vectors_np,
                      weak_orthogonal_group)
 from .homog import (DegeneratePolarForm, NotDroppable, drop, lift, lift_np,
@@ -389,7 +389,7 @@ def projective_reduce(gs):
             return gs
         A = gs.as_np()
         flat = _projective_canon_np(fld, A.reshape(len(A), n * n))
-        return GroupSet.from_np(fld, n, flat.reshape(A.shape))
+        return GroupSet(fld, n, matrix_codes(fld, flat.reshape(A.shape)))
     return memo(("projective_reduce", fld.name, n, gs.key), build)
 
 

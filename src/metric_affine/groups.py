@@ -314,9 +314,9 @@ class GroupSet:
     """An immutable set of invertible n x n matrices over a finite field.
 
     Elements are kept as `elems`, a sorted, duplicate-free int64 array of
-    matrix codes; two GroupSets over the same (field, n) are equal iff their
-    `key`s, the arrays' bytes, are equal.  Group axioms are not assumed by
-    the container.
+    matrix codes; sets over one (field, n) are equal iff their `key`s are.
+    Group axioms are not assumed.  from_np checks the matrices it is given;
+    the engine's own GroupSet(field, n, codes) and from_sorted check nothing.
     """
 
     __slots__ = ("field", "n", "elems")
@@ -342,13 +342,20 @@ class GroupSet:
 
     @classmethod
     def from_np(cls, field, n, arr):
+        """A (k, n, n) integer stack, k >= 0, read as Field.coerce reads
+        integers (Mat rows will do); ValueError unless each is invertible."""
+        _code_powers(field, n)      # Q, then an n too large for int64 codes
+        arr = np.asarray(arr)
+        if arr.ndim == 1 and not arr.size:          # [] reads as float
+            arr = arr.astype(np.int64).reshape(0, n, n)
+        if arr.dtype.kind in "iu" and field.order == field.char:
+            arr = arr % field.order
+        if (arr.dtype.kind not in "iu" or arr.shape[1:] != (n, n)
+                or ((arr < 0) | (arr >= field.order)).any()
+                or not invert_np(field, arr.astype(np.uint8))[0].all()):
+            raise ValueError("a GroupSet over %s takes a (k, %d, %d) stack of"
+                             " invertible integer matrices" % (field.name, n, n))
         return cls(field, n, matrix_codes(field, arr))
-
-    @classmethod
-    def from_mats(cls, field, n, mats):
-        arr = [mat_to_np(A) for A in mats]
-        return cls.from_np(field, n, np.array(arr, dtype=np.uint8)
-                           .reshape(len(arr), n, n))
 
     @property
     def order(self):
@@ -529,12 +536,11 @@ def groups_by_orbit(field, n, group, budget=None):
 def closure(field, n, generators, budget=None):
     """Smallest GroupSet containing the generators, by BFS saturation.
 
-    `generators` is a (k, n, n) integer stack.  The ambient (field, n) is
-    explicit so that an empty generating set still has a home; the result is
-    then just {identity}.
+    `generators` is a (k, n, n) integer stack, read by GroupSet.from_np; the
+    explicit (field, n) gives no generators a home, and then {identity}.
     """
     budget = group_budget() if budget is None else budget
-    gens = np.asarray(generators, dtype=np.uint8)
+    gens = GroupSet.from_np(field, n, generators).as_np()
     frontier = np.eye(n, dtype=np.uint8)[np.newaxis]
     seen = matrix_codes(field, frontier)
     while len(frontier) and len(gens):

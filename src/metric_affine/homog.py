@@ -292,7 +292,7 @@ def motion_group_dual(Q, weak, budget=None):
     out[..., 0, 0] = 1
     out[..., 0, 1:] = S
     out[..., 1:, 1:] = linear.as_np().transpose(0, 2, 1)[:, np.newaxis]
-    out = groups.GroupSet.from_np(F, n + 1, out.reshape(-1, n + 1, n + 1))
+    out = groups.GroupSet(F, n + 1, groups.matrix_codes(F, out).ravel())
     if out.order != (F.order ** n) * linear.order:
         raise InvariantViolation("motion group of %s has repeated elements"
                                  % poly_str(Q))

@@ -14,10 +14,11 @@ per (field, n) holds every rank-one map they test (_rank_one_maps).  The
 records of a block of consecutive forms are built at once from the block's
 coefficient stack (_lemma_block), testing each map on the n(n+1)/2 vectors
 whose values fix a form, and judged once per distinct set of facts.
-lemma_record keeps them in one memo table per (field, n), with the index
-of F^n: a warm (Q, f) query finds f's index there (one dict read for a
-tuple of ints), checks the budget, then reads Q's record.  lemma_records
-hands them out in form order and keeps none.  The budget bounds the map rows.
+_answers alone reads and fills one memo table per (field, n), with the index
+of F^n: a (Q, f) query finds f's index there (one dict read for a tuple of
+ints; any other f is checked by _direction first), checks the budget, then
+reads Q's record, adding its block's on a miss.  lemma_records hands them
+out in form order and keeps none.  The budget bounds the map rows.
 """
 
 from __future__ import annotations
@@ -92,9 +93,9 @@ def delta_group(field, n, f):
         f = vec(field, x)
         minus_one = field.neg(field.one)
         duals = [vec(field, a) for a in all_vectors(field, n)]
-        return GroupSet.from_mats(field, n, [delta_make(a, f).matrix
-                                             for a in duals
-                                             if pairing(a, f) != minus_one])
+        return GroupSet.from_np(field, n, [delta_make(a, f).matrix.rows
+                                           for a in duals
+                                           if pairing(a, f) != minus_one])
     return memo(("delta_group", field.name, n, x), build)
 
 
@@ -279,25 +280,6 @@ def _lemma_block(field, n, maps, start):
             for R, row in zip(forms, inverse.reshape(len(W), -1).tolist())]
 
 
-def lemma_record(Q, budget=None):
-    """Q's lemma record (_lemma_block), behind the gate of the map rows on
-    every read.  The lemma table of (field, n), memoised, is (map rows,
-    vector index of F^n, records by Q.gram.rows); a cold read adds its
-    block's records to it."""
-    field, n = Q.field, Q.n
-    rows = _map_rows(field, n)
-    records = memo(("_lemma_table", field.name, n), lambda: (
-        rows, {x: i for i, x in enumerate(all_vectors(field, n))}, {}),
-        rows, budget)[2]
-    record = records.get(Q.gram.rows)
-    if record is None:
-        maps, position = _rank_one_maps(field, n, budget), form_position(Q)
-        records.update((R.gram.rows, got) for R, got in _lemma_block(
-            field, n, maps, position - position % _block_forms(maps)))
-        record = records[Q.gram.rows]
-    return record
-
-
 def lemma_records(field, n, budget=None):
     """(Q, Q's lemma record) for every form Q on F^n in enumerate_forms
     order, a block at a time, memoising none; the map rows meet the budget
@@ -312,23 +294,32 @@ def lemma_records(field, n, budget=None):
 
 def _answers(Q, f, budget):
     """(DirectionCase, (inside, tag), scaled_ok) for the pair (Q, f): Q's
-    record at the vector index of f, sum_i f_i q^i.  A warm read is one
-    read of the lemma table: a tuple of ints finds its index there, the
-    budget is read and checked, then the record is read once."""
+    lemma record (_lemma_block) at the vector index of f.  The lemma table
+    of (field, n) is (map rows, vector index of F^n, records by
+    Q.gram.rows), gated by the map rows on every read.  A warm read of a
+    tuple of ints is one index read, the budget check and one record read."""
     field, n = Q.field, Q.n
-    table = _MEMO.get(("_lemma_table", field.name, n))
+    key = ("_lemma_table", field.name, n)
+    table = _MEMO.get(key)
     ints = table is not None and type(f) is tuple
     for c in f if ints else ():  # before the read: 1.0 finds 1, [1] won't hash
         ints = ints and type(c) is int
     idx = table[1].get(f, 0) if ints else 0
     if not idx:     # raises for a zero or misshapen f, before the budget
-        x = _direction(field, n, f)
-        idx = sum(c * field.order ** i for i, c in enumerate(x)) \
-            if field.enumerable else 0
+        f = _direction(field, n, f)
     if table is None:
-        return lemma_record(Q, budget)[idx]
-    require(table[0], budget)           # on every read, before the lookup
-    return (table[2].get(Q.gram.rows) or lemma_record(Q, budget))[idx]
+        rows = _map_rows(field, n)
+        table = memo(key, lambda: (rows, {x: i for i, x in enumerate(
+            all_vectors(field, n))}, {}), rows, budget)
+    else:
+        require(table[0], budget)       # on every read, before the lookup
+    record = table[2].get(Q.gram.rows)
+    if record is None:
+        maps, position = _rank_one_maps(field, n, budget), form_position(Q)
+        table[2].update((R.gram.rows, got) for R, got in _lemma_block(
+            field, n, maps, position - position % _block_forms(maps)))
+        record = table[2][Q.gram.rows]
+    return record[idx or table[1][f]]
 
 
 def classify_direction(Q, f, budget=None):

@@ -20,8 +20,8 @@ from metric_affine.classify import (MODE_MOTION, MODE_WEAK, MODES,
                                     weak_group_index)
 from metric_affine.fields import GF2, GF3, GF4, GF5, GF7, QQ, PrimePowerField
 from metric_affine.groups import (GroupSet, enumerate_gl, form_values_np,
-                                  group_equal, groups_by_orbit, matmul_np,
-                                  orthogonal_group, vectors_np,
+                                  group_equal, groups_by_orbit, mat_to_np,
+                                  matmul_np, orthogonal_group, vectors_np,
                                   weak_orthogonal_group)
 from metric_affine.homog import (DegeneratePolarForm, lift,
                                  motion_group_dual)
@@ -379,7 +379,7 @@ def _per_matrix_projective_reduce(gs):
         scaled = projective_rep(fld, A.ravel().tolist())
         out.append(Mat(fld, [scaled[i * n:(i + 1) * n] for i in range(n)],
                        (n, n)))
-    return GroupSet.from_mats(fld, n, out)
+    return GroupSet.from_np(fld, n, [mat_to_np(A) for A in out])
 
 
 def test_projective_reduce_matches_per_matrix_route():

@@ -11,7 +11,7 @@ from metric_affine.budget import (DEFAULT_BUDGET, HARD_BUDGET_CEILING,
                                   BadBudgetVariable, BudgetExceeded,
                                   clamp_budget, group_budget, order_gl)
 from metric_affine.classify import weak_group_index
-from metric_affine.fields import GF2, GF3, GF4, GF5, GF7
+from metric_affine.fields import GF2, GF3, GF4, GF5, GF7, QQ
 from metric_affine.groups import (GroupSet, _exceptional_shape, add_np,
                                   closure, enumerate_gl,
                                   form_values_np, gram_polar_np, group_equal,
@@ -189,8 +189,8 @@ def test_mask_route_matches_literal_filter():
     # per-matrix filter must build the same group
     G = [Mat(GF3, A.tolist()) for A in enumerate_gl(GF3, 2).as_np()]
     for Q in enumerate_forms(GF3, 2)[:9]:
-        literal = GroupSet.from_mats(
-            GF3, 2, [A for A in G if is_isometry(Q, A)])
+        literal = GroupSet.from_np(
+            GF3, 2, [A.rows for A in G if is_isometry(Q, A)])
         assert group_equal(orthogonal_group(Q), literal)
         assert _isometry_mask(Q).sum() == literal.order
 
@@ -220,8 +220,8 @@ def test_codes_round_trip_in_lexicographic_order(F, n):
 def test_groupset_equality_and_hash():
     Q = QForm.from_upper(GF3, 2, (1, 0, 1))
     g1 = orthogonal_group(Q)
-    g2 = GroupSet.from_mats(GF3, 2, [Mat(GF3, A.tolist())
-                                     for A in g1.as_np()[::-1]])
+    g2 = GroupSet.from_np(GF3, 2, [Mat(GF3, A.tolist()).rows
+                                   for A in g1.as_np()[::-1]])
     assert g1 == g2 and hash(g1) == hash(g2)
     assert g1 != weak_orthogonal_group(QForm.zero(GF3, 2))
     with pytest.raises(ValueError):
@@ -441,6 +441,50 @@ def test_closure_generates_subgroup():
 
 def test_closure_of_nothing_is_identity():
     assert closure(GF3, 2, []).order == 1
+
+
+NOT_A_STACK = "invertible integer matrices"      # from_np's refusal
+DOOR_CASES = {
+    # refused, with the message of the refusal
+    "float": (GF3, 1, np.array([[[1.5]]]), NOT_A_STACK),
+    "1x1-at-n=2": (GF3, 2, [[[1]]], NOT_A_STACK),
+    "GF4-code-4": (GF4, 1, [[[4]]], NOT_A_STACK),
+    "GF4-code--1": (GF4, 1, [[[-1]]], NOT_A_STACK),
+    "zero-matrix": (GF3, 1, [[[0]]], NOT_A_STACK),
+    "GF7-5x5": (GF7, 5, np.eye(5, dtype=np.int64)[np.newaxis],
+                "do not fit an int64 code"),
+    "over-Q": (QQ, 1, [[[1]]], "is not enumerable"),
+    # accepted, with the matrices the set holds and its closure's order
+    "GF3-code-5": (GF3, 1, [[[5]]], ([[[2]]], 2)),
+    "GF3-code--1": (GF3, 1, [[[-1]]], ([[[2]]], 2)),
+    "none": (GF3, 2, [], ([], 1)),
+    "GL0": (GF3, 0, np.zeros((1, 0, 0), dtype=np.uint8), ([[]], 1)),
+    "Mat-rows": (GF3, 2, [Mat(GF3, [[0, 1], [1, 0]]).rows],
+                 ([[[0, 1], [1, 0]]], 2)),
+}
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("case", DOOR_CASES)
+@pytest.mark.parametrize("door", [GroupSet.from_np, closure],
+                         ids=["from_np", "closure"])
+def test_matrices_enter_a_group_set_as_the_readme_reads_them(door, case):
+    # entries are integers, read mod p over GF(p) and 0..q-1 over GF(4),
+    # and every matrix is invertible; Q is refused before anything else
+    F, n, stack, want = DOOR_CASES[case]
+    if isinstance(want, str):
+        with pytest.raises(NotImplementedError if F is QQ else ValueError,
+                           match=want):
+            door(F, n, stack)
+        return
+    held, closure_order = want
+    clean = np.array(held, dtype=np.uint8).reshape(len(held), n, n)
+    got = door(F, n, stack)
+    if door is closure:
+        assert got == closure(F, n, clean) and got.order == closure_order
+    else:
+        assert got.as_np().tolist() == held
+        assert got.elems.tolist() == matrix_codes(F, clean).tolist()
 
 
 @pytest.mark.parametrize("budget,required,charged", [

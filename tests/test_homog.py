@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from metric_affine import groups, homog
 from metric_affine.budget import InvariantViolation
 from metric_affine.fields import GF2, GF3, GF4, GF5, GF7, QQ
-from metric_affine.groups import (GroupSet, enumerate_gl, orthogonal_group,
-                                  weak_orthogonal_group)
+from metric_affine.groups import (GroupSet, enumerate_gl, mat_to_np,
+                                  orthogonal_group, weak_orthogonal_group)
 from metric_affine.homog import (AffineMap, DegeneratePolarForm, NotDroppable,
                                  affine_reflection, drop, dual_matrix,
                                  dual_matrix_preimage, lift, lift_np,
@@ -244,8 +244,8 @@ def test_motion_group_matches_per_motion_dual_matrices(F, n):
     for Q in enumerate_forms(F, n):
         for weak in (False, True):
             linear = (weak_orthogonal_group if weak else orthogonal_group)(Q)
-            want = GroupSet.from_mats(F, n + 1, [
-                dual_matrix(AffineMap(t, A))
+            want = GroupSet.from_np(F, n + 1, [
+                mat_to_np(dual_matrix(AffineMap(t, A)))
                 for A in (Mat(F, a.tolist(), (n, n)) for a in linear.as_np())
                 for t in translations])
             assert motion_group_dual(Q, weak) == want, (Q, weak)

@@ -256,6 +256,35 @@ def test_lemma_queries_memoise_one_table_per_field_and_dim(cold_memo):
     assert len(cold_memo[lemma_keys[0]][2]) == 27     # the records
 
 
+@pytest.mark.invariant
+def test_warm_lemma_reads_touch_nothing_but_the_table(cold_memo, monkeypatch):
+    # after one cold query on GF(3)^2, every warm query reads the lemma
+    # table alone, whether f is a tuple, a list, a column or an alias mod 3,
+    # and answers as the records built block by block do; the table's gate
+    # still refuses a budget one below its 88 map rows
+    index = {x: i for i, x in enumerate(all_vectors(GF3, 2))}
+    want = {(Q, x): record[index[x]][0]
+            for Q, record in transvect.lemma_records(GF3, 2)
+            for x in nonzero_vectors(GF3, 2)}
+    classify_direction(QForm.zero(GF3, 2), (1, 0))          # the cold query
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("a warm lemma read built or gated again")
+    for name in ("memo", "_map_rows", "_rank_one_maps", "form_position",
+                 "_lemma_block"):
+        monkeypatch.setattr(transvect, name, rebuilt)
+    spellings = (tuple, list, lambda x: vec(GF3, x),
+                 lambda x: tuple(c + 3 for c in x))
+    for (Q, x), case in want.items():
+        for spell in spellings:
+            assert classify_direction(Q, spell(x)) == case, (Q, spell(x))
+    monkeypatch.setenv("METRIC_AFFINE_BUDGET", "87")
+    for spell in spellings:
+        with pytest.raises(BudgetExceeded) as refused:
+            classify_direction(QForm.zero(GF3, 2), spell((1, 2)))
+        assert (refused.value.required, refused.value.budget) == (88, 87)
+
+
 @pytest.mark.parametrize("budget", [None, 1])
 def test_lemma_functions_name_the_first_bad_coordinate(budget):
     # over GF(4) both 5 and 4 are outside the codes 0..3; 5 comes first
@@ -348,9 +377,9 @@ def delta_orth(Q, f):
         f = vec(field, f)
     rad = radical_basis(Q)
     isos = [A for _a, A in _delta_maps(field, n, f) if is_isometry(Q, A)]
-    return (GroupSet.from_mats(field, n, isos),
-            GroupSet.from_mats(field, n, [A for A in isos
-                                          if _fixes_radical(rad, A)]))
+    return (GroupSet.from_np(field, n, [A.rows for A in isos]),
+            GroupSet.from_np(field, n, [A.rows for A in isos
+                                        if _fixes_radical(rad, A)]))
 
 
 def _per_map_inputs(Q, fv):
@@ -552,7 +581,7 @@ def test_lemma_record_refuses_dimension_zero(F, cold_memo):
     # field, where the table build used to fail inside numpy
     with pytest.raises(ValueError,
                        match=re.escape("dimension 0 over %s" % F.name)):
-        transvect.lemma_record(QForm.from_upper(F, 0, ()))
+        next(transvect.lemma_records(F, 0))
     with pytest.raises(ValueError, match="dimension 0"):
         transvect._rank_one_maps(F, 0)
 
