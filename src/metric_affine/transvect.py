@@ -313,8 +313,9 @@ def _answers(Q, f, budget):
             all_vectors(field, n))}, {}), rows, budget)
     else:
         require(table[0], budget)       # on every read, before the lookup
-    record = table[2].get(Q.gram.rows)
-    if record is None:
+    try:
+        record = table[2][Q.gram.rows]
+    except KeyError:        # a form not queried before adds its block
         maps, position = _rank_one_maps(field, n, budget), form_position(Q)
         table[2].update((R.gram.rows, got) for R, got in _lemma_block(
             field, n, maps, position - position % _block_forms(maps)))

@@ -220,8 +220,7 @@ def test_codes_round_trip_in_lexicographic_order(F, n):
 def test_groupset_equality_and_hash():
     Q = QForm.from_upper(GF3, 2, (1, 0, 1))
     g1 = orthogonal_group(Q)
-    g2 = GroupSet.from_np(GF3, 2, [Mat(GF3, A.tolist()).rows
-                                   for A in g1.as_np()[::-1]])
+    g2 = GroupSet.from_np(GF3, 2, g1.as_np()[::-1])
     assert g1 == g2 and hash(g1) == hash(g2)
     assert g1 != weak_orthogonal_group(QForm.zero(GF3, 2))
     with pytest.raises(ValueError):
