@@ -18,12 +18,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import InvariantViolation, group_budget, memo, order_gl, require
-from .groups import (GroupSet, form_block_np, form_values_np, group_equal,
-                     groups_by_orbit, inverses_np, is_subgroup, matmul_np,
-                     matrix_codes, mul_np, orthogonal_group, point_values_np,
-                     polar_images_np, vector_index_np, vectors_np,
-                     weak_orthogonal_group)
+from .budget import (_MEMO, InvariantViolation, group_budget, memo, order_gl,
+                     require)
+from .groups import (GroupSet, form_block_np, form_values_np, gram_polar_np,
+                     group_equal, groups_by_orbit, inverses_np, is_subgroup,
+                     matmul_np, matrix_codes, mul_np, orthogonal_group,
+                     point_values_np, polar_images_np, vector_index_np,
+                     vectors_np, weak_orthogonal_group)
 from .homog import (DegeneratePolarForm, NotDroppable, drop, lift, lift_np,
                     motion_group_dual)
 from .quadform import (QForm, enumerate_forms, form_position,
@@ -490,13 +491,17 @@ class QuadricReport(NamedTuple):
 
 # the statuses a block of the quadric table codes as 0 .. 3
 _BLOCK_STATUSES = ("ok", "empty-quadric", "degenerate-polar", "mismatch")
-# value-table entries per block: 2,048 forms at GF(5)^3, proportionally
+# value-table entries per block: 2,045 forms at GF(5)^3, proportionally
 # fewer where F^(n+1) is larger, so that one check pays for a bounded block
 _BLOCK_ENTRIES = 2048 * 5 ** 4
 
 
 def _block_size(fld, n):
-    return max(1, _BLOCK_ENTRIES // fld.order ** (n + 1))
+    """Forms per block of the quadric table: _BLOCK_ENTRIES / q^(n+1),
+    rounded down to a positive multiple of q, so that no run of q forms
+    that differ only in their last coefficient straddles two blocks."""
+    q = fld.order
+    return q * max(1, _BLOCK_ENTRIES // q ** (n + 2))
 
 
 def _quadric_block(fld, n, block):
@@ -568,6 +573,21 @@ def _quadric_block(fld, n, block):
     return tuple(reports)
 
 
+def _quadric_runs(fld, n, block):
+    """(key, reports) for each run of q consecutive forms in one block of
+    the quadric table: key is the Gram rows but the last that the run's
+    forms share, built from the block's own coefficient stack, and reports
+    their q reports (_quadric_block) by last coefficient.  The keys of a
+    block share their row tuples."""
+    q = fld.order
+    reports = _quadric_block(fld, n, block)
+    W = form_block_np(fld, n, block * _block_size(fld, n), len(reports))
+    shared = {}
+    keys = [tuple(shared.setdefault(row, row) for row in map(tuple, gram))
+            for gram in gram_polar_np(fld, n, W[::q])[0][:, :-1].tolist()]
+    return zip(keys, (reports[i:i + q] for i in range(0, len(reports), q)))
+
+
 def quadric_duality_check(Q):
     """The lifted quadric equals the annihilators of the hyperplanes that
     contain a maximal tangent space of the base quadric at infinity.
@@ -575,8 +595,10 @@ def quadric_duality_check(Q):
     Verified point by point in both directions (the distinguished vertex is
     left out on the lifted side, and re-checked separately against the
     hyperplane at infinity).  Characteristic 2 is excluded by design: the
-    description is not established there.  The report is one memo read of
-    a table per (field, n), built in blocks of consecutive forms.
+    description is not established there.  A warm check is two dict reads
+    and one index: the table of (field, n) maps the Gram rows but the last
+    that a run of q forms share to the run's reports, by last coefficient.
+    A form not queried before adds the runs of its block.
     """
     fld, n = Q.field, Q.n
     if not fld.enumerable:
@@ -586,6 +608,13 @@ def quadric_duality_check(Q):
         return QuadricReport(fld.name, n, "char-2-excluded", 0, 0, 0, ())
     if n < 2:
         return QuadricReport(fld.name, n, "dim-too-small", 0, 0, 0, ())
-    block, row = divmod(form_position(Q), _block_size(fld, n))
-    return memo(("_quadric_block", fld.name, n, block),
-                lambda: _quadric_block(fld, n, block))[row]
+    key, rows = ("_quadric_table", fld.name, n), Q.gram.rows
+    table = _MEMO.get(key)
+    if table is None:
+        table = memo(key, dict)
+    try:
+        return table[rows[:-1]][rows[-1][-1]]
+    except KeyError:        # a form not queried before adds its block
+        table.update(_quadric_runs(
+            fld, n, form_position(Q) // _block_size(fld, n)))
+        return table[rows[:-1]][rows[-1][-1]]

@@ -9,6 +9,7 @@ stable field names.
 
 import argparse
 import json
+import os
 import sys
 
 from .budget import (BadBudgetVariable, BudgetExceeded, HARD_BUDGET_CEILING,
@@ -430,6 +431,10 @@ def _build_parser():
 
 
 def main(argv=None):
+    # one OpenBLAS thread unless the user asks for more: numpy, which the
+    # group commands load later, reads the variable when it loads, and its
+    # threaded products of these small stacks cost more than they save
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = _build_parser().parse_args(argv)
     if args.budget is not None:
         args.budget = clamp_budget(args.budget)

@@ -571,7 +571,7 @@ def test_quadric_table_matches_per_form_route(F, n, cold_memo):
 
 def test_warm_quadric_queries_build_no_block(cold_memo, monkeypatch):
     # a cold sweep of the 15,625 forms of GF(5)^3 builds each of its 8
-    # blocks of 2,048 forms once; a second sweep builds none
+    # blocks of 2,045 forms (409 runs of 5) once; a second sweep builds none
     real, builds = classify._quadric_block, []
 
     def recording(fld, n, block):
@@ -584,6 +584,40 @@ def test_warm_quadric_queries_build_no_block(cold_memo, monkeypatch):
     assert [quadric_duality_check(Q) for Q in forms] == first
     assert len(builds) == 8
 
+
+
+@pytest.mark.invariant
+def test_warm_quadric_reads_touch_nothing_but_the_table(cold_memo,
+                                                        monkeypatch):
+    # after one cold pass over GF(5)^3 and GF(9)^2, every form reads the
+    # same report object from the table, with nothing built or positioned
+    forms = enumerate_forms(GF5, 3) + enumerate_forms(GF9, 2)
+    cold = [quadric_duality_check(Q) for Q in forms]
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("a warm quadric read built or positioned again")
+    for name in ("form_position", "_quadric_block", "form_block_np",
+                 "gram_polar_np"):
+        monkeypatch.setattr(classify, name, rebuilt)
+    for Q, rep in zip(forms, cold):
+        assert quadric_duality_check(Q) is rep, Q
+
+
+def test_quadric_table_holds_one_run_per_leading_rows(cold_memo):
+    # a full pass over GF(5)^3 leaves q^(m-1) = 5^5 keys, the Gram rows but
+    # the last, each holding the q-tuple of its run's reports
+    for Q in enumerate_forms(GF5, 3):
+        quadric_duality_check(Q)
+    table = cold_memo[("_quadric_table", "GF(5)", 3)]
+    assert len(table) == 5 ** 5
+    assert {type(run) for run in table.values()} == {tuple}
+    assert {len(run) for run in table.values()} == {5}
+    # every block is a positive multiple of q, so no run straddles two, at
+    # every size the 10^7 ceiling lets through (q^(n+1) <= 10^7) and past it
+    for F in (GF3, GF5, GF7, GF9):
+        for n in range(2, 16):
+            size = classify._block_size(F, n)
+            assert size > 0 and size % F.order == 0, (F.name, n)
 
 def _lift_with_a1_squared_bumped(Q):
     """lift(Q) with the coefficient of a1^2 raised by one."""

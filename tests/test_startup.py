@@ -57,10 +57,12 @@ FORMS = {
 }
 
 
-def _run_child(argv, timeout=120):
+def _run_child(argv, timeout=120, env=None):
     """Run a fresh interpreter with these arguments and this checkout's
-    package on its path."""
-    env = dict(os.environ)
+    package on its path; env sets variables over this process's
+    environment, and a None value unsets one."""
+    env = {var: value for var, value in {**os.environ, **(env or {})}.items()
+           if value is not None}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable] + argv, capture_output=True,
@@ -151,6 +153,26 @@ def test_group_commands_load_what_they_use(tmp_path, argv, form, loaded,
     got = _run(tmp_path, argv, form)
     assert got == {"code": 0, "numpy": True, "loaded": loaded,
                    "last": [last]}
+
+
+@pytest.mark.parametrize("value,seen", [(None, "1"), ("2", "2")],
+                         ids=["unset", "set"])
+def test_cli_pins_openblas_to_one_thread_unless_set(tmp_path, value, seen):
+    # main sets the variable before a command loads numpy, and a value the
+    # user set wins
+    path = tmp_path / "gf3.form"
+    path.write_text(FORMS["gf3"], encoding="utf-8")
+    done = _run_child(["-c", textwrap.dedent("""
+        import contextlib, io, json, os, sys
+        from metric_affine.cli import main
+        before = "numpy" in sys.modules
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["groups", sys.argv[1]])
+        print(json.dumps([code, before, "numpy" in sys.modules,
+                          os.environ.get("OPENBLAS_NUM_THREADS")]))
+    """), str(path)], env={"OPENBLAS_NUM_THREADS": value})
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [0, False, True, seen]
 
 
 def test_lemma_sweep_loads_no_classify():
