@@ -577,15 +577,16 @@ def _quadric_runs(fld, n, block):
     """(key, reports) for each run of q consecutive forms in one block of
     the quadric table: key is the Gram rows but the last that the run's
     forms share, built from the block's own coefficient stack, and reports
-    their q reports (_quadric_block) by last coefficient.  The keys of a
-    block share their row tuples."""
+    their q reports (_quadric_block) by last coefficient.  Equal row tuples
+    and equal runs of a block are one object each."""
     q = fld.order
     reports = _quadric_block(fld, n, block)
     W = form_block_np(fld, n, block * _block_size(fld, n), len(reports))
     shared = {}
     keys = [tuple(shared.setdefault(row, row) for row in map(tuple, gram))
             for gram in gram_polar_np(fld, n, W[::q])[0][:, :-1].tolist()]
-    return zip(keys, (reports[i:i + q] for i in range(0, len(reports), q)))
+    return [(key, shared.setdefault(run, run)) for key, run in zip(
+        keys, (reports[i:i + q] for i in range(0, len(reports), q)))]
 
 
 def quadric_duality_check(Q):

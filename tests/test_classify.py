@@ -612,6 +612,12 @@ def test_quadric_table_holds_one_run_per_leading_rows(cold_memo):
     assert len(table) == 5 ** 5
     assert {type(run) for run in table.values()} == {tuple}
     assert {len(run) for run in table.values()} == {5}
+    # equal runs, and equal rows of the keys, are one object per block
+    blocks = -(-5 ** 6 // classify._block_size(GF5, 3))
+    assert len({id(run) for run in table.values()}) <= blocks * len(
+        set(table.values()))
+    rows = [row for key in table for row in key]
+    assert len({id(row) for row in rows}) <= blocks * len(set(rows))
     # every block is a positive multiple of q, so no run straddles two, at
     # every size the 10^7 ceiling lets through (q^(n+1) <= 10^7) and past it
     for F in (GF3, GF5, GF7, GF9):
