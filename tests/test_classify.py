@@ -585,7 +585,6 @@ def test_warm_quadric_queries_build_no_block(cold_memo, monkeypatch):
     assert len(builds) == 8
 
 
-
 @pytest.mark.invariant
 def test_warm_quadric_reads_touch_nothing_but_the_table(cold_memo,
                                                         monkeypatch):
@@ -624,6 +623,7 @@ def test_quadric_table_holds_one_run_per_leading_rows(cold_memo):
         for n in range(2, 16):
             size = classify._block_size(F, n)
             assert size > 0 and size % F.order == 0, (F.name, n)
+
 
 def _lift_with_a1_squared_bumped(Q):
     """lift(Q) with the coefficient of a1^2 raised by one."""
