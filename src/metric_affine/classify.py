@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import (_MEMO, InvariantViolation, group_budget, memo, order_gl,
+from .budget import (InvariantViolation, group_budget, memo, order_gl,
                      require)
 from .groups import (GroupSet, form_block_np, form_values_np, gram_polar_np,
                      group_equal, groups_by_orbit, inverses_np, is_subgroup,
@@ -492,14 +492,16 @@ class QuadricReport(NamedTuple):
 # the statuses a block of the quadric table codes as 0 .. 3
 _BLOCK_STATUSES = ("ok", "empty-quadric", "degenerate-polar", "mismatch")
 # value-table entries per block: 2,045 forms at GF(5)^3, proportionally
-# fewer where F^(n+1) is larger, so that one check pays for a bounded block
+# fewer where F^(n+1) is larger, so that one check pays for a bounded block;
+# but never fewer than one run of q forms, so where q^(n+2) exceeds this a
+# block holds up to q times as many entries
 _BLOCK_ENTRIES = 2048 * 5 ** 4
 
 
 def _block_size(fld, n):
     """Forms per block of the quadric table: _BLOCK_ENTRIES / q^(n+1),
-    rounded down to a positive multiple of q, so that no run of q forms
-    that differ only in their last coefficient straddles two blocks."""
+    rounded down to a multiple of q but at least q, so that no run of q
+    forms that differ only in their last coefficient straddles two blocks."""
     q = fld.order
     return q * max(1, _BLOCK_ENTRIES // q ** (n + 2))
 
@@ -596,10 +598,11 @@ def quadric_duality_check(Q):
     Verified point by point in both directions (the distinguished vertex is
     left out on the lifted side, and re-checked separately against the
     hyperplane at infinity).  Characteristic 2 is excluded by design: the
-    description is not established there.  A warm check is two dict reads
-    and one index: the table of (field, n) maps the Gram rows but the last
-    that a run of q forms share to the run's reports, by last coefficient.
-    A form not queried before adds the runs of its block.
+    description is not established there.  A warm check is one memo read
+    of the table of (field, n), one dict read and one index: the table maps
+    the Gram rows but the last that a run of q forms share to the run's
+    reports, by last coefficient.  A form not queried before adds the runs
+    of its block.
     """
     fld, n = Q.field, Q.n
     if not fld.enumerable:
@@ -610,9 +613,7 @@ def quadric_duality_check(Q):
     if n < 2:
         return QuadricReport(fld.name, n, "dim-too-small", 0, 0, 0, ())
     key, rows = ("_quadric_table", fld.name, n), Q.gram.rows
-    table = _MEMO.get(key)
-    if table is None:
-        table = memo(key, dict)
+    table = memo(key, dict)
     try:
         return table[rows[:-1]][rows[-1][-1]]
     except KeyError:        # a form not queried before adds its block

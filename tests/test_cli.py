@@ -817,9 +817,8 @@ def test_cli_imports_no_private_name():
 
 def test_package_modules_import_no_private_name_from_each_other():
     # the modules of the package reach each other through public names;
-    # the exceptions are the two peeks at the memo table, the warm quadric
-    # read of classify.quadric_duality_check and the warm lemma read of
-    # transvect._answers, which their docstrings document
+    # the one exception is transvect's peek at the memo table, the warm
+    # lemma read that transvect._answers documents
     package = os.path.dirname(cli.__file__)
     crossed = []
     for name in sorted(os.listdir(package)):
@@ -831,4 +830,4 @@ def test_package_modules_import_no_private_name_from_each_other():
                     if isinstance(node, ast.ImportFrom)
                     and (node.level or node.module.startswith("metric_affine"))
                     for alias in node.names if alias.name.startswith("_")]
-    assert crossed == [("classify.py", "_MEMO"), ("transvect.py", "_MEMO")]
+    assert crossed == [("transvect.py", "_MEMO")]
